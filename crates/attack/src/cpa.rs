@@ -11,7 +11,7 @@
 use crate::dpa::{plaintext_for, selection_bit};
 use crate::online::OnlineCpa;
 use crate::progress::AttackProgress;
-use emask_par::{merge_shards, run_sharded, Jobs};
+use emask_par::{fold_sharded, CancelToken, Interrupted, Jobs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -174,11 +174,11 @@ where
 
 /// Parallel, single-pass [`cpa_recover_subkey`]: acquisition is sharded
 /// across `jobs` workers and each trace is folded straight into an
-/// [`OnlineCpa`] accumulator — memory stays O(guesses × trace_len)
-/// regardless of `cfg.samples`, and the result is bit-identical for any
-/// `jobs` value. Plaintexts come from
-/// [`plaintext_for`](crate::dpa::plaintext_for), so the trace set differs
-/// from the sequential-RNG [`cpa_recover_subkey`] at the same seed.
+/// [`OnlineCpa`] accumulator; shards merge in fixed order as they finish
+/// (see [`fold_sharded`]), so memory does not grow with `cfg.samples` and
+/// the result is bit-identical for any `jobs` value. Plaintexts come from
+/// [`plaintext_for`], so the trace set differs from the sequential-RNG
+/// [`cpa_recover_subkey`] at the same seed.
 ///
 /// # Panics
 ///
@@ -187,35 +187,24 @@ pub fn cpa_recover_subkey_par<F>(oracle: &F, cfg: &CpaConfig, jobs: Jobs) -> Cpa
 where
     F: Fn(u64) -> Vec<f64> + Sync,
 {
-    assert!(cfg.samples >= 2, "correlation needs at least two samples");
-    let proto = OnlineCpa::new(cfg.sbox);
-    let accs = run_sharded(jobs, cfg.samples, |_, range| {
-        let mut acc = proto.clone();
-        for i in range {
-            let p = plaintext_for(cfg.seed, i as u64);
-            acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
-        }
-        acc
-    });
-    merge_shards(accs, |a, b| {
-        a.merge(&b).expect("shards saw traces of different widths");
-    })
-    .expect("samples >= 2 yields at least one shard")
-    .result()
+    match cpa_recover_subkey_par_cancellable(oracle, cfg, jobs, &CancelToken::new()) {
+        Ok(result) => result,
+        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
+    }
 }
 
 /// [`cpa_recover_subkey_par`] under a cooperative
-/// [`CancelToken`](emask_par::CancelToken): the token is checked before
+/// [`CancelToken`]: the token is checked before
 /// each trace is acquired, so a trip (client cancel, deadline, shutdown)
 /// stops the campaign at a trial boundary and returns a typed
-/// [`Interrupted`](emask_par::Interrupted) with the number of fully
+/// [`Interrupted`] with the number of fully
 /// folded trials. A token that trips after the last trial has no effect:
 /// a completed run is always delivered, bit-identical to
 /// [`cpa_recover_subkey_par`].
 ///
 /// # Errors
 ///
-/// Returns [`Interrupted`](emask_par::Interrupted) if the token trips
+/// Returns [`Interrupted`] if the token trips
 /// before every trial has been folded.
 ///
 /// # Panics
@@ -225,29 +214,29 @@ pub fn cpa_recover_subkey_par_cancellable<F>(
     oracle: &F,
     cfg: &CpaConfig,
     jobs: Jobs,
-    token: &emask_par::CancelToken,
-) -> Result<CpaResult, emask_par::Interrupted>
+    token: &CancelToken,
+) -> Result<CpaResult, Interrupted>
 where
     F: Fn(u64) -> Vec<f64> + Sync,
 {
     assert!(cfg.samples >= 2, "correlation needs at least two samples");
     let proto = OnlineCpa::new(cfg.sbox);
-    let accs = emask_par::run_sharded_cancellable(jobs, cfg.samples, token, |_, range| {
-        let mut acc = proto.clone();
-        for (done, i) in range.enumerate() {
-            if token.check().is_err() {
-                return Err(done);
+    let acc = fold_sharded(
+        jobs,
+        cfg.samples,
+        token,
+        |_| proto.clone(),
+        |acc, trials| {
+            for (done, i) in trials.enumerate() {
+                token.check().map_err(|_| done)?;
+                let p = plaintext_for(cfg.seed, i as u64);
+                acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
             }
-            let p = plaintext_for(cfg.seed, i as u64);
-            acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
-        }
-        Ok(acc)
-    })?;
-    Ok(merge_shards(accs, |a, b| {
-        a.merge(&b).expect("shards saw traces of different widths");
-    })
-    .expect("samples >= 2 yields at least one shard")
-    .result())
+            Ok(())
+        },
+        |a, b| a.merge(b).expect("shards saw traces of different widths"),
+    )?;
+    Ok(acc.expect("samples >= 2 yields at least one shard").result())
 }
 
 #[cfg(test)]

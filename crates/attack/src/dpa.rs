@@ -16,12 +16,13 @@ use emask_des::bits::permute;
 use emask_des::cipher::sbox_lookup;
 use emask_des::tables::{E, IP};
 use emask_par::{
-    merge_shards, par_map, run_sharded, run_sharded_snapshotted_cancellable, trial_seed,
-    CancelToken, Interrupted, Jobs,
+    fold_sharded, par_map, run_sharded_snapshotted_cancellable, trial_seed, CancelToken,
+    Interrupted, Jobs,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::ops::Range;
 
 /// DPA campaign parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,8 +322,60 @@ where
     result
 }
 
-/// Shards a streaming-DPA campaign across `jobs` workers: each shard folds
-/// its trials into a clone of `proto`, shards merge in fixed order.
+/// Traces a DPA shard acquires before folding them in one
+/// [`OnlineDpa::push_block`]: the 256 sum vectors (40 MB for a 1-round
+/// window) then stream through memory once per 16 traces, not per trace.
+const BLOCK: usize = 16;
+
+/// A shard's empty accumulator: a spent one cleared for reuse, else a
+/// clone of `proto`.
+fn recycled(spent: Option<OnlineDpa>, proto: &OnlineDpa) -> OnlineDpa {
+    match spent {
+        Some(mut acc) => {
+            acc.clear();
+            acc
+        }
+        None => proto.clone(),
+    }
+}
+
+/// Acquires `trials` in blocks of [`BLOCK`] and folds each block into
+/// `acc`, checking `token` before each trial and calling `on_trial(i)`
+/// once trial `i` is folded. A trip returns `Err(trials folded)`; the
+/// traces acquired for the unfinished block are dropped.
+fn fold_trials<F, T>(
+    acc: &mut OnlineDpa,
+    trials: Range<usize>,
+    seed: u64,
+    oracle: &F,
+    token: &CancelToken,
+    on_trial: T,
+) -> Result<(), usize>
+where
+    F: Fn(u64) -> Vec<f64>,
+    T: Fn(usize),
+{
+    let mut plaintexts = Vec::with_capacity(BLOCK);
+    let mut traces = Vec::with_capacity(BLOCK);
+    for start in trials.clone().step_by(BLOCK) {
+        let block = start..trials.end.min(start + BLOCK);
+        plaintexts.clear();
+        traces.clear();
+        for i in block.clone() {
+            token.check().map_err(|_| start - trials.start)?;
+            let p = plaintext_for(seed, i as u64);
+            plaintexts.push(p);
+            traces.push(oracle(p));
+        }
+        acc.push_block(&plaintexts, &traces).expect("oracle produced a misaligned trace");
+        block.for_each(&on_trial);
+    }
+    Ok(())
+}
+
+/// Shards a streaming-DPA campaign across `jobs` workers: each shard
+/// folds its trials into its accumulator a block at a time, and shards
+/// merge in fixed order as they finish.
 fn run_online_dpa<F>(
     oracle: &F,
     samples: usize,
@@ -334,27 +387,30 @@ where
     F: Fn(u64) -> Vec<f64> + Sync,
 {
     assert!(samples > 0, "need at least one sample");
-    let accs = run_sharded(jobs, samples, |_, range| {
-        let mut acc = proto.clone();
-        for i in range {
-            let p = plaintext_for(seed, i as u64);
-            acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
-        }
-        acc
-    });
-    merge_shards(accs, |a, b| {
-        a.merge(&b).expect("shards saw traces of different widths");
-    })
-    .unwrap_or(proto)
-    .result()
+    let token = CancelToken::new();
+    let folded = fold_sharded(
+        jobs,
+        samples,
+        &token,
+        |spent| recycled(spent, &proto),
+        |acc, trials| fold_trials(acc, trials, seed, oracle, &token, |_| {}),
+        |a, b| a.merge(b).expect("shards saw traces of different widths"),
+    );
+    match folded {
+        Ok(acc) => acc.unwrap_or(proto).result(),
+        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
+    }
 }
 
 /// Parallel, single-pass [`recover_subkey`]: trace acquisition is sharded
-/// across `jobs` workers and each trace is folded straight into an
-/// [`OnlineDpa`] accumulator — memory stays O(guesses × trace_len)
-/// regardless of `cfg.samples`, and the result is bit-identical for any
-/// `jobs` value. Plaintexts come from [`plaintext_for`], so the trace set
-/// differs from the sequential-RNG [`recover_subkey`] at the same seed.
+/// across `jobs` workers and traces are folded, a block at a time, into
+/// [`OnlineDpa`] accumulators; the result is bit-identical for any `jobs`
+/// value. Memory does not grow with `cfg.samples`: at most one merged
+/// prefix, one accumulator per worker, and the shards that finished
+/// ahead of a slower earlier shard (see `emask_par::fold_sharded`) are
+/// alive at once, each O(guesses × trace_len) — two at `jobs = 1`.
+/// Plaintexts come from [`plaintext_for`], so the trace set differs from
+/// the sequential-RNG [`recover_subkey`] at the same seed.
 ///
 /// # Panics
 ///
@@ -388,10 +444,10 @@ where
 /// cheap throughput/ETA accounting.
 ///
 /// Snapshots arrive in ascending trial order and are **bit-identical for
-/// any `jobs` count** — see `run_sharded_snapshotted` for the merge-order
-/// contract. `cadence == 0` emits only the final snapshot. A slow
-/// `on_snapshot` backpressures the delivering worker rather than buffering
-/// unboundedly.
+/// any `jobs` count** — see `run_sharded_snapshotted_cancellable` for the
+/// merge-order contract. `cadence == 0` emits only the final snapshot. A
+/// slow `on_snapshot` backpressures the delivering worker rather than
+/// buffering unboundedly.
 ///
 /// # Panics
 ///
@@ -465,12 +521,8 @@ where
         cfg.samples,
         cadence,
         token,
-        || proto.clone(),
-        |acc: &mut OnlineDpa, i| {
-            let p = plaintext_for(seed, i as u64);
-            acc.push(p, &oracle(p)).expect("oracle produced a misaligned trace");
-            on_trial(i);
-        },
+        |spent| recycled(spent, &proto),
+        |acc, trials| fold_trials(acc, trials, seed, oracle, token, &on_trial),
         |a, b| a.merge(b).expect("shards saw traces of different widths"),
         |trials, acc| on_snapshot(trials, &acc.result()),
     )?;

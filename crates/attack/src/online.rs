@@ -13,19 +13,22 @@
 //! * [`OnlineWelch`] — a two-group [`Welford`] pair yielding the TVLA
 //!   Welch-*t* statistic;
 //! * [`OnlineDpa`] — the per-guess difference-of-means engine behind
-//!   [`crate::dpa`], at O(guesses × trace_len) memory independent of the
-//!   sample count;
+//!   [`crate::dpa`], at O(guesses × trace_len) memory per accumulator
+//!   independent of the sample count, with a blocked fold
+//!   ([`OnlineDpa::push_block`]) that streams each sum once per block;
 //! * [`OnlineCpa`] — the per-guess Pearson-correlation sums behind
 //!   [`crate::cpa`], same memory bound.
 //!
 //! Every accumulator supports `merge`, and merging is deterministic: the
-//! parallel drivers in `emask-par` fold shard accumulators in fixed shard
-//! order, so results are bit-identical for any worker count.
+//! parallel drivers in `emask-par` merge shard accumulators in fixed shard
+//! order (streamed into a running prefix as shards finish), so results
+//! are bit-identical for any worker count.
 
 use crate::cpa::CpaResult;
 use crate::dpa::{result_from_peaks, sbox_chunk, DpaResult};
 use crate::stats::{peak, StatsError};
 use emask_des::cipher::sbox_lookup;
+use std::ops::Range;
 
 /// Pointwise streaming mean/variance over equal-length traces
 /// (Welford's algorithm, one accumulator per cycle).
@@ -185,10 +188,14 @@ impl OnlineWelch {
 /// For every trace, the selection bit of each of the 64 subkey guesses is
 /// computed once (one S-box lookup per guess) and the trace is folded
 /// into that guess's group-1 sum; the group-0 mean falls out of the
-/// shared total sum. Memory is O(bits × guesses × trace_len) — one sum
-/// vector per (bit, guess) plus the total — and **independent of the
-/// sample count**, unlike the batch [`crate::dpa::analyze_bit`] path that
-/// retains the full trace matrix.
+/// shared total sum. One accumulator holds O(bits × guesses × trace_len)
+/// — one sum vector per (bit, guess) plus the total — whatever the number
+/// of traces folded into it, unlike the batch [`crate::dpa::analyze_bit`]
+/// path that retains the full trace matrix. (A sharded campaign holds
+/// several accumulators at once; see [`crate::dpa::recover_subkey_par`].)
+///
+/// [`push_block`](OnlineDpa::push_block) is the fast way in: it walks
+/// each sum vector once per block instead of once per trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineDpa {
     sbox: usize,
@@ -202,9 +209,24 @@ pub struct OnlineDpa {
     total: Vec<f64>,
     /// Per (bit, guess): group-1 trace count, row-major `[bit][guess]`.
     n1: Vec<u64>,
-    /// Per (bit, guess): group-1 sum vector, row-major `[bit][guess]`.
+    /// Per (bit, guess): group-1 sum vector, row-major `[bit][guess]`;
+    /// empty until the slot's first trace.
     sum1: Vec<Vec<f64>>,
 }
+
+/// Traces folded per pass of the blocked kernel: one `u64` selection mask
+/// per (bit, guess) slot. Longer blocks are folded in runs of this many.
+const MASK_BITS: usize = 64;
+
+/// Samples of every trace in a block that the blocked kernel keeps in
+/// cache at once: a tile of `TILE_BUDGET / traces` samples per trace
+/// (512 for a 16-trace block, 64 KiB in all) stays resident while the
+/// per-slot sum tiles stream past it once each.
+const TILE_BUDGET: usize = 16 * 512;
+
+/// Running sums the kernel keeps in registers while it adds the selected
+/// traces of a block.
+const LANES: usize = 8;
 
 impl OnlineDpa {
     /// Single-bit DPA on output `bit` of `sbox` — the streaming
@@ -252,41 +274,114 @@ impl OnlineDpa {
         self.n == 0
     }
 
-    /// Folds one `(plaintext, trace)` observation in.
+    /// Empties the accumulator but keeps its buffers, so a sharded
+    /// campaign can hand it to the next shard without allocating (and
+    /// page-faulting) another one. Afterwards it behaves bit for bit like
+    /// a fresh accumulator of the same configuration.
+    pub fn clear(&mut self) {
+        self.n = 0;
+        self.total.clear();
+        self.n1.fill(0);
+        for sum in &mut self.sum1 {
+            sum.clear();
+        }
+    }
+
+    /// Folds one `(plaintext, trace)` observation in: the one-trace case
+    /// of [`push_block`](OnlineDpa::push_block).
     ///
     /// # Errors
     ///
     /// [`StatsError::WidthMismatch`] when the trace length differs from
     /// the established width; the accumulator is left unchanged.
     pub fn push(&mut self, plaintext: u64, trace: &[f64]) -> Result<(), StatsError> {
+        self.push_block(&[plaintext], &[trace])
+    }
+
+    /// Folds a block of `(plaintexts[i], traces[i])` observations in, with
+    /// exactly the float result of pushing them one by one in order.
+    ///
+    /// Each sum vector is walked once per block rather than once per
+    /// trace: the kernel adds all of the block's selected traces to a
+    /// tile of running sums held in registers. Every sum element still
+    /// sees the same additions in the same (push) order, and a slot's
+    /// first trace is still copied rather than added to `0.0`, so the
+    /// sign of a zero survives.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::WidthMismatch`] when any trace length differs from
+    /// the established width (or, on an empty accumulator, from the
+    /// block's first trace); the accumulator is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plaintexts` and `traces` differ in length.
+    pub fn push_block<T: AsRef<[f64]>>(
+        &mut self,
+        plaintexts: &[u64],
+        traces: &[T],
+    ) -> Result<(), StatsError> {
+        assert_eq!(plaintexts.len(), traces.len(), "one plaintext per trace");
+        let Some(first) = traces.first() else { return Ok(()) };
+        let width = if self.n == 0 { first.as_ref().len() } else { self.total.len() };
+        if let Some(bad) = traces.iter().find(|t| t.as_ref().len() != width) {
+            return Err(StatsError::WidthMismatch { expected: width, got: bad.as_ref().len() });
+        }
         if self.n == 0 {
-            self.total = vec![0.0; trace.len()];
-        } else if trace.len() != self.total.len() {
-            return Err(StatsError::WidthMismatch { expected: self.total.len(), got: trace.len() });
+            self.total.resize(width, 0.0);
         }
-        self.n += 1;
-        for (t, &v) in self.total.iter_mut().zip(trace) {
-            *t += v;
+        for (ps, ts) in plaintexts.chunks(MASK_BITS).zip(traces.chunks(MASK_BITS)) {
+            self.fold_block(ps, ts);
         }
-        let chunk = sbox_chunk(plaintext, self.sbox);
-        for guess in 0..64u8 {
-            let s_out = sbox_lookup(self.sbox, chunk ^ guess);
-            for (bi, &bit) in self.bits.iter().enumerate() {
-                if (s_out >> (3 - bit)) & 1 == 1 {
-                    let slot = bi * 64 + guess as usize;
-                    self.n1[slot] += 1;
-                    let sum = &mut self.sum1[slot];
-                    if sum.is_empty() {
-                        *sum = trace.to_vec();
-                    } else {
-                        for (s, &v) in sum.iter_mut().zip(trace) {
-                            *s += v;
-                        }
+        Ok(())
+    }
+
+    /// [`push_block`](OnlineDpa::push_block) on at most [`MASK_BITS`]
+    /// validated traces.
+    fn fold_block<T: AsRef<[f64]>>(&mut self, plaintexts: &[u64], traces: &[T]) {
+        let mut rows: [&[f64]; MASK_BITS] = [&[]; MASK_BITS];
+        for (row, t) in rows.iter_mut().zip(traces) {
+            *row = t.as_ref();
+        }
+        let rows = &rows[..traces.len()];
+        // Bit r of masks[slot] set: trace r falls in the slot's group 1.
+        let mut masks = [0u64; 4 * 64];
+        let masks = &mut masks[..self.n1.len()];
+        for (r, &p) in plaintexts.iter().enumerate() {
+            let chunk = sbox_chunk(p, self.sbox);
+            for guess in 0..64u8 {
+                let s_out = sbox_lookup(self.sbox, chunk ^ guess);
+                for (bi, &bit) in self.bits.iter().enumerate() {
+                    if (s_out >> (3 - bit)) & 1 == 1 {
+                        let slot = bi * 64 + guess as usize;
+                        masks[slot] |= 1 << r;
+                        self.n1[slot] += 1;
                     }
                 }
             }
         }
-        Ok(())
+        self.n += rows.len() as u64;
+        for (sum, mask) in self.sum1.iter_mut().zip(masks.iter_mut()) {
+            // A slot's first trace is copied, not added to 0.0.
+            if *mask != 0 && sum.is_empty() {
+                sum.extend_from_slice(rows[mask.trailing_zeros() as usize]);
+                *mask &= *mask - 1;
+            }
+        }
+        let all = u64::MAX >> (MASK_BITS - rows.len());
+        let width = self.total.len();
+        let tile_len = (TILE_BUDGET / rows.len()).next_multiple_of(LANES);
+        let mut sel: [&[f64]; MASK_BITS] = [&[]; MASK_BITS];
+        for start in (0..width).step_by(tile_len) {
+            let tile = start..width.min(start + tile_len);
+            add_rows(&mut self.total[tile.clone()], select(&mut sel, rows, all, &tile));
+            for (sum, &mask) in self.sum1.iter_mut().zip(masks.iter()) {
+                if mask != 0 {
+                    add_rows(&mut sum[tile.clone()], select(&mut sel, rows, mask, &tile));
+                }
+            }
+        }
     }
 
     /// Absorbs another accumulator of the same configuration.
@@ -324,13 +419,11 @@ impl OnlineDpa {
         }
         for slot in 0..self.n1.len() {
             self.n1[slot] += other.n1[slot];
-            if other.sum1[slot].is_empty() {
-                continue;
-            }
-            if self.sum1[slot].is_empty() {
-                self.sum1[slot] = other.sum1[slot].clone();
+            let (sum, theirs) = (&mut self.sum1[slot], &other.sum1[slot]);
+            if sum.is_empty() {
+                sum.extend_from_slice(theirs);
             } else {
-                for (s, &v) in self.sum1[slot].iter_mut().zip(&other.sum1[slot]) {
+                for (s, &v) in sum.iter_mut().zip(theirs) {
                     *s += v;
                 }
             }
@@ -366,6 +459,47 @@ impl OnlineDpa {
             }
         }
         result_from_peaks(peaks, peak_cycles)
+    }
+}
+
+/// The `tile` of each row selected by `mask` (bit `r` for `rows[r]`), in
+/// row order, written to the front of `sel`.
+fn select<'s, 'a>(
+    sel: &'s mut [&'a [f64]; MASK_BITS],
+    rows: &[&'a [f64]],
+    mut mask: u64,
+    tile: &Range<usize>,
+) -> &'s [&'a [f64]] {
+    let mut k = 0;
+    while mask != 0 {
+        sel[k] = &rows[mask.trailing_zeros() as usize][tile.clone()];
+        k += 1;
+        mask &= mask - 1;
+    }
+    &sel[..k]
+}
+
+/// Adds `rows`, in order, to `out`.
+///
+/// Each run of [`LANES`] sums stays in registers while every row is added
+/// to it, so per element the additions happen in row order — the order
+/// one-by-one pushes would make them.
+fn add_rows(out: &mut [f64], rows: &[&[f64]]) {
+    let body = out.len() - out.len() % LANES;
+    for (c, chunk) in out[..body].chunks_exact_mut(LANES).enumerate() {
+        let mut acc = [0.0f64; LANES];
+        acc.copy_from_slice(chunk);
+        for row in rows {
+            for (a, &v) in acc.iter_mut().zip(&row[c * LANES..(c + 1) * LANES]) {
+                *a += v;
+            }
+        }
+        chunk.copy_from_slice(&acc);
+    }
+    for (j, s) in out.iter_mut().enumerate().skip(body) {
+        for row in rows {
+            *s += row[j];
+        }
     }
 }
 
@@ -709,9 +843,159 @@ mod tests {
         let mut dpa = OnlineDpa::single(0, 0);
         dpa.push(1, &[1.0, 2.0]).unwrap();
         assert_eq!(dpa.push(2, &[1.0]), Err(StatsError::WidthMismatch { expected: 2, got: 1 }));
+        // A mismatch anywhere in a block rejects the whole block.
+        let before = format!("{dpa:?}");
+        for bad in 0..3 {
+            let mut block = vec![vec![3.0, -0.0]; 3];
+            block[bad] = vec![5.0];
+            let err = dpa.push_block(&[7, 8, 9], &block);
+            assert_eq!(err, Err(StatsError::WidthMismatch { expected: 2, got: 1 }), "bad = {bad}");
+            assert_eq!(format!("{dpa:?}"), before, "bad = {bad}: accumulator changed");
+        }
+        // On an empty accumulator the block's first trace sets the width.
+        let mut empty = OnlineDpa::multibit(0, 0);
+        let err = empty.push_block(&[1, 2], &[vec![1.0, 2.0], vec![1.0]]);
+        assert_eq!(err, Err(StatsError::WidthMismatch { expected: 2, got: 1 }));
+        assert_eq!(empty, OnlineDpa::multibit(0, 0));
         let mut cpa = OnlineCpa::new(0);
         cpa.push(1, &[1.0, 2.0]).unwrap();
         assert_eq!(cpa.push(2, &[1.0]), Err(StatsError::WidthMismatch { expected: 2, got: 1 }));
+    }
+
+    /// The per-trace fold as it was before the blocked kernel: the
+    /// reference every blocked fold must match bit for bit.
+    fn reference_push(acc: &mut OnlineDpa, plaintext: u64, trace: &[f64]) {
+        if acc.n == 0 {
+            acc.total = vec![0.0; trace.len()];
+        }
+        acc.n += 1;
+        for (t, &v) in acc.total.iter_mut().zip(trace) {
+            *t += v;
+        }
+        let chunk = sbox_chunk(plaintext, acc.sbox);
+        for guess in 0..64u8 {
+            let s_out = sbox_lookup(acc.sbox, chunk ^ guess);
+            for (bi, &bit) in acc.bits.iter().enumerate() {
+                if (s_out >> (3 - bit)) & 1 == 1 {
+                    let slot = bi * 64 + guess as usize;
+                    acc.n1[slot] += 1;
+                    let sum = &mut acc.sum1[slot];
+                    if sum.is_empty() {
+                        *sum = trace.to_vec();
+                    } else {
+                        for (s, &v) in sum.iter_mut().zip(trace) {
+                            *s += v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Values a DPA sum must not disturb: signed zeros (a slot's first
+    /// trace is copied, so `-0.0` survives; adding it to `0.0` would not),
+    /// subnormals, and magnitudes far enough apart that any reordered
+    /// addition changes the bits.
+    const PALETTE: [f64; 9] = [0.0, -0.0, 5e-324, -1e-310, 2.5e-309, 1.0, -3.5, 1e16, 0.1];
+
+    /// A SplitMix64 stream: each case draws its (many) samples from one
+    /// seed instead of a pool sized for the widest trace.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// `traces` plaintexts and `width`-sample traces, half of the samples
+    /// from [`PALETTE`], the rest spread over ±1e3.
+    fn observations(traces: usize, width: usize, seed: u64) -> (Vec<u64>, Vec<Vec<f64>>) {
+        let mut state = seed;
+        let plaintexts = (0..traces).map(|_| splitmix(&mut state)).collect();
+        let rows = (0..traces)
+            .map(|_| {
+                (0..width)
+                    .map(|_| {
+                        let r = splitmix(&mut state);
+                        match (r % (2 * PALETTE.len() as u64)) as usize {
+                            i if i < PALETTE.len() => PALETTE[i],
+                            _ => ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 2e3,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        (plaintexts, rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn push_block_is_bitwise_equal_to_per_trace_pushes(
+            traces in 1usize..70,
+            narrow in 1usize..20,
+            wide in proptest::prelude::any::<bool>(),
+            block in 1usize..41,
+            lead in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // Widths off the lane grid; wide ones cross a cache tile. Up
+            // to 69 traces: one block can need two selection masks.
+            let width = if wide { TILE_BUDGET / 16 - 12 + narrow } else { narrow };
+            let (plaintexts, rows) = observations(traces, width, seed);
+            let mut reference = OnlineDpa::multibit(2, 1);
+            let mut one_by_one = OnlineDpa::multibit(2, 1);
+            for (&p, r) in plaintexts.iter().zip(&rows) {
+                reference_push(&mut reference, p, r);
+                one_by_one.push(p, r).unwrap();
+            }
+            // A few single pushes first, so blocks meet slots both empty
+            // and holding a sum, and first-touch some of them mid-block.
+            let lead = lead.min(traces);
+            let mut blocked = OnlineDpa::multibit(2, 1);
+            for (&p, r) in plaintexts[..lead].iter().zip(&rows[..lead]) {
+                blocked.push(p, r).unwrap();
+            }
+            for (ps, rs) in plaintexts[lead..].chunks(block).zip(rows[lead..].chunks(block)) {
+                blocked.push_block(ps, rs).unwrap();
+            }
+            let mut whole = OnlineDpa::multibit(2, 1);
+            whole.push_block(&plaintexts, &rows).unwrap();
+            // `Debug` prints every float's exact value, sign of zero included.
+            let expect = format!("{reference:?}");
+            proptest::prop_assert_eq!(format!("{one_by_one:?}"), expect.clone());
+            proptest::prop_assert_eq!(format!("{blocked:?}"), expect.clone());
+            proptest::prop_assert_eq!(format!("{whole:?}"), expect);
+        }
+    }
+
+    #[test]
+    fn cleared_dpa_accumulator_behaves_like_a_fresh_one() {
+        let plaintexts: Vec<u64> =
+            (0..21u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+        let wide: Vec<Vec<f64>> =
+            plaintexts.iter().map(|&p| vec![-0.0, (p % 5) as f64, 1e-310, 3.0, 0.5]).collect();
+        let narrow: Vec<Vec<f64>> =
+            plaintexts.iter().map(|&p| vec![(p % 7) as f64 - 3.0, -0.0, 5e-324]).collect();
+        let mut reused = OnlineDpa::multibit(3, 2);
+        reused.push_block(&plaintexts, &wide).unwrap();
+        reused.clear();
+        assert_eq!(reused, OnlineDpa::multibit(3, 2));
+        assert!(reused.is_empty());
+        // Same behaviour afterwards, bit for bit — at a new width too.
+        let mut fresh = OnlineDpa::multibit(3, 2);
+        for acc in [&mut reused, &mut fresh] {
+            acc.push_block(&plaintexts[..9], &narrow[..9]).unwrap();
+            acc.push(plaintexts[9], &narrow[9]).unwrap();
+        }
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
+        let mut rest = OnlineDpa::multibit(3, 2);
+        rest.push_block(&plaintexts[10..], &narrow[10..]).unwrap();
+        reused.merge(&rest).unwrap();
+        fresh.merge(&rest).unwrap();
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
     }
 
     #[test]

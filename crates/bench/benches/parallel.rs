@@ -1,18 +1,24 @@
 //! Parallel-engine benchmarks: serial vs sharded trace acquisition against
-//! the real reduced-round simulator, and the batch (matrix-in-memory) vs
+//! the real reduced-round simulator, the batch (matrix-in-memory) vs
 //! online (single-pass accumulator) DPA statistics engines over the same
-//! synthetic trace set. The acquisition pair is what `BENCH_parallel.json`
-//! records: identical results, divergent wall time.
+//! synthetic trace set, and the accumulation path of a sharded DPA
+//! campaign on real round-1 windows — one trace at a time vs blocked, and
+//! collect-then-merge vs the streaming in-order merge.
+//!
+//! ```text
+//! cargo bench -p emask-bench --bench parallel
+//! ```
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use emask_attack::dpa::{
-    analyze_bit, collect_traces, collect_traces_par, recover_subkey_par, selection_bit, DpaConfig,
+    analyze_bit, collect_traces, collect_traces_par, plaintext_for, recover_subkey_multibit_par,
+    recover_subkey_par, selection_bit, DpaConfig,
 };
 use emask_attack::online::OnlineDpa;
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{MaskPolicy, MaskedDes, Phase};
 use emask_des::KeySchedule;
-use emask_par::Jobs;
+use emask_par::{fold_sharded, merge_shards, run_sharded, CancelToken, Jobs};
 use std::hint::black_box;
 
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
@@ -29,13 +35,19 @@ fn synthetic_oracle(p: u64) -> Vec<f64> {
     t
 }
 
-/// Serial vs `--jobs 4` acquisition of 64 round-1 windows from the real
-/// unmasked 1-round simulator — the tentpole speedup measurement.
-fn bench_acquisition(c: &mut Criterion) {
+/// The unmasked 1-round device and its round-1 window.
+fn round1_device() -> (MaskedDes, std::ops::Range<usize>) {
     let des = MaskedDes::compile_spec(MaskPolicy::None, &DesProgramSpec { rounds: 1 })
         .expect("compile 1-round device");
     let window =
         des.encrypt(0, KEY).expect("probe run").phase_window(Phase::Round(1)).expect("round 1");
+    (des, window)
+}
+
+/// Serial vs `--jobs 4` acquisition of 64 round-1 windows from the real
+/// unmasked 1-round simulator.
+fn bench_acquisition(c: &mut Criterion) {
+    let (des, window) = round1_device();
     let oracle = des.trace_oracle(KEY, window);
     let mut g = c.benchmark_group("acquire");
     g.sample_size(10);
@@ -76,5 +88,90 @@ fn bench_dpa_engines(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_acquisition, bench_dpa_engines);
+/// Traces per block, as the library's sharded DPA folds them.
+const BLOCK: usize = 16;
+
+/// The accumulation path of a multibit DPA campaign on real round-1
+/// windows of the unmasked 1-round device (19,380 samples each). A bank
+/// of [`BLOCK`] simulated windows stands in for the simulator, so these
+/// rows time the attack layer, not the encryption.
+fn bench_dpa_accumulation(c: &mut Criterion) {
+    let (des, window) = round1_device();
+    let oracle = des.trace_oracle(KEY, window);
+    let plaintexts: Vec<u64> = (0..BLOCK as u64).map(|i| plaintext_for(SEED, i)).collect();
+    let bank: Vec<Vec<f64>> = plaintexts.iter().map(|&p| oracle(p)).collect();
+
+    // One block into a warm accumulator: every (bit, guess) slot already
+    // holds a sum, so both variants only add.
+    let mut g = c.benchmark_group("dpa_push");
+    g.throughput(Throughput::Elements(BLOCK as u64));
+    let mut warm = OnlineDpa::multibit(0, 0);
+    warm.push_block(&plaintexts, &bank).expect("aligned traces");
+    let mut acc = warm.clone();
+    g.bench_function("per_trace_push_x16", |b| {
+        b.iter(|| {
+            for (&p, t) in plaintexts.iter().zip(&bank) {
+                acc.push(black_box(p), black_box(t)).expect("aligned traces");
+            }
+        })
+    });
+    let mut acc = warm;
+    g.bench_function("push_block_16", |b| {
+        b.iter(|| acc.push_block(black_box(&plaintexts), black_box(&bank)).expect("aligned traces"))
+    });
+    g.finish();
+
+    // A 512-trace campaign at 2 workers, from the bank.
+    let banked = |p: u64| bank[(p % BLOCK as u64) as usize].clone();
+    let proto = OnlineDpa::multibit(0, 0);
+    let jobs = Jobs::new(2).unwrap_or_else(Jobs::serial);
+    let mut g = c.benchmark_group("dpa_campaign_512");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(512));
+    g.bench_function("run_sharded_merge_shards_push", |b| {
+        b.iter(|| {
+            let accs = run_sharded(jobs, 512, |_, trials| {
+                let mut acc = proto.clone();
+                for i in trials {
+                    let p = plaintext_for(SEED, i as u64);
+                    acc.push(p, &banked(p)).expect("aligned traces");
+                }
+                acc
+            });
+            merge_shards(accs, |a, b| a.merge(&b).expect("aligned shards")).map(|a| a.result())
+        })
+    });
+    g.bench_function("fold_sharded_push", |b| {
+        b.iter(|| {
+            fold_sharded(
+                jobs,
+                512,
+                &CancelToken::new(),
+                |spent: Option<OnlineDpa>| match spent {
+                    Some(mut acc) => {
+                        acc.clear();
+                        acc
+                    }
+                    None => proto.clone(),
+                },
+                |acc, trials| {
+                    for i in trials {
+                        let p = plaintext_for(SEED, i as u64);
+                        acc.push(p, &banked(p)).expect("aligned traces");
+                    }
+                    Ok(())
+                },
+                |a, b| a.merge(b).expect("aligned shards"),
+            )
+            .map(|a| a.map(|a| a.result()))
+        })
+    });
+    let cfg = DpaConfig { samples: 512, sbox: 0, bit: 0, seed: SEED };
+    g.bench_function("fold_sharded_push_block_16", |b| {
+        b.iter(|| recover_subkey_multibit_par(black_box(&banked), &cfg, jobs))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_acquisition, bench_dpa_engines, bench_dpa_accumulation);
 criterion_main!(benches);

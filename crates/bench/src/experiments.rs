@@ -15,7 +15,7 @@ use emask_des::KeySchedule;
 use emask_energy::EnergyModel;
 use emask_energy::{FunctionalUnit, UnitState};
 use emask_isa::OpClass;
-use emask_par::{merge_shards, run_sharded, trial_seed, Jobs};
+use emask_par::{fold_sharded, trial_seed, CancelToken, Jobs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -606,20 +606,24 @@ pub fn tvla_par(
     let probe = des.encrypt(PLAINTEXT, KEY).expect("probe");
     let start = probe.phase_window(Phase::KeyPermutation).expect("kp").start;
     let end = probe.phase_window(Phase::Round(rounds as u8)).expect("last round").end;
-    let accs = run_sharded(jobs, group_size, |_, range| {
-        let mut acc = OnlineWelch::new();
-        for i in range {
-            let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
-            acc.g0.push(f.trace.window(start..end).samples()).expect("aligned traces");
-            let k: u64 = StdRng::seed_from_u64(trial_seed(seed, i as u64)).gen();
-            let r = des.encrypt(PLAINTEXT, k).expect("random run");
-            acc.g1.push(r.trace.window(start..end).samples()).expect("aligned traces");
-        }
-        acc
-    });
-    let acc = merge_shards(accs, |a, b| {
-        a.merge(&b).expect("aligned shards");
-    })
+    let acc = fold_sharded(
+        jobs,
+        group_size,
+        &CancelToken::new(),
+        |_| OnlineWelch::new(),
+        |acc, trials| {
+            for i in trials {
+                let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
+                acc.g0.push(f.trace.window(start..end).samples()).expect("aligned traces");
+                let k: u64 = StdRng::seed_from_u64(trial_seed(seed, i as u64)).gen();
+                let r = des.encrypt(PLAINTEXT, k).expect("random run");
+                acc.g1.push(r.trace.window(start..end).samples()).expect("aligned traces");
+            }
+            Ok(())
+        },
+        |a, b| a.merge(b).expect("aligned shards"),
+    )
+    .unwrap_or_else(|_| unreachable!("a private never-cancelled token cannot interrupt"))
     .unwrap_or_default();
     let t = acc.welch_t();
     let (at_cycle, max_t) =

@@ -8,8 +8,8 @@
 //! through so a live consumer can watch the attack converge while it
 //! runs. All replayable events are emitted from deterministic points
 //! (the pre-run header, the serialized snapshot ladder inside
-//! [`run_sharded_snapshotted`], the post-run trailer), so the replayable
-//! stream is **byte-identical at any `--jobs` count**; only the
+//! [`run_sharded_snapshotted_cancellable`], the post-run trailer), so the
+//! replayable stream is **byte-identical at any `--jobs` count**; only the
 //! operational [`Event::TrialCompleted`] heartbeats interleave freely.
 //! Pass [`NullSink`](emask_telemetry::NullSink) and every emission site
 //! compiles away — the drivers then cost exactly what their batch
@@ -224,16 +224,20 @@ pub fn tvla_convergence_cancellable<S: EventSink>(
         group_size,
         cadence,
         token,
-        OnlineWelch::new,
-        |acc: &mut OnlineWelch, i| {
-            let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
-            acc.g0.push(f.trace.window(start..end).samples()).expect("aligned traces");
-            let k: u64 = StdRng::seed_from_u64(trial_seed(seed, i as u64)).gen();
-            let r = des.encrypt(PLAINTEXT, k).expect("random run");
-            acc.g1.push(r.trace.window(start..end).samples()).expect("aligned traces");
-            if S::ACTIVE {
-                sink.emit(Event::TrialCompleted { trial: i as u64 });
+        |_| OnlineWelch::new(),
+        |acc: &mut OnlineWelch, trials| {
+            for (done, i) in trials.enumerate() {
+                token.check().map_err(|_| done)?;
+                let f = des.encrypt(PLAINTEXT, KEY).expect("fixed run");
+                acc.g0.push(f.trace.window(start..end).samples()).expect("aligned traces");
+                let k: u64 = StdRng::seed_from_u64(trial_seed(seed, i as u64)).gen();
+                let r = des.encrypt(PLAINTEXT, k).expect("random run");
+                acc.g1.push(r.trace.window(start..end).samples()).expect("aligned traces");
+                if S::ACTIVE {
+                    sink.emit(Event::TrialCompleted { trial: i as u64 });
+                }
             }
+            Ok(())
         },
         |a, b| a.merge(b).expect("aligned shards"),
         |trials, acc| {

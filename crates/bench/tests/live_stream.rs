@@ -77,28 +77,65 @@ fn golden_dpa_jsonl_schema_is_stable() {
     );
 }
 
+/// FNV-1a over a stream's bytes: a compact pin for a committed digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Snapshot cadences the DPA and TVLA streams are pinned at: final-only,
+/// every trial, one that straddles shard ends, and one that lands on some.
+const CADENCES: [usize; 4] = [0, 1, 7, 16];
+
+/// FNV-1a digests of the replayable DPA and TVLA streams at each of
+/// [`CADENCES`] (the DPA and TVLA calls below), as the collect-then-merge
+/// executor with one-by-one DPA pushes produced them. Merge order, fold
+/// order and accumulator reuse must not move a single bit of any
+/// snapshot; a change that does shows here.
+const STREAM_DIGESTS: [(u64, u64); 4] = [
+    (0x4715_afd0_6ac3_b4d9, 0x9674_cf99_39a5_f901),
+    (0xd0bf_97b3_6b19_ae2c, 0x43fa_ed49_9bd5_77d5),
+    (0xa808_4031_3854_928e, 0x64a0_09b4_a16f_3cc0),
+    (0x9c90_1622_71ed_460f, 0xaa5e_b8bc_863e_aec8),
+];
+
 #[test]
 fn replayable_streams_are_byte_identical_across_jobs() {
     let des = device();
     let cfg = CampaignConfig { trials: 60, ..CampaignConfig::default() };
-    let streams: Vec<(String, String, String)> = [1, 4, 7]
+    let streams: Vec<(String, Vec<(String, String)>)> = [1, 4, 7]
         .into_iter()
         .map(|jobs| {
             let jobs = Jobs::new(jobs).unwrap();
             let fault = Collect::new();
             run_campaign_events(&des, &cfg, jobs, &fault).expect("fault campaign");
-            let dpa = Collect::new();
-            dpa_attack_convergence(MaskPolicy::None, 1, 48, 0, jobs, 16, &dpa);
-            let tvla = Collect::new();
-            tvla_convergence(MaskPolicy::None, 1, 8, 3, jobs, 4, &tvla);
-            (fault.replayable_jsonl(), dpa.replayable_jsonl(), tvla.replayable_jsonl())
+            let attacks = CADENCES
+                .into_iter()
+                .map(|cadence| {
+                    let dpa = Collect::new();
+                    dpa_attack_convergence(MaskPolicy::None, 1, 48, 0, jobs, cadence, &dpa);
+                    let tvla = Collect::new();
+                    tvla_convergence(MaskPolicy::None, 1, 8, 3, jobs, cadence, &tvla);
+                    (dpa.replayable_jsonl(), tvla.replayable_jsonl())
+                })
+                .collect();
+            (fault.replayable_jsonl(), attacks)
         })
         .collect();
     for s in &streams[1..] {
         assert_eq!(s.0, streams[0].0, "fault stream moved with jobs");
-        assert_eq!(s.1, streams[0].1, "dpa stream moved with jobs");
-        assert_eq!(s.2, streams[0].2, "tvla stream moved with jobs");
+        for (cadence, (got, want)) in CADENCES.iter().zip(s.1.iter().zip(&streams[0].1)) {
+            assert_eq!(got.0, want.0, "dpa stream moved with jobs at cadence {cadence}");
+            assert_eq!(got.1, want.1, "tvla stream moved with jobs at cadence {cadence}");
+        }
     }
+    let digests: Vec<(u64, u64)> = streams[0]
+        .1
+        .iter()
+        .map(|(dpa, tvla)| (fnv1a(dpa.as_bytes()), fnv1a(tvla.as_bytes())))
+        .collect();
+    assert_eq!(digests, STREAM_DIGESTS, "{digests:#018x?}");
     // The fault stream carries one outcome row per trial, in trial order.
     let outcomes: Vec<u64> = streams[0]
         .0

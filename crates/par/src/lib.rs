@@ -35,11 +35,12 @@ mod lease;
 pub use lease::{Lease, ThreadBudget};
 
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -361,52 +362,67 @@ where
     A: Send,
     F: Fn(usize, Range<usize>) -> A + Sync,
 {
-    /// A shard's accumulator, or the payload of the panic that killed it.
-    type ShardOutcome<A> = Result<A, Box<dyn Any + Send>>;
     let ranges = shard_ranges(n);
-    if jobs.get() <= 1 || ranges.len() <= 1 {
-        return ranges.into_iter().enumerate().map(|(s, r)| worker(s, r)).collect();
+    let tagged = Mutex::new(Vec::with_capacity(ranges.len()));
+    pool(jobs, ranges.len(), &CancelToken::new(), |s| {
+        // Catch per shard: a panicking shard must not take down its
+        // worker thread (and with it every other shard queued on it).
+        let result = catch_unwind(AssertUnwindSafe(|| worker(s, ranges[s].clone())));
+        tagged.lock().expect("shard results poisoned").push((s, result));
+    });
+    in_shard_order(tagged.into_inner().expect("shard results poisoned"))
+}
+
+/// A shard's result, or the payload of the panic that killed it.
+type Caught<T> = Result<T, Box<dyn Any + Send>>;
+
+/// Sorts shard-tagged results by shard index and unwraps them, re-raising
+/// the panic of the lowest-indexed panicking shard — deterministic
+/// propagation for any jobs count.
+fn in_shard_order<T>(mut tagged: Vec<(usize, Caught<T>)>) -> Vec<T> {
+    tagged.sort_by_key(|&(s, _)| s);
+    tagged
+        .into_iter()
+        .map(|(_, r)| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+        .collect()
+}
+
+/// The worker pool every sharded runner shares: up to `jobs` scoped
+/// threads pull shard indices `0..shards` from an atomic counter and call
+/// `body(shard)`; with one job (or one shard) the caller's thread runs
+/// them in order.
+///
+/// Lease arbitration happens here: worker `w` stops pulling once
+/// [`CancelToken::worker_allowed`] says no, so excess workers retire at
+/// shard boundaries when a grant shrinks (worker 0 always stays). A panic
+/// escaping `body` is re-raised after every worker has joined.
+fn pool(jobs: Jobs, shards: usize, token: &CancelToken, body: impl Fn(usize) + Sync) {
+    if jobs.get() <= 1 || shards <= 1 {
+        (0..shards).for_each(body);
+        return;
     }
-    let threads = jobs.get().min(ranges.len());
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, ShardOutcome<A>)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs.get().min(shards))
+            .map(|w| {
+                let (next, body) = (&next, &body);
+                scope.spawn(move || {
+                    while token.worker_allowed(w) {
                         let s = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = ranges.get(s) else { break };
-                        // Catch per shard: a panicking shard must not take
-                        // down its worker thread (and with it every other
-                        // shard queued on that thread).
-                        let result = catch_unwind(AssertUnwindSafe(|| worker(s, range.clone())));
-                        local.push((s, result));
+                        if s >= shards {
+                            break;
+                        }
+                        body(s);
                     }
-                    local
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(local) => local,
-                // Unreachable in practice (shard panics are caught above),
-                // but a panic in the scope machinery itself still surfaces.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        for h in handles {
+            if let Err(payload) = h.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
     });
-    tagged.sort_by_key(|&(s, _)| s);
-    // Deterministic propagation: with the shards in index order, the first
-    // Err re-raised is the lowest panicking shard for any jobs count.
-    tagged
-        .into_iter()
-        .map(|(_, r)| match r {
-            Ok(a) => a,
-            Err(payload) => std::panic::resume_unwind(payload),
-        })
-        .collect()
 }
 
 /// Per-shard outcome of a cancellable run.
@@ -451,60 +467,21 @@ where
     A: Send,
     F: Fn(usize, Range<usize>) -> Result<A, usize> + Sync,
 {
-    type Caught<A> = Result<ShardProgress<A>, Box<dyn Any + Send>>;
     let ranges = shard_ranges(n);
-    let run_one = |s: usize, range: Range<usize>| -> Caught<A> {
-        if token.check().is_err() {
-            return Ok(ShardProgress::NotRun);
-        }
-        catch_unwind(AssertUnwindSafe(|| match worker(s, range) {
-            Ok(acc) => ShardProgress::Completed(acc),
-            Err(done) => ShardProgress::Partial(done),
-        }))
-    };
-    let mut tagged: Vec<(usize, Caught<A>)> = if jobs.get() <= 1 || ranges.len() <= 1 {
-        ranges.iter().enumerate().map(|(s, r)| (s, run_one(s, r.clone()))).collect()
-    } else {
-        let threads = jobs.get().min(ranges.len());
-        let next = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (next, ranges, run_one) = (&next, &ranges, &run_one);
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            // Lease arbitration: excess workers retire at
-                            // shard boundaries once the grant shrinks.
-                            if !token.worker_allowed(w) {
-                                break;
-                            }
-                            let s = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(range) = ranges.get(s) else { break };
-                            local.push((s, run_one(s, range.clone())));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(local) => local,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        })
-    };
-    tagged.sort_by_key(|&(s, _)| s);
+    let tagged = Mutex::new(Vec::with_capacity(ranges.len()));
+    pool(jobs, ranges.len(), token, |s| {
+        let progress = if token.check().is_err() {
+            Ok(ShardProgress::NotRun)
+        } else {
+            catch_unwind(AssertUnwindSafe(|| match worker(s, ranges[s].clone()) {
+                Ok(acc) => ShardProgress::Completed(acc),
+                Err(done) => ShardProgress::Partial(done),
+            }))
+        };
+        tagged.lock().expect("shard results poisoned").push((s, progress));
+    });
     // Deterministic panic propagation first, as in `run_sharded`.
-    let mut outcomes = Vec::with_capacity(tagged.len());
-    for (_, caught) in tagged {
-        match caught {
-            Ok(p) => outcomes.push(p),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
+    let outcomes = in_shard_order(tagged.into_inner().expect("shard results poisoned"));
     let complete = outcomes.iter().all(|p| matches!(p, ShardProgress::Completed(_)));
     if complete {
         return Ok(outcomes
@@ -527,7 +504,7 @@ where
     Err(Interrupted { reason: token.reason().unwrap_or(CancelReason::Cancelled), completed_trials })
 }
 
-/// The trial-count boundaries at which [`run_sharded_snapshotted`] emits
+/// The trial-count boundaries at which [`run_sharded_snapshotted_cancellable`] emits
 /// a merged snapshot: every positive multiple of `cadence` below `n`,
 /// plus `n` itself (`cadence == 0` means final-only).
 #[must_use]
@@ -546,221 +523,259 @@ pub fn snapshot_boundaries(n: usize, cadence: usize) -> Vec<usize> {
     b
 }
 
-/// Per-boundary delivery ledger shared by the snapshotting workers.
-struct SnapState<A> {
-    /// `partials[(boundary_index, shard)]` — a shard's accumulator clone
-    /// taken after folding its trials below that boundary.
-    partials: std::collections::BTreeMap<(usize, usize), A>,
-    /// Completed shard accumulators, by shard index.
-    finals: Vec<Option<A>>,
-    /// Index into the boundary list of the next snapshot to emit.
-    emitted: usize,
-}
-
-/// Like [`run_sharded`], but additionally emits a **merged snapshot of
-/// all trials `0..b`** at every trial-count boundary `b` (see
+/// [`fold_sharded`] that additionally emits a **merged snapshot of all
+/// trials `0..b`** at every trial-count boundary `b` (see
 /// [`snapshot_boundaries`]) — the live convergence feed for long attack
 /// campaigns.
 ///
-/// Each shard folds its contiguous trial range into an accumulator
-/// created by `init`, cloning it whenever a boundary falls strictly
-/// inside the range. A snapshot for boundary `b` becomes available once
-/// every shard overlapping `0..b` has delivered either its boundary
-/// clone or its final accumulator; the delivering worker then builds the
-/// snapshot by merging those contributions **in shard order** and calls
-/// `emit(b, &snapshot)` while holding the ledger lock — so snapshots are
-/// emitted in ascending boundary order, exactly once each, and every
-/// snapshot's float bracketing is the fixed shard-merge order. The
-/// stream is therefore **bit-identical for any `jobs` count**, while
-/// still being *live*: boundary `b` emits as soon as the slowest shard
-/// overlapping it arrives, not at campaign end.
+/// `fresh`, `work` and `merge` play their [`fold_sharded`] roles, and
+/// `work` checks `token` at its trial boundaries the same way; a shard's
+/// range is cut at the boundaries inside it, so `work` never folds past
+/// one. Shards merge into a running prefix in shard order as they
+/// finish. The snapshot for boundary `b` is that prefix over every shard
+/// ending at or before `b`, merged with a clone of the one shard's
+/// accumulator taken when it reached `b` (if `b` falls strictly inside a
+/// shard) — the same left-to-right bracketing as merging all of `0..b`'s
+/// shard contributions in order. `emit(b, &snapshot)` is called with the
+/// ledger locked, so snapshots are emitted in ascending boundary order,
+/// exactly once each. The stream is therefore **bit-identical for any
+/// `jobs` count**, while still being *live*: boundary `b` emits as soon
+/// as the slowest shard overlapping it arrives, not at campaign end. The
+/// final boundary's snapshot is the prefix itself — no clone, no extra
+/// merge.
 ///
 /// A slow `emit` (e.g. a full bounded event bus) blocks the delivering
 /// worker — backpressure, by design, rather than unbounded buffering.
 ///
-/// Returns the final merged accumulator (`None` when `n == 0`). The
-/// last emission, at boundary `n`, carries the same value.
-pub fn run_sharded_snapshotted<A, I, F, M, E>(
-    jobs: Jobs,
-    n: usize,
-    cadence: usize,
-    init: I,
-    fold: F,
-    merge: M,
-    emit: E,
-) -> Option<A>
-where
-    A: Clone + Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
-    M: Fn(&mut A, &A) + Sync,
-    E: Fn(usize, &A) + Sync,
-{
-    match run_sharded_snapshotted_cancellable(
-        jobs,
-        n,
-        cadence,
-        &CancelToken::new(),
-        init,
-        fold,
-        merge,
-        emit,
-    ) {
-        Ok(acc) => acc,
-        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
-    }
-}
-
-/// [`run_sharded_snapshotted`] with cooperative cancellation: the harness
-/// checks `token` **before every trial**, so a cancel, deadline, or
-/// shutdown request stops the run at the next trial boundary.
-///
-/// On interruption the partial shard accumulators are discarded and a
-/// typed [`Interrupted`] is returned; the snapshots already emitted stand
-/// — they are complete prefixes of the deterministic stream, so an
-/// interrupted run's emissions are a byte-identical prefix of an
-/// uninterrupted run's. Cancellation requested after the last trial has
-/// folded (e.g. a deadline expiring during the final merge) has no
-/// effect: a finished run is always delivered.
+/// Returns the final merged accumulator (`None` when `n == 0`); the last
+/// emission, at boundary `n`, carries the same value. On interruption the
+/// snapshots already emitted stand — they are complete prefixes of the
+/// deterministic stream, so an interrupted run's emissions are a
+/// byte-identical prefix of an uninterrupted run's. Cancellation
+/// requested after the last trial has folded (e.g. a deadline expiring
+/// during the final merge) has no effect: a finished run is always
+/// delivered. Worker panics propagate as in [`fold_sharded`].
 ///
 /// # Errors
 ///
 /// [`Interrupted`] when cancellation stopped at least one trial short.
 #[allow(clippy::too_many_arguments)]
-pub fn run_sharded_snapshotted_cancellable<A, I, F, M, E>(
+pub fn run_sharded_snapshotted_cancellable<A, I, W, M, E>(
     jobs: Jobs,
     n: usize,
     cadence: usize,
     token: &CancelToken,
-    init: I,
-    fold: F,
+    fresh: I,
+    work: W,
     merge: M,
     emit: E,
 ) -> Result<Option<A>, Interrupted>
 where
     A: Clone + Send,
-    I: Fn() -> A + Sync,
-    F: Fn(&mut A, usize) + Sync,
+    I: Fn(Option<A>) -> A + Sync,
+    W: Fn(&mut A, Range<usize>) -> Result<(), usize> + Sync,
     M: Fn(&mut A, &A) + Sync,
     E: Fn(usize, &A) + Sync,
 {
-    let ranges = shard_ranges(n);
     let boundaries = snapshot_boundaries(n, cadence);
-    let state = std::sync::Mutex::new(SnapState {
-        partials: std::collections::BTreeMap::new(),
-        finals: vec![None; ranges.len()],
+    fold_in_order(jobs, n, token, &boundaries, fresh, work, merge, A::clone, emit)
+}
+
+/// Folds the trials `0..n` into one accumulator across `jobs` workers,
+/// merging each shard into the result **the moment every shard before it
+/// is in** — the streaming form of `merge_shards(run_sharded(..))`, with
+/// bit-identical output.
+///
+/// `work(acc, trials)` folds one shard's contiguous trial range into
+/// `acc`, checking `token` at its own trial boundaries and returning
+/// `Err(trials_done)` when it stops early, as the worker of
+/// [`run_sharded_cancellable`] does. `merge(prefix, shard)` absorbs a
+/// finished shard into the running prefix, always in shard order: the
+/// prefix after shard `k` is `((s0 ⊕ s1) ⊕ …) ⊕ sk`, exactly the left
+/// fold [`merge_shards`] computes, so every float brackets the same way at
+/// any `jobs` count.
+///
+/// `fresh(spent)` builds the empty accumulator a shard starts from.
+/// Once a shard has been merged its accumulator is spent, and the next
+/// shard a worker starts receives it as `Some(spent)` to clear and reuse
+/// instead of allocating; a cleared accumulator must behave exactly like
+/// a new one. At most one prefix, one accumulator per worker, the shards
+/// that finished ahead of a slower earlier one, and the spent ones are
+/// alive at a time — two at `jobs = 1` — where collecting every shard
+/// before merging keeps `min(n, SHARDS)`.
+///
+/// A panicking shard does not stop the others: every shard still runs,
+/// then the lowest-indexed panicking shard's payload is re-raised, as in
+/// [`run_sharded`].
+///
+/// Returns the merged accumulator (`None` when `n == 0`).
+///
+/// # Errors
+///
+/// [`Interrupted`] when cancellation stopped at least one shard short;
+/// `completed_trials` counts as in [`run_sharded_cancellable`].
+pub fn fold_sharded<A, I, W, M>(
+    jobs: Jobs,
+    n: usize,
+    token: &CancelToken,
+    fresh: I,
+    work: W,
+    merge: M,
+) -> Result<Option<A>, Interrupted>
+where
+    A: Send,
+    I: Fn(Option<A>) -> A + Sync,
+    W: Fn(&mut A, Range<usize>) -> Result<(), usize> + Sync,
+    M: Fn(&mut A, &A) + Sync,
+{
+    let no_boundaries = |_: &A| -> A { unreachable!("no snapshot boundaries to clone at") };
+    fold_in_order(jobs, n, token, &[], fresh, work, merge, no_boundaries, |_, _| {})
+}
+
+/// The in-order merge ledger shared by the workers of [`fold_in_order`].
+struct Ledger<A> {
+    /// Shards `0..next` merged left to right; `None` until shard 0 lands.
+    prefix: Option<A>,
+    /// The next shard to merge into the prefix.
+    next: usize,
+    /// Shards that finished before their turn, by shard index.
+    parked: BTreeMap<usize, A>,
+    /// By boundary index: a clone of the accumulator of the shard the
+    /// boundary falls inside, waiting for the prefix to reach that shard.
+    partials: BTreeMap<usize, A>,
+    /// Snapshot boundaries emitted so far.
+    emitted: usize,
+    /// Accumulators of merged shards, for shards that start later.
+    spent: Vec<A>,
+}
+
+/// The engine behind [`fold_sharded`] and
+/// [`run_sharded_snapshotted_cancellable`]: shards fold on the [`pool`],
+/// cut into segments at the snapshot `boundaries` inside them; a finished
+/// shard parks in the ledger until the prefix reaches it, and every
+/// boundary is emitted once its shards are in. `dup` clones an
+/// accumulator for snapshots inside a shard; it is never called without
+/// boundaries.
+#[allow(clippy::too_many_arguments)]
+fn fold_in_order<A, I, W, M, D, E>(
+    jobs: Jobs,
+    n: usize,
+    token: &CancelToken,
+    boundaries: &[usize],
+    fresh: I,
+    work: W,
+    merge: M,
+    dup: D,
+    emit: E,
+) -> Result<Option<A>, Interrupted>
+where
+    A: Send,
+    I: Fn(Option<A>) -> A + Sync,
+    W: Fn(&mut A, Range<usize>) -> Result<(), usize> + Sync,
+    M: Fn(&mut A, &A) + Sync,
+    D: Fn(&A) -> A + Sync,
+    E: Fn(usize, &A) + Sync,
+{
+    let ranges = shard_ranges(n);
+    let ledger = Mutex::new(Ledger {
+        prefix: None,
+        next: 0,
+        parked: BTreeMap::new(),
+        partials: BTreeMap::new(),
         emitted: 0,
+        spent: Vec::new(),
     });
-
-    // Emits every boundary whose contributions are all present. Called
-    // with the ledger locked after each delivery.
-    let try_emit = |st: &mut SnapState<A>| {
-        while st.emitted < boundaries.len() {
-            let bi = st.emitted;
-            let b = boundaries[bi];
-            let ready = ranges.iter().enumerate().all(|(s, r)| {
-                r.start >= b
-                    || (if b >= r.end {
-                        st.finals[s].is_some()
-                    } else {
-                        st.partials.contains_key(&(bi, s))
-                    })
-            });
-            if !ready {
-                break;
-            }
-            let mut snapshot: Option<A> = None;
-            for (s, r) in ranges.iter().enumerate() {
-                if r.start >= b {
-                    continue;
-                }
-                let contribution = if b >= r.end {
-                    st.finals[s].as_ref().expect("checked above")
-                } else {
-                    st.partials.get(&(bi, s)).expect("checked above")
-                };
-                match &mut snapshot {
-                    None => snapshot = Some(contribution.clone()),
-                    Some(acc) => merge(acc, contribution),
-                }
-            }
-            if let Some(snap) = &snapshot {
-                emit(b, snap);
-            }
-            // This boundary's clones are no longer needed.
-            let drop_keys: Vec<_> =
-                st.partials.range((bi, 0)..(bi + 1, 0)).map(|(k, _)| *k).collect();
-            for k in drop_keys {
-                st.partials.remove(&k);
-            }
-            st.emitted += 1;
-        }
-    };
-
     // Trials known folded — operational progress accounting for the
     // `Interrupted` report, not part of any deterministic result.
     let done = AtomicUsize::new(0);
-    let run_shard = |s: usize, range: Range<usize>| {
-        let mut acc = init();
-        // First boundary past the shard's start.
-        let mut bi = boundaries.partition_point(|&b| b <= range.start);
-        for i in range.clone() {
-            // The trial-boundary cancellation point: an interrupted shard
-            // discards its partial accumulator (resumable campaigns
-            // persist completed work through their own checkpoints).
-            if token.check().is_err() {
-                return;
-            }
-            fold(&mut acc, i);
-            done.fetch_add(1, Ordering::Relaxed);
-            while bi < boundaries.len() && boundaries[bi] == i + 1 && boundaries[bi] < range.end {
-                let mut st = state.lock().expect("snapshot ledger poisoned");
-                st.partials.insert((bi, s), acc.clone());
-                try_emit(&mut st);
-                bi += 1;
+    let panics = Mutex::new(Vec::new());
+
+    // Emits boundary `bi`, which falls inside shard `ledger.next`, as the
+    // prefix merged with that shard's accumulator at the boundary.
+    let snapshot = |lg: &mut Ledger<A>, bi: usize, partial: &A| {
+        match &lg.prefix {
+            None => emit(boundaries[bi], partial),
+            Some(prefix) => {
+                let mut snap = dup(prefix);
+                merge(&mut snap, partial);
+                emit(boundaries[bi], &snap);
             }
         }
-        let mut st = state.lock().expect("snapshot ledger poisoned");
-        st.finals[s] = Some(acc);
-        try_emit(&mut st);
+        lg.emitted += 1;
+    };
+    // Emits every boundary whose shards are in, and merges each landed
+    // shard into the prefix in shard order — a shard only after the
+    // boundaries inside it, which need the prefix without it.
+    let advance = |lg: &mut Ledger<A>| loop {
+        while let Some(&b) = boundaries.get(lg.emitted) {
+            let s = ranges.partition_point(|r| r.end < b);
+            if b == ranges[s].end {
+                let Some(prefix) = lg.prefix.as_ref().filter(|_| lg.next > s) else { break };
+                emit(b, prefix);
+                lg.emitted += 1;
+            } else {
+                if lg.next != s {
+                    break;
+                }
+                let bi = lg.emitted;
+                let Some(partial) = lg.partials.remove(&bi) else { break };
+                snapshot(lg, bi, &partial);
+            }
+        }
+        let Some(acc) = lg.parked.remove(&lg.next) else { return };
+        match &mut lg.prefix {
+            None => lg.prefix = Some(acc),
+            Some(prefix) => {
+                merge(prefix, &acc);
+                lg.spent.push(acc);
+            }
+        }
+        lg.next += 1;
     };
 
-    if jobs.get() <= 1 || ranges.len() <= 1 {
-        for (s, r) in ranges.iter().enumerate() {
-            run_shard(s, r.clone());
+    pool(jobs, ranges.len(), token, |s| {
+        if token.check().is_err() {
+            return;
         }
-    } else {
-        let threads = jobs.get().min(ranges.len());
-        let next = AtomicUsize::new(0);
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (next, ranges, run_shard) = (&next, &ranges, &run_shard);
-                    scope.spawn(move || loop {
-                        // Same lease check as run_sharded_cancellable:
-                        // worker 0 always proceeds, the rest retire once
-                        // the grant shrinks below their index.
-                        if !token.worker_allowed(w) {
-                            break;
-                        }
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = ranges.get(s) else { break };
-                        run_shard(s, range.clone());
-                    })
-                })
-                .collect();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
+        let range = ranges[s].clone();
+        let spent = ledger.lock().expect("ledger poisoned").spent.pop();
+        let mut acc = fresh(spent);
+        let mut start = range.start;
+        for bi in boundaries.partition_point(|&b| b <= range.start).. {
+            let cut = boundaries.get(bi).map_or(range.end, |&b| b.min(range.end));
+            match catch_unwind(AssertUnwindSafe(|| work(&mut acc, start..cut))) {
+                Ok(Ok(())) => done.fetch_add(cut - start, Ordering::Relaxed),
+                Ok(Err(folded)) => {
+                    done.fetch_add(folded, Ordering::Relaxed);
+                    return;
                 }
+                Err(payload) => {
+                    panics.lock().expect("panic list poisoned").push((s, payload));
+                    return;
+                }
+            };
+            if cut == range.end {
+                break;
             }
-        });
-    }
+            let mut lg = ledger.lock().expect("ledger poisoned");
+            if lg.next == s && lg.emitted == bi {
+                snapshot(&mut lg, bi, &acc);
+            } else {
+                lg.partials.insert(bi, dup(&acc));
+            }
+            start = cut;
+        }
+        let mut lg = ledger.lock().expect("ledger poisoned");
+        lg.parked.insert(s, acc);
+        advance(&mut lg);
+    });
 
-    let mut st = state.lock().expect("snapshot ledger poisoned");
-    let finals = std::mem::take(&mut st.finals);
-    drop(st);
-    if finals.iter().any(Option::is_none) {
+    let panics = panics.into_inner().expect("panic list poisoned");
+    if let Some((_, payload)) = panics.into_iter().min_by_key(|&(s, _)| s) {
+        std::panic::resume_unwind(payload);
+    }
+    let lg = ledger.into_inner().expect("ledger poisoned");
+    if lg.next < ranges.len() {
         // At least one shard stopped short: the run is interrupted even
         // if the token was cancelled a moment after other shards ended.
         return Err(Interrupted {
@@ -768,7 +783,7 @@ where
             completed_trials: done.load(Ordering::Relaxed),
         });
     }
-    Ok(merge_shards(finals.into_iter().flatten().collect(), |a, b| merge(a, &b)))
+    Ok(lg.prefix)
 }
 
 /// A trial that panicked inside [`catch_trial`], as data: the campaign
@@ -1080,21 +1095,42 @@ mod tests {
         assert_eq!(snapshot_boundaries(0, 3), Vec::<usize>::new());
     }
 
+    /// A snapshotted run's `work`: folds each trial with `fold`, checking
+    /// `token` before it.
+    fn per_trial<'t, A>(
+        token: &'t CancelToken,
+        fold: impl Fn(&mut A, usize) + Sync + 't,
+    ) -> impl Fn(&mut A, Range<usize>) -> Result<(), usize> + Sync + 't {
+        move |acc, trials| {
+            for (done, i) in trials.enumerate() {
+                token.check().map_err(|_| done)?;
+                fold(acc, i);
+            }
+            Ok(())
+        }
+    }
+
+    /// A deliberately non-associative float fold of one trial.
+    fn float_fold(acc: &mut f64, i: usize) {
+        *acc += (i as f64).sqrt() * 1e-3;
+        *acc *= 1.000_000_1;
+    }
+
     /// Runs the snapshotting fold and returns (snapshot stream, final).
     fn snapshotted_fold(jobs: Jobs, n: usize, cadence: usize) -> (Vec<(usize, u64)>, Option<f64>) {
         let stream = std::sync::Mutex::new(Vec::new());
-        let result = run_sharded_snapshotted(
+        let token = CancelToken::new();
+        let result = run_sharded_snapshotted_cancellable(
             jobs,
             n,
             cadence,
-            || 0.1f64,
-            |acc, i| {
-                *acc += (i as f64).sqrt() * 1e-3;
-                *acc *= 1.000_000_1;
-            },
+            &token,
+            |_| 0.1f64,
+            per_trial(&token, float_fold),
             |a, b| *a = *a * 0.5 + b,
             |b, snap: &f64| stream.lock().expect("stream").push((b, snap.to_bits())),
-        );
+        )
+        .expect("never cancelled");
         (stream.into_inner().expect("stream"), result)
     }
 
@@ -1168,12 +1204,14 @@ mod tests {
         // job counts. Here we pin the *semantic* content instead: the
         // snapshot folds exactly the trials 0..b.
         let stream = std::sync::Mutex::new(Vec::new());
-        let _ = run_sharded_snapshotted(
+        let token = CancelToken::new();
+        let _ = run_sharded_snapshotted_cancellable(
             Jobs::new(4).expect("nonzero"),
             200,
             64,
-            Vec::new,
-            |acc: &mut Vec<usize>, i| acc.push(i),
+            &token,
+            |_| Vec::new(),
+            per_trial(&token, |acc: &mut Vec<usize>, i| acc.push(i)),
             |a, b| a.extend_from_slice(b),
             |b, snap: &Vec<usize>| {
                 let mut sorted = snap.clone();
@@ -1185,6 +1223,247 @@ mod tests {
         assert_eq!(stream.len(), 4); // 64, 128, 192, 200
         for (b, trials) in stream {
             assert_eq!(trials, (0..b).collect::<Vec<_>>(), "boundary {b}");
+        }
+    }
+
+    /// An accumulator whose text records every folded trial and the
+    /// bracketing of every merge, so two runs agree only if they fold and
+    /// merge in exactly the same order.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Order(String);
+
+    fn fold_order(acc: &mut Order, trials: Range<usize>) {
+        for i in trials {
+            acc.0 += &format!("{i},");
+        }
+    }
+
+    fn merge_order(a: &mut Order, b: &Order) {
+        a.0 = format!("({}|{})", a.0, b.0);
+    }
+
+    /// A shard's empty `Order`, recycling a spent one.
+    fn fresh_order(spent: Option<Order>) -> Order {
+        let mut acc = spent.unwrap_or_default();
+        acc.0.clear();
+        acc
+    }
+
+    #[test]
+    fn fold_sharded_equals_merging_the_collected_shards() {
+        for n in [0usize, 1, 31, 32, 33, 512] {
+            let collected = run_sharded(Jobs::serial(), n, |_, trials| {
+                let mut acc = Order::default();
+                fold_order(&mut acc, trials);
+                acc
+            });
+            let expect = merge_shards(collected, |a, b| merge_order(a, &b));
+            for jobs in [1usize, 2, 3, 7] {
+                let folded = fold_sharded(
+                    Jobs::new(jobs).expect("nonzero"),
+                    n,
+                    &CancelToken::new(),
+                    fresh_order,
+                    |acc, trials| {
+                        fold_order(acc, trials);
+                        Ok(())
+                    },
+                    merge_order,
+                )
+                .expect("never cancelled");
+                assert_eq!(folded, expect, "n = {n}, jobs = {jobs}");
+            }
+        }
+    }
+
+    /// An accumulator that counts how many of its kind exist, and were
+    /// ever made.
+    struct Counted<'a> {
+        census: &'a Census,
+        sum: u64,
+    }
+
+    #[derive(Default)]
+    struct Census {
+        live: AtomicUsize,
+        peak: AtomicUsize,
+        made: AtomicUsize,
+    }
+
+    impl Census {
+        fn make(&self) -> Counted<'_> {
+            let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(live, Ordering::SeqCst);
+            self.made.fetch_add(1, Ordering::SeqCst);
+            Counted { census: self, sum: 0 }
+        }
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.census.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn fold_sharded_keeps_two_accumulators_alive_at_one_job() {
+        let census = Census::default();
+        let total = fold_sharded(
+            Jobs::serial(),
+            1_000,
+            &CancelToken::new(),
+            |spent: Option<Counted<'_>>| match spent {
+                Some(mut acc) => {
+                    acc.sum = 0;
+                    acc
+                }
+                None => census.make(),
+            },
+            |acc, trials| {
+                acc.sum += trials.map(|i| i as u64).sum::<u64>();
+                Ok(())
+            },
+            |a, b| a.sum += b.sum,
+        )
+        .expect("never cancelled")
+        .expect("non-empty")
+        .sum;
+        assert_eq!(total, 999 * 1_000 / 2);
+        assert_eq!(census.peak.load(Ordering::SeqCst), 2, "the prefix and the shard in progress");
+        assert_eq!(census.made.load(Ordering::SeqCst), 2, "spent accumulators are reused");
+        assert_eq!(census.live.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn fold_sharded_runs_every_shard_then_reraises_the_lowest_panic() {
+        let ranges = shard_ranges(1_000);
+        for jobs in [1usize, 2, 4, 7] {
+            let ran = AtomicUsize::new(0);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                fold_sharded(
+                    Jobs::new(jobs).expect("nonzero"),
+                    1_000,
+                    &CancelToken::new(),
+                    |_| 0usize,
+                    |acc, trials| {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        match ranges.iter().position(|r| *r == trials) {
+                            Some(7) => panic!("shard 7"),
+                            Some(3) => panic!("shard 3"),
+                            _ => *acc += trials.len(),
+                        }
+                        Ok(())
+                    },
+                    |a, b| *a += b,
+                )
+            }))
+            .expect_err("must panic");
+            let msg = err.downcast_ref::<&str>().copied().expect("str payload");
+            assert_eq!(msg, "shard 3", "jobs = {jobs}");
+            assert_eq!(ran.load(Ordering::SeqCst), SHARDS, "jobs = {jobs}: a shard was skipped");
+        }
+    }
+
+    #[test]
+    fn cancelled_fold_sharded_returns_a_typed_interrupt() {
+        // The same campaign, cancelled after its 100th trial, under both
+        // runners: `completed_trials` counts finished shards in full plus
+        // what each interrupted shard reported.
+        let campaign = |jobs: usize, cancellable: bool| {
+            let token = CancelToken::new();
+            let folded = AtomicUsize::new(0);
+            let work = |acc: &mut usize, trials: Range<usize>| {
+                for (done, _) in trials.enumerate() {
+                    token.check().map_err(|_| done)?;
+                    *acc += 1;
+                    if folded.fetch_add(1, Ordering::SeqCst) == 99 {
+                        token.cancel(CancelReason::Cancelled);
+                    }
+                }
+                Ok(())
+            };
+            let jobs = Jobs::new(jobs).expect("nonzero");
+            let err = if cancellable {
+                run_sharded_cancellable(jobs, 1_000, &token, |_, trials| {
+                    let mut acc = 0;
+                    work(&mut acc, trials).map(|()| acc)
+                })
+                .expect_err("must interrupt")
+            } else {
+                fold_sharded(jobs, 1_000, &token, |_| 0, work, |a, b| *a += b)
+                    .expect_err("must interrupt")
+            };
+            (err, folded.load(Ordering::SeqCst))
+        };
+        let (serial, folded) = campaign(1, false);
+        assert_eq!(serial, Interrupted { reason: CancelReason::Cancelled, completed_trials: 100 });
+        assert_eq!(folded, 100);
+        assert_eq!(campaign(1, true).0, serial);
+        let (err, folded) = campaign(4, false);
+        assert_eq!(err.reason, CancelReason::Cancelled);
+        assert_eq!(err.completed_trials, folded, "{err}");
+        // Cancelled before the start: no shard runs, nothing is built.
+        let token = CancelToken::new();
+        token.cancel(CancelReason::Shutdown);
+        let err = fold_sharded(
+            Jobs::new(4).expect("nonzero"),
+            200,
+            &token,
+            |_| -> usize { panic!("no shard may start") },
+            |_, _| Ok(()),
+            |_, _| {},
+        )
+        .expect_err("pre-cancelled");
+        assert_eq!(err, Interrupted { reason: CancelReason::Shutdown, completed_trials: 0 });
+    }
+
+    #[test]
+    fn snapshots_bracket_as_the_left_fold_of_shard_contributions() {
+        // The snapshot at boundary b: every shard's fold of its trials
+        // below b, merged left to right in shard order.
+        let expect = |n: usize, b: usize| {
+            let mut snap: Option<Order> = None;
+            for r in shard_ranges(n).into_iter().filter(|r| r.start < b) {
+                let mut part = Order::default();
+                fold_order(&mut part, r.start..r.end.min(b));
+                match &mut snap {
+                    None => snap = Some(part),
+                    Some(acc) => merge_order(acc, &part),
+                }
+            }
+            snap.expect("b > 0")
+        };
+        for n in [1usize, 33, 100] {
+            for cadence in [0usize, 1, 7, 16] {
+                for jobs in [1usize, 2, 3, 7] {
+                    let stream = std::sync::Mutex::new(Vec::new());
+                    let last = run_sharded_snapshotted_cancellable(
+                        Jobs::new(jobs).expect("nonzero"),
+                        n,
+                        cadence,
+                        &CancelToken::new(),
+                        fresh_order,
+                        |acc, trials| {
+                            fold_order(acc, trials);
+                            Ok(())
+                        },
+                        merge_order,
+                        |b, snap: &Order| stream.lock().expect("stream").push((b, snap.clone())),
+                    )
+                    .expect("never cancelled");
+                    let stream = stream.into_inner().expect("stream");
+                    let want: Vec<(usize, Order)> = snapshot_boundaries(n, cadence)
+                        .into_iter()
+                        .map(|b| (b, expect(n, b)))
+                        .collect();
+                    assert_eq!(stream, want, "n = {n}, cadence = {cadence}, jobs = {jobs}");
+                    assert_eq!(
+                        last,
+                        Some(expect(n, n)),
+                        "n = {n}, cadence = {cadence}, jobs = {jobs}"
+                    );
+                }
+            }
         }
     }
 
@@ -1287,11 +1566,8 @@ mod tests {
                 1000,
                 100,
                 &token,
-                || 0.1f64,
-                |acc, i| {
-                    *acc += (i as f64).sqrt() * 1e-3;
-                    *acc *= 1.000_000_1;
-                },
+                |_| 0.1f64,
+                per_trial(&token, float_fold),
                 |a, b| *a = *a * 0.5 + b,
                 |b, snap: &f64| {
                     stream.lock().expect("stream").push((b, snap.to_bits()));
@@ -1316,20 +1592,24 @@ mod tests {
         // trial folded must not discard a complete run.
         let (_, reference) = snapshotted_fold(Jobs::new(3).expect("jobs"), 500, 0);
         let token = CancelToken::new();
+        let folded = AtomicUsize::new(0);
         let result = run_sharded_snapshotted_cancellable(
             Jobs::new(3).expect("jobs"),
             500,
             0,
             &token,
-            || 0.1f64,
-            |acc, i| {
-                *acc += (i as f64).sqrt() * 1e-3;
-                *acc *= 1.000_000_1;
-            },
+            |_| 0.1f64,
+            per_trial(&token, |acc, i| {
+                float_fold(acc, i);
+                folded.fetch_add(1, Ordering::SeqCst);
+            }),
             |a, b| {
-                // Fires only during the final merge (cadence 0 emits the
-                // final snapshot after all folds are done).
-                token.cancel(CancelReason::DeadlineExceeded);
+                // Shards merge as they land; trip the token only in a
+                // merge that runs after the last trial folded (there is
+                // always one: the last shard to finish is merged after).
+                if folded.load(Ordering::SeqCst) == 500 {
+                    token.cancel(CancelReason::DeadlineExceeded);
+                }
                 *a = *a * 0.5 + b
             },
             |_, _| {},
@@ -1346,8 +1626,8 @@ mod tests {
             300,
             50,
             &token,
-            || 0u64,
-            |acc, i| *acc += i as u64,
+            |_| 0u64,
+            per_trial(&token, |acc, i| *acc += i as u64),
             |a, b| *a += b,
             |_, _| {},
         )
