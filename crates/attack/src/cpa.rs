@@ -10,10 +10,7 @@
 
 use crate::dpa::{plaintext_for, selection_bit};
 use crate::online::OnlineCpa;
-use crate::progress::AttackProgress;
 use emask_par::{fold_sharded, CancelToken, Interrupted, Jobs};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
 
 /// CPA campaign parameters.
@@ -66,151 +63,27 @@ pub fn predicted_hamming_weight(plaintext: u64, guess: u8, sbox: usize) -> u32 {
     (0..4).map(|bit| u32::from(selection_bit(plaintext, guess, sbox, bit))).sum()
 }
 
-/// Runs a CPA campaign against a trace oracle.
+/// Runs a CPA campaign: `cfg.samples` traces from `oracle`, the plaintext
+/// of trial `i` drawn by [`plaintext_for`]. Acquisition is sharded across
+/// `jobs` workers and each trace is folded straight into an [`OnlineCpa`]
+/// accumulator; shards merge in fixed order as they finish (see
+/// [`fold_sharded`]), so memory does not grow with `cfg.samples` and the
+/// result is bit-identical for any `jobs` value.
 ///
-/// # Panics
-///
-/// Panics if `cfg.samples < 2` or `cfg.sbox >= 8`.
-pub fn cpa_recover_subkey<F>(oracle: F, cfg: &CpaConfig) -> CpaResult
-where
-    F: FnMut(u64) -> Vec<f64>,
-{
-    cpa_recover_subkey_with(oracle, cfg, &mut ())
-}
-
-/// [`cpa_recover_subkey`] with progress reporting: per-trace collection,
-/// the peak |Pearson r| of every guess, and the final verdict — the
-/// correlation-convergence feed for long campaigns.
-///
-/// # Panics
-///
-/// As for [`cpa_recover_subkey`].
-pub fn cpa_recover_subkey_with<F, P>(mut oracle: F, cfg: &CpaConfig, progress: &mut P) -> CpaResult
-where
-    F: FnMut(u64) -> Vec<f64>,
-    P: AttackProgress,
-{
-    assert!(cfg.samples >= 2, "correlation needs at least two samples");
-    assert!(cfg.sbox < 8);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let plaintexts: Vec<u64> = (0..cfg.samples).map(|_| rng.gen()).collect();
-    let traces: Vec<Vec<f64>> = plaintexts
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let t = oracle(p);
-            progress.on_trace(i, cfg.samples, t.len());
-            t
-        })
-        .collect();
-    let width = traces.first().map(Vec::len).unwrap_or(0);
-    let n = cfg.samples as f64;
-
-    // Precompute per-cycle trace sums for the correlation denominators.
-    let mut sum_t = vec![0.0; width];
-    let mut sum_t2 = vec![0.0; width];
-    for trace in &traces {
-        for (j, &v) in trace.iter().enumerate() {
-            sum_t[j] += v;
-            sum_t2[j] += v * v;
-        }
-    }
-
-    let mut peaks = [0.0f64; 64];
-    let mut peak_cycles = [0usize; 64];
-    for guess in 0..64u8 {
-        let hw: Vec<f64> = plaintexts
-            .iter()
-            .map(|&p| f64::from(predicted_hamming_weight(p, guess, cfg.sbox)))
-            .collect();
-        let sum_h: f64 = hw.iter().sum();
-        let sum_h2: f64 = hw.iter().map(|h| h * h).sum();
-        let var_h = sum_h2 - sum_h * sum_h / n;
-        if var_h < 1e-12 {
-            progress.on_guess(guess, 0.0, 0); // degenerate model (all predictions equal)
-            continue;
-        }
-        let mut best = (0usize, 0.0f64);
-        let mut sum_ht = vec![0.0; width];
-        for (h, trace) in hw.iter().zip(&traces) {
-            for (j, &v) in trace.iter().enumerate() {
-                sum_ht[j] += h * v;
-            }
-        }
-        for j in 0..width {
-            let cov = sum_ht[j] - sum_h * sum_t[j] / n;
-            let var_t = sum_t2[j] - sum_t[j] * sum_t[j] / n;
-            if var_t < 1e-12 {
-                continue;
-            }
-            let r = (cov / (var_h * var_t).sqrt()).abs();
-            if r > best.1 {
-                best = (j, r);
-            }
-        }
-        peaks[guess as usize] = best.1;
-        peak_cycles[guess as usize] = best.0;
-        progress.on_guess(guess, best.1, best.0);
-    }
-
-    let best_guess = (0..64).max_by(|&a, &b| peaks[a].total_cmp(&peaks[b])).unwrap_or(0) as u8;
-    let best = peaks[best_guess as usize];
-    let second = peaks
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != best_guess as usize)
-        .map(|(_, &v)| v)
-        .fold(0.0f64, f64::max);
-    let margin = if second > 1e-12 {
-        best / second
-    } else if best > 1e-12 {
-        f64::INFINITY
-    } else {
-        1.0
-    };
-    progress.on_complete(best_guess, margin);
-    CpaResult { peaks, peak_cycles, best_guess, margin }
-}
-
-/// Parallel, single-pass [`cpa_recover_subkey`]: acquisition is sharded
-/// across `jobs` workers and each trace is folded straight into an
-/// [`OnlineCpa`] accumulator; shards merge in fixed order as they finish
-/// (see [`fold_sharded`]), so memory does not grow with `cfg.samples` and
-/// the result is bit-identical for any `jobs` value. Plaintexts come from
-/// [`plaintext_for`], so the trace set differs from the sequential-RNG
-/// [`cpa_recover_subkey`] at the same seed.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples < 2` or `cfg.sbox >= 8`.
-pub fn cpa_recover_subkey_par<F>(oracle: &F, cfg: &CpaConfig, jobs: Jobs) -> CpaResult
-where
-    F: Fn(u64) -> Vec<f64> + Sync,
-{
-    match cpa_recover_subkey_par_cancellable(oracle, cfg, jobs, &CancelToken::new()) {
-        Ok(result) => result,
-        Err(_) => unreachable!("a private never-cancelled token cannot interrupt"),
-    }
-}
-
-/// [`cpa_recover_subkey_par`] under a cooperative
-/// [`CancelToken`]: the token is checked before
-/// each trace is acquired, so a trip (client cancel, deadline, shutdown)
-/// stops the campaign at a trial boundary and returns a typed
-/// [`Interrupted`] with the number of fully
-/// folded trials. A token that trips after the last trial has no effect:
-/// a completed run is always delivered, bit-identical to
-/// [`cpa_recover_subkey_par`].
+/// `token` is checked before each trace is acquired, so a trip (client
+/// cancel, deadline, shutdown) stops the campaign at a trial boundary
+/// with a typed [`Interrupted`] carrying the number of fully folded
+/// trials. A token that trips after the last trial has no effect.
 ///
 /// # Errors
 ///
-/// Returns [`Interrupted`] if the token trips
-/// before every trial has been folded.
+/// Returns [`Interrupted`] if the token trips before every trial has been
+/// folded.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.samples < 2` or `cfg.sbox >= 8`.
-pub fn cpa_recover_subkey_par_cancellable<F>(
+pub fn cpa_recover_subkey<F>(
     oracle: &F,
     cfg: &CpaConfig,
     jobs: Jobs,
@@ -225,6 +98,7 @@ where
         jobs,
         cfg.samples,
         token,
+        None,
         |_| proto.clone(),
         |acc, trials| {
             for (done, i) in trials.enumerate() {
@@ -235,6 +109,7 @@ where
             Ok(())
         },
         |a, b| a.merge(b).expect("shards saw traces of different widths"),
+        |_, _| {},
     )?;
     Ok(acc.expect("samples >= 2 yields at least one shard").result())
 }
@@ -249,12 +124,17 @@ mod tests {
 
     /// A Hamming-weight-leaking oracle: one sample proportional to the
     /// true S-box output weight, clutter elsewhere.
-    fn hw_oracle(sbox: usize) -> impl FnMut(u64) -> Vec<f64> {
+    fn hw_oracle(sbox: usize) -> impl Fn(u64) -> Vec<f64> + Sync {
         let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
         move |p: u64| {
             let hw = f64::from(predicted_hamming_weight(p, subkey, sbox));
             vec![100.0 + (p % 23) as f64, 100.0 + 3.0 * hw, 100.0 - (p % 7) as f64]
         }
+    }
+
+    /// [`cpa_recover_subkey`] at `jobs` workers, uncancelled.
+    fn run<F: Fn(u64) -> Vec<f64> + Sync>(oracle: &F, cfg: &CpaConfig, jobs: usize) -> CpaResult {
+        cpa_recover_subkey(oracle, cfg, Jobs::new(jobs).unwrap(), &CancelToken::new()).unwrap()
     }
 
     #[test]
@@ -272,7 +152,7 @@ mod tests {
         for sbox in [0usize, 5] {
             let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(sbox);
             let cfg = CpaConfig { samples: 300, sbox, seed: 77 };
-            let result = cpa_recover_subkey(hw_oracle(sbox), &cfg);
+            let result = run(&hw_oracle(sbox), &cfg, 1);
             assert_eq!(result.best_guess, subkey, "S{}: {result}", sbox + 1);
             assert!(result.peaks[subkey as usize] > 0.95, "{result}");
         }
@@ -281,26 +161,8 @@ mod tests {
     #[test]
     fn cpa_finds_nothing_on_constant_traces() {
         let cfg = CpaConfig { samples: 100, sbox: 0, seed: 5 };
-        let result = cpa_recover_subkey(|_| vec![42.0; 4], &cfg);
+        let result = run(&|_| vec![42.0; 4], &cfg, 1);
         assert!(result.peaks.iter().all(|&p| p < 1e-9), "{result}");
-    }
-
-    #[test]
-    fn uncancelled_cpa_cancellable_matches_par() {
-        let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
-        let cfg = CpaConfig { samples: 200, sbox: 0, seed: 77 };
-        let oracle = move |p: u64| {
-            let hw = f64::from(predicted_hamming_weight(p, subkey, 0));
-            vec![100.0 + (p % 23) as f64, 100.0 + 3.0 * hw, 100.0 - (p % 7) as f64]
-        };
-        let plain = cpa_recover_subkey_par(&oracle, &cfg, Jobs::new(4).unwrap());
-        let token = emask_par::CancelToken::new();
-        let cancellable =
-            cpa_recover_subkey_par_cancellable(&oracle, &cfg, Jobs::new(4).unwrap(), &token)
-                .expect("untripped token never interrupts");
-        assert_eq!(plain.best_guess, subkey);
-        assert_eq!(plain.peaks, cancellable.peaks, "cancellable harness must be bit-identical");
-        assert_eq!(plain.peak_cycles, cancellable.peak_cycles);
     }
 
     #[test]
@@ -309,7 +171,7 @@ mod tests {
         let token = emask_par::CancelToken::new();
         token.cancel(emask_par::CancelReason::Cancelled);
         let oracle = |_: u64| vec![42.0; 4];
-        let err = cpa_recover_subkey_par_cancellable(&oracle, &cfg, Jobs::new(2).unwrap(), &token)
+        let err = cpa_recover_subkey(&oracle, &cfg, Jobs::new(2).unwrap(), &token)
             .expect_err("tripped token must interrupt");
         assert_eq!(err.completed_trials, 0);
         assert_eq!(err.reason, emask_par::CancelReason::Cancelled);
@@ -319,7 +181,7 @@ mod tests {
     fn cpa_peak_lands_on_the_leaky_cycle() {
         let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
         let cfg = CpaConfig { samples: 300, sbox: 0, seed: 9 };
-        let result = cpa_recover_subkey(hw_oracle(0), &cfg);
+        let result = run(&hw_oracle(0), &cfg, 1);
         assert_eq!(result.peak_cycles[subkey as usize], 1);
     }
 
@@ -327,31 +189,26 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn one_sample_rejected() {
         let cfg = CpaConfig { samples: 1, sbox: 0, seed: 0 };
-        cpa_recover_subkey(|_| vec![0.0], &cfg);
+        run(&|_| vec![0.0], &cfg, 1);
     }
 
     #[test]
     fn display_shows_r() {
         let cfg = CpaConfig { samples: 64, sbox: 0, seed: 3 };
-        let r = cpa_recover_subkey(hw_oracle(0), &cfg);
+        let r = run(&hw_oracle(0), &cfg, 1);
         assert!(r.to_string().contains("|r|"));
     }
 
     #[test]
     fn parallel_cpa_recovers_subkey_and_ignores_job_count() {
-        use emask_par::Jobs;
         let subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
-        let oracle = move |p: u64| {
-            let hw = f64::from(predicted_hamming_weight(p, subkey, 0));
-            vec![100.0 + (p % 23) as f64, 100.0 + 3.0 * hw, 100.0 - (p % 7) as f64]
-        };
+        let oracle = hw_oracle(0);
         let cfg = CpaConfig { samples: 300, sbox: 0, seed: 77 };
-        let serial = cpa_recover_subkey_par(&oracle, &cfg, Jobs::serial());
+        let serial = run(&oracle, &cfg, 1);
         assert_eq!(serial.best_guess, subkey, "{serial}");
         assert!(serial.peaks[subkey as usize] > 0.95, "{serial}");
         for jobs in [2usize, 4, 7] {
-            let par = cpa_recover_subkey_par(&oracle, &cfg, Jobs::new(jobs).unwrap());
-            assert_eq!(par, serial, "jobs = {jobs}");
+            assert_eq!(run(&oracle, &cfg, jobs), serial, "jobs = {jobs}");
         }
     }
 }

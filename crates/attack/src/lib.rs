@@ -8,7 +8,8 @@
 //! and verify that the key falls out of the former and not the latter.
 //!
 //! * [`stats`] — trace statistics: means, difference-of-means, Welch's
-//!   *t*, and the trace-matrix bookkeeping;
+//!   *t*, and the trace-matrix bookkeeping — the batch reference the
+//!   single-pass accumulators are checked against;
 //! * [`spa`] — round-structure detection: the Figure 6 observation that
 //!   "the energy profile can show what operations are being performed";
 //! * [`dpa`] — the §1 attack: partition a sample of traces by a predicted
@@ -21,16 +22,16 @@
 //! * [`online`] — single-pass (streaming) equivalents of the batch
 //!   statistics: Welford mean/variance, online Welch-*t*, and
 //!   O(guesses × trace_len) DPA/CPA accumulators that never retain the
-//!   trace set — the memory- and merge-friendly core of the parallel
-//!   entry points.
+//!   trace set — the memory- and merge-friendly core of every attack.
 //!
 //! The attack code is generic over a *trace oracle* — any
-//! `FnMut(u64 plaintext) -> Vec<f64>` — so it runs identically against
+//! `Fn(u64 plaintext) -> Vec<f64> + Sync` — so it runs identically against
 //! the cycle-accurate simulator and against synthetic leakage models used
-//! in unit tests. The `_par` entry points ([`recover_subkey_par`],
-//! [`cpa_recover_subkey_par`]) additionally require the oracle to be
-//! `Fn + Sync` and shard trace acquisition across an `emask-par` worker
-//! pool; their results are bit-identical for any `--jobs` count.
+//! in unit tests. Each attack is one function ([`recover_subkey`],
+//! [`cpa_recover_subkey`]) that shards trace acquisition across an
+//! `emask-par` worker pool under a cancel token, draws trial `i`'s
+//! plaintext from [`plaintext_for`], and returns a result bit-identical
+//! for any `--jobs` count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,23 +40,15 @@
 pub mod cpa;
 pub mod dpa;
 pub mod online;
-pub mod progress;
 pub mod spa;
 pub mod stats;
 
-pub use cpa::{
-    cpa_recover_subkey, cpa_recover_subkey_par, cpa_recover_subkey_par_cancellable,
-    cpa_recover_subkey_with, predicted_hamming_weight, CpaConfig, CpaResult,
-};
+pub use cpa::{cpa_recover_subkey, predicted_hamming_weight, CpaConfig, CpaResult};
 pub use dpa::{
-    analyze_bit, collect_traces, collect_traces_par, collect_traces_with, plaintext_for,
-    recover_subkey, recover_subkey_multibit, recover_subkey_multibit_par,
-    recover_subkey_multibit_par_snapshotted, recover_subkey_multibit_par_snapshotted_cancellable,
-    recover_subkey_multibit_with, recover_subkey_par, recover_subkey_with, sbox_chunk,
-    selection_bit, DpaConfig, DpaResult,
+    analyze_bit, guess_ranks, plaintext_for, recover_subkey, recover_subkey_multibit_par,
+    sbox_chunk, selection_bit, DpaConfig, DpaResult,
 };
 pub use online::{OnlineCpa, OnlineDpa, OnlineWelch, Welford};
-pub use progress::{guess_ranks, AttackProgress, ProgressCounters};
 pub use spa::{detect_rounds, SpaReport};
 pub use stats::{
     difference_of_means, difference_of_means_checked, mean_trace, welch_t, welch_t_checked,

@@ -192,7 +192,7 @@ impl OnlineWelch {
 /// — one sum vector per (bit, guess) plus the total — whatever the number
 /// of traces folded into it, unlike the batch [`crate::dpa::analyze_bit`]
 /// path that retains the full trace matrix. (A sharded campaign holds
-/// several accumulators at once; see [`crate::dpa::recover_subkey_par`].)
+/// several accumulators at once; see [`crate::dpa::recover_subkey`].)
 ///
 /// [`push_block`](OnlineDpa::push_block) is the fast way in: it walks
 /// each sum vector once per block instead of once per trace.
@@ -230,7 +230,7 @@ const LANES: usize = 8;
 
 impl OnlineDpa {
     /// Single-bit DPA on output `bit` of `sbox` — the streaming
-    /// equivalent of [`crate::dpa::recover_subkey`]'s analysis.
+    /// equivalent of [`crate::dpa::analyze_bit`].
     ///
     /// # Panics
     ///
@@ -240,8 +240,8 @@ impl OnlineDpa {
     }
 
     /// Multi-bit DPA aggregating all four output bits of `sbox`, with
-    /// peak cycles reported for `report_bit` — the streaming equivalent
-    /// of [`crate::dpa::recover_subkey_multibit`]'s analysis.
+    /// peak cycles reported for `report_bit` — the accumulator of
+    /// [`crate::dpa::recover_subkey`].
     ///
     /// # Panics
     ///
@@ -507,8 +507,8 @@ fn add_rows(out: &mut [f64], rows: &[&[f64]]) {
 ///
 /// Keeps the per-cycle trace sums shared across guesses and one
 /// cross-moment vector per guess — O(guesses × trace_len), independent of
-/// the sample count. Finalizing evaluates the same Pearson-correlation
-/// formula as the batch [`crate::cpa::cpa_recover_subkey`].
+/// the sample count. Finalizing evaluates Pearson's r between the
+/// predicted Hamming weight and every cycle, per guess.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineCpa {
     sbox: usize,
@@ -655,21 +655,7 @@ impl OnlineCpa {
             peaks[g] = best.1;
             peak_cycles[g] = best.0;
         }
-        let best_guess = (0..64).max_by(|&a, &b| peaks[a].total_cmp(&peaks[b])).unwrap_or(0) as u8;
-        let best = peaks[best_guess as usize];
-        let second = peaks
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != best_guess as usize)
-            .map(|(_, &v)| v)
-            .fold(0.0f64, f64::max);
-        let margin = if second > 1e-12 {
-            best / second
-        } else if best > 1e-12 {
-            f64::INFINITY
-        } else {
-            1.0
-        };
+        let (best_guess, margin) = crate::dpa::verdict(&peaks);
         CpaResult { peaks, peak_cycles, best_guess, margin }
     }
 }
@@ -809,33 +795,63 @@ mod tests {
         }
     }
 
+    /// The batch CPA reference: Pearson's r per guess and cycle over the
+    /// whole retained trace set, peak |r| and its cycle per guess.
+    fn batch_cpa(plaintexts: &[u64], traces: &[Vec<f64>], sbox: usize) -> ([f64; 64], [usize; 64]) {
+        let n = plaintexts.len() as f64;
+        let width = traces[0].len();
+        let column = |j: usize| traces.iter().map(move |t| t[j]);
+        let mut peaks = [0.0f64; 64];
+        let mut peak_cycles = [0usize; 64];
+        for guess in 0..64u8 {
+            let hw: Vec<f64> = plaintexts
+                .iter()
+                .map(|&p| f64::from(crate::cpa::predicted_hamming_weight(p, guess, sbox)))
+                .collect();
+            let (sum_h, sum_h2) = (hw.iter().sum::<f64>(), hw.iter().map(|h| h * h).sum::<f64>());
+            let var_h = sum_h2 - sum_h * sum_h / n;
+            if var_h < 1e-12 {
+                continue;
+            }
+            for j in 0..width {
+                let (sum_t, sum_t2) =
+                    (column(j).sum::<f64>(), column(j).map(|v| v * v).sum::<f64>());
+                let sum_ht: f64 = hw.iter().zip(column(j)).map(|(h, v)| h * v).sum();
+                let var_t = sum_t2 - sum_t * sum_t / n;
+                if var_t < 1e-12 {
+                    continue;
+                }
+                let r = ((sum_ht - sum_h * sum_t / n) / (var_h * var_t).sqrt()).abs();
+                if r > peaks[guess as usize] {
+                    peaks[guess as usize] = r;
+                    peak_cycles[guess as usize] = j;
+                }
+            }
+        }
+        (peaks, peak_cycles)
+    }
+
     #[test]
     fn online_cpa_matches_batch_result() {
-        use crate::cpa::{cpa_recover_subkey, CpaConfig};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // The batch entry draws its own plaintexts from the config seed;
-        // replay the same draw here so both paths see identical data.
-        let cfg = CpaConfig { samples: 64, sbox: 3, seed: 99 };
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let plaintexts: Vec<u64> = (0..cfg.samples).map(|_| rng.gen()).collect();
+        let plaintexts: Vec<u64> = (0..64u64).map(|i| crate::dpa::plaintext_for(99, i)).collect();
         let oracle = |p: u64| {
             let chunk = sbox_chunk(p, 3);
             let h = f64::from(sbox_lookup(3, chunk ^ 0x15).count_ones());
             vec![50.0 + (p % 9) as f64, 100.0 + 4.0 * h]
         };
-        let batch = cpa_recover_subkey(oracle, &cfg);
+        let traces: Vec<Vec<f64>> = plaintexts.iter().map(|&p| oracle(p)).collect();
+        let (peaks, cycles) = batch_cpa(&plaintexts, &traces, 3);
         let mut acc = OnlineCpa::new(3);
-        for &p in &plaintexts {
-            acc.push(p, &oracle(p)).unwrap();
+        for (&p, t) in plaintexts.iter().zip(&traces) {
+            acc.push(p, t).unwrap();
         }
         let online = acc.result();
-        assert_eq!(online.best_guess, batch.best_guess);
+        assert_eq!(online.best_guess, crate::dpa::verdict(&peaks).0);
         for g in 0..64 {
-            assert!((online.peaks[g] - batch.peaks[g]).abs() < 1e-9, "guess {g}");
-            assert_eq!(online.peak_cycles[g], batch.peak_cycles[g], "guess {g}");
+            assert!((online.peaks[g] - peaks[g]).abs() < 1e-9, "guess {g}");
+            assert_eq!(online.peak_cycles[g], cycles[g], "guess {g}");
         }
-        assert!((online.margin - batch.margin).abs() < 1e-9);
+        assert_eq!(online.best_guess, 0x15, "the leak's subkey wins");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! cost is measured separately from the simulator cost).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use emask_attack::dpa::{analyze_bit, collect_traces, selection_bit};
+use emask_attack::dpa::{analyze_bit, plaintext_for, selection_bit};
 use emask_attack::spa::detect_rounds;
 use emask_attack::stats::{difference_of_means, welch_t, TraceMatrix};
 use emask_des::KeySchedule;
@@ -35,7 +35,8 @@ fn bench_spa(c: &mut Criterion) {
 }
 
 fn bench_dpa_analysis(c: &mut Criterion) {
-    let (plaintexts, traces) = collect_traces(oracle, 256, 7);
+    let plaintexts: Vec<u64> = (0..256).map(|i| plaintext_for(7, i)).collect();
+    let traces: Vec<Vec<f64>> = plaintexts.iter().map(|&p| oracle(p)).collect();
     let mut g = c.benchmark_group("dpa");
     g.throughput(Throughput::Elements(64 * 256));
     g.bench_function("analyze_bit_256x256", |b| {

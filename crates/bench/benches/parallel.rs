@@ -11,8 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use emask_attack::dpa::{
-    analyze_bit, collect_traces, collect_traces_par, plaintext_for, recover_subkey_multibit_par,
-    recover_subkey_par, selection_bit, DpaConfig,
+    analyze_bit, plaintext_for, recover_subkey_multibit_par, selection_bit, DpaConfig,
 };
 use emask_attack::online::OnlineDpa;
 use emask_core::desgen::DesProgramSpec;
@@ -49,16 +48,17 @@ fn round1_device() -> (MaskedDes, std::ops::Range<usize>) {
 fn bench_acquisition(c: &mut Criterion) {
     let (des, window) = round1_device();
     let oracle = des.trace_oracle(KEY, window);
+    let acquire = |jobs: Jobs| {
+        run_sharded(jobs, 64, |_, trials| {
+            trials.map(|i| oracle(plaintext_for(SEED, i as u64))).collect::<Vec<_>>()
+        })
+    };
     let mut g = c.benchmark_group("acquire");
     g.sample_size(10);
     g.throughput(Throughput::Elements(64));
-    g.bench_function("serial_64_traces", |b| {
-        b.iter(|| collect_traces_par(black_box(&oracle), 64, SEED, Jobs::serial()))
-    });
+    g.bench_function("serial_64_traces", |b| b.iter(|| acquire(black_box(Jobs::serial()))));
     if let Some(jobs) = Jobs::new(4) {
-        g.bench_function("jobs4_64_traces", |b| {
-            b.iter(|| collect_traces_par(black_box(&oracle), 64, SEED, jobs))
-        });
+        g.bench_function("jobs4_64_traces", |b| b.iter(|| acquire(black_box(jobs))));
     }
     g.finish();
 }
@@ -66,7 +66,8 @@ fn bench_acquisition(c: &mut Criterion) {
 /// Batch two-pass matrix DPA vs the single-pass online accumulator over
 /// an identical 256-trace synthetic set.
 fn bench_dpa_engines(c: &mut Criterion) {
-    let (plaintexts, traces) = collect_traces(synthetic_oracle, 256, 7);
+    let plaintexts: Vec<u64> = (0..256).map(|i| plaintext_for(7, i)).collect();
+    let traces: Vec<Vec<f64>> = plaintexts.iter().map(|&p| synthetic_oracle(p)).collect();
     let mut g = c.benchmark_group("dpa_engine");
     g.throughput(Throughput::Elements(64 * 256));
     g.bench_function("batch_analyze_256x256", |b| {
@@ -83,7 +84,7 @@ fn bench_dpa_engines(c: &mut Criterion) {
     });
     g.bench_function("online_end_to_end_256", |b| {
         let cfg = DpaConfig { samples: 256, sbox: 0, bit: 0, seed: 7 };
-        b.iter(|| recover_subkey_par(black_box(&synthetic_oracle), &cfg, Jobs::serial()))
+        b.iter(|| recover_subkey_multibit_par(black_box(&synthetic_oracle), &cfg, Jobs::serial()))
     });
     g.finish();
 }
@@ -147,6 +148,7 @@ fn bench_dpa_accumulation(c: &mut Criterion) {
                 jobs,
                 512,
                 &CancelToken::new(),
+                None,
                 |spent: Option<OnlineDpa>| match spent {
                     Some(mut acc) => {
                         acc.clear();
@@ -162,6 +164,7 @@ fn bench_dpa_accumulation(c: &mut Criterion) {
                     Ok(())
                 },
                 |a, b| a.merge(b).expect("aligned shards"),
+                |_, _| {},
             )
             .map(|a| a.map(|a| a.result()))
         })

@@ -12,17 +12,17 @@
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 
-use emask_bench::campaign::{run_campaign_events, run_campaign_par, CampaignConfig, FaultOutcome};
-use emask_bench::checkpoint::{run_campaign_resumable, run_campaign_resumable_events};
+use emask_bench::campaign::{CampaignConfig, FaultOutcome};
+use emask_bench::checkpoint::run_campaign;
 use emask_bench::experiments::{self, KEY, PLAINTEXT};
-use emask_bench::{live, BenchRunner, CampaignReport};
+use emask_bench::{BenchRunner, CampaignReport};
 use emask_core::{
     ChromeTrace, DesProgramSpec, EncryptionRun, EnergyTrace, MaskPolicy, MaskedDes,
     MetricsRegistry, RecoveryPolicy,
 };
-use emask_par::Jobs;
+use emask_par::{CancelToken, Interrupted, Jobs};
 use emask_serve::{client, ServerConfig};
-use emask_telemetry::{host_context, metrics_csv, summary_with_host, Event, EventBus};
+use emask_telemetry::{host_context, metrics_csv, summary_with_host, Event, EventBus, NullSink};
 use std::env;
 use std::fs;
 use std::io::{BufWriter, IsTerminal, Write};
@@ -191,6 +191,9 @@ fn main() -> ExitCode {
     }
     if cmds.iter().any(|c| c == "all") {
         cmds = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    }
+    if opts.samples < 2 && cmds.iter().any(|c| c == "cpa") {
+        return usage("cpa needs --samples 2 or more: correlation is undefined on one trace");
     }
     if opts.resume && opts.checkpoint.is_none() {
         return usage("--resume needs --checkpoint <path>");
@@ -722,7 +725,7 @@ fn usage(err: &str) -> ExitCode {
     );
     eprintln!("  --rounds/--samples may be given more than once; the last value wins");
     eprintln!(
-        "  --jobs        worker threads for dpa/cpa/tvla/fault (`auto` = all cores); \
+        "  --jobs        worker threads for dpa/cpa/tvla/sweep/coupling/fault (`auto` = all cores); \
          results are identical for any value"
     );
     eprintln!(
@@ -920,6 +923,12 @@ fn spa(opts: &Opts) {
     println!("(paper Figure 6: the 16 rounds are clearly visible)");
 }
 
+/// The result of a campaign run under a private token, which nothing
+/// cancels.
+fn uninterrupted<T>(result: Result<T, Interrupted>) -> T {
+    result.unwrap_or_else(|_| unreachable!("a private never-cancelled token cannot interrupt"))
+}
+
 fn dpa(opts: &Opts, bus: Option<&EventBus>) {
     println!(
         "== DPA: round-1 subkey recovery, S-box 1, {} samples, {} jobs ==",
@@ -927,17 +936,17 @@ fn dpa(opts: &Opts, bus: Option<&EventBus>) {
         opts.jobs.get()
     );
     let rounds = opts.rounds.min(4); // round 1 is all DPA needs
-    let run = |policy| match bus {
-        Some(b) => live::dpa_attack_convergence(
-            policy,
-            rounds,
-            opts.samples,
-            0,
-            opts.jobs,
-            opts.cadence,
-            b,
-        ),
-        None => experiments::dpa_attack_par(policy, rounds, opts.samples, 0, opts.jobs),
+    let token = CancelToken::new();
+    let (samples, jobs, cadence) = (opts.samples, opts.jobs, opts.cadence);
+    let run = |policy| {
+        uninterrupted(match bus {
+            Some(b) => {
+                experiments::dpa_attack(policy, rounds, samples, 0, jobs, &token, cadence, b)
+            }
+            None => experiments::dpa_attack(
+                policy, rounds, samples, 0, jobs, &token, cadence, &NullSink,
+            ),
+        })
     };
     let unmasked = run(MaskPolicy::None);
     println!("before masking: {unmasked}");
@@ -956,11 +965,13 @@ fn cpa(opts: &Opts) {
         opts.samples
     );
     let rounds = opts.rounds.min(4);
-    let unmasked =
-        experiments::cpa_attack_par(MaskPolicy::None, rounds, opts.samples, 0, opts.jobs);
+    let token = CancelToken::new();
+    let run = |policy| {
+        uninterrupted(experiments::cpa_attack(policy, rounds, opts.samples, 0, opts.jobs, &token))
+    };
+    let unmasked = run(MaskPolicy::None);
     println!("before masking: {unmasked}");
-    let masked =
-        experiments::cpa_attack_par(MaskPolicy::Selective, rounds, opts.samples, 0, opts.jobs);
+    let masked = run(MaskPolicy::Selective);
     println!("after masking:  {masked}");
 }
 
@@ -968,9 +979,13 @@ fn tvla(opts: &Opts, bus: Option<&EventBus>) {
     println!("== TVLA: fixed-vs-random-key Welch t (extension; threshold 4.5) ==");
     let rounds = opts.rounds.min(2);
     let groups = (opts.samples / 4).max(8);
-    let run = |policy| match bus {
-        Some(b) => live::tvla_convergence(policy, rounds, groups, 11, opts.jobs, opts.cadence, b),
-        None => experiments::tvla_par(policy, rounds, groups, 11, opts.jobs),
+    let token = CancelToken::new();
+    let (jobs, cadence) = (opts.jobs, opts.cadence);
+    let run = |policy| {
+        uninterrupted(match bus {
+            Some(b) => experiments::tvla(policy, rounds, groups, 11, jobs, &token, cadence, b),
+            None => experiments::tvla(policy, rounds, groups, 11, jobs, &token, cadence, &NullSink),
+        })
     };
     let unmasked = run(MaskPolicy::None);
     println!("before masking: {unmasked}");
@@ -988,7 +1003,7 @@ fn leakage(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "== Leakage attribution: per-instruction energy variance, {traces} traces, {rounds} rounds =="
     );
-    let cmp = live::leakage_attribution(rounds, traces, 0xACC0);
+    let cmp = experiments::leakage_attribution(rounds, traces, 0xACC0);
     println!("{cmp}");
     let path = opts.leakage_out.as_deref().unwrap_or("leakage_profile.csv");
     fs::write(path, &cmp.csv)?;
@@ -1005,7 +1020,7 @@ fn sweep(opts: &Opts) {
         .collect::<Vec<_>>();
     for policy in [MaskPolicy::None, MaskPolicy::Selective] {
         println!("device: {policy}");
-        for p in experiments::dpa_sample_sweep(policy, rounds, &counts) {
+        for p in experiments::dpa_sample_sweep(policy, rounds, &counts, opts.jobs) {
             println!(
                 "  {:>5} traces: peak {:>7.3} pJ, margin {:>5.2}x — {}",
                 p.samples,
@@ -1021,7 +1036,7 @@ fn coupling(opts: &Opts) {
     println!("== Coupling: the conclusion's predicted dual-rail limitation ==");
     println!("(inter-wire capacitance per the paper's reference [8]; 0.05 pF here)");
     let rounds = opts.rounds.min(2);
-    let report = experiments::coupling_study(rounds, opts.samples, 0.05);
+    let report = experiments::coupling_study(rounds, opts.samples, 0.05, opts.jobs);
     println!("{report}");
 }
 
@@ -1065,13 +1080,11 @@ fn fault(opts: &Opts, bus: Option<&EventBus>) -> Result<(), Box<dyn std::error::
         recovery: opts.recover.then(RecoveryPolicy::default),
         ..CampaignConfig::default()
     };
-    let report: CampaignReport = match (&opts.checkpoint, bus) {
-        (Some(path), Some(b)) => {
-            run_campaign_resumable_events(&des, &cfg, opts.jobs, Path::new(path), b)?
-        }
-        (Some(path), None) => run_campaign_resumable(&des, &cfg, opts.jobs, Path::new(path))?,
-        (None, Some(b)) => run_campaign_events(&des, &cfg, opts.jobs, b)?,
-        (None, None) => run_campaign_par(&des, &cfg, opts.jobs)?,
+    let token = CancelToken::new();
+    let checkpoint = opts.checkpoint.as_deref().map(Path::new);
+    let report: CampaignReport = match bus {
+        Some(b) => run_campaign(&des, &cfg, opts.jobs, &token, checkpoint, b)?,
+        None => run_campaign(&des, &cfg, opts.jobs, &token, checkpoint, &NullSink)?,
     };
     println!("clean run: {} cycles; cycle budget per trial: 2x", report.clean_cycles);
     print!("{}", report.summary());

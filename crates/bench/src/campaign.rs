@@ -43,10 +43,10 @@ use emask_fault::{
     DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
 };
 use emask_isa::OpClass;
-use emask_par::{catch_trial, par_map, Jobs};
+use emask_par::catch_trial;
 use emask_telemetry::{
-    campaign_csv, campaign_summary, recovery_coverage, recovery_summary, CampaignTrial, Event,
-    EventSink, NullSink, RecoveryTotals,
+    campaign_csv, campaign_summary, recovery_coverage, recovery_summary, CampaignTrial,
+    RecoveryTotals,
 };
 
 /// Number of [`FaultOutcome`] categories.
@@ -103,7 +103,7 @@ impl FaultOutcome {
         }
     }
 
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             FaultOutcome::NoEffect => 0,
             FaultOutcome::Detected => 1,
@@ -298,8 +298,8 @@ pub(crate) fn outcome_from_name(name: &str) -> Option<FaultOutcome> {
     FaultOutcome::ALL.into_iter().find(|o| o.name() == name)
 }
 
-/// The prepared per-trial execution context shared by the in-memory and
-/// checkpointed campaign runners: the cycle-limited core plus the
+/// The prepared per-trial execution context of
+/// [`run_campaign`](crate::run_campaign): the cycle-limited core plus the
 /// lattice parameters derived from the clean baseline run.
 pub(crate) struct TrialRunner {
     des: MaskedDes,
@@ -392,113 +392,21 @@ impl TrialRunner {
     }
 }
 
-/// Runs a fault campaign against `des`, single-threaded. Equivalent to
-/// [`run_campaign_par`] with [`Jobs::serial`] — and byte-identical to it
-/// at any worker count, since the trial lattice is a pure function of the
-/// trial index.
-///
-/// The clean baseline run must succeed (its failure is the returned
-/// error); after that **no trial can panic or abort the campaign** —
-/// every possible result of a faulted run maps onto a [`FaultOutcome`].
-///
-/// # Errors
-///
-/// Returns the clean baseline run's [`RunError`], if any.
-pub fn run_campaign(des: &MaskedDes, cfg: &CampaignConfig) -> Result<CampaignReport, RunError> {
-    run_campaign_par(des, cfg, Jobs::serial())
-}
-
-/// [`run_campaign`] sharded across `jobs` worker threads.
-///
-/// Every trial is independent — a fresh simulated machine with one
-/// planned fault — and the lattice needs no RNG, so workers run disjoint
-/// contiguous index shards against a shared `&MaskedDes` and the rows are
-/// reassembled in trial order: the report is byte-identical for any
-/// `jobs` value, only the wall-clock changes.
-///
-/// # Errors
-///
-/// Returns the clean baseline run's [`RunError`], if any.
-pub fn run_campaign_par(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-) -> Result<CampaignReport, RunError> {
-    run_campaign_events(des, cfg, jobs, &NullSink)
-}
-
-/// [`run_campaign_par`] with a live event stream.
-///
-/// Workers emit operational [`Event::TrialCompleted`] (and
-/// [`Event::RecoveryAttempted`] when a trial rolled back) as trials
-/// finish — unordered, droppable, progress-line fodder. The *replayable*
-/// stream is emitted from the merge step only: a
-/// [`Event::CampaignStarted`] header, one [`Event::FaultOutcome`] per
-/// trial **in trial order**, and a [`Event::CampaignCompleted`] trailer —
-/// so the replayable stream is byte-identical for any `jobs` count.
-/// With [`NullSink`] every emission site compiles away and this is
-/// exactly [`run_campaign_par`].
-///
-/// # Errors
-///
-/// Returns the clean baseline run's [`RunError`], if any.
-pub fn run_campaign_events<S: EventSink>(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-    sink: &S,
-) -> Result<CampaignReport, RunError> {
-    let runner = TrialRunner::prepare(des, cfg)?;
-    if S::ACTIVE {
-        sink.emit(Event::CampaignStarted {
-            experiment: "fault".into(),
-            trials: cfg.trials as u64,
-            seed: 0,
-            cadence: 0,
-        });
-    }
-    let rows = par_map(jobs, cfg.trials, |i| {
-        let row = runner.run_trial(i);
-        if S::ACTIVE {
-            if row.2.rollbacks > 0 {
-                sink.emit(Event::RecoveryAttempted { trial: i as u64 });
-            }
-            sink.emit(Event::TrialCompleted { trial: i as u64 });
-        }
-        row
-    });
-    let mut trials = Vec::with_capacity(cfg.trials);
-    let mut counts = [0usize; OUTCOME_COUNT];
-    let mut recovery = RecoveryTotals::default();
-    for (trial, outcome, stats) in rows {
-        counts[outcome.index()] += 1;
-        if runner.recovery_enabled() {
-            recovery.absorb(stats.checkpoints, u64::from(stats.rollbacks), stats.pages_moved);
-        }
-        if S::ACTIVE {
-            sink.emit(Event::FaultOutcome {
-                trial: trial.index as u64,
-                outcome: trial.outcome.clone(),
-            });
-        }
-        trials.push(trial);
-    }
-    if S::ACTIVE {
-        sink.emit(Event::CampaignCompleted {
-            trials: cfg.trials as u64,
-            dropped_events: sink.dropped(),
-            dropped_by_kind: sink.dropped_by_kind(),
-        });
-    }
-    Ok(CampaignReport { trials, counts, clean_cycles: runner.clean_cycles(), recovery })
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::run_campaign;
     use emask_cc::MaskPolicy;
     use emask_core::desgen::DesProgramSpec;
+    use emask_par::{CancelToken, Jobs};
+    use emask_telemetry::NullSink;
+
+    /// An uncheckpointed, uncancelled campaign at `jobs` workers.
+    fn campaign(des: &MaskedDes, cfg: &CampaignConfig, jobs: usize) -> CampaignReport {
+        let jobs = Jobs::new(jobs).expect("jobs");
+        run_campaign(des, cfg, jobs, &CancelToken::new(), None, &NullSink).expect("campaign")
+    }
 
     fn small_des() -> MaskedDes {
         MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
@@ -509,7 +417,7 @@ mod tests {
     fn small_campaign_classifies_every_trial() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 80, ..CampaignConfig::default() };
-        let report = run_campaign(&des, &cfg).expect("campaign");
+        let report = campaign(&des, &cfg, 1);
         assert_eq!(report.total(), 80);
         assert_eq!(report.counts.iter().sum::<usize>(), 80, "every trial classified");
         // The lattice's single-rail strikes on the secure load path must
@@ -534,8 +442,8 @@ mod tests {
     fn campaign_is_deterministic() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 12, ..CampaignConfig::default() };
-        let a = run_campaign(&des, &cfg).expect("campaign");
-        let b = run_campaign(&des, &cfg).expect("campaign");
+        let a = campaign(&des, &cfg, 1);
+        let b = campaign(&des, &cfg, 1);
         assert_eq!(a.trials, b.trials);
         assert_eq!(a.counts, b.counts);
     }
@@ -565,13 +473,13 @@ mod tests {
     fn recovery_turns_detections_into_recovered_trials() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 80, ..CampaignConfig::default() };
-        let baseline = run_campaign(&des, &cfg).expect("baseline campaign");
+        let baseline = campaign(&des, &cfg, 1);
         assert!(baseline.count(FaultOutcome::Detected) > 0);
         assert_eq!(baseline.recovery, RecoveryTotals::default());
 
         let recovered_cfg =
             CampaignConfig { recovery: Some(RecoveryPolicy::default()), ..cfg.clone() };
-        let report = run_campaign(&des, &recovered_cfg).expect("recovery campaign");
+        let report = campaign(&des, &recovered_cfg, 1);
         assert_eq!(report.total(), 80);
         // With rollback enabled, no detection is left fail-stop: every
         // detected fault either recovers or zeroizes.
@@ -588,7 +496,7 @@ mod tests {
     fn panicking_trial_is_classified_not_fatal() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 16, panic_trial: Some(5), ..CampaignConfig::default() };
-        let report = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
+        let report = campaign(&des, &cfg, 4);
         assert_eq!(report.total(), 16);
         assert_eq!(report.count(FaultOutcome::Panic), 1);
         assert_eq!(report.trials[5].outcome, "panic");
@@ -599,7 +507,7 @@ mod tests {
         );
         // Sibling trials are untouched by the panic.
         let baseline_cfg = CampaignConfig { panic_trial: None, ..cfg };
-        let baseline = run_campaign(&des, &baseline_cfg).expect("baseline");
+        let baseline = campaign(&des, &baseline_cfg, 1);
         for i in (0..16).filter(|&i| i != 5) {
             assert_eq!(report.trials[i], baseline.trials[i], "trial {i}");
         }
@@ -609,11 +517,11 @@ mod tests {
     fn tiny_cycle_budget_classifies_as_hang_without_disturbing_siblings() {
         let des = small_des();
         let cfg = CampaignConfig { trials: 8, cycle_limit: Some(40), ..CampaignConfig::default() };
-        let a = run_campaign(&des, &cfg).expect("campaign");
+        let a = campaign(&des, &cfg, 1);
         assert_eq!(a.count(FaultOutcome::Hang), 8, "summary:\n{}", a.summary());
         // Jobs-invariant: the hang classification is identical at any
         // worker count.
-        let b = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
+        let b = campaign(&des, &cfg, 4);
         assert_eq!(a.trials, b.trials);
     }
 }

@@ -2,11 +2,11 @@
 //! work, crash recovery, and byte-identical resumption.
 //!
 //! A long campaign (thousands of trials × a cycle-accurate core) should
-//! survive being killed. [`run_campaign_resumable`] is
-//! [`run_campaign_par`](crate::run_campaign_par) plus a persistence loop:
-//! every time a worker finishes one of the fixed trial shards, the
-//! campaign checkpoint — the completed shards' classified rows plus their
-//! recovery counters — is atomically rewritten (`<path>.tmp` + rename).
+//! survive being killed. Given a checkpoint path, [`run_campaign`] adds a
+//! persistence loop: every time a worker finishes one of the fixed trial
+//! shards, the campaign checkpoint — the completed shards' classified
+//! rows plus their recovery counters — is atomically rewritten
+//! (`<path>.tmp` + rename).
 //! A later invocation with the same configuration loads the snapshot,
 //! returns the stored rows for completed shards, and runs only the rest;
 //! because the trial lattice is a pure function of the trial index, the
@@ -37,7 +37,7 @@ use crate::campaign::{
 };
 use emask_core::{MaskedDes, RunError};
 use emask_par::{run_sharded_cancellable, CancelToken, Interrupted, Jobs};
-use emask_telemetry::{CampaignTrial, Event, EventSink, NullSink, RecoveryTotals};
+use emask_telemetry::{fnv1a, CampaignTrial, Event, EventSink, NullSink, RecoveryTotals};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -113,17 +113,6 @@ impl From<RunError> for CampaignError {
     fn from(e: RunError) -> Self {
         CampaignError::Run(e)
     }
-}
-
-/// 64-bit FNV-1a — the dependency-free hash used for both the config
-/// fingerprint and the file checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// The canonical-config fingerprint: any field that changes the trial
@@ -294,96 +283,75 @@ fn parse_row(line: &str) -> Option<CampaignTrial> {
     Some(trial)
 }
 
-/// [`run_campaign_par`](crate::run_campaign_par) with crash recovery:
-/// the campaign persists a [`CampaignCheckpoint`] at `path` after every
-/// completed shard, and a rerun with the same configuration resumes from
-/// it — completed shards are served from the snapshot, the rest are
-/// computed — producing a report whose CSV and summary are byte-identical
-/// to an uninterrupted run at any `jobs` count.
+/// Runs a fault campaign against `des`: a clean baseline run, then
+/// `cfg.trials` trials of the deterministic lattice sharded across `jobs`
+/// worker threads. Every trial is independent — a fresh simulated
+/// machine with one planned fault — and the lattice is a pure function
+/// of the trial index, so the report is byte-identical for any `jobs`
+/// value. The clean baseline run must succeed; after that **no trial can
+/// panic or abort the campaign** — every possible result of a faulted run
+/// maps onto a [`FaultOutcome`](crate::FaultOutcome).
+///
+/// **Checkpoint.** With `checkpoint: Some(path)` the campaign persists a
+/// [`CampaignCheckpoint`] at `path` after every completed shard, and a
+/// rerun with the same configuration resumes from it — completed shards
+/// are served from the snapshot, the rest are computed — producing a
+/// report whose CSV and summary are byte-identical to an uninterrupted
+/// run at any `jobs` count.
+///
+/// **Cancellation.** `token` is checked at every trial boundary, so a
+/// trip (client cancel, deadline, shutdown) stops the campaign cleanly
+/// with [`CampaignError::Interrupted`]. Shards completed before the trip
+/// are already in the checkpoint — the interrupted shard is discarded and
+/// recomputed on resume. This is the supervision entry point
+/// `emask-serve` drives.
+///
+/// **Events.** Workers emit operational [`Event::TrialCompleted`] /
+/// [`Event::RecoveryAttempted`] per trial, [`Event::ShardCompleted`] per
+/// finished shard, and, with a checkpoint, [`Event::CheckpointWritten`]
+/// after each persist. The replayable stream (a
+/// [`Event::CampaignStarted`] header, one [`Event::FaultOutcome`] per
+/// trial in trial order, a [`Event::CampaignCompleted`] trailer) is
+/// emitted from the deterministic merge, so it is byte-identical for any
+/// `jobs` count, with or without a checkpoint, and across a SIGKILL +
+/// resume (shards served from the snapshot emit no operational trial
+/// events: the "work not redone" signal). With
+/// [`NullSink`] every emission site compiles away.
 ///
 /// # Errors
 ///
 /// * [`CampaignError::Run`] — the clean baseline run failed;
 /// * [`CampaignError::Io`] — the checkpoint could not be read or written;
 /// * [`CampaignError::Mismatch`] — `path` holds a checkpoint written
-///   under a different configuration.
-pub fn run_campaign_resumable(
+///   under a different configuration;
+/// * [`CampaignError::Interrupted`] — the token tripped before the last
+///   shard completed.
+pub fn run_campaign<S: EventSink>(
     des: &MaskedDes,
     cfg: &CampaignConfig,
     jobs: Jobs,
-    path: &Path,
-) -> Result<CampaignReport, CampaignError> {
-    run_campaign_resumable_events(des, cfg, jobs, path, &NullSink)
-}
-
-/// [`run_campaign_resumable`] with a live event stream — the resumable
-/// analogue of [`run_campaign_events`](crate::campaign::run_campaign_events).
-///
-/// Workers emit operational [`Event::TrialCompleted`] /
-/// [`Event::RecoveryAttempted`] per trial, [`Event::ShardCompleted`] per
-/// finished shard, and [`Event::CheckpointWritten`] after each snapshot
-/// persist. The replayable stream (header, per-trial
-/// [`Event::FaultOutcome`] in trial order, trailer) is emitted from the
-/// deterministic merge — and since resumed shards reload the *same* rows
-/// an uninterrupted run computes, a SIGKILL + resume produces a
-/// byte-identical replayable stream (shards served from the snapshot
-/// emit no operational trial events, which is exactly the "work not
-/// redone" signal).
-///
-/// # Errors
-///
-/// As for [`run_campaign_resumable`].
-pub fn run_campaign_resumable_events<S: EventSink>(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-    path: &Path,
-    sink: &S,
-) -> Result<CampaignReport, CampaignError> {
-    match run_campaign_resumable_cancellable_events(des, cfg, jobs, path, &CancelToken::new(), sink)
-    {
-        Err(CampaignError::Interrupted(_)) => {
-            unreachable!("a private never-cancelled token cannot interrupt")
-        }
-        other => other,
-    }
-}
-
-/// [`run_campaign_resumable_events`] under a cooperative [`CancelToken`]:
-/// the token is checked at every trial boundary, so a trip (client
-/// cancel, deadline, shutdown) stops the campaign cleanly with
-/// [`CampaignError::Interrupted`]. Shards completed before the trip are
-/// already persisted in the checkpoint at `path` — the partial shard that
-/// was interrupted is discarded (its rows are recomputed on resume) —
-/// and rerunning with the same configuration resumes from the snapshot
-/// and produces a CSV and summary **byte-identical** to an uninterrupted
-/// run. This is the supervision entry point `emask-serve` drives.
-///
-/// # Errors
-///
-/// As for [`run_campaign_resumable_events`], plus
-/// [`CampaignError::Interrupted`] when the token trips before the last
-/// shard completes.
-pub fn run_campaign_resumable_cancellable_events<S: EventSink>(
-    des: &MaskedDes,
-    cfg: &CampaignConfig,
-    jobs: Jobs,
-    path: &Path,
     token: &CancelToken,
+    checkpoint: Option<&Path>,
     sink: &S,
 ) -> Result<CampaignReport, CampaignError> {
     let runner = TrialRunner::prepare(des, cfg)?;
-    let fingerprint = config_fingerprint(cfg, runner.clean_cycles());
-    let checkpoint = match CampaignCheckpoint::load(path)? {
-        Some(cp) if cp.fingerprint != fingerprint => {
-            return Err(CampaignError::Mismatch {
-                path: path.to_path_buf(),
-                expected: fingerprint,
-                found: cp.fingerprint,
-            });
+    let store = match checkpoint {
+        None => None,
+        Some(path) => {
+            let fingerprint = config_fingerprint(cfg, runner.clean_cycles());
+            let checkpoint = match CampaignCheckpoint::load(path)? {
+                Some(cp) if cp.fingerprint != fingerprint => {
+                    return Err(CampaignError::Mismatch {
+                        path: path.to_path_buf(),
+                        expected: fingerprint,
+                        found: cp.fingerprint,
+                    });
+                }
+                Some(cp) => cp,
+                None => CampaignCheckpoint::new(fingerprint),
+            };
+            Some((path, Mutex::new(checkpoint)))
         }
-        Some(cp) => cp,
-        None => CampaignCheckpoint::new(fingerprint),
     };
     if S::ACTIVE {
         sink.emit(Event::CampaignStarted {
@@ -393,10 +361,11 @@ pub fn run_campaign_resumable_cancellable_events<S: EventSink>(
             cadence: 0,
         });
     }
-    let store = Mutex::new(checkpoint);
     let sharded = run_sharded_cancellable(jobs, cfg.trials, token, |shard, range| {
-        if let Some(rec) = store.lock().expect("checkpoint store").shards.get(&shard) {
-            return Ok(rec.clone());
+        if let Some((_, store)) = &store {
+            if let Some(rec) = store.lock().expect("checkpoint store").shards.get(&shard) {
+                return Ok(rec.clone());
+            }
         }
         let len = range.len();
         let mut trials = Vec::with_capacity(len);
@@ -421,6 +390,12 @@ pub fn run_campaign_resumable_cancellable_events<S: EventSink>(
             trials.push(trial);
         }
         let rec = ShardRecord { trials, recovery };
+        let Some((path, store)) = &store else {
+            if S::ACTIVE {
+                sink.emit(Event::ShardCompleted { shard: shard as u64, len: len as u64 });
+            }
+            return Ok(rec);
+        };
         let mut guard = store.lock().expect("checkpoint store");
         guard.shards.insert(shard, rec.clone());
         // Mid-run persistence is best effort — an unwritable path still
@@ -432,17 +407,22 @@ pub fn run_campaign_resumable_cancellable_events<S: EventSink>(
         }
         Ok(rec)
     });
-    let checkpoint = store.into_inner().expect("checkpoint store");
+    let checkpoint =
+        store.map(|(path, store)| (path, store.into_inner().expect("checkpoint store")));
     let records = match sharded {
         Ok(records) => records,
         Err(interrupted) => {
             // Persist what completed so a resume skips it, then surface
             // the trip as a typed error for the supervisor.
-            checkpoint.save(path)?;
+            if let Some((path, checkpoint)) = &checkpoint {
+                checkpoint.save(path)?;
+            }
             return Err(CampaignError::Interrupted(interrupted));
         }
     };
-    checkpoint.save(path)?;
+    if let Some((path, checkpoint)) = &checkpoint {
+        checkpoint.save(path)?;
+    }
 
     // Shards are contiguous ascending index ranges, so concatenating the
     // shard-ordered records yields the rows in trial order.
@@ -452,7 +432,7 @@ pub fn run_campaign_resumable_cancellable_events<S: EventSink>(
     for rec in records {
         for t in &rec.trials {
             let outcome = outcome_from_name(&t.outcome).expect("validated outcome name");
-            counts[outcome_index(outcome)] += 1;
+            counts[outcome.index()] += 1;
             if S::ACTIVE {
                 sink.emit(Event::FaultOutcome {
                     trial: t.index as u64,
@@ -473,9 +453,34 @@ pub fn run_campaign_resumable_cancellable_events<S: EventSink>(
     Ok(CampaignReport { trials, counts, clean_cycles: runner.clean_cycles(), recovery })
 }
 
-/// [`FaultOutcome::ALL`](crate::FaultOutcome::ALL) position of `o`.
-fn outcome_index(o: crate::FaultOutcome) -> usize {
-    crate::FaultOutcome::ALL.iter().position(|&x| x == o).unwrap_or(0)
+/// [`run_campaign`] checkpointing to `path`, never cancelled, no events.
+///
+/// # Errors
+///
+/// As for [`run_campaign`], never [`CampaignError::Interrupted`].
+pub fn run_campaign_resumable(
+    des: &MaskedDes,
+    cfg: &CampaignConfig,
+    jobs: Jobs,
+    path: &Path,
+) -> Result<CampaignReport, CampaignError> {
+    run_campaign(des, cfg, jobs, &CancelToken::new(), Some(path), &NullSink)
+}
+
+/// [`run_campaign`] checkpointing to `path` and streaming to `sink`,
+/// never cancelled.
+///
+/// # Errors
+///
+/// As for [`run_campaign`], never [`CampaignError::Interrupted`].
+pub fn run_campaign_resumable_events<S: EventSink>(
+    des: &MaskedDes,
+    cfg: &CampaignConfig,
+    jobs: Jobs,
+    path: &Path,
+    sink: &S,
+) -> Result<CampaignReport, CampaignError> {
+    run_campaign(des, cfg, jobs, &CancelToken::new(), Some(path), sink)
 }
 
 #[cfg(test)]
@@ -589,15 +594,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let token = CancelToken::new();
         let sink = CancelAfter { token: &token, seen: AtomicU64::new(0), after: 10 };
-        let err = run_campaign_resumable_cancellable_events(
-            &des,
-            &cfg,
-            Jobs::serial(),
-            &path,
-            &token,
-            &sink,
-        )
-        .expect_err("tripped token must interrupt");
+        let err = run_campaign(&des, &cfg, Jobs::serial(), &token, Some(&path), &sink)
+            .expect_err("tripped token must interrupt");
         let CampaignError::Interrupted(i) = &err else {
             panic!("expected Interrupted, got {err}");
         };
@@ -625,15 +623,8 @@ mod tests {
         let path = tmp_path("deadline");
         let _ = std::fs::remove_file(&path);
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
-        let err = run_campaign_resumable_cancellable_events(
-            &des,
-            &cfg,
-            Jobs::serial(),
-            &path,
-            &token,
-            &NullSink,
-        )
-        .expect_err("expired deadline must interrupt");
+        let err = run_campaign(&des, &cfg, Jobs::serial(), &token, Some(&path), &NullSink)
+            .expect_err("expired deadline must interrupt");
         match err {
             CampaignError::Interrupted(i) => {
                 assert_eq!(i.reason, emask_par::CancelReason::DeadlineExceeded);

@@ -19,21 +19,21 @@
 //! | XOR unit | 0.3 pJ normal / 0.6 pJ secure | [`experiments::xor_unit`] |
 //! | SPA/DPA | attacks defeated by masking | [`experiments::spa_rounds`], [`experiments::dpa_attack`] |
 //! | ablations | pre-charge, gating, slicing | [`experiments::ablations`] |
-//! | `fault` | robustness: fault campaign + dual-rail detection | [`campaign::run_campaign`] |
+//! | `fault` | robustness: fault campaign + dual-rail detection | [`checkpoint::run_campaign`] |
 //!
-//! The heavyweight campaigns ship `_par` variants
-//! ([`campaign::run_campaign_par`], [`experiments::dpa_attack_par`],
-//! [`experiments::cpa_attack_par`], [`experiments::tvla_par`]) that shard
-//! trials across an `emask-par` worker pool; their reports are
-//! bit-identical for any `--jobs` count.
-//!
-//! The [`live`] module carries the observability layer: `_events` /
-//! `_convergence` drivers that thread an
-//! [`EventSink`](emask_telemetry::EventSink) through the same campaigns,
-//! streaming replayable convergence snapshots (byte-identical at any
-//! `--jobs` count) plus lossy operational progress heartbeats, and the
-//! per-instruction [`live::leakage_attribution`] study behind
-//! `leakage_profile.csv`.
+//! Each experiment family is one function that takes its worker count
+//! (`jobs`) and a cooperative [`CancelToken`](emask_par::CancelToken):
+//! [`experiments::dpa_attack`], [`experiments::cpa_attack`],
+//! [`experiments::tvla`] and [`checkpoint::run_campaign`]. They shard
+//! trials across an `emask-par` worker pool, draw every random input
+//! from `(seed, trial index)`, and return reports bit-identical for any
+//! `--jobs` count. The campaigns with a live stream also take an
+//! [`EventSink`](emask_telemetry::EventSink): replayable convergence
+//! snapshots and outcomes (byte-identical at any `--jobs` count) plus
+//! lossy operational heartbeats; with
+//! [`NullSink`](emask_telemetry::NullSink) the emission sites compile
+//! away. [`experiments::leakage_attribution`] is the per-instruction
+//! study behind `leakage_profile.csv`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,27 +43,20 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod events_tool;
 pub mod experiments;
-pub mod live;
 pub mod loadgen;
 pub mod service;
 
-pub use campaign::{
-    run_campaign, run_campaign_events, run_campaign_par, CampaignConfig, CampaignReport,
-    FaultOutcome, OUTCOME_COUNT,
-};
+pub use campaign::{CampaignConfig, CampaignReport, FaultOutcome, OUTCOME_COUNT};
 pub use checkpoint::{
-    run_campaign_resumable, run_campaign_resumable_cancellable_events,
-    run_campaign_resumable_events, CampaignCheckpoint, CampaignError,
+    run_campaign, run_campaign_resumable, run_campaign_resumable_events, CampaignCheckpoint,
+    CampaignError,
 };
 pub use experiments::{
-    ablations, coupling_study, cpa_attack, cpa_attack_par, dpa_attack, dpa_attack_par,
-    dpa_sample_sweep, energy_by_class, fig6_round_trace, key_differential, masking_overhead_trace,
-    plaintext_differential, policy_totals, spa_rounds, tvla, tvla_par, xor_unit, AblationReport,
-    ClassEnergy, CouplingReport, CpaOutcome, DpaOutcome, PolicyTotals, SweepPoint, TvlaReport,
-};
-pub use live::{
-    dpa_attack_convergence, dpa_attack_convergence_cancellable, leakage_attribution,
-    tvla_convergence, tvla_convergence_cancellable, LeakageComparison,
+    ablations, coupling_study, cpa_attack, dpa_attack, dpa_sample_sweep, energy_by_class,
+    fig6_round_trace, key_differential, leakage_attribution, masking_overhead_trace,
+    plaintext_differential, policy_totals, spa_rounds, tvla, xor_unit, AblationReport, ClassEnergy,
+    CouplingReport, CpaOutcome, DpaOutcome, LeakageComparison, PolicyTotals, SweepPoint,
+    TvlaReport,
 };
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use service::BenchRunner;

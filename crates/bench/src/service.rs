@@ -2,21 +2,17 @@
 //! onto the deterministic campaign drivers.
 //!
 //! This is the glue the `repro serve` subcommand installs. Every
-//! experiment goes through the *cancellable* driver variants, so the
-//! service's token actually stops work at trial boundaries; the fault
-//! campaign additionally runs through the PR-4 resumable checkpoint at
-//! the job's private `.ckpt` path, which is what makes
+//! experiment driver takes the job's token, so the service actually stops
+//! work at trial boundaries; the fault campaign additionally checkpoints
+//! to the job's private `.ckpt` path, which is what makes
 //! shutdown→restart→resume byte-identical for long campaigns. Result
 //! CSVs are pure functions of the spec — the supervision history
 //! (cancelled, retried, resumed) never changes a byte of them.
 
 use crate::campaign::CampaignConfig;
-use crate::checkpoint::{run_campaign_resumable_cancellable_events, CampaignError};
-use crate::experiments::{KEY, PLAINTEXT};
-use crate::live;
-use emask_attack::cpa::{cpa_recover_subkey_par_cancellable, CpaConfig, CpaResult};
-use emask_core::{DesProgramSpec, MaskPolicy, MaskedDes, Phase, RecoveryPolicy};
-use emask_des::KeySchedule;
+use crate::checkpoint::{run_campaign, CampaignError};
+use crate::experiments::{self, TvlaReport, KEY, PLAINTEXT};
+use emask_core::{DesProgramSpec, MaskPolicy, MaskedDes, RecoveryPolicy};
 use emask_par::Jobs;
 use emask_serve::{ExperimentRunner, JobCtx, JobSpec, RunStatus};
 use emask_telemetry::{EventSink as _, Span};
@@ -51,6 +47,18 @@ fn trace_len_estimate(rounds: usize) -> u64 {
 fn compile(policy: MaskPolicy, rounds: usize) -> Result<MaskedDes, String> {
     MaskedDes::compile_spec(policy, &DesProgramSpec { rounds })
         .map_err(|e| format!("device compile failed: {e}"))
+}
+
+/// The tvla result CSV: one header and one row, the verdict last.
+fn tvla_csv(report: &TvlaReport) -> String {
+    format!(
+        "group_size,max_t,at_cycle,leaky_cycles,leaking\n{},{},{},{},{}\n",
+        report.group_size,
+        report.max_t,
+        report.at_cycle,
+        report.leaky_cycles,
+        report.leaks(),
+    )
 }
 
 /// The attack-result CSV shared by dpa and cpa: one row per subkey
@@ -89,6 +97,9 @@ impl ExperimentRunner for BenchRunner {
         }
         if spec.trials == 0 {
             return Err("trials must be positive".into());
+        }
+        if spec.experiment == "cpa" && spec.trials < 2 {
+            return Err("cpa needs at least 2 trials: correlation is undefined on one trace".into());
         }
         if spec.sbox >= 8 {
             return Err("sbox must be in 0..=7".into());
@@ -157,14 +168,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                     recovery: spec.recover.then(RecoveryPolicy::default),
                     ..CampaignConfig::default()
                 };
-                match run_campaign_resumable_cancellable_events(
-                    &des,
-                    &cfg,
-                    jobs,
-                    ctx.checkpoint,
-                    ctx.token,
-                    ctx.sink,
-                ) {
+                match run_campaign(&des, &cfg, jobs, ctx.token, Some(ctx.checkpoint), ctx.sink) {
                     Ok(report) => RunStatus::Done { csv: report.csv() },
                     Err(CampaignError::Interrupted(i)) => RunStatus::Interrupted(i),
                     // A torn/corrupt checkpoint heals on retry (the
@@ -178,14 +182,14 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
             }
             "dpa" => {
                 let rounds = spec.rounds.min(4); // round 1 is all DPA needs
-                match live::dpa_attack_convergence_cancellable(
+                match experiments::dpa_attack(
                     policy,
                     rounds,
                     spec.trials,
                     spec.sbox,
                     jobs,
-                    spec.cadence,
                     ctx.token,
+                    spec.cadence,
                     ctx.sink,
                 ) {
                     Ok(outcome) => RunStatus::Done {
@@ -204,60 +208,41 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
             }
             "cpa" => {
                 let rounds = spec.rounds.min(4);
-                let des = match compile(policy, rounds) {
-                    Ok(d) => d,
-                    Err(reason) => return RunStatus::Failed { reason, transient: false },
-                };
-                let window = des
-                    .encrypt(PLAINTEXT, KEY)
-                    .expect("probe run")
-                    .phase_window(Phase::Round(1))
-                    .expect("round 1");
-                let oracle = des.trace_oracle(KEY, window);
-                let cfg = CpaConfig { samples: spec.trials, sbox: spec.sbox, seed: 0xCAFE };
-                match cpa_recover_subkey_par_cancellable(&oracle, &cfg, jobs, ctx.token) {
-                    Ok(result) => {
-                        let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(spec.sbox);
-                        let CpaResult { peaks, peak_cycles, best_guess, margin } = result;
-                        let best = peaks[best_guess as usize];
-                        let recovered = best_guess == true_subkey && margin > 1.0 && best > 0.2;
-                        RunStatus::Done {
-                            csv: guesses_csv(
-                                "peak_r",
-                                &peaks,
-                                &peak_cycles,
-                                best_guess,
-                                margin,
-                                true_subkey,
-                                recovered,
-                            ),
-                        }
-                    }
+                match experiments::cpa_attack(
+                    policy,
+                    rounds,
+                    spec.trials,
+                    spec.sbox,
+                    jobs,
+                    ctx.token,
+                ) {
+                    Ok(outcome) => RunStatus::Done {
+                        csv: guesses_csv(
+                            "peak_r",
+                            &outcome.result.peaks,
+                            &outcome.result.peak_cycles,
+                            outcome.result.best_guess,
+                            outcome.result.margin,
+                            outcome.true_subkey,
+                            outcome.recovered,
+                        ),
+                    },
                     Err(i) => RunStatus::Interrupted(i),
                 }
             }
             "tvla" => {
                 let rounds = spec.rounds.min(2);
-                match live::tvla_convergence_cancellable(
+                match experiments::tvla(
                     policy,
                     rounds,
                     spec.trials,
                     spec.seed,
                     jobs,
-                    spec.cadence,
                     ctx.token,
+                    spec.cadence,
                     ctx.sink,
                 ) {
-                    Ok(report) => RunStatus::Done {
-                        csv: format!(
-                            "group_size,max_t,at_cycle,leaky_cycles,leaking\n{},{},{},{},{}\n",
-                            report.group_size,
-                            report.max_t,
-                            report.at_cycle,
-                            report.leaky_cycles,
-                            report.max_t.abs() > 4.5,
-                        ),
-                    },
+                    Ok(report) => RunStatus::Done { csv: tvla_csv(&report) },
                     Err(i) => RunStatus::Interrupted(i),
                 }
             }
@@ -272,7 +257,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                 }
                 let rounds = spec.rounds.min(2);
                 let traces = spec.trials.clamp(6, 48);
-                let cmp = live::leakage_attribution(rounds, traces, spec.seed);
+                let cmp = experiments::leakage_attribution(rounds, traces, spec.seed);
                 ctx.sink.emit(emask_telemetry::Event::CampaignCompleted {
                     trials: traces as u64,
                     dropped_events: ctx.sink.dropped(),
@@ -294,6 +279,7 @@ mod tests {
     use super::*;
     use emask_par::CancelToken;
     use emask_serve::JobSink;
+    use emask_telemetry::NullSink;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -346,6 +332,24 @@ mod tests {
     }
 
     #[test]
+    fn one_trial_cpa_is_rejected_at_admission() {
+        let one = JobSpec { experiment: "cpa".into(), trials: 1, ..JobSpec::default() };
+        let err = BenchRunner.admit(&one).expect_err("one trace has no correlation");
+        assert!(err.contains("at least 2 trials"), "{err}");
+        let two = JobSpec { trials: 2, ..one };
+        assert!(BenchRunner.admit(&two).is_ok());
+    }
+
+    #[test]
+    fn tvla_leaking_column_agrees_with_the_report_at_the_threshold() {
+        let at = TvlaReport { max_t: 4.5, at_cycle: 3, leaky_cycles: 1, group_size: 8 };
+        assert!(tvla_csv(&at).ends_with(",true\n"), "{}", tvla_csv(&at));
+        assert!(at.to_string().ends_with("LEAKS"));
+        let below = TvlaReport { max_t: 4.0, ..at };
+        assert!(tvla_csv(&below).ends_with(",false\n"), "{}", tvla_csv(&below));
+    }
+
+    #[test]
     fn fault_job_csv_matches_the_direct_campaign() {
         let spec = JobSpec {
             experiment: "fault".into(),
@@ -366,7 +370,8 @@ mod tests {
             recovery: Some(RecoveryPolicy::default()),
             ..CampaignConfig::default()
         };
-        let report = crate::campaign::run_campaign_par(&des, &cfg, Jobs::serial()).unwrap();
+        let report =
+            run_campaign(&des, &cfg, Jobs::serial(), &CancelToken::new(), None, &NullSink).unwrap();
         assert_eq!(csv, report.csv(), "service supervision must not change a byte");
     }
 

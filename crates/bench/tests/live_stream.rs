@@ -3,13 +3,13 @@
 //! any `--jobs` count, and continuous across a kill + `--resume` of a
 //! checkpointed fault campaign.
 
-use emask_bench::campaign::{run_campaign_events, run_campaign_par, CampaignConfig};
-use emask_bench::checkpoint::{run_campaign_resumable_events, CampaignCheckpoint};
-use emask_bench::live::{dpa_attack_convergence, tvla_convergence};
+use emask_bench::campaign::{CampaignConfig, CampaignReport};
+use emask_bench::checkpoint::{run_campaign, run_campaign_resumable_events, CampaignCheckpoint};
+use emask_bench::experiments::{dpa_attack, tvla};
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{MaskPolicy, MaskedDes};
-use emask_par::Jobs;
-use emask_telemetry::{Event, EventBus, EventSink};
+use emask_par::{CancelToken, Jobs};
+use emask_telemetry::{fnv1a, Event, EventBus, EventSink, NullSink};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -42,6 +42,27 @@ fn device() -> MaskedDes {
         .expect("compile 1-round selective device")
 }
 
+/// The uncheckpointed, uncancelled fault campaign streaming to `sink`.
+fn fault_campaign<S: EventSink>(
+    des: &MaskedDes,
+    cfg: &CampaignConfig,
+    jobs: Jobs,
+    sink: &S,
+) -> CampaignReport {
+    run_campaign(des, cfg, jobs, &CancelToken::new(), None, sink).expect("fault campaign")
+}
+
+/// The 48-trace unmasked DPA streaming to `sink` at `cadence`.
+fn dpa_stream<S: EventSink>(jobs: Jobs, cadence: usize, sink: &S) {
+    dpa_attack(MaskPolicy::None, 1, 48, 0, jobs, &CancelToken::new(), cadence, sink)
+        .expect("uncancelled");
+}
+
+/// The 8-pair unmasked TVLA streaming to `sink` at `cadence`.
+fn tvla_stream<S: EventSink>(jobs: Jobs, cadence: usize, sink: &S) {
+    tvla(MaskPolicy::None, 1, 8, 3, jobs, &CancelToken::new(), cadence, sink).expect("uncancelled");
+}
+
 fn tmp_path(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("emask-live-{}-{name}.ckpt", std::process::id()));
@@ -51,7 +72,7 @@ fn tmp_path(name: &str) -> PathBuf {
 #[test]
 fn golden_dpa_jsonl_schema_is_stable() {
     let sink = Collect::new();
-    dpa_attack_convergence(MaskPolicy::None, 1, 48, 0, Jobs::serial(), 16, &sink);
+    dpa_stream(Jobs::serial(), 16, &sink);
     let jsonl = sink.replayable_jsonl();
     let lines: Vec<&str> = jsonl.lines().collect();
     // Header, snapshots at 16/32/48, trailer.
@@ -75,13 +96,6 @@ fn golden_dpa_jsonl_schema_is_stable() {
         lines[4],
         r#"{"event":"campaign_completed","trials":48,"dropped_events":0,"dropped_by_kind":{}}"#
     );
-}
-
-/// FNV-1a over a stream's bytes: a compact pin for a committed digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// Snapshot cadences the DPA and TVLA streams are pinned at: final-only,
@@ -109,14 +123,14 @@ fn replayable_streams_are_byte_identical_across_jobs() {
         .map(|jobs| {
             let jobs = Jobs::new(jobs).unwrap();
             let fault = Collect::new();
-            run_campaign_events(&des, &cfg, jobs, &fault).expect("fault campaign");
+            fault_campaign(&des, &cfg, jobs, &fault);
             let attacks = CADENCES
                 .into_iter()
                 .map(|cadence| {
                     let dpa = Collect::new();
-                    dpa_attack_convergence(MaskPolicy::None, 1, 48, 0, jobs, cadence, &dpa);
+                    dpa_stream(jobs, cadence, &dpa);
                     let tvla = Collect::new();
-                    tvla_convergence(MaskPolicy::None, 1, 8, 3, jobs, cadence, &tvla);
+                    tvla_stream(jobs, cadence, &tvla);
                     (dpa.replayable_jsonl(), tvla.replayable_jsonl())
                 })
                 .collect();
@@ -151,8 +165,8 @@ fn events_path_report_matches_the_plain_parallel_path() {
     let des = device();
     let cfg = CampaignConfig { trials: 40, ..CampaignConfig::default() };
     let sink = Collect::new();
-    let evented = run_campaign_events(&des, &cfg, Jobs::new(4).unwrap(), &sink).expect("events");
-    let plain = run_campaign_par(&des, &cfg, Jobs::serial()).expect("plain");
+    let evented = fault_campaign(&des, &cfg, Jobs::new(4).unwrap(), &sink);
+    let plain = fault_campaign(&des, &cfg, Jobs::serial(), &NullSink);
     assert_eq!(evented.csv(), plain.csv(), "the sink must not change the report");
     assert_eq!(evented.counts, plain.counts);
 }
@@ -223,12 +237,12 @@ fn event_bus_end_to_end_delivers_the_replayable_stream_in_order() {
             }
             out
         });
-        let report = run_campaign_events(&des, &cfg, Jobs::new(4).unwrap(), &bus).expect("run");
+        let report = fault_campaign(&des, &cfg, Jobs::new(4).unwrap(), &bus);
         bus.close();
         (report, consumer.join().expect("consumer"))
     });
     let direct = Collect::new();
-    run_campaign_events(&des, &cfg, Jobs::new(2).unwrap(), &direct).expect("run");
+    fault_campaign(&des, &cfg, Jobs::new(2).unwrap(), &direct);
     assert_eq!(jsonl, direct.replayable_jsonl(), "bus transport must preserve the stream");
     assert_eq!(report.total(), 24);
 }

@@ -8,17 +8,25 @@
 //! and kill/resume are covered by the crate's unit tests and by the
 //! 4-job campaign test below.
 
-use emask_bench::campaign::{run_campaign_par, CampaignConfig, FaultOutcome};
+use emask_bench::campaign::{CampaignConfig, CampaignReport, FaultOutcome};
+use emask_bench::checkpoint::run_campaign;
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{CheckpointCadence, MaskPolicy, MaskedDes, RecoveryPolicy, RunError};
 use emask_cpu::{CpuErrorKind, FaultLane, RailMode};
 use emask_fault::{
     DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
 };
-use emask_par::Jobs;
+use emask_par::{CancelToken, Jobs};
+use emask_telemetry::NullSink;
 
 const PLAINTEXT: u64 = 0x0123_4567_89AB_CDEF;
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
+
+/// An uncheckpointed, uncancelled campaign at `jobs` workers.
+fn campaign(des: &MaskedDes, cfg: &CampaignConfig, jobs: usize) -> CampaignReport {
+    let jobs = Jobs::new(jobs).expect("jobs");
+    run_campaign(des, cfg, jobs, &CancelToken::new(), None, &NullSink).expect("campaign")
+}
 
 fn device() -> MaskedDes {
     MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
@@ -116,8 +124,8 @@ fn recovery_campaign_under_4_jobs_matches_serial_and_covers_detections() {
         recovery: Some(RecoveryPolicy::default()),
         ..CampaignConfig::default()
     };
-    let serial = run_campaign_par(&des, &cfg, Jobs::serial()).expect("serial");
-    let par = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("4 jobs");
+    let serial = campaign(&des, &cfg, 1);
+    let par = campaign(&des, &cfg, 4);
     assert_eq!(par.csv(), serial.csv());
     assert_eq!(par.summary(), serial.summary());
     assert_eq!(par.recovery, serial.recovery);
@@ -136,7 +144,7 @@ fn panicking_trial_in_a_4_job_campaign_is_data_not_fatal() {
         recovery: Some(RecoveryPolicy::default()),
         ..CampaignConfig::default()
     };
-    let report = run_campaign_par(&des, &cfg, Jobs::new(4).expect("jobs")).expect("campaign");
+    let report = campaign(&des, &cfg, 4);
     assert_eq!(report.total(), 24);
     assert_eq!(report.count(FaultOutcome::Panic), 1);
     assert_eq!(report.trials[7].outcome, "panic");

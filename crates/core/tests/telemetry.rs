@@ -5,7 +5,7 @@
 use emask_core::{
     ChromeTrace, CycleCsv, DesProgramSpec, EncryptionRun, MaskPolicy, MaskedDes, MetricsRegistry,
 };
-use emask_telemetry::{metrics_csv, summary};
+use emask_telemetry::{fnv1a, metrics_csv, summary};
 
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
 const PLAINTEXT: u64 = 0x0123_4567_89AB_CDEF;
@@ -15,17 +15,6 @@ fn observed_run<O: emask_core::RunObserver>(obs: &mut O) -> EncryptionRun {
     let des = MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
         .expect("compile");
     des.encrypt_observed(PLAINTEXT, KEY, obs).expect("run")
-}
-
-/// FNV-1a 64 — the fingerprint that stands in for a multi-megabyte golden
-/// file. Any byte change in an exporter's output changes it.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]
@@ -98,7 +87,7 @@ fn chrome_trace_export_is_golden() {
     // regenerate with: cargo run -p emask-bench --bin repro -- --rounds 1
     // --trace-out /tmp/t.json and re-fingerprint.
     assert_eq!(json.len(), 1_569_808, "trace JSON length drifted");
-    assert_eq!(fnv64(json.as_bytes()), 0x6491_FE90_7741_551F, "trace JSON bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x6491_FE90_7741_551F, "trace JSON bytes drifted");
 }
 
 #[test]
@@ -119,7 +108,7 @@ fn cycle_csv_export_is_golden() {
     assert!(text.lines().last().unwrap().ends_with(",output permutation"));
 
     assert_eq!(text.len(), 2_292_294, "cycle CSV length drifted");
-    assert_eq!(fnv64(text.as_bytes()), 0xF094_1726_B3BA_9BD6, "cycle CSV bytes drifted");
+    assert_eq!(fnv1a(text.as_bytes()), 0xF094_1726_B3BA_9BD6, "cycle CSV bytes drifted");
 }
 
 #[test]

@@ -354,9 +354,9 @@ pub fn shard_plan(n: usize) -> Vec<(usize, Range<usize>)> {
 /// to completion, and only then is the panic re-raised — always the one
 /// from the lowest-indexed panicking shard, so the surfaced panic is
 /// independent of scheduling and worker count. Campaigns that must survive
-/// a panicking trial should wrap the trial body in [`catch_trial`] (or use
-/// [`par_map_caught`]) so the panic becomes a typed [`TrialPanic`] result
-/// instead of reaching this propagation path at all.
+/// a panicking trial should wrap the trial body in [`catch_trial`] so the
+/// panic becomes a typed [`TrialPanic`] result instead of reaching this
+/// propagation path at all.
 pub fn run_sharded<A, F>(jobs: Jobs, n: usize, worker: F) -> Vec<A>
 where
     A: Send,
@@ -504,11 +504,10 @@ where
     Err(Interrupted { reason: token.reason().unwrap_or(CancelReason::Cancelled), completed_trials })
 }
 
-/// The trial-count boundaries at which [`run_sharded_snapshotted_cancellable`] emits
-/// a merged snapshot: every positive multiple of `cadence` below `n`,
-/// plus `n` itself (`cadence == 0` means final-only).
-#[must_use]
-pub fn snapshot_boundaries(n: usize, cadence: usize) -> Vec<usize> {
+/// The trial-count boundaries at which [`fold_sharded`] emits a merged
+/// snapshot: every positive multiple of `cadence` below `n`, plus `n`
+/// itself (`cadence == 0` means final-only).
+fn snapshot_boundaries(n: usize, cadence: usize) -> Vec<usize> {
     let mut b = Vec::new();
     if cadence > 0 {
         let mut t = cadence;
@@ -523,62 +522,21 @@ pub fn snapshot_boundaries(n: usize, cadence: usize) -> Vec<usize> {
     b
 }
 
-/// [`fold_sharded`] that additionally emits a **merged snapshot of all
-/// trials `0..b`** at every trial-count boundary `b` (see
-/// [`snapshot_boundaries`]) — the live convergence feed for long attack
-/// campaigns.
-///
-/// `fresh`, `work` and `merge` play their [`fold_sharded`] roles, and
-/// `work` checks `token` at its trial boundaries the same way; a shard's
-/// range is cut at the boundaries inside it, so `work` never folds past
-/// one. Shards merge into a running prefix in shard order as they
-/// finish. The snapshot for boundary `b` is that prefix over every shard
-/// ending at or before `b`, merged with a clone of the one shard's
-/// accumulator taken when it reached `b` (if `b` falls strictly inside a
-/// shard) — the same left-to-right bracketing as merging all of `0..b`'s
-/// shard contributions in order. `emit(b, &snapshot)` is called with the
-/// ledger locked, so snapshots are emitted in ascending boundary order,
-/// exactly once each. The stream is therefore **bit-identical for any
-/// `jobs` count**, while still being *live*: boundary `b` emits as soon
-/// as the slowest shard overlapping it arrives, not at campaign end. The
-/// final boundary's snapshot is the prefix itself — no clone, no extra
-/// merge.
-///
-/// A slow `emit` (e.g. a full bounded event bus) blocks the delivering
-/// worker — backpressure, by design, rather than unbounded buffering.
-///
-/// Returns the final merged accumulator (`None` when `n == 0`); the last
-/// emission, at boundary `n`, carries the same value. On interruption the
-/// snapshots already emitted stand — they are complete prefixes of the
-/// deterministic stream, so an interrupted run's emissions are a
-/// byte-identical prefix of an uninterrupted run's. Cancellation
-/// requested after the last trial has folded (e.g. a deadline expiring
-/// during the final merge) has no effect: a finished run is always
-/// delivered. Worker panics propagate as in [`fold_sharded`].
-///
-/// # Errors
-///
-/// [`Interrupted`] when cancellation stopped at least one trial short.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_snapshotted_cancellable<A, I, W, M, E>(
-    jobs: Jobs,
-    n: usize,
-    cadence: usize,
-    token: &CancelToken,
-    fresh: I,
-    work: W,
-    merge: M,
-    emit: E,
-) -> Result<Option<A>, Interrupted>
-where
-    A: Clone + Send,
-    I: Fn(Option<A>) -> A + Sync,
-    W: Fn(&mut A, Range<usize>) -> Result<(), usize> + Sync,
-    M: Fn(&mut A, &A) + Sync,
-    E: Fn(usize, &A) + Sync,
-{
-    let boundaries = snapshot_boundaries(n, cadence);
-    fold_in_order(jobs, n, token, &boundaries, fresh, work, merge, A::clone, emit)
+/// The in-order merge ledger shared by the workers of [`fold_sharded`].
+struct Ledger<A> {
+    /// Shards `0..next` merged left to right; `None` until shard 0 lands.
+    prefix: Option<A>,
+    /// The next shard to merge into the prefix.
+    next: usize,
+    /// Shards that finished before their turn, by shard index.
+    parked: BTreeMap<usize, A>,
+    /// By boundary index: a clone of the accumulator of the shard the
+    /// boundary falls inside, waiting for the prefix to reach that shard.
+    partials: BTreeMap<usize, A>,
+    /// Snapshot boundaries emitted so far.
+    emitted: usize,
+    /// Accumulators of merged shards, for shards that start later.
+    spent: Vec<A>,
 }
 
 /// Folds the trials `0..n` into one accumulator across `jobs` workers,
@@ -604,79 +562,58 @@ where
 /// alive at a time — two at `jobs = 1` — where collecting every shard
 /// before merging keeps `min(n, SHARDS)`.
 ///
+/// **Snapshots.** With `cadence: Some(c)` the fold also emits a merged
+/// snapshot of all trials `0..b` at every multiple `b` of `c` below `n`
+/// and at `n` itself (`Some(0)`: at `n` only) — the live convergence feed
+/// of long attack campaigns. A shard's range is cut at the boundaries
+/// inside it, so `work` never folds past one. The snapshot for boundary
+/// `b` is the prefix over every shard ending at or before `b`, merged
+/// with a clone of the one shard's accumulator taken when it reached `b`
+/// (if `b` falls strictly inside a shard) — the same left-to-right
+/// bracketing as merging all of `0..b`'s shard contributions in order.
+/// `emit(b, &snapshot)` is called with the ledger locked, so snapshots
+/// are emitted in ascending boundary order, exactly once each: the stream
+/// is **bit-identical for any `jobs` count**, and still live, since
+/// boundary `b` emits as soon as the slowest shard overlapping it
+/// arrives. The final boundary's snapshot is the prefix itself. A slow
+/// `emit` blocks the delivering worker — backpressure, not unbounded
+/// buffering. With `cadence: None` nothing is emitted and nothing is
+/// cloned.
+///
 /// A panicking shard does not stop the others: every shard still runs,
 /// then the lowest-indexed panicking shard's payload is re-raised, as in
 /// [`run_sharded`].
 ///
-/// Returns the merged accumulator (`None` when `n == 0`).
+/// Returns the merged accumulator (`None` when `n == 0`). Cancellation
+/// requested after the last trial has folded (e.g. a deadline expiring
+/// during the final merge) has no effect: a finished run is always
+/// delivered. On interruption the snapshots already emitted stand — an
+/// interrupted run's emissions are a prefix of an uninterrupted run's.
 ///
 /// # Errors
 ///
 /// [`Interrupted`] when cancellation stopped at least one shard short;
 /// `completed_trials` counts as in [`run_sharded_cancellable`].
-pub fn fold_sharded<A, I, W, M>(
-    jobs: Jobs,
-    n: usize,
-    token: &CancelToken,
-    fresh: I,
-    work: W,
-    merge: M,
-) -> Result<Option<A>, Interrupted>
-where
-    A: Send,
-    I: Fn(Option<A>) -> A + Sync,
-    W: Fn(&mut A, Range<usize>) -> Result<(), usize> + Sync,
-    M: Fn(&mut A, &A) + Sync,
-{
-    let no_boundaries = |_: &A| -> A { unreachable!("no snapshot boundaries to clone at") };
-    fold_in_order(jobs, n, token, &[], fresh, work, merge, no_boundaries, |_, _| {})
-}
-
-/// The in-order merge ledger shared by the workers of [`fold_in_order`].
-struct Ledger<A> {
-    /// Shards `0..next` merged left to right; `None` until shard 0 lands.
-    prefix: Option<A>,
-    /// The next shard to merge into the prefix.
-    next: usize,
-    /// Shards that finished before their turn, by shard index.
-    parked: BTreeMap<usize, A>,
-    /// By boundary index: a clone of the accumulator of the shard the
-    /// boundary falls inside, waiting for the prefix to reach that shard.
-    partials: BTreeMap<usize, A>,
-    /// Snapshot boundaries emitted so far.
-    emitted: usize,
-    /// Accumulators of merged shards, for shards that start later.
-    spent: Vec<A>,
-}
-
-/// The engine behind [`fold_sharded`] and
-/// [`run_sharded_snapshotted_cancellable`]: shards fold on the [`pool`],
-/// cut into segments at the snapshot `boundaries` inside them; a finished
-/// shard parks in the ledger until the prefix reaches it, and every
-/// boundary is emitted once its shards are in. `dup` clones an
-/// accumulator for snapshots inside a shard; it is never called without
-/// boundaries.
 #[allow(clippy::too_many_arguments)]
-fn fold_in_order<A, I, W, M, D, E>(
+pub fn fold_sharded<A, I, W, M, E>(
     jobs: Jobs,
     n: usize,
     token: &CancelToken,
-    boundaries: &[usize],
+    cadence: Option<usize>,
     fresh: I,
     work: W,
     merge: M,
-    dup: D,
     emit: E,
 ) -> Result<Option<A>, Interrupted>
 where
-    A: Send,
+    A: Clone + Send,
     I: Fn(Option<A>) -> A + Sync,
     W: Fn(&mut A, Range<usize>) -> Result<(), usize> + Sync,
     M: Fn(&mut A, &A) + Sync,
-    D: Fn(&A) -> A + Sync,
     E: Fn(usize, &A) + Sync,
 {
     let ranges = shard_ranges(n);
+    let boundaries = cadence.map_or_else(Vec::new, |c| snapshot_boundaries(n, c));
     let ledger = Mutex::new(Ledger {
         prefix: None,
         next: 0,
@@ -696,7 +633,7 @@ where
         match &lg.prefix {
             None => emit(boundaries[bi], partial),
             Some(prefix) => {
-                let mut snap = dup(prefix);
+                let mut snap = prefix.clone();
                 merge(&mut snap, partial);
                 emit(boundaries[bi], &snap);
             }
@@ -761,7 +698,7 @@ where
             if lg.next == s && lg.emitted == bi {
                 snapshot(&mut lg, bi, &acc);
             } else {
-                lg.partials.insert(bi, dup(&acc));
+                lg.partials.insert(bi, acc.clone());
             }
             start = cut;
         }
@@ -825,61 +762,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// [`par_map`] with per-trial panic isolation: trial `i`'s result is
-/// `Ok(f(i))`, or `Err(TrialPanic)` if `f(i)` panicked. Results come back
-/// in index order, bit-identical for any `jobs` count.
-pub fn par_map_caught<T, F>(jobs: Jobs, n: usize, f: F) -> Vec<Result<T, TrialPanic>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_sharded(jobs, n, |_, range| range.map(|i| catch_trial(i, || f(i))).collect::<Vec<_>>())
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// Parallel map over the trial indices `0..n`, returning the results in
-/// index order. A convenience wrapper over [`run_sharded`] for trials
-/// whose per-trial result is kept (campaign rows, collected traces).
-pub fn par_map<T, F>(jobs: Jobs, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_sharded(jobs, n, |_, range| range.map(&f).collect::<Vec<T>>())
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
-/// [`par_map`] with **per-shard scratch state**: `init(shard_index)` runs
-/// once per shard, and every trial in that shard receives `&mut` access to
-/// the state it built.
-///
-/// This is the entry point for campaigns whose trial body needs an
-/// expensive, reusable engine — e.g. a simulator backend (any
-/// `emask-cpu` `CpuBackend`) constructed once per shard and re-loaded per
-/// trial, rather than rebuilt from scratch `n` times. Determinism is
-/// unchanged from [`par_map`] *provided* `f` leaves no trial-visible
-/// residue in the state (reset/reload per trial): the shard layout is a
-/// pure function of `n`, every shard's trial order is fixed, and results
-/// come back in index order — bit-identical for any `jobs` count.
-pub fn par_map_with<S, T, I, F>(jobs: Jobs, n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    run_sharded(jobs, n, |s, range| {
-        let mut state = init(s);
-        range.map(|i| f(&mut state, i)).collect::<Vec<T>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Folds the shard accumulators produced by [`run_sharded`] left-to-right
 /// with `merge` — the fixed-order reduction that keeps floating-point
 /// merges thread-count-invariant. Returns `None` for an empty shard list
@@ -929,44 +811,6 @@ mod tests {
         // The layout is a pure function of n — nothing else to assert
         // beyond calling it twice, but make the contract explicit.
         assert_eq!(shard_ranges(77), shard_ranges(77));
-    }
-
-    #[test]
-    fn par_map_is_identical_across_job_counts() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9) ^ 0xABCD;
-        let serial: Vec<u64> = (0..250).map(f).collect();
-        for jobs in [1usize, 2, 4, 7, 16] {
-            let par = par_map(Jobs::new(jobs).expect("nonzero"), 250, f);
-            assert_eq!(par, serial, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn par_map_with_reuses_state_within_a_shard_and_stays_deterministic() {
-        // The state factory runs once per shard; the fold sees the same
-        // results for any jobs count as long as each trial resets what it
-        // uses (here the state is a counter we deliberately *don't* leak
-        // into the result beyond the shard-local reuse check).
-        let inits = AtomicU64::new(0);
-        let f = |i: usize| (i as u64).wrapping_mul(31) ^ 7;
-        let serial: Vec<u64> = (0..300).map(f).collect();
-        for jobs in [1usize, 4, 7] {
-            inits.store(0, Ordering::Relaxed);
-            let out = par_map_with(
-                Jobs::new(jobs).expect("nonzero"),
-                300,
-                |_shard| {
-                    inits.fetch_add(1, Ordering::Relaxed);
-                    0u64 // per-shard scratch (stands in for a Cpu backend)
-                },
-                |scratch, i| {
-                    *scratch += 1; // reused across the shard's trials
-                    f(i)
-                },
-            );
-            assert_eq!(out, serial, "jobs = {jobs}");
-            assert_eq!(inits.load(Ordering::Relaxed), SHARDS as u64, "one init per shard");
-        }
     }
 
     #[test]
@@ -1030,7 +874,7 @@ mod tests {
 
     #[test]
     fn empty_trial_range_is_calm() {
-        let out: Vec<u32> = par_map(Jobs::new(4).expect("nonzero"), 0, |_| unreachable!());
+        let out: Vec<u32> = run_sharded(Jobs::new(4).expect("nonzero"), 0, |_, _| unreachable!());
         assert!(out.is_empty());
         assert!(merge_shards(Vec::<f64>::new(), |_, _| unreachable!()).is_none());
     }
@@ -1120,11 +964,11 @@ mod tests {
     fn snapshotted_fold(jobs: Jobs, n: usize, cadence: usize) -> (Vec<(usize, u64)>, Option<f64>) {
         let stream = std::sync::Mutex::new(Vec::new());
         let token = CancelToken::new();
-        let result = run_sharded_snapshotted_cancellable(
+        let result = fold_sharded(
             jobs,
             n,
-            cadence,
             &token,
+            Some(cadence),
             |_| 0.1f64,
             per_trial(&token, float_fold),
             |a, b| *a = *a * 0.5 + b,
@@ -1205,11 +1049,11 @@ mod tests {
         // snapshot folds exactly the trials 0..b.
         let stream = std::sync::Mutex::new(Vec::new());
         let token = CancelToken::new();
-        let _ = run_sharded_snapshotted_cancellable(
+        let _ = fold_sharded(
             Jobs::new(4).expect("nonzero"),
             200,
-            64,
             &token,
+            Some(64),
             |_| Vec::new(),
             per_trial(&token, |acc: &mut Vec<usize>, i| acc.push(i)),
             |a, b| a.extend_from_slice(b),
@@ -1263,12 +1107,14 @@ mod tests {
                     Jobs::new(jobs).expect("nonzero"),
                     n,
                     &CancelToken::new(),
+                    None,
                     fresh_order,
                     |acc, trials| {
                         fold_order(acc, trials);
                         Ok(())
                     },
                     merge_order,
+                    |_, _| unreachable!("no cadence, no snapshots"),
                 )
                 .expect("never cancelled");
                 assert_eq!(folded, expect, "n = {n}, jobs = {jobs}");
@@ -1299,6 +1145,14 @@ mod tests {
         }
     }
 
+    impl Clone for Counted<'_> {
+        fn clone(&self) -> Self {
+            let mut copy = self.census.make();
+            copy.sum = self.sum;
+            copy
+        }
+    }
+
     impl Drop for Counted<'_> {
         fn drop(&mut self) {
             self.census.live.fetch_sub(1, Ordering::SeqCst);
@@ -1312,6 +1166,7 @@ mod tests {
             Jobs::serial(),
             1_000,
             &CancelToken::new(),
+            None,
             |spent: Option<Counted<'_>>| match spent {
                 Some(mut acc) => {
                     acc.sum = 0;
@@ -1324,6 +1179,7 @@ mod tests {
                 Ok(())
             },
             |a, b| a.sum += b.sum,
+            |_, _| {},
         )
         .expect("never cancelled")
         .expect("non-empty")
@@ -1344,6 +1200,7 @@ mod tests {
                     Jobs::new(jobs).expect("nonzero"),
                     1_000,
                     &CancelToken::new(),
+                    None,
                     |_| 0usize,
                     |acc, trials| {
                         ran.fetch_add(1, Ordering::SeqCst);
@@ -1355,6 +1212,7 @@ mod tests {
                         Ok(())
                     },
                     |a, b| *a += b,
+                    |_, _| {},
                 )
             }))
             .expect_err("must panic");
@@ -1390,7 +1248,7 @@ mod tests {
                 })
                 .expect_err("must interrupt")
             } else {
-                fold_sharded(jobs, 1_000, &token, |_| 0, work, |a, b| *a += b)
+                fold_sharded(jobs, 1_000, &token, None, |_| 0, work, |a, b| *a += b, |_, _| {})
                     .expect_err("must interrupt")
             };
             (err, folded.load(Ordering::SeqCst))
@@ -1409,8 +1267,10 @@ mod tests {
             Jobs::new(4).expect("nonzero"),
             200,
             &token,
+            None,
             |_| -> usize { panic!("no shard may start") },
             |_, _| Ok(()),
+            |_, _| {},
             |_, _| {},
         )
         .expect_err("pre-cancelled");
@@ -1437,11 +1297,11 @@ mod tests {
             for cadence in [0usize, 1, 7, 16] {
                 for jobs in [1usize, 2, 3, 7] {
                     let stream = std::sync::Mutex::new(Vec::new());
-                    let last = run_sharded_snapshotted_cancellable(
+                    let last = fold_sharded(
                         Jobs::new(jobs).expect("nonzero"),
                         n,
-                        cadence,
                         &CancelToken::new(),
+                        Some(cadence),
                         fresh_order,
                         |acc, trials| {
                             fold_order(acc, trials);
@@ -1561,11 +1421,11 @@ mod tests {
         for jobs in [1usize, 4] {
             let token = CancelToken::new();
             let stream = std::sync::Mutex::new(Vec::new());
-            let err = run_sharded_snapshotted_cancellable(
+            let err = fold_sharded(
                 Jobs::new(jobs).expect("jobs"),
                 1000,
-                100,
                 &token,
+                Some(100),
                 |_| 0.1f64,
                 per_trial(&token, float_fold),
                 |a, b| *a = *a * 0.5 + b,
@@ -1593,11 +1453,11 @@ mod tests {
         let (_, reference) = snapshotted_fold(Jobs::new(3).expect("jobs"), 500, 0);
         let token = CancelToken::new();
         let folded = AtomicUsize::new(0);
-        let result = run_sharded_snapshotted_cancellable(
+        let result = fold_sharded(
             Jobs::new(3).expect("jobs"),
             500,
-            0,
             &token,
+            Some(0),
             |_| 0.1f64,
             per_trial(&token, |acc, i| {
                 float_fold(acc, i);
@@ -1621,11 +1481,11 @@ mod tests {
     #[test]
     fn expired_deadline_interrupts_the_snapshotted_run() {
         let token = CancelToken::with_deadline(Duration::from_millis(0));
-        let err = run_sharded_snapshotted_cancellable(
+        let err = fold_sharded(
             Jobs::new(4).expect("jobs"),
             300,
-            50,
             &token,
+            Some(50),
             |_| 0u64,
             per_trial(&token, |acc, i| *acc += i as u64),
             |a, b| *a += b,
@@ -1730,25 +1590,5 @@ mod tests {
         // &str payloads are preserved too.
         let p = catch_trial(2, || -> u32 { panic!("plain") }).expect_err("panics");
         assert_eq!(p.message, "plain");
-    }
-
-    #[test]
-    fn par_map_caught_is_identical_across_job_counts() {
-        let f = |i: usize| {
-            if i % 97 == 13 {
-                panic!("trial {i} bad");
-            }
-            i * 3
-        };
-        let serial: Vec<Result<usize, TrialPanic>> = par_map_caught(Jobs::serial(), 300, f);
-        assert_eq!(serial.len(), 300);
-        assert!(serial[13].is_err() && serial[110].is_err() && serial[207].is_err());
-        assert_eq!(serial.iter().filter(|r| r.is_err()).count(), 3);
-        assert_eq!(serial[0], Ok(0));
-        assert_eq!(serial[110].as_ref().expect_err("panicked").message, "trial 110 bad");
-        for jobs in [2usize, 4, 7] {
-            let par = par_map_caught(Jobs::new(jobs).expect("nonzero"), 300, f);
-            assert_eq!(par, serial, "jobs = {jobs}");
-        }
     }
 }

@@ -68,3 +68,12 @@ pub use metrics::{
 pub use observer::{PhaseEvent, RunObserver};
 pub use span::{Span, SpanId};
 pub use stream::{EventBus, DEFAULT_BUS_CAPACITY};
+
+/// 64-bit FNV-1a: the dependency-free hash behind checkpoint fingerprints
+/// and checksums and the committed digests that pin exporter output.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}

@@ -11,8 +11,9 @@
 //! cargo run --release --example dpa_attack [samples]
 //! ```
 
-use emask::attack::dpa::{recover_subkey_multibit, DpaConfig};
+use emask::attack::dpa::{recover_subkey_multibit_par, DpaConfig};
 use emask::core::desgen::DesProgramSpec;
+use emask::par::Jobs;
 use emask::{KeySchedule, MaskPolicy, MaskedDes, Phase};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,16 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("campaign: {samples} random plaintexts per device\n");
 
     for policy in [MaskPolicy::None, MaskPolicy::Selective] {
-        // Round 1 is all the attack needs — a 2-round device keeps the
-        // trace matrix small.
+        // Round 1 is all the attack needs — a 2-round device keeps each
+        // simulated trace short.
         let des = MaskedDes::compile_spec(policy, &DesProgramSpec { rounds: 2 })?;
         let window = des.encrypt(0, key)?.phase_window(Phase::Round(1)).expect("round 1");
-        let oracle = |plaintext: u64| -> Vec<f64> {
-            let run = des.encrypt(plaintext, key).expect("oracle run");
-            run.trace.window(window.clone()).samples().to_vec()
-        };
+        let oracle = des.trace_oracle(key, window);
         let cfg = DpaConfig { samples, sbox: 0, bit: 0, seed: 1 };
-        let result = recover_subkey_multibit(oracle, &cfg);
+        let result = recover_subkey_multibit_par(&oracle, &cfg, Jobs::auto());
 
         println!("device: {policy}");
         println!("  {result}");

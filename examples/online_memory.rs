@@ -15,9 +15,8 @@
 //! Run it at 1 000 and 10 000 traces and compare the printed `VmHWM`
 //! (peak resident set, Linux): online stays put, `--batch` grows ~10×.
 
-use emask::attack::dpa::{collect_traces, selection_bit, DpaConfig};
+use emask::attack::dpa::{plaintext_for, recover_subkey_multibit_par, selection_bit, DpaConfig};
 use emask::attack::online::OnlineDpa;
-use emask::attack::recover_subkey_par;
 use emask::par::Jobs;
 use emask::KeySchedule;
 
@@ -49,14 +48,16 @@ fn main() {
 
     let result = if batch {
         // The old shape: materialize every trace, then analyze.
-        let (plaintexts, traces) = collect_traces(oracle, samples, cfg.seed);
-        let mut acc = OnlineDpa::single(cfg.sbox, cfg.bit);
+        let plaintexts: Vec<u64> =
+            (0..samples as u64).map(|i| plaintext_for(cfg.seed, i)).collect();
+        let traces: Vec<Vec<f64>> = plaintexts.iter().map(|&p| oracle(p)).collect();
+        let mut acc = OnlineDpa::multibit(cfg.sbox, cfg.bit);
         for (p, t) in plaintexts.iter().zip(&traces) {
             acc.push(*p, t).expect("aligned traces");
         }
         acc.result()
     } else {
-        recover_subkey_par(&oracle, &cfg, Jobs::serial())
+        recover_subkey_multibit_par(&oracle, &cfg, Jobs::serial())
     };
 
     let mode = if batch { "batch (trace matrix)" } else { "online (single-pass)" };

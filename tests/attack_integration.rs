@@ -2,9 +2,10 @@
 //! the round structure of the unmasked device; DPA recovers subkey
 //! material before masking and nothing after.
 
-use emask::attack::dpa::{recover_subkey_multibit, DpaConfig};
+use emask::attack::dpa::{recover_subkey, DpaConfig};
 use emask::attack::spa::detect_rounds;
 use emask::core::desgen::DesProgramSpec;
+use emask::par::{CancelToken, Jobs};
 use emask::{KeySchedule, MaskPolicy, MaskedDes, Phase};
 
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
@@ -26,12 +27,12 @@ fn dpa_against(policy: MaskPolicy, samples: usize) -> (u8, emask::attack::DpaRes
     let des = MaskedDes::compile_spec(policy, &DesProgramSpec { rounds: 2 }).expect("compile");
     let window =
         des.encrypt(PLAINTEXT, KEY).expect("probe").phase_window(Phase::Round(1)).expect("round 1");
-    let oracle = |plaintext: u64| -> Vec<f64> {
-        des.encrypt(plaintext, KEY).expect("oracle").trace.window(window.clone()).samples().to_vec()
-    };
+    let oracle = des.trace_oracle(KEY, window);
     let cfg = DpaConfig { samples, sbox: 0, bit: 0, seed: 3 };
     let true_subkey = KeySchedule::new(KEY).round_key(1).sbox_slice(0);
-    (true_subkey, recover_subkey_multibit(oracle, &cfg))
+    let token = CancelToken::new();
+    let result = recover_subkey(&oracle, &cfg, Jobs::serial(), &token, None, |_, _| {}, |_| {});
+    (true_subkey, result.expect("never cancelled"))
 }
 
 #[test]
