@@ -935,9 +935,8 @@ fn dpa(opts: &Opts, bus: Option<&EventBus>) {
         opts.samples,
         opts.jobs.get()
     );
-    let rounds = opts.rounds.min(4); // round 1 is all DPA needs
     let token = CancelToken::new();
-    let (samples, jobs, cadence) = (opts.samples, opts.jobs, opts.cadence);
+    let (rounds, samples, jobs, cadence) = (opts.rounds, opts.samples, opts.jobs, opts.cadence);
     let run = |policy| {
         uninterrupted(match bus {
             Some(b) => {
@@ -964,10 +963,16 @@ fn cpa(opts: &Opts) {
         "== CPA: Hamming-weight correlation, S-box 1, {} samples (extension) ==",
         opts.samples
     );
-    let rounds = opts.rounds.min(4);
     let token = CancelToken::new();
     let run = |policy| {
-        uninterrupted(experiments::cpa_attack(policy, rounds, opts.samples, 0, opts.jobs, &token))
+        uninterrupted(experiments::cpa_attack(
+            policy,
+            opts.rounds,
+            opts.samples,
+            0,
+            opts.jobs,
+            &token,
+        ))
     };
     let unmasked = run(MaskPolicy::None);
     println!("before masking: {unmasked}");

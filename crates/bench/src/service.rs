@@ -38,10 +38,19 @@ fn parse_policy(name: &str) -> Result<MaskPolicy, String> {
     })
 }
 
-/// Rough per-cycle trace length of a `rounds`-round encryption — only
-/// used to size accumulators for admission control, so generous is fine.
-fn trace_len_estimate(rounds: usize) -> u64 {
-    8_192 + 4_096 * rounds as u64
+/// An upper bound on the cycles of one DES round window — the measured
+/// windows are 19,380–19,401 cycles under every policy and round count.
+/// Only used to size accumulators for admission control, so generous is
+/// fine.
+const ROUND_WINDOW_LEN: u64 = 20_480;
+
+/// An upper bound on the cycles of the key-permutation window (measured
+/// 2,339).
+const KEY_PERM_WINDOW_LEN: u64 = 4_096;
+
+/// Samples a TVLA trace holds: the key permutation plus `rounds` rounds.
+fn tvla_window_len(rounds: usize) -> u64 {
+    KEY_PERM_WINDOW_LEN + ROUND_WINDOW_LEN * rounds as u64
 }
 
 fn compile(policy: MaskPolicy, rounds: usize) -> Result<MaskedDes, String> {
@@ -104,19 +113,19 @@ impl ExperimentRunner for BenchRunner {
         if spec.sbox >= 8 {
             return Err("sbox must be in 0..=7".into());
         }
-        let len = trace_len_estimate(spec.rounds);
         let f64s = std::mem::size_of::<f64>() as u64;
         // Peak accumulator footprint per experiment; the dominant terms
-        // are the O(guesses × trace_len) difference/correlation arrays,
-        // multiplied by the worker count (each shard folds its own).
+        // are the O(guesses × window) difference/correlation arrays,
+        // multiplied by the worker count (each shard folds its own). The
+        // attacks accumulate only the round-1 window at any round count.
         let workers = spec.jobs as u64;
         Ok(match spec.experiment.as_str() {
             // 64 guesses × (sum1, sum0, counts) per cycle.
-            "dpa" => 64 * len * 3 * f64s * workers,
+            "dpa" => 64 * ROUND_WINDOW_LEN * 3 * f64s * workers,
             // 64 guesses × (Σt, Σt², Σht) per cycle plus the h moments.
-            "cpa" => 64 * len * 3 * f64s * workers,
+            "cpa" => 64 * ROUND_WINDOW_LEN * 3 * f64s * workers,
             // Two Welford groups × (mean, m2) per cycle.
-            "tvla" => 2 * len * 2 * f64s * workers,
+            "tvla" => 2 * tvla_window_len(spec.rounds) * 2 * f64s * workers,
             // One outcome record per trial plus the recovery journal.
             "fault" => spec.trials as u64 * 128,
             // Per-instruction profile, bounded by program length.
@@ -181,10 +190,9 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                 }
             }
             "dpa" => {
-                let rounds = spec.rounds.min(4); // round 1 is all DPA needs
                 match experiments::dpa_attack(
                     policy,
-                    rounds,
+                    spec.rounds,
                     spec.trials,
                     spec.sbox,
                     jobs,
@@ -207,10 +215,9 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                 }
             }
             "cpa" => {
-                let rounds = spec.rounds.min(4);
                 match experiments::cpa_attack(
                     policy,
-                    rounds,
+                    spec.rounds,
                     spec.trials,
                     spec.sbox,
                     jobs,
@@ -329,6 +336,21 @@ mod tests {
             .admit(&JobSpec { experiment: "dpa".into(), rounds: 16, jobs: 8, ..JobSpec::default() })
             .unwrap();
         assert!(big > small, "dpa at 16 rounds x 8 workers dwarfs a 1-round tvla");
+    }
+
+    #[test]
+    fn admission_windows_cover_the_measured_windows() {
+        use emask_core::Phase;
+        for rounds in [1usize, 2, 16] {
+            let run =
+                compile(MaskPolicy::Selective, rounds).unwrap().encrypt(PLAINTEXT, KEY).unwrap();
+            let window = |p| run.phase_window(p).unwrap();
+            let kp = window(Phase::KeyPermutation);
+            let round1 = window(Phase::Round(1));
+            let last = window(Phase::Round(rounds as u8));
+            assert!(ROUND_WINDOW_LEN >= round1.len() as u64, "{rounds} rounds: {round1:?}");
+            assert!(tvla_window_len(rounds) >= (last.end - kp.start) as u64, "{rounds} rounds");
+        }
     }
 
     #[test]

@@ -198,8 +198,8 @@ impl MaskedDes {
         Self::compile_spec(policy, &DesProgramSpec::default())
     }
 
-    /// Compiles a reduced-round variant (attack experiments use 2–4 rounds
-    /// to keep trace matrices small).
+    /// Compiles a reduced-round variant (the digest lock and CI smokes use
+    /// 1–2 rounds to keep whole-run experiments short).
     ///
     /// # Errors
     ///
@@ -467,12 +467,85 @@ impl MaskedDes {
         Ok((ciphertexts, trace))
     }
 
+    /// Encrypts one block and returns only the energy samples of the cycle
+    /// `window` — bit-identical to `encrypt(..).trace.window(window)` —
+    /// without simulating past the window's end.
+    ///
+    /// Every cycle from reset still passes through the energy model (its
+    /// charges depend on transitions), but the run stops at the first
+    /// phase-marker store at or past `window.end`. There the Figure 4
+    /// `l[32]`/`r[32]` arrays are checked against the golden model
+    /// advanced by the rounds that marker says are done, so a corrupted
+    /// round is still caught. A window that reaches past the last marker
+    /// runs to `halt` and gets the full ciphertext check of
+    /// [`MaskedDes::encrypt`].
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Cpu`] on a simulation fault (including the cycle
+    /// limit), [`RunError::Mismatch`] if the round state (packed
+    /// `(l << 32) | r`) or the ciphertext disagrees with the golden model,
+    /// and [`RunError::GarbledOutput`] if one of the checked words is not
+    /// a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this instance is a decryptor, or if the program halts
+    /// before `window` is filled.
+    pub fn encrypt_window(
+        &self,
+        plaintext: u64,
+        key: u64,
+        window: Range<usize>,
+    ) -> Result<Vec<f64>, RunError> {
+        assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
+        let mut cpu = Cpu::load(&self.program);
+        let key_addr = self.data_sym("key")?;
+        let data_addr = self.data_sym("data")?;
+        Self::poke_bits(&mut cpu, "key", key_addr, key)?;
+        Self::poke_bits(&mut cpu, "data", data_addr, plaintext)?;
+        let marker_addr = self.data_sym("marker")?;
+
+        let mut model = EnergyModel::with_params(self.params);
+        let mut samples = Vec::with_capacity(window.len());
+        while !cpu.is_halted() {
+            if cpu.cycles() >= self.cycle_limit {
+                return Err(RunError::Cpu(CpuError {
+                    cycle: cpu.cycles(),
+                    kind: CpuErrorKind::CycleLimit { limit: self.cycle_limit },
+                }));
+            }
+            let act = cpu.step()?;
+            let energy = model.observe(&act);
+            let cycle = act.cycle as usize;
+            if cycle >= window.end {
+                if let Some(mem) = act.mem.filter(|m| m.is_store && m.addr == marker_addr) {
+                    if let Some(done) = phase_of_marker(mem.data).and_then(|p| self.rounds_done(p))
+                    {
+                        self.check_round_state(&cpu, plaintext, key, done)?;
+                        return Ok(samples);
+                    }
+                }
+            } else if cycle >= window.start {
+                samples.push(energy.total_pj());
+            }
+        }
+        self.read_validated_output(&cpu, plaintext, key)?;
+        assert_eq!(
+            samples.len(),
+            window.len(),
+            "window {window:?} reaches past the end of the {}-cycle run",
+            cpu.cycles()
+        );
+        Ok(samples)
+    }
+
     /// A shareable trace oracle for the attack suite: maps a plaintext to
-    /// the energy samples of `window` under the fixed `key`. The closure
-    /// borrows `self` immutably — and `MaskedDes` is `Sync` (all-owned
-    /// compiled state, no interior mutability) — so the same instance
-    /// drives the `_par` attack entry points from every worker thread
-    /// without cloning the compiled program.
+    /// [`MaskedDes::encrypt_window`]'s samples of `window` under the fixed
+    /// `key`. The closure borrows `self` immutably — and `MaskedDes` is
+    /// `Sync` (all-owned compiled state, no interior mutability) — so the
+    /// same instance drives the `_par` attack entry points from every
+    /// worker thread without cloning the compiled program.
     ///
     /// # Panics
     ///
@@ -484,10 +557,7 @@ impl MaskedDes {
         key: u64,
         window: Range<usize>,
     ) -> impl Fn(u64) -> Vec<f64> + Sync + '_ {
-        move |plaintext| {
-            let run = self.encrypt(plaintext, key).expect("oracle run");
-            run.trace.window(window.clone()).samples().to_vec()
-        }
+        move |plaintext| self.encrypt_window(plaintext, key, window.clone()).expect("oracle run")
     }
 
     fn run_block(&self, input: u64, key: u64) -> Result<EncryptionRun, RunError> {
@@ -613,6 +683,53 @@ impl MaskedDes {
             return Err(RunError::Mismatch { simulated: ciphertext, expected });
         }
         Ok(ciphertext)
+    }
+
+    /// How many rounds are complete when the marker of `phase` is stored,
+    /// or `None` before the round state exists (the initial permutation
+    /// has not written `l`/`r` yet).
+    fn rounds_done(&self, phase: Phase) -> Option<usize> {
+        match phase {
+            Phase::InitialPermutation => None,
+            Phase::KeyPermutation => Some(0),
+            Phase::Round(k) => Some(usize::from(k) - 1),
+            Phase::OutputPermutation => Some(self.spec.rounds),
+        }
+    }
+
+    /// Checks the Figure 4 round state `l[32]`/`r[32]` of a machine
+    /// stopped after `rounds` rounds against the golden model.
+    fn check_round_state(
+        &self,
+        cpu: &Cpu,
+        plaintext: u64,
+        key: u64,
+        rounds: usize,
+    ) -> Result<(), RunError> {
+        let mut bits = [0u8; 64];
+        for (half, name) in ["l", "r"].into_iter().enumerate() {
+            let base = self.data_sym(name)?;
+            for i in 0..32 {
+                let w = cpu.memory().load(base + 4 * i as u32).map_err(|source| {
+                    RunError::ImageAccess { name: name.to_string(), index: i, source }
+                })?;
+                let word = 32 * half + i;
+                if w > 1 {
+                    return Err(RunError::GarbledOutput { word, value: w });
+                }
+                bits[word] = w as u8;
+            }
+        }
+        let st = golden_state(plaintext, key, rounds);
+        let mut golden = [0u8; 64];
+        for (g, &w) in golden.iter_mut().zip(st.l.iter().chain(&st.r)) {
+            *g = w as u8;
+        }
+        let (simulated, expected) = (from_bit_vec(&bits), from_bit_vec(&golden));
+        if simulated != expected {
+            return Err(RunError::Mismatch { simulated, expected });
+        }
+        Ok(())
     }
 
     /// [`MaskedDes::encrypt_hooked`] with checkpoint/rollback **recovery**:
@@ -769,11 +886,16 @@ pub struct RecoveredRun {
 
 /// The golden-model reference for `rounds`-round DES.
 fn golden(plaintext: u64, key: u64, rounds: usize) -> u64 {
+    golden_state(plaintext, key, rounds).output()
+}
+
+/// The golden-model bit-array state after `rounds` rounds.
+fn golden_state(plaintext: u64, key: u64, rounds: usize) -> BitArrayState {
     let mut st = BitArrayState::new(plaintext, key);
     for m in 1..=rounds {
         st.round(m);
     }
-    st.output()
+    st
 }
 
 fn phase_of_marker(value: u32) -> Option<Phase> {
@@ -900,6 +1022,102 @@ mod tests {
             let b = s.spawn(|| oracle(0));
             assert_eq!(a.join().expect("thread a"), b.join().expect("thread b"));
         });
+    }
+
+    /// The plaintext/key pairs the windowed-acquisition tests sweep.
+    const WINDOW_PAIRS: [(u64, u64); 4] = [
+        (PLAIN, KEY),
+        (0, 0),
+        (u64::MAX, 0x0E32_9232_EA6D_0D73),
+        (0x5A5A_A5A5_3C3C_C3C3, 0xFFFF_FFFF_0000_0000),
+    ];
+
+    /// The phases whose windows the bit-identity test covers: both
+    /// permutations, the first two rounds, the last round and the output.
+    fn window_phases(rounds: usize) -> Vec<Phase> {
+        let mut phases = vec![Phase::InitialPermutation, Phase::KeyPermutation, Phase::Round(1)];
+        if rounds >= 2 {
+            phases.push(Phase::Round(2));
+        }
+        if rounds > 2 {
+            phases.push(Phase::Round(rounds as u8));
+        }
+        phases.push(Phase::OutputPermutation);
+        phases
+    }
+
+    fn bits(samples: &[f64]) -> Vec<u64> {
+        samples.iter().map(|s| s.to_bits()).collect()
+    }
+
+    #[test]
+    fn encrypt_window_is_bit_identical_to_encrypt_windows() {
+        for rounds in [1usize, 16] {
+            for policy in [MaskPolicy::None, MaskPolicy::Selective] {
+                let des =
+                    MaskedDes::compile_spec(policy, &DesProgramSpec { rounds }).expect("compile");
+                for (plain, key) in WINDOW_PAIRS {
+                    let run = des.encrypt(plain, key).expect("run");
+                    for phase in window_phases(rounds) {
+                        let w = run.phase_window(phase).expect("phase window");
+                        let got = des.encrypt_window(plain, key, w.clone()).expect("window run");
+                        assert_eq!(
+                            bits(&got),
+                            bits(run.trace.window(w).samples()),
+                            "{rounds} rounds, {policy}, {phase}, {plain:016X}/{key:016X}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_sbox_fails_the_round_one_window() {
+        // Flip bit 0 of every S-box 1 entry: round 1's f output changes,
+        // so the round state at the Round(2) marker must disagree with
+        // the golden model even though the run never reaches `halt`.
+        let mut des = two_rounds(MaskPolicy::Selective);
+        let w = des.encrypt(PLAIN, KEY).expect("run").phase_window(Phase::Round(1)).expect("r1");
+        let base = ((des.program.data_addr("sbox") - emask_isa::program::DATA_BASE) / 4) as usize;
+        for entry in &mut des.program_mut().data[base..base + 64] {
+            *entry ^= 1;
+        }
+        let err = des.encrypt_window(PLAIN, KEY, w).expect_err("corrupted S-box");
+        assert!(matches!(err, RunError::Mismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn table_corruption_past_the_last_marker_fails_the_ciphertext_check() {
+        // `ipinv` is read only after the OutputPermutation marker, so no
+        // round-state check can see it: the output window runs to `halt`
+        // and the full ciphertext check must catch it.
+        let mut des = two_rounds(MaskPolicy::None);
+        let w = des
+            .encrypt(PLAIN, KEY)
+            .expect("run")
+            .phase_window(Phase::OutputPermutation)
+            .expect("output window");
+        let base = ((des.program.data_addr("ipinv") - emask_isa::program::DATA_BASE) / 4) as usize;
+        des.program_mut().data.swap(base, base + 1);
+        let err = des.encrypt_window(PLAIN, KEY, w).expect_err("corrupted ipinv");
+        assert!(matches!(err, RunError::Mismatch { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn encrypt_window_stops_at_the_window_end_marker() {
+        // A cycle budget just past the round-1 window: the windowed run
+        // fits, the full run to `halt` does not.
+        let des = MaskedDes::compile(MaskPolicy::None).expect("compile");
+        let w = des.encrypt(PLAIN, KEY).expect("run").phase_window(Phase::Round(1)).expect("r1");
+        let limit = w.end as u64 + 64;
+        let des = des.with_cycle_limit(limit);
+        assert_eq!(des.encrypt_window(PLAIN, KEY, w.clone()).expect("windowed run").len(), w.len());
+        let err = des.encrypt(PLAIN, KEY).expect_err("full run exceeds the budget");
+        assert!(matches!(
+            err,
+            RunError::Cpu(CpuError { kind: CpuErrorKind::CycleLimit { limit: l }, .. }) if l == limit
+        ));
     }
 
     #[test]
