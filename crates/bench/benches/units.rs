@@ -3,10 +3,11 @@
 //! and the raw pipeline simulation rate.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use emask_cpu::Cpu;
+use emask_cpu::{Cpu, CpuBackend, NullHook};
 use emask_energy::{EnergyModel, EnergyParams, FunctionalUnit, UnitState};
 use emask_isa::assemble;
 use std::hint::black_box;
+use std::ops::ControlFlow;
 
 fn bench_xor_unit(c: &mut Criterion) {
     let params = EnergyParams::calibrated();
@@ -57,7 +58,11 @@ fn bench_pipeline_rate(c: &mut Criterion) {
             let mut cpu = Cpu::new(&program);
             let mut model = EnergyModel::new();
             let mut total = 0.0;
-            cpu.run_with(1_000_000, |a| total += model.observe(a).total_pj()).expect("run");
+            cpu.run_with(1_000_000, &mut NullHook, |a| {
+                total += model.observe(a).total_pj();
+                ControlFlow::Continue(())
+            })
+            .expect("run");
             total
         })
     });

@@ -8,7 +8,7 @@ use emask_attack::online::OnlineWelch;
 use emask_attack::spa::{detect_rounds, SpaReport};
 use emask_core::desgen::DesProgramSpec;
 use emask_core::{EnergyParams, EnergyTrace, MaskPolicy, MaskedDes, Phase, SecureStyle};
-use emask_cpu::Cpu;
+use emask_cpu::{Cpu, CpuBackend, NullHook};
 use emask_des::bits::to_bit_vec;
 use emask_des::KeySchedule;
 use emask_energy::{EnergyModel, LeakageProfile, LeakageProfiler};
@@ -17,6 +17,7 @@ use emask_isa::OpClass;
 use emask_par::{fold_sharded, CancelToken, Interrupted, Jobs};
 use emask_telemetry::{Event, EventSink};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// The paper's evaluation key (the classic FIPS walk-through key) and
 /// plaintext.
@@ -431,7 +432,7 @@ pub fn energy_by_class(policy: MaskPolicy, rounds: usize) -> ClassEnergy {
     }
     let mut model = EnergyModel::new();
     let mut acc: std::collections::BTreeMap<&'static str, (f64, u64)> = Default::default();
-    cpu.run_with(50_000_000, |act| {
+    cpu.run_with(50_000_000, &mut NullHook, |act| {
         let e = model.observe(act).total_pj();
         let name = match act.ex.map(|x| x.class) {
             Some(OpClass::AluReg) => "alu-reg",
@@ -447,6 +448,7 @@ pub fn energy_by_class(policy: MaskPolicy, rounds: usize) -> ClassEnergy {
         let slot = acc.entry(name).or_default();
         slot.0 += e;
         slot.1 += 1;
+        ControlFlow::Continue(())
     })
     .expect("run");
     let mut rows: Vec<(String, f64, u64)> =

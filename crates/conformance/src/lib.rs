@@ -13,7 +13,8 @@
 //! * [`suite`] — [`conformance_suite`], which runs ≥256 generated programs
 //!   plus the real masked/unmasked DES binaries against a backend pair and
 //!   checks final register/memory state, retirement order, hook
-//!   transparency, checkpoint round-trips (where supported), and
+//!   transparency, stop and resume, checkpoint round-trips (where
+//!   supported), and
 //!   per-backend energy CSV emission.
 //!
 //! A new backend's bring-up checklist is one line:
@@ -30,5 +31,6 @@ pub use programs::{
     corpus, random_array_source, random_expression_source, random_program, random_reduce_source,
 };
 pub use suite::{
-    assert_checkpoint_round_trip, conformance_suite, conformance_suite_pair, ConformanceReport,
+    assert_checkpoint_round_trip, assert_stop_resume, conformance_suite, conformance_suite_pair,
+    ConformanceReport,
 };

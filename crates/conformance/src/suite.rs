@@ -6,9 +6,10 @@
 //! [`emask_cpu::backend`]: identical final register and data-memory state,
 //! identical retirement order, identical memory-traffic counts, hook
 //! transparency (a non-null hook that does nothing must not perturb the
-//! run), checkpoint round-trips (where supported), and per-backend energy
-//! CSV emission. Microarchitectural figures — cycle counts, stalls,
-//! per-cycle energy — are deliberately *not* compared across backends.
+//! run), stop and resume through [`CpuBackend::run_with`], checkpoint
+//! round-trips (where supported), and per-backend energy CSV emission.
+//! Microarchitectural figures — cycle counts, stalls, per-cycle energy —
+//! are deliberately *not* compared across backends.
 //!
 //! The corpus is deterministic ([`crate::programs::corpus`]): 256
 //! generated Tiny-C programs plus the real masked and unmasked DES
@@ -22,6 +23,7 @@ use emask_cpu::{
 };
 use emask_energy::{EnergyModel, EnergyTrace};
 use emask_isa::{Instruction, Program};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 
 /// Cycle/instruction budget for every conformance run — generous enough
@@ -52,6 +54,8 @@ pub struct ConformanceReport {
     pub checkpoint_round_trips: usize,
     /// Hook-transparency checks exercised.
     pub hook_checks: usize,
+    /// Stop-and-resume checks exercised (three stop points each).
+    pub stop_resume_checks: usize,
     /// Energy CSV files emitted, one per (backend, DES binary).
     pub energy_csvs: Vec<PathBuf>,
 }
@@ -88,11 +92,12 @@ fn run_arch<B: CpuBackend, H: PipelineHook>(program: &Program, hook: &mut H) -> 
     let mut trace = EnergyTrace::new();
     let mut retired = Vec::new();
     let stats = cpu
-        .run_hooked_with(LIMIT, hook, |act| {
+        .run_with(LIMIT, hook, |act| {
             trace.push(model.observe(act));
             if let Some(inst) = act.retired {
                 retired.push(inst);
             }
+            ControlFlow::Continue(())
         })
         .unwrap_or_else(|e| panic!("{} run failed: {e}", B::NAME));
     ArchRun {
@@ -138,6 +143,68 @@ fn assert_hook_transparent<B: CpuBackend>(program: &Program, what: &str) {
     );
 }
 
+/// The uninterrupted activity stream of `program` on `B`, and the halted
+/// machine that produced it.
+fn reference_stream<B: CpuBackend>(program: &Program, what: &str) -> (B, Vec<CycleActivity>) {
+    let mut reference: Vec<CycleActivity> = Vec::new();
+    let mut cpu = B::load(program);
+    cpu.run_with(LIMIT, &mut NullHook, |act| {
+        reference.push(act.clone());
+        ControlFlow::Continue(())
+    })
+    .unwrap_or_else(|e| panic!("[{what}] {} reference run failed: {e}", B::NAME));
+    (cpu, reference)
+}
+
+/// Stop and resume on one backend: a [`CpuBackend::run_with`] whose
+/// callback breaks after `k` cycles, followed by a second `run_with` to
+/// `halt`, must produce the uninterrupted run's activity stream, registers
+/// and data memory — for `k` at the first cycle, the midpoint and the last
+/// cycle before `halt`. This is the property windowed acquisition (stop
+/// at a marker) and any stop-then-continue caller rely on.
+///
+/// # Panics
+///
+/// Panics on divergence, or if the stopped run claims to have halted.
+pub fn assert_stop_resume<B: CpuBackend>(program: &Program, what: &str) {
+    let (full, reference) = reference_stream::<B>(program, what);
+    let total = reference.len();
+    assert!(total > 2, "[{what}] program too short to stop mid-run");
+    for k in [1, total / 2, total - 1] {
+        let mut cpu = B::load(program);
+        let mut seen = 0usize;
+        let mut check = |act: &CycleActivity| {
+            assert_eq!(
+                act,
+                &reference[seen],
+                "[{what}] {} activity stream diverged at cycle {seen} (stop at {k})",
+                B::NAME
+            );
+            seen += 1;
+            seen
+        };
+        cpu.run_with(LIMIT, &mut NullHook, |act| {
+            if check(act) == k {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .unwrap_or_else(|e| panic!("[{what}] {} stopped run failed: {e}", B::NAME));
+        assert!(!cpu.is_halted(), "[{what}] {} halted instead of stopping at {k}", B::NAME);
+        assert_eq!(cpu.cycles(), k as u64, "[{what}] {} stopped at the wrong cycle", B::NAME);
+        cpu.run_with(LIMIT, &mut NullHook, |act| {
+            check(act);
+            ControlFlow::Continue(())
+        })
+        .unwrap_or_else(|e| panic!("[{what}] {} resumed run failed: {e}", B::NAME));
+        assert_eq!(seen, total, "[{what}] {} resumed run length diverged", B::NAME);
+        assert_eq!(cpu.registers(), full.registers(), "[{what}] {} registers diverged", B::NAME);
+        assert_eq!(cpu.memory(), full.memory(), "[{what}] {} memory diverged", B::NAME);
+        assert_eq!(cpu.stats(), full.stats(), "[{what}] {} statistics diverged", B::NAME);
+    }
+}
+
 /// Checkpoint round-trip on one backend: interrupt a run mid-flight,
 /// wander past the snapshot, restore, and finish — the completed activity
 /// stream must be bit-identical to an uninterrupted run's.
@@ -145,11 +212,7 @@ fn assert_hook_transparent<B: CpuBackend>(program: &Program, what: &str) {
 /// Exposed for the mid-DES checkpoint property test; panics on divergence.
 pub fn assert_checkpoint_round_trip<B: CpuBackend>(program: &Program, what: &str) {
     assert!(B::SUPPORTS_CHECKPOINT, "[{what}] {} advertises no checkpoints", B::NAME);
-    // Uninterrupted reference stream.
-    let mut reference: Vec<CycleActivity> = Vec::new();
-    let mut cpu = B::load(program);
-    cpu.run_hooked_with(LIMIT, &mut NullHook, |act| reference.push(act.clone()))
-        .unwrap_or_else(|e| panic!("[{what}] {} reference run failed: {e}", B::NAME));
+    let (_, reference) = reference_stream::<B>(program, what);
     let total = reference.len();
     assert!(total > 4, "[{what}] program too short to interrupt");
 
@@ -158,7 +221,7 @@ pub fn assert_checkpoint_round_trip<B: CpuBackend>(program: &Program, what: &str
     let mut stream: Vec<CycleActivity> = Vec::new();
     for _ in 0..total / 2 {
         let act = cpu
-            .step_hooked(&mut NullHook)
+            .step(&mut NullHook)
             .unwrap_or_else(|e| panic!("[{what}] {} step failed: {e}", B::NAME));
         stream.push(act);
     }
@@ -168,13 +231,13 @@ pub fn assert_checkpoint_round_trip<B: CpuBackend>(program: &Program, what: &str
             break;
         }
         let _ = cpu
-            .step_hooked(&mut NullHook)
+            .step(&mut NullHook)
             .unwrap_or_else(|e| panic!("[{what}] {} overshoot step failed: {e}", B::NAME));
     }
     cpu.checkpoint_restore(&mut cp);
     while !cpu.is_halted() {
         let act = cpu
-            .step_hooked(&mut NullHook)
+            .step(&mut NullHook)
             .unwrap_or_else(|e| panic!("[{what}] {} replay step failed: {e}", B::NAME));
         stream.push(act);
     }
@@ -216,11 +279,11 @@ fn corpus_options(i: usize) -> CompileOptions {
     }
 }
 
-/// Runs the full conformance suite for backend pair `(A, B)`:
-/// [`CORPUS_SIZE`] generated programs plus the real masked and unmasked
-/// DES binaries, compared architecturally; hook transparency and
-/// checkpoint round-trips spot-checked on both sides; per-backend energy
-/// CSVs emitted for the DES binaries.
+/// Runs the full conformance suite for backend pair `(A, B)`: 256
+/// generated programs plus the real masked and unmasked DES binaries,
+/// compared architecturally; hook transparency, stop and resume
+/// ([`assert_stop_resume`]) and checkpoint round-trips spot-checked on both
+/// sides; per-backend energy CSVs emitted for the DES binaries.
 ///
 /// # Panics
 ///
@@ -235,6 +298,7 @@ pub fn conformance_suite_pair<A: CpuBackend, B: CpuBackend>() -> ConformanceRepo
         des_binaries: 0,
         checkpoint_round_trips: 0,
         hook_checks: 0,
+        stop_resume_checks: 0,
         energy_csvs: Vec::new(),
     };
 
@@ -251,6 +315,9 @@ pub fn conformance_suite_pair<A: CpuBackend, B: CpuBackend>() -> ConformanceRepo
             assert_hook_transparent::<A>(&out.program, &what);
             assert_hook_transparent::<B>(&out.program, &what);
             report.hook_checks += 2;
+            assert_stop_resume::<A>(&out.program, &what);
+            assert_stop_resume::<B>(&out.program, &what);
+            report.stop_resume_checks += 2;
             if A::SUPPORTS_CHECKPOINT {
                 assert_checkpoint_round_trip::<A>(&out.program, &what);
                 report.checkpoint_round_trips += 1;
@@ -274,6 +341,9 @@ pub fn conformance_suite_pair<A: CpuBackend, B: CpuBackend>() -> ConformanceRepo
         assert_arch_agreement(&a, &b, (A::NAME, B::NAME), &what);
         assert_hook_transparent::<A>(&out.program, &what);
         report.hook_checks += 1;
+        assert_stop_resume::<A>(&out.program, &what);
+        assert_stop_resume::<B>(&out.program, &what);
+        report.stop_resume_checks += 2;
         if A::SUPPORTS_CHECKPOINT {
             assert_checkpoint_round_trip::<A>(&out.program, &what);
             report.checkpoint_round_trips += 1;

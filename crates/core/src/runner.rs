@@ -18,7 +18,7 @@ use emask_energy::{EnergyModel, EnergyParams, EnergyTrace};
 use emask_isa::Program;
 use emask_telemetry::{PhaseEvent, RunObserver};
 use std::fmt;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 
 /// An execution phase of the DES program, derived from phase markers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -301,30 +301,7 @@ impl MaskedDes {
     /// model.
     pub fn encrypt(&self, plaintext: u64, key: u64) -> Result<EncryptionRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        self.run_block(plaintext, key)
-    }
-
-    /// [`MaskedDes::encrypt`] on an explicit [`CpuBackend`] — static
-    /// dispatch, so `encrypt_on::<Cpu>` monomorphizes to exactly
-    /// [`MaskedDes::encrypt`], while `encrypt_on::<Interpreter>` runs the
-    /// same program on the reference ISS (one activity record and one
-    /// energy sample per instruction instead of per pipeline cycle). The
-    /// ciphertext and golden-model validation are backend-independent; the
-    /// trace length and energy figures are the backend's own.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MaskedDes::encrypt`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if this instance is a decryptor.
-    pub fn encrypt_on<B: CpuBackend>(
-        &self,
-        plaintext: u64,
-        key: u64,
-    ) -> Result<EncryptionRun, RunError> {
-        self.encrypt_hooked_on::<B, NullHook>(plaintext, key, &mut NullHook)
+        self.run_block_full_on::<Cpu, _, _>(plaintext, key, &mut NullHook, &mut ())
     }
 
     /// [`MaskedDes::encrypt`] with a telemetry observer attached: `obs`
@@ -346,7 +323,7 @@ impl MaskedDes {
         obs: &mut O,
     ) -> Result<EncryptionRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        self.run_block_observed(plaintext, key, obs)
+        self.run_block_full_on::<Cpu, _, _>(plaintext, key, &mut NullHook, obs)
     }
 
     /// [`MaskedDes::encrypt`] with a [`PipelineHook`] installed on the
@@ -375,13 +352,19 @@ impl MaskedDes {
         hook: &mut H,
     ) -> Result<EncryptionRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        self.run_block_full(plaintext, key, hook, &mut ())
+        self.run_block_full_on::<Cpu, _, _>(plaintext, key, hook, &mut ())
     }
 
-    /// [`MaskedDes::encrypt_hooked`] on an explicit [`CpuBackend`]; see
-    /// [`MaskedDes::encrypt_on`]. Note that latch-lane fault injection
-    /// degrades to a no-op on backends without pipeline latches (the hook
-    /// still sees every cycle and all architectural state).
+    /// [`MaskedDes::encrypt_hooked`] on an explicit [`CpuBackend`] — static
+    /// dispatch, so `encrypt_hooked_on::<Cpu, _>` monomorphizes to exactly
+    /// [`MaskedDes::encrypt_hooked`], while the reference interpreter runs
+    /// the same program with one activity record and one energy sample per
+    /// instruction instead of per pipeline cycle. Pass `&mut NullHook` for
+    /// a plain run. The ciphertext and golden-model validation are
+    /// backend-independent; the trace length and energy figures are the
+    /// backend's own. Latch-lane fault injection degrades to a no-op on
+    /// backends without pipeline latches (the hook still sees every cycle
+    /// and all architectural state).
     ///
     /// # Errors
     ///
@@ -400,26 +383,6 @@ impl MaskedDes {
         self.run_block_full_on::<B, H, ()>(plaintext, key, hook, &mut ())
     }
 
-    /// [`MaskedDes::decrypt`] with a telemetry observer attached; see
-    /// [`MaskedDes::encrypt_observed`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`MaskedDes::decrypt`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if this instance is an encryptor.
-    pub fn decrypt_observed<O: RunObserver>(
-        &self,
-        ciphertext: u64,
-        key: u64,
-        obs: &mut O,
-    ) -> Result<EncryptionRun, RunError> {
-        assert!(self.decryptor, "this instance was compiled as an encryptor; use encrypt()");
-        self.run_block_observed(ciphertext, key, obs)
-    }
-
     /// Decrypts one block on a decryptor instance (see
     /// [`MaskedDes::compile_decryptor`]), with the same measurement and
     /// golden-model validation as [`MaskedDes::encrypt`].
@@ -433,38 +396,7 @@ impl MaskedDes {
     /// Panics if this instance is an encryptor.
     pub fn decrypt(&self, ciphertext: u64, key: u64) -> Result<EncryptionRun, RunError> {
         assert!(self.decryptor, "this instance was compiled as an encryptor; use encrypt()");
-        self.run_block(ciphertext, key)
-    }
-
-    /// CBC encryption of a multi-block message on the simulated machine:
-    /// each block's input is `plaintext_i ⊕ previous_ciphertext`, chained
-    /// by the host (the protocol layer of a real smart card). Returns the
-    /// ciphertext blocks and the concatenated energy trace of all runs.
-    ///
-    /// # Errors
-    ///
-    /// As for [`MaskedDes::encrypt`], for any block.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a decryptor instance.
-    pub fn encrypt_cbc(
-        &self,
-        blocks: &[u64],
-        iv: u64,
-        key: u64,
-    ) -> Result<(Vec<u64>, EnergyTrace), RunError> {
-        assert!(!self.decryptor, "CBC chaining is encrypt-only here");
-        let mut prev = iv;
-        let mut ciphertexts = Vec::with_capacity(blocks.len());
-        let mut trace = EnergyTrace::new();
-        for &block in blocks {
-            let run = self.run_block(block ^ prev, key)?;
-            prev = run.ciphertext;
-            ciphertexts.push(run.ciphertext);
-            trace.extend(run.trace.samples().iter().copied());
-        }
-        Ok((ciphertexts, trace))
+        self.run_block_full_on::<Cpu, _, _>(ciphertext, key, &mut NullHook, &mut ())
     }
 
     /// Encrypts one block and returns only the energy samples of the cycle
@@ -499,36 +431,28 @@ impl MaskedDes {
         window: Range<usize>,
     ) -> Result<Vec<f64>, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        let mut cpu = Cpu::load(&self.program);
-        let key_addr = self.data_sym("key")?;
-        let data_addr = self.data_sym("data")?;
-        Self::poke_bits(&mut cpu, "key", key_addr, key)?;
-        Self::poke_bits(&mut cpu, "data", data_addr, plaintext)?;
-        let marker_addr = self.data_sym("marker")?;
-
+        let (mut cpu, marker_addr) = self.load_block::<Cpu>(plaintext, key)?;
         let mut model = EnergyModel::with_params(self.params);
         let mut samples = Vec::with_capacity(window.len());
-        while !cpu.is_halted() {
-            if cpu.cycles() >= self.cycle_limit {
-                return Err(RunError::Cpu(CpuError {
-                    cycle: cpu.cycles(),
-                    kind: CpuErrorKind::CycleLimit { limit: self.cycle_limit },
-                }));
-            }
-            let act = cpu.step()?;
-            let energy = model.observe(&act);
+        let mut stop = None;
+        cpu.run_with(self.cycle_limit, &mut NullHook, |act| {
+            let energy = model.observe(act);
             let cycle = act.cycle as usize;
             if cycle >= window.end {
                 if let Some(mem) = act.mem.filter(|m| m.is_store && m.addr == marker_addr) {
-                    if let Some(done) = phase_of_marker(mem.data).and_then(|p| self.rounds_done(p))
-                    {
-                        self.check_round_state(&cpu, plaintext, key, done)?;
-                        return Ok(samples);
+                    stop = phase_of_marker(mem.data).and_then(|p| self.rounds_done(p));
+                    if stop.is_some() {
+                        return ControlFlow::Break(());
                     }
                 }
             } else if cycle >= window.start {
                 samples.push(energy.total_pj());
             }
+            ControlFlow::Continue(())
+        })?;
+        if let Some(done) = stop {
+            self.check_round_state(&cpu, plaintext, key, done)?;
+            return Ok(samples);
         }
         self.read_validated_output(&cpu, plaintext, key)?;
         assert_eq!(
@@ -560,19 +484,6 @@ impl MaskedDes {
         move |plaintext| self.encrypt_window(plaintext, key, window.clone()).expect("oracle run")
     }
 
-    fn run_block(&self, input: u64, key: u64) -> Result<EncryptionRun, RunError> {
-        self.run_block_full(input, key, &mut NullHook, &mut ())
-    }
-
-    fn run_block_observed<O: RunObserver>(
-        &self,
-        input: u64,
-        key: u64,
-        obs: &mut O,
-    ) -> Result<EncryptionRun, RunError> {
-        self.run_block_full(input, key, &mut NullHook, obs)
-    }
-
     /// The byte address of a required data symbol, as a typed error when
     /// absent (a malformed image must not panic a CLI run).
     fn data_sym(&self, name: &str) -> Result<u32, RunError> {
@@ -597,16 +508,15 @@ impl MaskedDes {
         Ok(())
     }
 
-    fn run_block_full<H: PipelineHook, O: RunObserver>(
-        &self,
-        input: u64,
-        key: u64,
-        hook: &mut H,
-        obs: &mut O,
-    ) -> Result<EncryptionRun, RunError> {
-        // The hot path: pinned to the pipeline backend so the unmasked
-        // `encrypt` loop monomorphizes exactly as before the trait existed.
-        self.run_block_full_on::<Cpu, H, O>(input, key, hook, obs)
+    /// A fresh `B` with the program loaded and `key` and `input` poked into
+    /// their bit-per-word arrays, plus the phase-marker address.
+    fn load_block<B: CpuBackend>(&self, input: u64, key: u64) -> Result<(B, u32), RunError> {
+        let mut cpu = B::load(&self.program);
+        let key_addr = self.data_sym("key")?;
+        let data_addr = self.data_sym("data")?;
+        Self::poke_bits(&mut cpu, "key", key_addr, key)?;
+        Self::poke_bits(&mut cpu, "data", data_addr, input)?;
+        Ok((cpu, self.data_sym("marker")?))
     }
 
     fn run_block_full_on<B: CpuBackend, H: PipelineHook, O: RunObserver>(
@@ -616,18 +526,11 @@ impl MaskedDes {
         hook: &mut H,
         obs: &mut O,
     ) -> Result<EncryptionRun, RunError> {
-        let plaintext = input;
-        let mut cpu = B::load(&self.program);
-        let key_addr = self.data_sym("key")?;
-        let data_addr = self.data_sym("data")?;
-        Self::poke_bits(&mut cpu, "key", key_addr, key)?;
-        Self::poke_bits(&mut cpu, "data", data_addr, plaintext)?;
-        let marker_addr = self.data_sym("marker")?;
-
+        let (mut cpu, marker_addr) = self.load_block::<B>(input, key)?;
         let mut model = EnergyModel::with_params(self.params);
         let mut trace = EnergyTrace::new();
         let mut markers = Vec::new();
-        let stats = cpu.run_hooked_with(self.cycle_limit, hook, |act| {
+        let stats = cpu.run_with(self.cycle_limit, hook, |act| {
             let energy = model.observe(act);
             // Markers first: the marker cycle belongs to the *new* phase
             // (start-inclusive windows), so phase-switching observers must
@@ -646,9 +549,10 @@ impl MaskedDes {
             }
             obs.on_cycle(act, &energy);
             trace.push(energy);
+            ControlFlow::Continue(())
         })?;
         obs.on_finish(&stats);
-        let ciphertext = self.read_validated_output(&cpu, plaintext, key)?;
+        let ciphertext = self.read_validated_output(&cpu, input, key)?;
         Ok(EncryptionRun { ciphertext, trace, stats, markers })
     }
 
@@ -795,13 +699,7 @@ impl MaskedDes {
             "backend {} does not support checkpoint/rollback recovery",
             B::NAME
         );
-        let mut cpu = B::load(&self.program);
-        let key_addr = self.data_sym("key")?;
-        let data_addr = self.data_sym("data")?;
-        let marker_addr = self.data_sym("marker")?;
-        Self::poke_bits(&mut cpu, "key", key_addr, key)?;
-        Self::poke_bits(&mut cpu, "data", data_addr, plaintext)?;
-
+        let (mut cpu, marker_addr) = self.load_block::<B>(plaintext, key)?;
         let mut model = EnergyModel::with_params(self.params);
         let mut trace = EnergyTrace::new();
         let mut markers: Vec<PhaseMarker> = Vec::new();
@@ -814,7 +712,10 @@ impl MaskedDes {
         let mut recovery = RecoveryStats::default();
         // Steps actually executed, *including* re-executed windows. The
         // architectural cycle counter rolls back with the checkpoint, so
-        // the budget is enforced on this monotone counter instead.
+        // the budget is enforced on this monotone counter instead. That,
+        // and catching each step's error to roll back, is why this loop
+        // drives `step` itself rather than `run_with`, whose budget is the
+        // backend clock and which ends the run on the first error.
         let mut executed: u64 = 0;
 
         while !cpu.is_halted() {
@@ -825,7 +726,7 @@ impl MaskedDes {
                 }));
             }
             executed += 1;
-            match cpu.step_hooked(hook) {
+            match cpu.step(hook) {
                 Ok(act) => {
                     let energy = model.observe(&act);
                     let mut marker_this_cycle = false;
@@ -854,7 +755,7 @@ impl MaskedDes {
                 }
                 Err(e) if recoverable(e.kind) => {
                     if recovery.rollbacks >= policy.max_retries {
-                        zeroize_secrets(&mut cpu, key_addr);
+                        zeroize_secrets(&mut cpu, self.data_sym("key")?);
                         return Err(RunError::Zeroized { rollbacks: recovery.rollbacks, last: e });
                     }
                     recovery.rollbacks += 1;
@@ -938,7 +839,9 @@ mod tests {
         // (cycles, stalls, per-cycle energy) may differ.
         let des = two_rounds(MaskPolicy::Selective);
         let pipe = des.encrypt(PLAIN, KEY).expect("pipeline run");
-        let interp = des.encrypt_on::<emask_cpu::Interpreter>(PLAIN, KEY).expect("interp run");
+        let interp = des
+            .encrypt_hooked_on::<emask_cpu::Interpreter, _>(PLAIN, KEY, &mut NullHook)
+            .expect("interp run");
         assert_eq!(interp.ciphertext, pipe.ciphertext);
         assert_eq!(interp.stats.retired, pipe.stats.retired);
         assert_eq!(interp.stats.loads, pipe.stats.loads);
@@ -954,7 +857,9 @@ mod tests {
         // rewinds instructions instead of pipeline cycles, but the
         // recovered run is still bit-identical to a clean one.
         let des = two_rounds(MaskPolicy::Selective);
-        let clean = des.encrypt_on::<emask_cpu::Interpreter>(PLAIN, KEY).expect("clean run");
+        let clean = des
+            .encrypt_hooked_on::<emask_cpu::Interpreter, _>(PLAIN, KEY, &mut NullHook)
+            .expect("clean run");
         let mut hook = TransientFault { at_cycle: clean.stats.cycles / 2, fired: false };
         let rec = des
             .encrypt_recovered_on::<emask_cpu::Interpreter, _>(
@@ -1262,24 +1167,6 @@ mod tests {
         let w = a.phase_window(Phase::KeyPermutation).expect("key perm window");
         let kp = diff.window(w);
         assert!(kp.max_abs() < 1e-9, "key permutation leaked plaintext: {}", kp.max_abs());
-    }
-
-    #[test]
-    fn cbc_on_the_simulator_matches_host_side_chaining() {
-        let des = two_rounds(MaskPolicy::None);
-        let blocks = [0x1111_2222_3333_4444u64, 0x5555_6666_7777_8888, 0x9999_AAAA_BBBB_CCCC];
-        let iv = 0x0F0F_0F0F_F0F0_F0F0;
-        let (cts, trace) = des.encrypt_cbc(&blocks, iv, KEY).expect("cbc");
-        // Reference chaining through the same reduced-round golden model.
-        let mut prev = iv;
-        for (p, &c) in blocks.iter().zip(&cts) {
-            let expect = golden(p ^ prev, KEY, 2);
-            assert_eq!(c, expect);
-            prev = c;
-        }
-        // Concatenated trace covers all three runs.
-        let single = des.encrypt(blocks[0] ^ iv, KEY).expect("run").trace.len();
-        assert_eq!(trace.len(), 3 * single);
     }
 
     #[test]

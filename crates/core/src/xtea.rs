@@ -12,10 +12,11 @@
 //! also exercises the energy model with high-Hamming-weight data.
 
 use emask_cc::{compile, CompileError, CompileOptions, MaskPolicy};
-use emask_cpu::{Cpu, RunResult};
+use emask_cpu::{Cpu, CpuBackend, NullHook, RunResult};
 use emask_energy::{EnergyModel, EnergyParams, EnergyTrace};
 use emask_isa::Program;
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Number of XTEA rounds (the standard 32 Feistel cycles).
 pub const XTEA_ROUNDS: u32 = 32;
@@ -235,7 +236,7 @@ impl MaskedXtea {
         let mut model = EnergyModel::with_params(self.params);
         let mut trace = EnergyTrace::new();
         let mut output_start = 0usize;
-        let stats = cpu.run_with(50_000_000, |act| {
+        let stats = cpu.run_with(50_000_000, &mut NullHook, |act| {
             trace.push(model.observe(act));
             if output_start == 0 {
                 if let Some(mem) = act.mem {
@@ -247,6 +248,7 @@ impl MaskedXtea {
                     }
                 }
             }
+            ControlFlow::Continue(())
         })?;
 
         let read_out = |index: usize| {

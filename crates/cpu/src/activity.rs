@@ -152,6 +152,41 @@ impl CycleActivity {
     }
 }
 
+/// Which bus or pipeline latch a [`BusSample`] was captured from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Bus {
+    /// Instruction bus (fetched encoding).
+    Instruction,
+    /// Operand bus A into EX (post-forwarding).
+    OperandA,
+    /// Operand bus B into EX (post-forwarding).
+    OperandB,
+    /// Result latched into EX/MEM.
+    Result,
+    /// Data-memory bus.
+    Memory,
+    /// Value latched into MEM/WB.
+    Writeback,
+}
+
+impl Bus {
+    /// All buses, in pipeline order.
+    pub const ALL: [Bus; 6] =
+        [Bus::Instruction, Bus::OperandA, Bus::OperandB, Bus::Result, Bus::Memory, Bus::Writeback];
+
+    /// A short stable name (used in trace exports).
+    pub fn name(self) -> &'static str {
+        match self {
+            Bus::Instruction => "inst",
+            Bus::OperandA => "op_a",
+            Bus::OperandB => "op_b",
+            Bus::Result => "result",
+            Bus::Memory => "mem",
+            Bus::Writeback => "wb",
+        }
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -201,5 +236,11 @@ mod tests {
         // Flipping the complement rail too restores the invariant.
         s.complement ^= 1 << 3;
         assert_eq!(s.rail_agreement(), 0);
+    }
+
+    #[test]
+    fn bus_names_are_unique() {
+        let names: std::collections::BTreeSet<_> = Bus::ALL.iter().map(|b| b.name()).collect();
+        assert_eq!(names.len(), Bus::ALL.len());
     }
 }

@@ -20,18 +20,29 @@
 //! and the per-cycle energy figures derived from bus toggling. The generic
 //! conformance suite in `emask-conformance` checks exactly this split.
 //!
+//! ## One loop
+//!
+//! A backend implements one clock, [`CpuBackend::step`], and inherits the
+//! one run loop, [`CpuBackend::run_with`]: step until `halt`, charge the
+//! cycle budget before each step, and hand every activity record to a
+//! callback that may stop the run early by returning
+//! [`ControlFlow::Break`]. Full runs, windowed acquisition (stop at the
+//! window's end marker) and hooked fault campaigns all go through it.
+//!
 //! Dispatch is **static** throughout: `emask-core`'s runner is generic
-//! over `B: CpuBackend`, so the hot unmasked-`encrypt` path monomorphizes
-//! to the same code as before the trait existed — the trait costs nothing
-//! at runtime.
+//! over `B: CpuBackend`, the hook type and the callback, and each
+//! backend's `step` routes [`NullHook`] runs to its bare clock at compile
+//! time, so the unmasked-`encrypt` loop carries no hook machinery — the
+//! trait costs nothing at runtime.
 
 use crate::activity::CycleActivity;
 use crate::checkpoint::CpuCheckpoint;
-use crate::hook::{NullHook, PipelineHook};
+use crate::hook::{HookCtx, NullHook, PipelineHook, RailSkew};
 use crate::interp::{InterpCheckpoint, Interpreter};
 use crate::memory::DataMemory;
-use crate::pipeline::{Cpu, CpuError, RunResult};
+use crate::pipeline::{Cpu, CpuError, CpuErrorKind, RunResult};
 use emask_isa::{Program, Reg};
+use std::ops::ControlFlow;
 
 /// A restorable snapshot of one backend's full execution state, with
 /// incremental (dirty-page) memory tracking. Every [`CpuBackend`] with
@@ -52,7 +63,7 @@ pub trait BackendCheckpoint {
 ///
 /// The trait surface is the union of what `emask-core`'s DES runner, the
 /// `emask-fault` injection campaigns, and the differential test harnesses
-/// need: program load, hooked stepping, run-to-halt with activity
+/// need: program load, hooked stepping, a stoppable run loop with activity
 /// streaming, architectural state access, and checkpointing. All methods
 /// dispatch statically; see the [module docs](self) for the contract.
 pub trait CpuBackend: Sized {
@@ -109,38 +120,60 @@ pub trait CpuBackend: Sized {
     }
 
     /// Advances the backend one clock with a hook intervening:
-    /// `before_cycle`, the step itself, then `after_cycle` which may veto
-    /// with a typed fault.
+    /// `before_cycle`, the clock itself, then `after_cycle`, which may veto
+    /// the cycle with a typed fault. Implementations route a hook with
+    /// [`PipelineHook::IS_NULL`] straight to the bare clock.
     ///
     /// # Errors
     ///
     /// Returns [`CpuError`] on memory faults, division by zero, a runaway
     /// PC, or whatever the hook's `after_cycle` raises.
-    fn step_hooked<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError>;
+    fn step<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError>;
 
-    /// Runs to completion with a [`PipelineHook`] intervening every cycle
-    /// and each (post-hook) [`CycleActivity`] streamed to `observe`.
-    /// `max_cycles` budgets the backend clock ([`CpuBackend::cycles`]).
+    /// The run loop: [`CpuBackend::step`]s with `hook` until `halt` retires
+    /// or `on_cycle` returns [`ControlFlow::Break`] for the record of the
+    /// cycle just stepped. `max_cycles` budgets the backend clock
+    /// ([`CpuBackend::cycles`]) and is checked before each step. Returns
+    /// the statistics so far either way; [`CpuBackend::is_halted`] tells a
+    /// finished run from a stopped one, and a stopped run resumes where it
+    /// left off with another `run_with`.
     ///
     /// # Errors
     ///
-    /// As for [`CpuBackend::step_hooked`], plus
-    /// [`CpuErrorKind::CycleLimit`](crate::CpuErrorKind::CycleLimit) on an
-    /// exhausted budget.
-    fn run_hooked_with<H: PipelineHook>(
+    /// As for [`CpuBackend::step`], plus
+    /// [`CpuErrorKind::CycleLimit`] on an exhausted budget.
+    // Inlined so each caller's loop keeps the machine and the callback's
+    // captures in its own frame; out of line, windowed acquisition ran a
+    // few percent slower.
+    #[inline]
+    fn run_with<H: PipelineHook>(
         &mut self,
         max_cycles: u64,
         hook: &mut H,
-        observe: impl FnMut(&CycleActivity),
-    ) -> Result<RunResult, CpuError>;
+        mut on_cycle: impl FnMut(&CycleActivity) -> ControlFlow<()>,
+    ) -> Result<RunResult, CpuError> {
+        while !self.is_halted() {
+            if self.cycles() >= max_cycles {
+                return Err(CpuError {
+                    cycle: self.cycles(),
+                    kind: CpuErrorKind::CycleLimit { limit: max_cycles },
+                });
+            }
+            let act = self.step(hook)?;
+            if on_cycle(&act).is_break() {
+                break;
+            }
+        }
+        Ok(self.stats())
+    }
 
-    /// Runs to completion, discarding activity records.
+    /// Runs to completion with no hook, discarding activity records.
     ///
     /// # Errors
     ///
-    /// As for [`CpuBackend::run_hooked_with`].
+    /// As for [`CpuBackend::run_with`].
     fn run(&mut self, max_cycles: u64) -> Result<RunResult, CpuError> {
-        self.run_hooked_with(max_cycles, &mut NullHook, |_| {})
+        self.run_with(max_cycles, &mut NullHook, |_| ControlFlow::Continue(()))
     }
 
     /// Snapshots the backend and starts dirty-page tracking.
@@ -204,19 +237,26 @@ impl CpuBackend for Cpu {
     fn stats(&self) -> RunResult {
         Cpu::stats(self)
     }
-    fn step_hooked<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
-        Cpu::step_hooked(self, hook)
-    }
-    fn run_hooked_with<H: PipelineHook>(
-        &mut self,
-        max_cycles: u64,
-        hook: &mut H,
-        observe: impl FnMut(&CycleActivity),
-    ) -> Result<RunResult, CpuError> {
-        // Delegates to the inherent method, which keeps the compile-time
-        // NullHook route: the generic runner's unmasked path monomorphizes
-        // to exactly the pre-trait loop.
-        Cpu::run_hooked_with(self, max_cycles, hook, observe)
+    fn step<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
+        // A null hook gets the bare clock: no context, no copy of the
+        // activity record through the skew fold below.
+        if H::IS_NULL {
+            return self.clock();
+        }
+        hook.before_cycle(&mut HookCtx::for_cpu(self));
+        let cycle = self.cycle;
+        let mut act = self.clock()?;
+        // Fold the single-rail skew a lane fault recorded this cycle into
+        // the complement rails of the affected samples.
+        if !self.rail_skew.is_clean() {
+            act.id_ex_a.complement ^= self.rail_skew.id_ex_a;
+            act.id_ex_b.complement ^= self.rail_skew.id_ex_b;
+            act.mem_bus.complement ^= self.rail_skew.mem_bus;
+            act.mem_wb_value.complement ^= self.rail_skew.mem_wb_value;
+            self.rail_skew = RailSkew::default();
+        }
+        hook.after_cycle(&act).map_err(|kind| CpuError { cycle, kind })?;
+        Ok(act)
     }
     fn checkpoint(&mut self) -> CpuCheckpoint {
         CpuCheckpoint::capture(self)
@@ -276,16 +316,15 @@ impl CpuBackend for Interpreter {
     fn stats(&self) -> RunResult {
         Interpreter::stats(self)
     }
-    fn step_hooked<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
-        Interpreter::step_hooked(self, hook)
-    }
-    fn run_hooked_with<H: PipelineHook>(
-        &mut self,
-        max_cycles: u64,
-        hook: &mut H,
-        observe: impl FnMut(&CycleActivity),
-    ) -> Result<RunResult, CpuError> {
-        Interpreter::run_hooked_with(self, max_cycles, hook, observe)
+    fn step<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
+        if H::IS_NULL {
+            return self.clock();
+        }
+        hook.before_cycle(&mut HookCtx::for_interp(self));
+        let cycle = self.executed;
+        let act = self.clock()?;
+        hook.after_cycle(&act).map_err(|kind| CpuError { cycle, kind })?;
+        Ok(act)
     }
     fn checkpoint(&mut self) -> InterpCheckpoint {
         InterpCheckpoint::capture(self)
@@ -344,18 +383,18 @@ mod tests {
             let p = program();
             let mut b = B::load(&p);
             for _ in 0..6 {
-                b.step_hooked(&mut NullHook).expect("step");
+                b.step(&mut NullHook).expect("step");
             }
             let mut cp = b.checkpoint();
             assert_eq!(BackendCheckpoint::cycle(&cp), b.cycles());
             let regs_at_cp = b.registers();
             for _ in 0..6 {
-                b.step_hooked(&mut NullHook).expect("step");
+                b.step(&mut NullHook).expect("step");
             }
             b.checkpoint_restore(&mut cp);
             assert_eq!(b.registers(), regs_at_cp);
             while !b.is_halted() {
-                b.step_hooked(&mut NullHook).expect("step");
+                b.step(&mut NullHook).expect("step");
             }
             let mut fresh = B::load(&p);
             CpuBackend::run(&mut fresh, 1_000_000).expect("run");

@@ -1,6 +1,6 @@
 //! Architectural checkpoints for rollback recovery.
 //!
-//! A [`CpuCheckpoint`] snapshots everything [`Cpu::step`](crate::Cpu::step)
+//! A [`CpuCheckpoint`] snapshots everything a [`Cpu`] clock cycle
 //! can change: the register file, the four pipeline latches, PC, cycle
 //! count, halt/fetch flags, run statistics, and data memory. Memory is the
 //! only large piece, so it is handled incrementally: the checkpoint keeps a
@@ -159,14 +159,14 @@ mod tests {
     fn restore_rewinds_to_the_captured_state() {
         let mut cpu = Cpu::new(&program());
         for _ in 0..10 {
-            cpu.step().expect("step");
+            cpu.clock().expect("step");
         }
         let mut cp = CpuCheckpoint::capture(&mut cpu);
         let snap = state_of(&cpu);
         let mem_snap = cpu.mem.clone();
         // Run further, corrupting a register mid-flight like a fault would.
         for _ in 0..15 {
-            cpu.step().expect("step");
+            cpu.clock().expect("step");
         }
         cpu.regs.write(Reg::T3, 0xDEAD_BEEF);
         cp.restore(&mut cpu);
@@ -178,19 +178,19 @@ mod tests {
     fn replay_after_restore_reaches_the_same_final_state() {
         let mut reference = Cpu::new(&program());
         while !reference.is_halted() {
-            reference.step().expect("step");
+            reference.clock().expect("step");
         }
         let mut cpu = Cpu::new(&program());
         for _ in 0..12 {
-            cpu.step().expect("step");
+            cpu.clock().expect("step");
         }
         let mut cp = CpuCheckpoint::capture(&mut cpu);
         for _ in 0..9 {
-            cpu.step().expect("step");
+            cpu.clock().expect("step");
         }
         cp.restore(&mut cpu);
         while !cpu.is_halted() {
-            cpu.step().expect("step");
+            cpu.clock().expect("step");
         }
         assert_eq!(cpu.regs.snapshot(), reference.regs.snapshot());
         assert_eq!(cpu.mem, reference.mem);
@@ -204,7 +204,7 @@ mod tests {
         let mut cp = CpuCheckpoint::capture(&mut cpu);
         // The loop writes a single 16-byte buffer: one dirty page.
         while !cpu.is_halted() {
-            cpu.step().expect("step");
+            cpu.clock().expect("step");
         }
         let end = state_of(&cpu);
         cp.refresh(&mut cpu);
@@ -219,7 +219,7 @@ mod tests {
     fn restore_discards_pending_rail_skew() {
         let mut cpu = Cpu::new(&program());
         let mut cp = CpuCheckpoint::capture(&mut cpu);
-        cpu.step().expect("step");
+        cpu.clock().expect("step");
         cpu.rail_skew.mem_bus = 0xFF;
         cp.restore(&mut cpu);
         assert!(cpu.rail_skew.is_clean());
@@ -229,7 +229,7 @@ mod tests {
     fn checkpoint_cycle_and_retired_reporting() {
         let mut cpu = Cpu::new(&program());
         for _ in 0..10 {
-            cpu.step().expect("step");
+            cpu.clock().expect("step");
         }
         let cp = CpuCheckpoint::capture(&mut cpu);
         assert_eq!(cp.cycle(), 10);

@@ -1,17 +1,17 @@
 //! Pluggable pipeline *hooks* — mutable mid-simulation access to the core.
 //!
-//! Where a [`PipelineObserver`](crate::PipelineObserver) watches the
-//! pipeline, a [`PipelineHook`] may *change* it: every cycle it receives a
-//! [`HookCtx`] with mutable access to the pipeline latches, the register
-//! file and data memory, and after the cycle it may veto the run with a
-//! typed [`CpuErrorKind`]. This is the substrate the `emask-fault` crate
-//! builds its fault injectors and dual-rail integrity checker on.
+//! A [`PipelineHook`] may *change* the core mid-run: every cycle it
+//! receives a [`HookCtx`] with mutable access to the pipeline latches, the
+//! register file and data memory, and after the cycle it may veto the run
+//! with a typed [`CpuErrorKind`]. This is the substrate the `emask-fault`
+//! crate builds its fault injectors and dual-rail integrity checker on.
+//! Watching the run needs no hook: the per-cycle callback of
+//! [`CpuBackend::run_with`](crate::CpuBackend::run_with) sees every
+//! activity record.
 //!
-//! Dispatch is **static**, exactly as for observers:
-//! [`crate::Cpu::run_hooked`] is generic over the hook type, so with
-//! [`NullHook`] every callback monomorphizes to an empty inlined function
-//! and the loop compiles down to the plain [`crate::Cpu::run`] loop. A run
-//! with no fault plan installed pays nothing.
+//! Dispatch is **static**: [`CpuBackend::step`](crate::CpuBackend::step)
+//! is generic over the hook type and routes [`NullHook`] to the bare clock
+//! at compile time, so a run with no fault plan installed pays nothing.
 //!
 //! Hooks compose structurally: `(A, B)` runs both halves in order (`A`'s
 //! state mutations are visible to `B`; `B`'s `after_cycle` only runs if
@@ -304,11 +304,11 @@ impl<'a> HookCtx<'a> {
 /// nothing.
 pub trait PipelineHook {
     /// `true` only when this hook (transitively) does nothing at all.
-    /// [`crate::Cpu::run_hooked`] uses it to route such hooks through the
-    /// plain [`crate::Cpu::run`] loop at compile time, keeping the
+    /// [`CpuBackend::step`](crate::CpuBackend::step) uses it to route such
+    /// hooks straight to the bare clock at compile time, keeping the
     /// unfaulted path byte-identical to an unhooked run. Leave it `false`
     /// in any hook with behavior — a `true` here silently disables the
-    /// hook on the batch run paths.
+    /// hook.
     const IS_NULL: bool = false;
 
     /// Called at the top of every cycle, before any stage logic, with
@@ -331,8 +331,8 @@ pub trait PipelineHook {
     }
 }
 
-/// The do-nothing hook. [`crate::Cpu::run_hooked`] with this type compiles
-/// to the same loop as [`crate::Cpu::run`].
+/// The do-nothing hook. [`CpuBackend::step`](crate::CpuBackend::step) with
+/// this type compiles to the bare clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullHook;
 
@@ -400,7 +400,16 @@ mod tests {
     use super::*;
     use crate::activity::CycleActivity;
     use crate::pipeline::Cpu;
+    use crate::CpuBackend;
     use emask_isa::assemble;
+    use std::ops::ControlFlow;
+
+    fn run_hooked<H: PipelineHook>(
+        cpu: &mut Cpu,
+        hook: &mut H,
+    ) -> Result<crate::RunResult, crate::CpuError> {
+        cpu.run_with(1000, hook, |_| ControlFlow::Continue(()))
+    }
 
     /// A hook that flips one lane bit at a fixed cycle and counts calls.
     struct FlipAt {
@@ -433,7 +442,16 @@ mod tests {
         let mut a = Cpu::new(&p);
         let mut b = Cpu::new(&p);
         let ra = a.run(1000).expect("plain");
-        let rb = b.run_hooked(1000, &mut NullHook).expect("hooked");
+        // A hook with behavior takes the hooked route through `step`.
+        let mut hook = FlipAt {
+            cycle: u64::MAX,
+            lane: FaultLane::IdExA,
+            rail: RailMode::Both,
+            applied: false,
+            cycles_seen: 0,
+        };
+        let rb = run_hooked(&mut b, &mut hook).expect("hooked");
+        assert_eq!(hook.cycles_seen, rb.cycles);
         assert_eq!(ra, rb);
         for r in emask_isa::Reg::ALL {
             assert_eq!(a.reg(r), b.reg(r));
@@ -465,7 +483,7 @@ mod tests {
             cycles_seen: 0,
         };
         let mut cpu = Cpu::new(&p);
-        cpu.run_hooked(1000, &mut hook).expect("run");
+        run_hooked(&mut cpu, &mut hook).expect("run");
         assert!(hook.applied);
         assert!(hook.cycles_seen > 0);
         // 6^1 + 7 = 14, not 13: the flipped operand reached the ALU.
@@ -538,7 +556,7 @@ mod tests {
         let p = program();
         let mut hook = Squash { done: false };
         let mut cpu = Cpu::new(&p);
-        cpu.run_hooked(1000, &mut hook).expect("run");
+        run_hooked(&mut cpu, &mut hook).expect("run");
         assert!(hook.done);
         assert_eq!(cpu.reg(emask_isa::Reg::T1), 0);
         assert_eq!(cpu.reg(emask_isa::Reg::T2), 6);
@@ -565,7 +583,7 @@ mod tests {
         }
         let p = program();
         let mut hook = (Veto, Count(0));
-        let err = Cpu::new(&p).run_hooked(1000, &mut hook).expect_err("vetoed");
+        let err = run_hooked(&mut Cpu::new(&p), &mut hook).expect_err("vetoed");
         assert_eq!(err.cycle, 3);
         // The second hook never saw the vetoed cycle.
         assert_eq!(hook.1 .0, 3);

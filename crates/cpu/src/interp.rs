@@ -16,7 +16,7 @@
 //! while the cycle placement is the backend's own microarchitecture.
 
 use crate::activity::{BusSample, CycleActivity, ExActivity, MemActivity};
-use crate::hook::{PipelineHook, RailSkew};
+use crate::hook::RailSkew;
 use crate::memory::DataMemory;
 use crate::pipeline::{alu_exec, alu_inputs, branch_taken, CpuError, CpuErrorKind, RunResult};
 use crate::regfile::RegisterFile;
@@ -102,122 +102,15 @@ impl Interpreter {
         self.stats
     }
 
-    /// Runs until `halt` or the instruction budget is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CpuError`] for memory faults, division by zero, a PC
-    /// outside the text segment, or an exhausted budget — the same error
-    /// taxonomy as the pipeline, with `cycle` meaning "instructions
-    /// executed".
-    pub fn run(&mut self, max_instructions: u64) -> Result<u64, CpuError> {
-        while !self.halted {
-            if self.executed >= max_instructions {
-                return Err(CpuError {
-                    cycle: self.executed,
-                    kind: CpuErrorKind::CycleLimit { limit: max_instructions },
-                });
-            }
-            self.step()?;
-        }
-        Ok(self.executed)
-    }
-
-    /// Runs to completion, streaming each synthesized [`CycleActivity`] to
-    /// `observe`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::run`].
-    pub fn run_with(
-        &mut self,
-        max_instructions: u64,
-        mut observe: impl FnMut(&CycleActivity),
-    ) -> Result<RunResult, CpuError> {
-        while !self.halted {
-            if self.executed >= max_instructions {
-                return Err(CpuError {
-                    cycle: self.executed,
-                    kind: CpuErrorKind::CycleLimit { limit: max_instructions },
-                });
-            }
-            let act = self.step_record()?;
-            observe(&act);
-        }
-        Ok(self.stats)
-    }
-
-    /// Runs to completion with a [`PipelineHook`] intervening every
-    /// instruction and each (post-hook) [`CycleActivity`] streamed to
-    /// `observe`. With [`crate::NullHook`] this routes to the plain
-    /// [`Interpreter::run_with`] loop at compile time, mirroring
-    /// [`crate::Cpu::run_hooked_with`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::run`], plus whatever the hook's `after_cycle`
-    /// raises.
-    pub fn run_hooked_with<H: PipelineHook>(
-        &mut self,
-        max_instructions: u64,
-        hook: &mut H,
-        mut observe: impl FnMut(&CycleActivity),
-    ) -> Result<RunResult, CpuError> {
-        if H::IS_NULL {
-            return self.run_with(max_instructions, observe);
-        }
-        while !self.halted {
-            if self.executed >= max_instructions {
-                return Err(CpuError {
-                    cycle: self.executed,
-                    kind: CpuErrorKind::CycleLimit { limit: max_instructions },
-                });
-            }
-            let act = self.step_hooked(hook)?;
-            observe(&act);
-        }
-        Ok(self.stats)
-    }
-
-    /// Executes one instruction with a hook intervening: `before_cycle`
-    /// first with mutable (architectural) access, then the instruction,
-    /// then `after_cycle` over the synthesized record, which may veto with
-    /// a typed fault.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::step`], plus the hook's `after_cycle` error.
-    pub fn step_hooked<H: PipelineHook>(
-        &mut self,
-        hook: &mut H,
-    ) -> Result<CycleActivity, CpuError> {
-        hook.before_cycle(&mut crate::hook::HookCtx::for_interp(self));
-        let cycle = self.executed;
-        let act = self.step_record()?;
-        hook.after_cycle(&act).map_err(|kind| CpuError { cycle, kind })?;
-        Ok(act)
-    }
-
-    /// Executes exactly one instruction.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::run`].
-    pub fn step(&mut self) -> Result<(), CpuError> {
-        self.step_record().map(|_| ())
-    }
-
     /// Executes one instruction and synthesizes its activity record: the
     /// fetch, operand, execute, memory and write-back roles of the five
     /// pipeline stages collapsed into a single record whose `cycle` is the
     /// instruction index. Bus values are architectural (the interpreter
     /// has no stale-forwarding window), and operand gating matches the
-    /// pipeline: unused operand buses stay at 0.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Interpreter::run`].
-    pub fn step_record(&mut self) -> Result<CycleActivity, CpuError> {
+    /// pipeline: unused operand buses stay at 0. The body of
+    /// [`CpuBackend::step`](crate::CpuBackend::step); its errors use the
+    /// pipeline's taxonomy with `cycle` meaning "instructions executed".
+    pub(crate) fn clock(&mut self) -> Result<CycleActivity, CpuError> {
         let cycle = self.executed;
         let fault = |kind| CpuError { cycle, kind };
         let Some(&inst) = self.text.get(self.pc as usize) else {
@@ -397,8 +290,11 @@ impl InterpCheckpoint {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::hook::{NullHook, PipelineHook};
     use crate::pipeline::Cpu;
+    use crate::CpuBackend;
     use emask_isa::assemble;
+    use std::ops::ControlFlow;
 
     fn both(src: &str) -> (Cpu, Interpreter) {
         let p = assemble(src).expect("asm");
@@ -461,7 +357,7 @@ mod tests {
         let mut cpu = Cpu::new(&p);
         let stats = cpu.run(10_000).unwrap();
         let mut iss = Interpreter::new(&p);
-        let executed = iss.run(10_000).unwrap();
+        let executed = iss.run(10_000).unwrap().retired;
         assert_eq!(stats.retired, executed, "pipeline must retire what the ISS executes");
     }
 
@@ -473,7 +369,12 @@ mod tests {
         .unwrap();
         let mut iss = Interpreter::new(&p);
         let mut acts = Vec::new();
-        let stats = iss.run_with(1000, |a| acts.push(a.clone())).unwrap();
+        let stats = iss
+            .run_with(1000, &mut NullHook, |a| {
+                acts.push(a.clone());
+                ControlFlow::Continue(())
+            })
+            .unwrap();
         // One record per instruction, densely numbered.
         assert_eq!(acts.len() as u64, stats.retired);
         for (i, a) in acts.iter().enumerate() {
@@ -499,17 +400,32 @@ mod tests {
         let cpu_retired: Vec<_> = cpu_acts.iter().filter_map(|a| a.retired).collect();
         let mut iss = Interpreter::new(&p);
         let mut iss_retired = Vec::new();
-        iss.run_with(100_000, |a| iss_retired.extend(a.retired)).unwrap();
+        iss.run_with(100_000, &mut NullHook, |a| {
+            iss_retired.extend(a.retired);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
         assert_eq!(cpu_retired, iss_retired);
     }
 
     #[test]
     fn hooked_run_with_null_hook_matches_plain() {
         let p = assemble(".text\n li $t0, 5\n mul $t1, $t0, $t0\n halt\n").unwrap();
+        // A hook with behavior takes the hooked route through `step`; the
+        // null hook takes the plain one. Both must land in the same state.
+        struct Count(u64);
+        impl PipelineHook for Count {
+            fn after_cycle(&mut self, _act: &CycleActivity) -> Result<(), CpuErrorKind> {
+                self.0 += 1;
+                Ok(())
+            }
+        }
         let mut a = Interpreter::new(&p);
         let mut b = Interpreter::new(&p);
         a.run(1000).unwrap();
-        b.run_hooked_with(1000, &mut crate::NullHook, |_| {}).unwrap();
+        let mut count = Count(0);
+        b.run_with(1000, &mut count, |_| ControlFlow::Continue(())).unwrap();
+        assert_eq!(count.0, b.executed());
         assert_eq!(a.registers(), b.registers());
         assert_eq!(a.executed(), b.executed());
     }
@@ -524,18 +440,18 @@ mod tests {
         reference.run(10_000).unwrap();
         let mut iss = Interpreter::new(&p);
         for _ in 0..5 {
-            iss.step().unwrap();
+            iss.step(&mut NullHook).unwrap();
         }
         let mut cp = InterpCheckpoint::capture(&mut iss);
         assert_eq!(cp.cycle(), 5);
         assert_eq!(cp.retired(), 5);
         for _ in 0..7 {
-            iss.step().unwrap();
+            iss.step(&mut NullHook).unwrap();
         }
         cp.restore(&mut iss);
         assert_eq!(iss.executed(), 5);
         while !iss.is_halted() {
-            iss.step().unwrap();
+            iss.step(&mut NullHook).unwrap();
         }
         assert_eq!(iss.registers(), reference.registers());
         assert_eq!(iss.memory(), reference.memory());

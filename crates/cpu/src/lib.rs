@@ -23,6 +23,13 @@
 //! stream into per-cycle picojoule figures; this crate deliberately knows
 //! nothing about energy.
 //!
+//! Every backend drives its clock through one loop: a [`CpuBackend`]
+//! implements [`CpuBackend::step`] (one cycle, with a [`PipelineHook`]
+//! intervening) and inherits [`CpuBackend::run_with`], which steps until
+//! `halt`, an exhausted cycle budget, or a per-cycle callback that returns
+//! [`ControlFlow::Break`](std::ops::ControlFlow::Break). [`Cpu::run`] and
+//! [`Cpu::run_collecting`] are thin conveniences over that loop.
+//!
 //! ## Example
 //!
 //! ```
@@ -49,16 +56,14 @@ pub mod checkpoint;
 pub mod hook;
 pub mod interp;
 pub mod memory;
-pub mod observe;
 pub mod pipeline;
 pub mod regfile;
 
-pub use activity::{BusSample, CycleActivity, ExActivity, MemActivity};
+pub use activity::{Bus, BusSample, CycleActivity, ExActivity, MemActivity};
 pub use backend::{BackendCheckpoint, CpuBackend};
 pub use checkpoint::CpuCheckpoint;
 pub use hook::{FaultLane, HookCtx, LaneView, NullHook, PipelineHook, RailMode};
 pub use interp::{InterpCheckpoint, Interpreter};
 pub use memory::DataMemory;
-pub use observe::{Bus, NullObserver, PipelineObserver};
 pub use pipeline::{Cpu, CpuError, CpuErrorKind, RunResult};
 pub use regfile::RegisterFile;

@@ -1,13 +1,14 @@
 //! The five-stage pipeline and the [`Cpu`] façade.
 
-use crate::activity::{BusSample, CycleActivity, ExActivity, MemActivity};
-use crate::hook::{PipelineHook, RailSkew};
+use crate::activity::{Bus, BusSample, CycleActivity, ExActivity, MemActivity};
+use crate::backend::CpuBackend;
+use crate::hook::{NullHook, RailSkew};
 use crate::memory::{AccessError, DataMemory};
-use crate::observe::{Bus, PipelineObserver};
 use crate::regfile::RegisterFile;
 use emask_isa::program::{DATA_BASE, MEM_SIZE, STACK_TOP};
 use emask_isa::{encode, Instruction, Op, OpClass, Program, Reg};
 use std::fmt;
+use std::ops::ControlFlow;
 
 /// Why a simulation stopped abnormally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +29,8 @@ pub enum CpuErrorKind {
     },
     /// A secure-tagged dual-rail sample carried an ill-formed complement:
     /// the two rails agreed on at least one bit. Raised by the dual-rail
-    /// integrity checker (a [`PipelineHook`]) — the architectural signature
-    /// of a single-rail fault on a protected path.
+    /// integrity checker (a [`PipelineHook`](crate::PipelineHook)) — the
+    /// architectural signature of a single-rail fault on a protected path.
     DualRailViolation {
         /// The bus/latch whose sample violated the invariant.
         bus: Bus,
@@ -150,7 +151,8 @@ const BUBBLE: Instruction = Instruction {
 ///
 /// Construct with [`Cpu::new`], then call [`Cpu::run`] (collect nothing),
 /// [`Cpu::run_collecting`] (collect every [`CycleActivity`]) or
-/// [`Cpu::run_with`] (stream records to a callback).
+/// [`CpuBackend::run_with`] (stream records to a callback that may stop
+/// the run, with an optional [`PipelineHook`](crate::PipelineHook)).
 #[derive(Debug, Clone)]
 pub struct Cpu {
     pub(crate) text: Vec<Instruction>,
@@ -166,7 +168,7 @@ pub struct Cpu {
     pub(crate) mem_wb: MemWb,
     pub(crate) stats: RunResult,
     /// Complement-rail disagreement injected this cycle by a hook; folded
-    /// into the activity record by [`Cpu::step_hooked`] and cleared.
+    /// into the activity record by [`CpuBackend::step`] and cleared.
     pub(crate) rail_skew: RailSkew,
 }
 
@@ -243,9 +245,9 @@ impl Cpu {
     }
 
     /// Statistics accumulated so far — the same [`RunResult`] a completed
-    /// [`Cpu::run`] returns. Callers driving [`Cpu::step`] /
-    /// [`Cpu::step_hooked`] manually (e.g. a checkpointing recovery loop)
-    /// read the final counts here after `halt` retires.
+    /// [`Cpu::run`] returns. Callers driving [`CpuBackend::step`] manually
+    /// (e.g. a checkpointing recovery loop) read the final counts here
+    /// after `halt` retires.
     pub fn stats(&self) -> RunResult {
         self.stats
     }
@@ -257,7 +259,7 @@ impl Cpu {
     /// Returns [`CpuError`] on memory faults, division by zero, a runaway
     /// PC, or an exhausted cycle budget.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, CpuError> {
-        self.run_with(max_cycles, |_| {})
+        self.run_with(max_cycles, &mut NullHook, |_| ControlFlow::Continue(()))
     }
 
     /// Runs to completion, returning every cycle's activity record.
@@ -270,143 +272,16 @@ impl Cpu {
         max_cycles: u64,
     ) -> Result<(RunResult, Vec<CycleActivity>), CpuError> {
         let mut v = Vec::new();
-        let r = self.run_with(max_cycles, |a| v.push(a.clone()))?;
+        let r = self.run_with(max_cycles, &mut NullHook, |a| {
+            v.push(a.clone());
+            ControlFlow::Continue(())
+        })?;
         Ok((r, v))
     }
 
-    /// Runs to completion, streaming each [`CycleActivity`] to `observe`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cpu::run`].
-    pub fn run_with(
-        &mut self,
-        max_cycles: u64,
-        mut observe: impl FnMut(&CycleActivity),
-    ) -> Result<RunResult, CpuError> {
-        while !self.halted {
-            if self.cycle >= max_cycles {
-                return Err(CpuError {
-                    cycle: self.cycle,
-                    kind: CpuErrorKind::CycleLimit { limit: max_cycles },
-                });
-            }
-            let activity = self.step()?;
-            observe(&activity);
-        }
-        Ok(self.stats)
-    }
-
-    /// Runs to completion, firing [`PipelineObserver`] events every cycle.
-    ///
-    /// Dispatch is static: the call is monomorphized per observer type, so
-    /// [`crate::NullObserver`] makes this identical to [`Cpu::run`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cpu::run`].
-    pub fn run_observed<O: PipelineObserver>(
-        &mut self,
-        max_cycles: u64,
-        obs: &mut O,
-    ) -> Result<RunResult, CpuError> {
-        while !self.halted {
-            if self.cycle >= max_cycles {
-                return Err(CpuError {
-                    cycle: self.cycle,
-                    kind: CpuErrorKind::CycleLimit { limit: max_cycles },
-                });
-            }
-            let activity = self.step()?;
-            crate::observe::dispatch(obs, &activity);
-        }
-        Ok(self.stats)
-    }
-
-    /// Runs to completion with a [`PipelineHook`] intervening every cycle.
-    ///
-    /// Dispatch is static, exactly as for [`Cpu::run_observed`]: with
-    /// [`crate::NullHook`] every callback inlines to nothing and this is
-    /// the [`Cpu::run`] loop.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cpu::run`], plus whatever [`CpuErrorKind`] the hook's
-    /// `after_cycle` raises (e.g. a dual-rail violation).
-    pub fn run_hooked<H: PipelineHook>(
-        &mut self,
-        max_cycles: u64,
-        hook: &mut H,
-    ) -> Result<RunResult, CpuError> {
-        self.run_hooked_with(max_cycles, hook, |_| {})
-    }
-
-    /// Runs to completion with a [`PipelineHook`] intervening every cycle
-    /// and each (post-hook) [`CycleActivity`] streamed to `observe`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cpu::run_hooked`].
-    pub fn run_hooked_with<H: PipelineHook>(
-        &mut self,
-        max_cycles: u64,
-        hook: &mut H,
-        mut observe: impl FnMut(&CycleActivity),
-    ) -> Result<RunResult, CpuError> {
-        // Compile-time route: a no-op hook gets the plain loop, so the
-        // unfaulted path stays byte-identical to an unhooked run (the
-        // `step_hooked` wrapper costs an extra activity-record copy per
-        // cycle even when its callbacks inline to nothing).
-        if H::IS_NULL {
-            return self.run_with(max_cycles, observe);
-        }
-        while !self.halted {
-            if self.cycle >= max_cycles {
-                return Err(CpuError {
-                    cycle: self.cycle,
-                    kind: CpuErrorKind::CycleLimit { limit: max_cycles },
-                });
-            }
-            let activity = self.step_hooked(hook)?;
-            observe(&activity);
-        }
-        Ok(self.stats)
-    }
-
-    /// Advances the pipeline one clock cycle with a hook intervening:
-    /// `before_cycle` runs first with mutable access to the core, then the
-    /// stages, then any single-rail skew the hook recorded is folded into
-    /// the activity record's complement rails, then `after_cycle` may veto
-    /// the cycle with a typed fault.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cpu::step`], plus the hook's `after_cycle` error.
-    pub fn step_hooked<H: PipelineHook>(
-        &mut self,
-        hook: &mut H,
-    ) -> Result<CycleActivity, CpuError> {
-        hook.before_cycle(&mut crate::hook::HookCtx::for_cpu(self));
-        let cycle = self.cycle;
-        let mut act = self.step()?;
-        if !self.rail_skew.is_clean() {
-            act.id_ex_a.complement ^= self.rail_skew.id_ex_a;
-            act.id_ex_b.complement ^= self.rail_skew.id_ex_b;
-            act.mem_bus.complement ^= self.rail_skew.mem_bus;
-            act.mem_wb_value.complement ^= self.rail_skew.mem_wb_value;
-            self.rail_skew = RailSkew::default();
-        }
-        hook.after_cycle(&act).map_err(|kind| CpuError { cycle, kind })?;
-        Ok(act)
-    }
-
-    /// Advances the pipeline one clock cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CpuError`] on memory faults, division by zero, or a
-    /// runaway PC.
-    pub fn step(&mut self) -> Result<CycleActivity, CpuError> {
+    /// Advances the pipeline one clock cycle with no hook — the body of
+    /// [`CpuBackend::step`].
+    pub(crate) fn clock(&mut self) -> Result<CycleActivity, CpuError> {
         let cycle = self.cycle;
         let mut act = CycleActivity::idle(cycle);
         let fault = |kind| CpuError { cycle, kind };
@@ -952,7 +827,6 @@ mod tests {
 
     #[test]
     fn error_display_names_every_fault_kind() {
-        use crate::observe::Bus;
         let cases = [
             (
                 CpuErrorKind::Memory(crate::memory::AccessError::Unaligned { addr: 6 }),

@@ -3,7 +3,7 @@
 //! back-to-back dependencies, load-use pairs, and stores, i.e. exactly the
 //! forwarding/interlock corner cases.
 
-use emask_cpu::{Cpu, Interpreter};
+use emask_cpu::{Cpu, CpuBackend, Interpreter};
 use emask_isa::program::DATA_BASE;
 use emask_isa::{Instruction, Op, Program, Reg};
 use proptest::prelude::*;
@@ -90,7 +90,7 @@ proptest! {
         let mut cpu = Cpu::new(&program);
         let mut iss = Interpreter::new(&program);
         let stats = cpu.run(100_000).expect("pipeline");
-        let executed = iss.run(100_000).expect("iss");
+        let executed = iss.run(100_000).expect("iss").retired;
         prop_assert_eq!(stats.retired, executed);
         for r in Reg::ALL {
             prop_assert_eq!(cpu.reg(r), iss.reg(r), "register {} diverged", r);

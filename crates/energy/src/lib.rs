@@ -38,16 +38,20 @@
 //! ## Example
 //!
 //! ```
-//! use emask_cpu::Cpu;
+//! use emask_cpu::{Cpu, CpuBackend, NullHook};
 //! use emask_energy::{EnergyModel, EnergyTrace};
 //! use emask_isa::assemble;
+//! use std::ops::ControlFlow;
 //!
 //! let p = assemble(".text\n li $t0, 0x5555\n xor $t1, $t0, $t0\n halt\n")
 //!     .expect("asm");
 //! let mut cpu = Cpu::new(&p);
 //! let mut model = EnergyModel::new();
 //! let mut trace = EnergyTrace::new();
-//! cpu.run_with(1_000, |act| trace.push(model.observe(act)))?;
+//! cpu.run_with(1_000, &mut NullHook, |act| {
+//!     trace.push(model.observe(act));
+//!     ControlFlow::Continue(())
+//! })?;
 //! assert!(trace.total_pj() > 0.0);
 //! # Ok::<(), emask_cpu::CpuError>(())
 //! ```

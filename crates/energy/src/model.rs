@@ -270,15 +270,20 @@ impl Default for EnergyModel {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use emask_cpu::{Cpu, CycleActivity, MemActivity};
+    use emask_cpu::{Cpu, CpuBackend, CycleActivity, MemActivity, NullHook};
     use emask_isa::assemble;
+    use std::ops::ControlFlow;
 
     fn run_energy(src: &str) -> (f64, Vec<CycleEnergy>) {
         let p = assemble(src).expect("asm");
         let mut cpu = Cpu::new(&p);
         let mut model = EnergyModel::new();
         let mut cycles = Vec::new();
-        cpu.run_with(100_000, |act| cycles.push(model.observe(act))).expect("run");
+        cpu.run_with(100_000, &mut NullHook, |act| {
+            cycles.push(model.observe(act));
+            ControlFlow::Continue(())
+        })
+        .expect("run");
         (cycles.iter().map(CycleEnergy::total_pj).sum(), cycles)
     }
 
@@ -329,7 +334,11 @@ mod tests {
             params.secure_style = SecureStyle::ComplementOnly;
             let mut model = EnergyModel::with_params(params);
             let mut total = 0.0;
-            cpu.run_with(10_000, |a| total += model.observe(a).total_pj()).unwrap();
+            cpu.run_with(10_000, &mut NullHook, |a| {
+                total += model.observe(a).total_pj();
+                ControlFlow::Continue(())
+            })
+            .unwrap();
             total
         };
         let e0 = run(&src(0));
@@ -368,7 +377,11 @@ mod tests {
             let mut cpu = Cpu::new(&p);
             let mut model = EnergyModel::with_params(params);
             let mut total = 0.0;
-            cpu.run_with(10_000, |a| total += model.observe(a).total_pj()).unwrap();
+            cpu.run_with(10_000, &mut NullHook, |a| {
+                total += model.observe(a).total_pj();
+                ControlFlow::Continue(())
+            })
+            .unwrap();
             total
         };
         // 0x00000000 and 0x55555555 have equal Hamming weight classes on
@@ -389,7 +402,11 @@ mod tests {
             let mut cpu = Cpu::new(&p);
             let mut model = EnergyModel::new();
             let mut total = 0.0;
-            cpu.run_with(10_000, |a| total += model.observe(a).total_pj()).unwrap();
+            cpu.run_with(10_000, &mut NullHook, |a| {
+                total += model.observe(a).total_pj();
+                ControlFlow::Continue(())
+            })
+            .unwrap();
             total
         };
         assert!((run(0x0000_0000) - run(0x5555_5555)).abs() < 1e-9);

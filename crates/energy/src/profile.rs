@@ -14,6 +14,8 @@
 //!
 //! The profiler is attack-agnostic: it never looks at plaintexts or keys,
 //! only at the energy stream — the same vantage point as the adversary.
+//!
+//! [`ComponentEnergy::data_dependent`]: crate::ComponentEnergy::data_dependent
 
 use crate::model::CycleEnergy;
 use emask_cpu::CycleActivity;

@@ -31,11 +31,6 @@ impl EnergyTrace {
         self.samples.push(cycle.total_pj());
     }
 
-    /// Appends a raw picojoule sample.
-    pub fn push_pj(&mut self, pj: f64) {
-        self.samples.push(pj);
-    }
-
     /// The per-cycle samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples

@@ -71,8 +71,9 @@ mod tests {
     use super::*;
     use crate::plan::{FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger};
     use crate::FaultInjector;
-    use emask_cpu::{Cpu, FaultLane, RailMode};
+    use emask_cpu::{Cpu, CpuBackend, FaultLane, RailMode};
     use emask_isa::assemble;
+    use std::ops::ControlFlow;
 
     /// A secure load + secure xor: plenty of secure-tagged samples.
     fn secure_program() -> emask_isa::Program {
@@ -86,7 +87,9 @@ mod tests {
     fn clean_secure_run_passes_and_counts_samples() {
         let p = secure_program();
         let mut checker = DualRailChecker::new();
-        Cpu::new(&p).run_hooked(10_000, &mut checker).expect("clean run");
+        Cpu::new(&p)
+            .run_with(10_000, &mut checker, |_| ControlFlow::Continue(()))
+            .expect("clean run");
         assert!(checker.cycles_checked() > 0);
         assert!(checker.samples_checked() > 0, "secure samples must be reached");
     }
@@ -102,7 +105,9 @@ mod tests {
             model: FaultModel::BitFlip { bit: 4 },
         });
         let mut hook = (FaultInjector::new(plan), DualRailChecker::new());
-        let err = Cpu::new(&p).run_hooked(10_000, &mut hook).expect_err("must be detected");
+        let err = Cpu::new(&p)
+            .run_with(10_000, &mut hook, |_| ControlFlow::Continue(()))
+            .expect_err("must be detected");
         // The checker flags the very cycle the skewed sample is driven, so
         // the run ends in a DualRailViolation, never silent corruption.
         assert!(
@@ -122,7 +127,9 @@ mod tests {
             model: FaultModel::BitFlip { bit: 7 },
         });
         let mut hook = (FaultInjector::new(plan), DualRailChecker::new());
-        let err = Cpu::new(&p).run_hooked(10_000, &mut hook).expect_err("must be detected");
+        let err = Cpu::new(&p)
+            .run_with(10_000, &mut hook, |_| ControlFlow::Continue(()))
+            .expect_err("must be detected");
         assert!(matches!(err.kind, CpuErrorKind::DualRailViolation { .. }));
     }
 
@@ -137,7 +144,9 @@ mod tests {
             model: FaultModel::BitFlip { bit: 4 },
         });
         let mut hook = (FaultInjector::new(plan), DualRailChecker::new());
-        Cpu::new(&p).run_hooked(10_000, &mut hook).expect("rail-legal run");
+        Cpu::new(&p)
+            .run_with(10_000, &mut hook, |_| ControlFlow::Continue(()))
+            .expect("rail-legal run");
         assert!(hook.0.any_injected());
     }
 }

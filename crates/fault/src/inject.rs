@@ -4,6 +4,7 @@
 use crate::plan::{FaultModel, FaultPlan, FaultTarget, FaultTrigger};
 use emask_cpu::{CpuBackend, CpuError, FaultLane, HookCtx, PipelineHook, RunResult};
 use emask_isa::Program;
+use std::ops::ControlFlow;
 
 /// Per-fault bookkeeping across the run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -130,7 +131,7 @@ pub fn run_plan_on<B: CpuBackend>(
 ) -> (B, FaultInjector, Result<RunResult, CpuError>) {
     let mut cpu = B::load(program);
     let mut inj = FaultInjector::new(plan);
-    let outcome = cpu.run_hooked_with(max_cycles, &mut inj, |_| {});
+    let outcome = cpu.run_with(max_cycles, &mut inj, |_| ControlFlow::Continue(()));
     (cpu, inj, outcome)
 }
 
@@ -191,8 +192,9 @@ impl PipelineHook for FaultInjector {
 mod tests {
     use super::*;
     use crate::plan::{FaultPlan, FaultSpec};
-    use emask_cpu::{Cpu, RailMode};
+    use emask_cpu::{Cpu, CpuBackend, RailMode};
     use emask_isa::{assemble, OpClass, Reg};
+    use std::ops::ControlFlow;
 
     fn program() -> emask_isa::Program {
         assemble(".text\n li $t0, 6\n li $t1, 7\n nop\n nop\n nop\n addu $t2, $t0, $t1\n halt\n")
@@ -203,7 +205,7 @@ mod tests {
         let p = program();
         let mut cpu = Cpu::new(&p);
         let mut inj = FaultInjector::new(plan);
-        cpu.run_hooked(10_000, &mut inj).expect("run");
+        cpu.run_with(10_000, &mut inj, |_| ControlFlow::Continue(())).expect("run");
         (cpu, inj)
     }
 

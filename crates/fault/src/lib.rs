@@ -19,9 +19,11 @@
 //!   of silently corrupting the ciphertext.
 //!
 //! Injector and checker compose as a hook tuple, so a typical faulted run
-//! is `cpu.run_hooked(limit, &mut (injector, checker))`. With no plan
-//! installed the hook machinery disappears entirely — the unfaulted path
-//! is the plain [`Cpu::run`](emask_cpu::Cpu::run) loop.
+//! is `cpu.run_with(limit, &mut (injector, checker), |_| Continue(()))`
+//! through [`CpuBackend::run_with`](emask_cpu::CpuBackend::run_with), the
+//! one run loop every backend shares. With no plan installed the hook
+//! machinery disappears entirely — the unfaulted path is the bare clock
+//! that [`Cpu::run`](emask_cpu::Cpu::run) drives.
 //!
 //! Everything here works against any [`CpuBackend`](emask_cpu::CpuBackend),
 //! not just the pipeline: [`run_plan_on`] replays a plan on an explicit
@@ -35,8 +37,9 @@
 //! ```
 //! use emask_fault::{DualRailChecker, FaultInjector, FaultModel, FaultPlan,
 //!     FaultSpec, FaultTarget, FaultTrigger};
-//! use emask_cpu::{Cpu, CpuErrorKind, FaultLane, RailMode};
+//! use emask_cpu::{Cpu, CpuBackend, CpuErrorKind, FaultLane, RailMode};
 //! use emask_isa::{assemble, OpClass};
+//! use std::ops::ControlFlow;
 //!
 //! let p = assemble(
 //!     ".data\nv: .word 9\n.text\n la $t0, v\n slw $t1, 0($t0)\n halt\n",
@@ -47,7 +50,9 @@
 //!     model: FaultModel::BitFlip { bit: 5 },
 //! });
 //! let mut hook = (FaultInjector::new(plan), DualRailChecker::new());
-//! let err = Cpu::new(&p).run_hooked(10_000, &mut hook).unwrap_err();
+//! let err = Cpu::new(&p)
+//!     .run_with(10_000, &mut hook, |_| ControlFlow::Continue(()))
+//!     .unwrap_err();
 //! assert!(matches!(err.kind, CpuErrorKind::DualRailViolation { .. }));
 //! ```
 

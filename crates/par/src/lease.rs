@@ -85,8 +85,8 @@ impl ThreadBudget {
 }
 
 /// One campaign's claim on the shared [`ThreadBudget`]. Clones share the
-/// claim; the remaining grant returns to the budget on [`release`]
-/// (idempotent) or when the last clone drops.
+/// claim; the remaining grant returns to the budget on
+/// [`release`](Lease::release) (idempotent) or when the last clone drops.
 #[derive(Debug, Clone)]
 pub struct Lease {
     inner: Arc<LeaseInner>,
@@ -102,7 +102,8 @@ struct LeaseInner {
 }
 
 impl Lease {
-    /// Workers the holder may currently run (0 after [`release`]).
+    /// Workers the holder may currently run (0 after
+    /// [`release`](Lease::release)).
     #[must_use]
     pub fn allowed(&self) -> usize {
         self.inner.allowed.load(Ordering::SeqCst)

@@ -313,6 +313,9 @@ struct JobRecord {
     waits: u64,
 }
 
+/// A job aging just promoted from Batch to Normal, with its event sink.
+type Promotion = (u64, Arc<JobSink>);
+
 struct Inner {
     jobs: BTreeMap<u64, JobRecord>,
     queues: ClassQueues,
@@ -868,20 +871,8 @@ impl<R: ExperimentRunner> Supervisor<R> {
                     if self.shutdown.load(Ordering::SeqCst) {
                         return;
                     }
-                    if let Some((id, promoted)) = inner.queues.pop(self.cfg.aging_threshold) {
-                        // Jobs cancelled while queued are already terminal.
-                        if inner.jobs.get(&id).is_some_and(|r| !r.state.terminal()) {
-                            // Aging promoted a starved Batch job: it is
-                            // Normal from here on.
-                            let promoted = promoted.and_then(|pid| {
-                                let rec = inner.jobs.get_mut(&pid)?;
-                                rec.class = Priority::Normal;
-                                Some((pid, Arc::clone(&rec.sink)))
-                            });
-                            inner.running += 1;
-                            break (id, promoted);
-                        }
-                        continue;
+                    if let Some(claimed) = self.claim_next(&mut inner) {
+                        break claimed;
                     }
                     inner = self.work.wait(inner).expect("supervisor poisoned");
                 }
@@ -897,6 +888,31 @@ impl<R: ExperimentRunner> Supervisor<R> {
             let mut inner = self.inner.lock().expect("supervisor poisoned");
             inner.running = inner.running.saturating_sub(1);
         }
+    }
+
+    /// Pops the next runnable job and claims it for the calling executor,
+    /// returning its id and the job aging promoted on the way, if any. The
+    /// job turns `Running` inside the caller's critical section, so a
+    /// `cancel` between this pop and `run_job` finds it running (and
+    /// leaves the finish to `run_job`) instead of finalizing a job that is
+    /// about to start.
+    fn claim_next(&self, inner: &mut Inner) -> Option<(u64, Option<Promotion>)> {
+        while let Some((id, promoted)) = inner.queues.pop(self.cfg.aging_threshold) {
+            // Jobs cancelled while queued are already terminal.
+            let Some(rec) = inner.jobs.get_mut(&id).filter(|r| !r.state.terminal()) else {
+                continue;
+            };
+            rec.state = JobState::Running;
+            // Aging promoted a starved Batch job: it is Normal from here on.
+            let promoted = promoted.and_then(|pid| {
+                let rec = inner.jobs.get_mut(&pid)?;
+                rec.class = Priority::Normal;
+                Some((pid, Arc::clone(&rec.sink)))
+            });
+            inner.running += 1;
+            return Some((id, promoted));
+        }
+        None
     }
 
     fn finish_files(&self, id: u64, state: JobState, sink: &JobSink) {
@@ -973,9 +989,8 @@ impl<R: ExperimentRunner> Supervisor<R> {
     fn run_job(&self, id: u64) {
         let job = Self::job_span(id);
         let (spec, sink, class, wait_ms, waits) = {
-            let mut inner = self.inner.lock().expect("supervisor poisoned");
-            let Some(rec) = inner.jobs.get_mut(&id) else { return };
-            rec.state = JobState::Running;
+            let inner = self.inner.lock().expect("supervisor poisoned");
+            let Some(rec) = inner.jobs.get(&id) else { return };
             let wait_ms = rec.queued_at.elapsed().as_secs_f64() * 1e3;
             (rec.spec.clone(), Arc::clone(&rec.sink), rec.class, wait_ms, rec.waits)
         };
@@ -1188,5 +1203,48 @@ impl<R: ExperimentRunner> Supervisor<R> {
             }
             backoff_span.close_on(&*sink, backoff);
         }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+
+    /// Finishes every job at once.
+    struct DoneRunner;
+
+    impl ExperimentRunner for DoneRunner {
+        fn admit(&self, _spec: &JobSpec) -> Result<u64, String> {
+            Ok(0)
+        }
+
+        fn run(&self, _spec: &JobSpec, _ctx: &JobCtx<'_>) -> RunStatus {
+            RunStatus::Done { csv: String::new() }
+        }
+    }
+
+    #[test]
+    fn cancel_between_claim_and_start_records_one_terminal() {
+        let dir = std::env::temp_dir().join(format!("emask-serve-claim-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SupervisorConfig {
+            executors: 1,
+            thread_budget: 1,
+            ..SupervisorConfig::new(dir.clone())
+        };
+        let sup = Supervisor::new(cfg, DoneRunner).unwrap();
+        let id = sup.submit(JobSpec { experiment: "done".into(), ..JobSpec::default() }).unwrap();
+        // What an executor does, with a cancel landing between its pop and
+        // the start of the job.
+        let claimed = sup.claim_next(&mut sup.inner.lock().unwrap()).map(|(id, _)| id);
+        assert_eq!(claimed, Some(id));
+        sup.cancel(id).unwrap();
+        sup.run_job(id);
+        assert_eq!(sup.job_state(id), Some(JobState::Cancelled));
+        let events = std::fs::read_to_string(sup.path(id, "events.jsonl")).unwrap();
+        assert_eq!(events.matches("\"event\":\"job_cancelled\"").count(), 1, "{events}");
+        assert_eq!(events.matches("\"event\":\"job_started\"").count(), 0, "{events}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,6 +7,7 @@ use emask::core::desgen::{des_source, DesProgramSpec};
 use emask::cpu::{Cpu, CpuBackend, CycleActivity, Interpreter, NullHook};
 use emask_conformance::{assert_checkpoint_round_trip, conformance_suite, conformance_suite_pair};
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 /// The pipeline against the reference interpreter — the pair that catches
 /// pipeline bugs. Coverage floors are asserted on the report, not assumed.
@@ -19,6 +20,7 @@ fn pipeline_conforms_to_the_reference_interpreter() {
     assert_eq!(report.des_binaries, 2, "masked + unmasked DES");
     assert!(report.checkpoint_round_trips > 0);
     assert!(report.hook_checks > 0);
+    assert!(report.stop_resume_checks > 0);
     assert_eq!(report.energy_csvs.len(), 4, "one CSV per (backend, DES binary)");
     for p in &report.energy_csvs {
         assert!(p.exists(), "energy CSV not emitted: {}", p.display());
@@ -63,25 +65,28 @@ fn mid_des_checkpoint_round_trip_on_every_capable_backend() {
 fn round_trip_at<B: CpuBackend>(program: &emask::isa::Program, num: u64, den: u64) {
     let mut reference: Vec<CycleActivity> = Vec::new();
     let mut cpu = B::load(program);
-    cpu.run_hooked_with(20_000_000, &mut NullHook, |act| reference.push(act.clone()))
-        .expect("reference run");
+    cpu.run_with(20_000_000, &mut NullHook, |act| {
+        reference.push(act.clone());
+        ControlFlow::Continue(())
+    })
+    .expect("reference run");
     let cut = (reference.len() as u64 * num / den).max(1) as usize;
 
     let mut cpu = B::load(program);
     let mut stream: Vec<CycleActivity> = Vec::new();
     for _ in 0..cut {
-        stream.push(cpu.step_hooked(&mut NullHook).expect("step"));
+        stream.push(cpu.step(&mut NullHook).expect("step"));
     }
     let mut cp = cpu.checkpoint();
     for _ in 0..97 {
         if cpu.is_halted() {
             break;
         }
-        let _ = cpu.step_hooked(&mut NullHook).expect("overshoot step");
+        let _ = cpu.step(&mut NullHook).expect("overshoot step");
     }
     cpu.checkpoint_restore(&mut cp);
     while !cpu.is_halted() {
-        stream.push(cpu.step_hooked(&mut NullHook).expect("replay step"));
+        stream.push(cpu.step(&mut NullHook).expect("replay step"));
     }
     assert_eq!(stream, reference, "{}: snapshot at {num}/{den} not transparent", B::NAME);
 }

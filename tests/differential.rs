@@ -4,10 +4,11 @@
 
 use emask::cc::{compile, CompileOptions, MaskPolicy};
 use emask::core::desgen::{des_source, DesProgramSpec};
-use emask::cpu::{Cpu, Interpreter};
+use emask::cpu::{Cpu, CpuBackend, Interpreter};
 use emask::isa::program::DATA_BASE;
 use emask::isa::Reg;
 use proptest::prelude::*;
+use std::ops::ControlFlow;
 
 fn run_both(program: &emask::isa::Program) -> (Cpu, Interpreter) {
     let mut cpu = Cpu::new(program);
@@ -47,7 +48,8 @@ fn hooked_run_with_armed_checker_is_transparent() {
     let plain_stats = plain.run(20_000_000).expect("plain run");
     let mut hooked = Cpu::new(&out.program);
     let mut hook = (emask::cpu::NullHook, emask::fault::DualRailChecker::new());
-    let hooked_stats = hooked.run_hooked(20_000_000, &mut hook).expect("hooked run");
+    let hooked_stats =
+        hooked.run_with(20_000_000, &mut hook, |_| ControlFlow::Continue(())).expect("hooked run");
     assert_eq!(plain_stats, hooked_stats, "run statistics diverged");
     for r in Reg::ALL {
         assert_eq!(plain.reg(r), hooked.reg(r), "register {r} diverged");
@@ -102,7 +104,7 @@ proptest! {
         let mut cpu = Cpu::new(&out.program);
         let stats = cpu.run(20_000_000).expect("pipeline");
         let mut iss = Interpreter::new(&out.program);
-        let executed = iss.run(20_000_000).expect("iss");
+        let executed = iss.run(20_000_000).expect("iss").retired;
         prop_assert_eq!(stats.retired, executed);
         // A pipelined in-order core can never beat 1 IPC and the fill/
         // drain plus hazards cost at least 4 cycles.

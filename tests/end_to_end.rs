@@ -2,9 +2,11 @@
 //! validate pipeline across all crates.
 
 use emask::core::desgen::DesProgramSpec;
+use emask::cpu::CpuBackend;
 use emask::{Des, MaskPolicy, MaskedDes, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
 
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
 const PLAINTEXT: u64 = 0x0123_4567_89AB_CDEF;
@@ -131,7 +133,11 @@ fn facade_reexports_compose() {
     let mut cpu = emask::cpu::Cpu::new(&program);
     let mut model = emask::energy::EnergyModel::new();
     let mut trace = emask::EnergyTrace::new();
-    cpu.run_with(1_000, |a| trace.push(model.observe(a))).expect("run");
+    cpu.run_with(1_000, &mut emask::cpu::NullHook, |a| {
+        trace.push(model.observe(a));
+        ControlFlow::Continue(())
+    })
+    .expect("run");
     assert!(trace.total_pj() > 0.0);
     assert_eq!(cpu.reg(emask::isa::Reg::T1), 0);
 }
