@@ -27,7 +27,7 @@
 use crate::cpa::CpaResult;
 use crate::dpa::{result_from_peaks, sbox_chunk, DpaResult};
 use crate::stats::{peak, StatsError};
-use emask_des::cipher::sbox_lookup;
+use emask_des::sbox_lookup;
 use std::ops::Range;
 
 /// Pointwise streaming mean/variance over equal-length traces

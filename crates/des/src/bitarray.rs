@@ -11,7 +11,7 @@
 //! 1. it is the executable specification of the Tiny-C program that
 //!    `emask-core` compiles and runs on the simulated pipeline, and
 //! 2. every intermediate array is cross-checked against the packed golden
-//!    model ([`crate::cipher`]) in the tests, so a simulator bug cannot hide
+//!    model ([`Des`](crate::Des)) in the tests, so a simulator bug cannot hide
 //!    behind a matching-but-wrong reference.
 
 // The round code below uses explicit index loops deliberately: it is a
@@ -23,45 +23,22 @@ use crate::bits::{from_bit_vec, to_bit_vec};
 
 use crate::tables::{sboxes_flat, E, IP, IP_INV, P, PC1, PC2, SHIFTS};
 
-/// A 64-bit block expanded to one `u32` word per bit, MSB first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExpandedBlock(pub [u32; 64]);
-
-impl ExpandedBlock {
-    /// Expands a packed block.
-    pub fn from_u64(block: u64) -> Self {
-        let bits = to_bit_vec(block);
-        let mut words = [0u32; 64];
-        for (w, &b) in words.iter_mut().zip(bits.iter()) {
-            *w = u32::from(b);
-        }
-        Self(words)
-    }
-
-    /// Packs back to a `u64`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any word is not 0 or 1.
-    pub fn to_u64(self) -> u64 {
-        let mut bits = [0u8; 64];
-        for (b, &w) in bits.iter_mut().zip(self.0.iter()) {
-            assert!(w <= 1, "expanded word {w} is not a bit");
-            *b = w as u8;
-        }
-        from_bit_vec(&bits)
-    }
+/// Expands a packed block to one `u32` word per bit, MSB first.
+fn expand(block: u64) -> [u32; 64] {
+    to_bit_vec(block).map(u32::from)
 }
 
-impl From<u64> for ExpandedBlock {
-    fn from(block: u64) -> Self {
-        Self::from_u64(block)
-    }
+/// Packs one word per bit back to a `u64`.
+///
+/// # Panics
+///
+/// Panics if any word is not 0 or 1.
+fn pack(words: &[u32; 64]) -> u64 {
+    from_bit_vec(&words.map(|w| {
+        assert!(w <= 1, "expanded word {w} is not a bit");
+        w as u8
+    }))
 }
-
-/// A 64-bit key expanded to one word per bit — the *critical* array the
-/// programmer annotates `secure` in the Tiny-C source.
-pub type ExpandedKey = ExpandedBlock;
 
 /// The complete bit-array working state of the Figure 2 algorithm: every
 /// array the simulated program keeps in data memory.
@@ -94,8 +71,8 @@ impl BitArrayState {
     /// Runs initial permutation and key permutation (PC-1), producing the
     /// pre-round state — the first two boxes of Figure 2.
     pub fn new(plaintext: u64, key: u64) -> Self {
-        let data = ExpandedBlock::from_u64(plaintext).0;
-        let keyw = ExpandedBlock::from_u64(key).0;
+        let data = expand(plaintext);
+        let keyw = expand(key);
         let mut l = [0u32; 32];
         let mut r = [0u32; 32];
         // (L, R) = PermuteIP(Data)
@@ -174,59 +151,8 @@ impl BitArrayState {
         for i in 0..64 {
             out[i] = preout[(IP_INV[i] - 1) as usize];
         }
-        ExpandedBlock(out).to_u64()
+        pack(&out)
     }
-
-    /// Runs all 16 rounds and returns the ciphertext.
-    pub fn encrypt_to_end(&mut self) -> u64 {
-        for m in 1..=16 {
-            self.round(m);
-        }
-        self.output()
-    }
-
-    /// Packs the current `L` half.
-    pub fn l_packed(&self) -> u32 {
-        pack32(&self.l)
-    }
-
-    /// Packs the current `R` half.
-    pub fn r_packed(&self) -> u32 {
-        pack32(&self.r)
-    }
-
-    /// Packs the current round key `K`.
-    pub fn k_packed(&self) -> u64 {
-        let mut v = 0u64;
-        for &b in &self.k {
-            v = (v << 1) | u64::from(b);
-        }
-        v
-    }
-}
-
-fn pack32(bits: &[u32; 32]) -> u32 {
-    let mut v = 0u32;
-    for &b in bits {
-        debug_assert!(b <= 1);
-        v = (v << 1) | b;
-    }
-    v
-}
-
-/// One-shot bit-array encryption of a single block — the executable
-/// specification of the simulated program.
-///
-/// # Examples
-///
-/// ```
-/// use emask_des::{bitarray, Des};
-/// let key = 0x133457799BBCDFF1;
-/// let p = 0x0123456789ABCDEF;
-/// assert_eq!(bitarray::encrypt_block(p, key), Des::new(key).encrypt_block(p));
-/// ```
-pub fn encrypt_block(plaintext: u64, key: u64) -> u64 {
-    BitArrayState::new(plaintext, key).encrypt_to_end()
 }
 
 #[cfg(test)]
@@ -240,16 +166,30 @@ mod tests {
     #[test]
     fn expanded_block_round_trips() {
         for v in [0u64, u64::MAX, 0x0123_4567_89AB_CDEF] {
-            assert_eq!(ExpandedBlock::from_u64(v).to_u64(), v);
+            assert_eq!(pack(&expand(v)), v);
         }
     }
 
     #[test]
     #[should_panic(expected = "not a bit")]
     fn packing_non_bit_words_panics() {
-        let mut e = ExpandedBlock::from_u64(0);
-        e.0[3] = 2;
-        e.to_u64();
+        let mut e = expand(0);
+        e[3] = 2;
+        pack(&e);
+    }
+
+    /// Runs all 16 rounds and returns the ciphertext.
+    fn encrypt_block(plaintext: u64, key: u64) -> u64 {
+        let mut st = BitArrayState::new(plaintext, key);
+        for m in 1..=16 {
+            st.round(m);
+        }
+        st.output()
+    }
+
+    /// Packs a bit-per-word array, MSB first.
+    fn packed(bits: &[u32]) -> u64 {
+        bits.iter().fold(0, |v, &b| (v << 1) | u64::from(b))
     }
 
     #[test]
@@ -259,10 +199,9 @@ mod tests {
         let st = BitArrayState::new(p, key);
         let ks = KeySchedule::new(key);
         let (_, trace) = Des::new(key).encrypt_block_traced(p);
-        assert_eq!(st.l_packed(), trace.l[0]);
-        assert_eq!(st.r_packed(), trace.r[0]);
-        assert_eq!(pack28(&st.c), ks.c(0));
-        assert_eq!(pack28(&st.d), ks.d(0));
+        assert_eq!(packed(&st.l), u64::from(trace.l[0]));
+        assert_eq!(packed(&st.r), u64::from(trace.r[0]));
+        assert_eq!((packed(&st.c) as u32, packed(&st.d) as u32), ks.cd(0));
     }
 
     #[test]
@@ -274,11 +213,10 @@ mod tests {
         let (_, trace) = Des::new(key).encrypt_block_traced(p);
         for m in 1..=16 {
             st.round(m);
-            assert_eq!(st.l_packed(), trace.l[m], "L after round {m}");
-            assert_eq!(st.r_packed(), trace.r[m], "R after round {m}");
-            assert_eq!(st.k_packed(), ks.round_key(m).value(), "K{m}");
-            assert_eq!(pack28(&st.c), ks.c(m), "C{m}");
-            assert_eq!(pack28(&st.d), ks.d(m), "D{m}");
+            assert_eq!(packed(&st.l), u64::from(trace.l[m]), "L after round {m}");
+            assert_eq!(packed(&st.r), u64::from(trace.r[m]), "R after round {m}");
+            assert_eq!(packed(&st.k), ks.round_key(m).value(), "K{m}");
+            assert_eq!((packed(&st.c) as u32, packed(&st.d) as u32), ks.cd(m), "C{m}, D{m}");
         }
     }
 
@@ -294,14 +232,6 @@ mod tests {
     #[should_panic(expected = "out of 1..=16")]
     fn round_seventeen_panics() {
         BitArrayState::new(0, 0).round(17);
-    }
-
-    fn pack28(bits: &[u32; 28]) -> u32 {
-        let mut v = 0u32;
-        for &b in bits {
-            v = (v << 1) | b;
-        }
-        v
     }
 
     proptest! {

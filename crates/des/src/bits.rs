@@ -11,34 +11,10 @@
 /// # Panics
 ///
 /// Panics if `pos` is zero or greater than `width`, or `width > 64`.
-///
-/// # Examples
-///
-/// ```
-/// use emask_des::bits::bit;
-/// assert_eq!(bit(0b1000, 4, 1), 1);
-/// assert_eq!(bit(0b1000, 4, 4), 0);
-/// ```
-pub fn bit(value: u64, width: u32, pos: u32) -> u64 {
+pub(crate) fn bit(value: u64, width: u32, pos: u32) -> u64 {
     assert!(width <= 64, "width {width} exceeds 64");
     assert!(pos >= 1 && pos <= width, "bit {pos} out of 1..={width}");
     (value >> (width - pos)) & 1
-}
-
-/// Sets bit `pos` (1-based, MSB-first) of a `width`-bit value to `b`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`bit`], or if `b > 1`.
-pub fn with_bit(value: u64, width: u32, pos: u32, b: u64) -> u64 {
-    assert!(b <= 1, "bit value must be 0 or 1");
-    assert!(width <= 64 && pos >= 1 && pos <= width);
-    let mask = 1u64 << (width - pos);
-    if b == 1 {
-        value | mask
-    } else {
-        value & !mask
-    }
 }
 
 /// Applies a FIPS-style permutation/selection table.
@@ -73,7 +49,7 @@ pub fn permute(value: u64, src_width: u32, table: &[u8]) -> u64 {
 /// # Panics
 ///
 /// Panics if `width` is 0 or greater than 64.
-pub fn rotl(value: u64, width: u32, n: u32) -> u64 {
+pub(crate) fn rotl(value: u64, width: u32, n: u32) -> u64 {
     assert!((1..=64).contains(&width));
     let n = n % width;
     let mask = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
@@ -81,12 +57,12 @@ pub fn rotl(value: u64, width: u32, n: u32) -> u64 {
 }
 
 /// Splits a 64-bit block into its 32-bit (left, right) halves.
-pub fn split64(block: u64) -> (u32, u32) {
+pub(crate) fn split64(block: u64) -> (u32, u32) {
     ((block >> 32) as u32, block as u32)
 }
 
 /// Joins 32-bit (left, right) halves into a 64-bit block.
-pub fn join64(left: u32, right: u32) -> u64 {
+pub(crate) fn join64(left: u32, right: u32) -> u64 {
     (u64::from(left) << 32) | u64::from(right)
 }
 
@@ -126,13 +102,6 @@ mod tests {
         assert_eq!(bit(v, 64, 1), 1);
         assert_eq!(bit(v, 64, 64), 0);
         assert_eq!(bit(1, 64, 64), 1);
-    }
-
-    #[test]
-    fn with_bit_round_trips() {
-        let v = with_bit(0, 64, 7, 1);
-        assert_eq!(bit(v, 64, 7), 1);
-        assert_eq!(with_bit(v, 64, 7, 0), 0);
     }
 
     #[test]

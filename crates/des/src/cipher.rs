@@ -43,16 +43,6 @@ impl Des {
         Self { schedule: KeySchedule::new(key) }
     }
 
-    /// Creates a cipher from an existing [`KeySchedule`].
-    pub fn from_schedule(schedule: KeySchedule) -> Self {
-        Self { schedule }
-    }
-
-    /// The key schedule in use.
-    pub fn schedule(&self) -> &KeySchedule {
-        &self.schedule
-    }
-
     /// Encrypts one 64-bit block.
     pub fn encrypt_block(&self, plaintext: u64) -> u64 {
         self.crypt(plaintext, Direction::Encrypt)
@@ -119,13 +109,13 @@ enum Direction {
 }
 
 /// The DES round function `f(R, K) = P(S(E(R) ⊕ K))`.
-pub fn f_function(r: u32, k: RoundKey) -> u32 {
+pub(crate) fn f_function(r: u32, k: RoundKey) -> u32 {
     let expanded = permute(u64::from(r), 32, &E);
     f_function_from_sbox_input(expanded ^ k.value())
 }
 
 /// The S-box + P stage of `f`, given the already-XORed 48-bit S-box input.
-pub fn f_function_from_sbox_input(sbox_in: u64) -> u32 {
+fn f_function_from_sbox_input(sbox_in: u64) -> u32 {
     let mut s_out = 0u32;
     for box_idx in 0..8 {
         let six = ((sbox_in >> (42 - 6 * box_idx)) & 0x3F) as u8;
@@ -267,10 +257,10 @@ mod tests {
         #[test]
         fn avalanche_in_key(key: u64, plain: u64, bit in 0u32..64) {
             // Non-parity key bits avalanche; parity bits change nothing.
-            let pos_msb1 = 64 - bit; // 1-based, MSB-first
+            let pos_msb1 = 64 - bit; // 1-based, MSB-first; parity bits are 8, 16, …
             let c1 = Des::new(key).encrypt_block(plain);
             let c2 = Des::new(key ^ (1u64 << bit)).encrypt_block(plain);
-            if crate::key::is_parity_position(pos_msb1) {
+            if pos_msb1.is_multiple_of(8) {
                 prop_assert_eq!(c1, c2);
             } else {
                 let dist = (c1 ^ c2).count_ones();

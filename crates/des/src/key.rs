@@ -38,23 +38,7 @@ impl fmt::Display for RoundKey {
     }
 }
 
-/// Error returned by [`KeySchedule::new_checked`] when the key's odd-parity
-/// bytes are wrong.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParityError {
-    /// Bit mask of the offending bytes, MSB-first (bit 7 = first key byte).
-    pub bad_bytes: u8,
-}
-
-impl fmt::Display for ParityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "key bytes fail odd parity (mask {:08b})", self.bad_bytes)
-    }
-}
-
-impl std::error::Error for ParityError {}
-
-/// The 16 round keys plus the intermediate `C`/`D` register values.
+/// The 16 round keys of a 64-bit key.
 ///
 /// # Examples
 ///
@@ -68,10 +52,6 @@ impl std::error::Error for ParityError {}
 pub struct KeySchedule {
     key: u64,
     round_keys: [RoundKey; 16],
-    /// `c[0]`/`d[0]` are the PC-1 outputs; `c[r]`/`d[r]` the post-rotation
-    /// registers of round `r`.
-    c: [u32; 17],
-    d: [u32; 17],
 }
 
 impl KeySchedule {
@@ -79,54 +59,18 @@ impl KeySchedule {
     /// PC-1 drops them.
     pub fn new(key: u64) -> Self {
         let cd = permute(key, 64, &PC1);
-        let mut c = [0u32; 17];
-        let mut d = [0u32; 17];
-        c[0] = (cd >> 28) as u32;
-        d[0] = (cd & 0x0FFF_FFFF) as u32;
+        let (mut c, mut d) = (cd >> 28, cd & 0x0FFF_FFFF);
         let mut round_keys = [RoundKey::default(); 16];
-        for r in 0..16 {
-            let s = u32::from(SHIFTS[r]);
-            c[r + 1] = rotl(u64::from(c[r]), 28, s) as u32;
-            d[r + 1] = rotl(u64::from(d[r]), 28, s) as u32;
-            let cd = (u64::from(c[r + 1]) << 28) | u64::from(d[r + 1]);
-            round_keys[r] = RoundKey(permute(cd, 56, &PC2));
+        for (rk, &s) in round_keys.iter_mut().zip(&SHIFTS) {
+            c = rotl(c, 28, u32::from(s));
+            d = rotl(d, 28, u32::from(s));
+            *rk = RoundKey(permute((c << 28) | d, 56, &PC2));
         }
-        Self { key, round_keys, c, d }
-    }
-
-    /// Like [`KeySchedule::new`] but first validates the key's odd parity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParityError`] identifying the bytes whose parity is even.
-    pub fn new_checked(key: u64) -> Result<Self, ParityError> {
-        let mut bad = 0u8;
-        for byte in 0..8 {
-            let b = (key >> (56 - 8 * byte)) as u8;
-            if b.count_ones().is_multiple_of(2) {
-                bad |= 0x80 >> byte;
-            }
-        }
-        if bad != 0 {
-            Err(ParityError { bad_bytes: bad })
-        } else {
-            Ok(Self::new(key))
-        }
-    }
-
-    /// Rewrites the parity bits of `key` so every byte has odd parity.
-    pub fn fix_parity(key: u64) -> u64 {
-        let mut out = 0u64;
-        for byte in 0..8 {
-            let b = (key >> (56 - 8 * byte)) as u8;
-            let fixed = if (b >> 1).count_ones().is_multiple_of(2) { (b & !1) | 1 } else { b & !1 };
-            out = (out << 8) | u64::from(fixed);
-        }
-        out
+        Self { key, round_keys }
     }
 
     /// The original 64-bit key.
-    pub fn key(&self) -> u64 {
+    pub(crate) fn key(&self) -> u64 {
         self.key
     }
 
@@ -140,60 +84,15 @@ impl KeySchedule {
         self.round_keys[n - 1]
     }
 
-    /// All 16 round keys in encryption order.
-    pub fn round_keys(&self) -> &[RoundKey; 16] {
-        &self.round_keys
+    /// The `C`/`D` registers after round `n` (`n = 0` gives the PC-1
+    /// outputs), recomputed for the tests that check the bit-array state
+    /// against them.
+    #[cfg(test)]
+    pub(crate) fn cd(&self, n: usize) -> (u32, u32) {
+        let cd = permute(self.key, 64, &PC1);
+        let s = SHIFTS[..n].iter().map(|&s| u32::from(s)).sum();
+        (rotl(cd >> 28, 28, s) as u32, rotl(cd & 0x0FFF_FFFF, 28, s) as u32)
     }
-
-    /// The `C` register after round `n` (`n = 0` gives `C0` from PC-1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 16`.
-    pub fn c(&self, n: usize) -> u32 {
-        self.c[n]
-    }
-
-    /// The `D` register after round `n` (`n = 0` gives `D0` from PC-1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > 16`.
-    pub fn d(&self, n: usize) -> u32 {
-        self.d[n]
-    }
-
-    /// Which of the 56 effective key bits (1-based FIPS key positions)
-    /// influence round key `n`. Useful for DPA experiments that target a
-    /// single round key.
-    pub fn round_key_source_bits(&self, n: usize) -> Vec<u32> {
-        assert!((1..=16).contains(&n));
-        let total_rot: u32 = SHIFTS[..n].iter().map(|&s| u32::from(s)).sum();
-        let mut sources = Vec::with_capacity(48);
-        for &sel in &PC2 {
-            // PC-2 selects from C‖D after rotation; undo the rotation to find
-            // the PC-1 output position, then map through PC-1 to a key bit.
-            let sel = u32::from(sel);
-            let (half_len, base) = if sel <= 28 { (28, 1) } else { (28, 29) };
-            let pos_in_half = sel - base + 1;
-            let unrot = (pos_in_half + total_rot - 1) % half_len + 1;
-            let pc1_pos = base + unrot - 1;
-            sources.push(u32::from(PC1[(pc1_pos - 1) as usize]));
-        }
-        sources
-    }
-}
-
-/// Returns the 1-based positions (within the 64-bit key) of the 8 parity
-/// bits, which never influence encryption.
-pub fn parity_bit_positions() -> [u32; 8] {
-    [8, 16, 24, 32, 40, 48, 56, 64]
-}
-
-/// True if flipping key bit `pos` (1-based, MSB-first) cannot change any
-/// ciphertext, i.e. `pos` is a parity position.
-pub fn is_parity_position(pos: u32) -> bool {
-    pos.is_multiple_of(8)
 }
 
 #[cfg(test)]
@@ -209,8 +108,7 @@ mod tests {
     #[test]
     fn walkthrough_c0_d0() {
         let ks = KeySchedule::new(WALKTHROUGH_KEY);
-        assert_eq!(ks.c(0), 0b1111000011001100101010101111);
-        assert_eq!(ks.d(0), 0b0101010101100110011110001111);
+        assert_eq!(ks.cd(0), (0b1111000011001100101010101111, 0b0101010101100110011110001111));
     }
 
     #[test]
@@ -224,16 +122,7 @@ mod tests {
     fn c16_d16_return_to_start() {
         // The shifts sum to 28 so the registers complete a full rotation.
         let ks = KeySchedule::new(WALKTHROUGH_KEY);
-        assert_eq!(ks.c(16), ks.c(0));
-        assert_eq!(ks.d(16), ks.d(0));
-    }
-
-    #[test]
-    fn round_key_accessors_agree() {
-        let ks = KeySchedule::new(WALKTHROUGH_KEY);
-        for n in 1..=16 {
-            assert_eq!(ks.round_key(n), ks.round_keys()[n - 1]);
-        }
+        assert_eq!(ks.cd(16), ks.cd(0));
     }
 
     #[test]
@@ -253,88 +142,21 @@ mod tests {
         assert_eq!(rebuilt, k1.value());
     }
 
-    #[test]
-    fn parity_check_accepts_good_key() {
-        // 0x133457799BBCDFF1 is the classic odd-parity example key.
-        assert!(KeySchedule::new_checked(WALKTHROUGH_KEY).is_ok());
-    }
-
-    #[test]
-    fn parity_check_rejects_bad_key() {
-        let err = KeySchedule::new_checked(0).unwrap_err();
-        assert_eq!(err.bad_bytes, 0xFF);
-        assert!(err.to_string().contains("odd parity"));
-    }
-
-    #[test]
-    fn fix_parity_produces_valid_keys() {
-        for k in [0u64, 0x0123_4567_89AB_CDEF, u64::MAX] {
-            let fixed = KeySchedule::fix_parity(k);
-            assert!(KeySchedule::new_checked(fixed).is_ok());
-            // Effective (non-parity) bits are untouched.
-            for byte in 0..8 {
-                assert_eq!(
-                    (fixed >> (56 - 8 * byte)) as u8 >> 1,
-                    (k >> (56 - 8 * byte)) as u8 >> 1
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parity_positions_are_multiples_of_eight() {
-        for pos in parity_bit_positions() {
-            assert!(is_parity_position(pos));
-        }
-        assert!(!is_parity_position(1));
-    }
-
-    #[test]
-    fn round_key_source_bits_never_include_parity() {
-        let ks = KeySchedule::new(WALKTHROUGH_KEY);
-        for n in 1..=16 {
-            for src in ks.round_key_source_bits(n) {
-                assert!(!is_parity_position(src), "round {n} claims parity source {src}");
-            }
-        }
-    }
-
-    #[test]
-    fn round_key_source_bits_are_consistent_with_flips() {
-        // Flipping a key bit claimed as a source of K1 must change K1;
-        // flipping any other (non-parity) bit must leave K1 unchanged.
-        let ks = KeySchedule::new(WALKTHROUGH_KEY);
-        let sources = ks.round_key_source_bits(1);
-        for pos in 1..=64u32 {
-            if is_parity_position(pos) {
-                continue;
-            }
-            let flipped = WALKTHROUGH_KEY ^ (1u64 << (64 - pos));
-            let k1_flipped = KeySchedule::new(flipped).round_key(1);
-            let expect_change = sources.contains(&pos);
-            assert_eq!(
-                k1_flipped != ks.round_key(1),
-                expect_change,
-                "key bit {pos}: change={} expected={}",
-                k1_flipped != ks.round_key(1),
-                expect_change
-            );
-        }
-    }
-
     proptest! {
         #[test]
         fn parity_bits_never_affect_schedule(key: u64, flip in 0usize..8) {
             let ks1 = KeySchedule::new(key);
             let ks2 = KeySchedule::new(key ^ (1u64 << (8 * flip)));
-            prop_assert_eq!(ks1.round_keys(), ks2.round_keys());
+            for n in 1..=16 {
+                prop_assert_eq!(ks1.round_key(n), ks2.round_key(n));
+            }
         }
 
         #[test]
         fn round_keys_have_at_most_48_bits(key: u64) {
             let ks = KeySchedule::new(key);
-            for rk in ks.round_keys() {
-                prop_assert!(rk.value() < (1u64 << 48));
+            for n in 1..=16 {
+                prop_assert!(ks.round_key(n).value() < (1u64 << 48));
             }
         }
     }

@@ -6,15 +6,16 @@
 //!
 //! The crate provides:
 //!
-//! * [`Des`] — single-key DES block cipher (encrypt/decrypt one 64-bit block),
-//! * [`TripleDes`] — EDE three-key / two-key triple DES,
-//! * [`Ecb`] and [`Cbc`] block modes over byte slices,
+//! * [`Des`] — single-key DES block cipher (encrypt/decrypt one 64-bit
+//!   block, optionally with the per-round [`RoundTrace`]),
 //! * [`KeySchedule`] — the 16 48-bit round keys, exposed so the simulator-side
 //!   software DES can be validated round by round,
 //! * [`bits`] — MSB-first bit utilities matching FIPS table numbering,
-//! * [`bitarray`] — the *bit-per-word* expanded representation used by the
-//!   simulated smart-card program (one 32-bit word per DES bit, exactly the
-//!   coding style of Figure 4 of the paper).
+//! * [`BitArrayState`] — the *bit-per-word* expanded representation used by
+//!   the simulated smart-card program (one 32-bit word per DES bit, exactly
+//!   the coding style of Figure 4 of the paper),
+//! * the FIPS tables the generated program embeds ([`IP`], [`E`], [`P`],
+//!   [`PC1`], [`PC2`], [`SHIFTS`], [`sboxes_flat`], …).
 //!
 //! The paper's simulated processor runs a software DES compiled from a small
 //! C-like source; everything that program computes is cross-checked against
@@ -35,22 +36,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod bitarray;
+mod bitarray;
 pub mod bits;
-pub mod cipher;
-pub mod key;
-pub mod modes;
-pub mod stream_modes;
-pub mod tables;
-pub mod tdes;
-pub mod weak;
+mod cipher;
+mod key;
+mod tables;
 
-pub use bitarray::{BitArrayState, ExpandedBlock, ExpandedKey};
-pub use cipher::{Des, RoundTrace};
-pub use key::{KeySchedule, ParityError, RoundKey};
-pub use modes::{Cbc, Ecb, PadError};
-pub use stream_modes::{Cfb, Ctr, Ofb};
-pub use tdes::TripleDes;
-pub use weak::{is_semiweak_key, is_weak_key, semiweak_partner};
+pub use bitarray::BitArrayState;
+pub use cipher::{sbox_lookup, Des, RoundTrace};
+pub use key::{KeySchedule, RoundKey};
+pub use tables::{sboxes_flat, E, IP, IP_INV, P, PC1, PC2, SHIFTS};

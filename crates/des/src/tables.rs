@@ -61,7 +61,7 @@ pub const SHIFTS: [u8; 16] = [1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1];
 /// The eight S-boxes, each a 4×16 table indexed by (row, column).
 ///
 /// Row = bits 1 and 6 of the 6-bit input, column = bits 2–5, per FIPS 46-3.
-pub const SBOXES: [[[u8; 16]; 4]; 8] = [
+pub(crate) const SBOXES: [[[u8; 16]; 4]; 8] = [
     [
         [14, 4, 13, 1, 2, 15, 11, 8, 3, 10, 6, 12, 5, 9, 0, 7],
         [0, 15, 7, 4, 14, 2, 13, 1, 10, 6, 12, 11, 9, 5, 3, 8],

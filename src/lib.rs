@@ -64,4 +64,4 @@ pub use emask_core::{
     ChromeTrace, CycleCsv, EncryptionRun, EnergyParams, EnergyTrace, MaskPolicy, MaskedDes,
     MaskedXtea, MetricsRegistry, MetricsSnapshot, Phase, RunObserver, SecureStyle,
 };
-pub use emask_des::{Des, KeySchedule, TripleDes};
+pub use emask_des::{Des, KeySchedule};
