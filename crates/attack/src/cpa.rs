@@ -8,7 +8,7 @@
 //! scheme that only defeated single-bit DPA would not survive it, so this
 //! crate brings it to bear on the simulator too.
 
-use crate::dpa::{plaintext_for, selection_bit};
+use crate::dpa::plaintext_for;
 use crate::online::OnlineCpa;
 use emask_par::{fold_sharded, CancelToken, Interrupted, Jobs};
 use std::fmt;
@@ -59,8 +59,9 @@ impl fmt::Display for CpaResult {
 /// # Panics
 ///
 /// Panics if `sbox >= 8` or `guess >= 64`.
-pub fn predicted_hamming_weight(plaintext: u64, guess: u8, sbox: usize) -> u32 {
-    (0..4).map(|bit| u32::from(selection_bit(plaintext, guess, sbox, bit))).sum()
+#[cfg(test)]
+pub(crate) fn predicted_hamming_weight(plaintext: u64, guess: u8, sbox: usize) -> u32 {
+    (0..4).map(|bit| u32::from(crate::dpa::selection_bit(plaintext, guess, sbox, bit))).sum()
 }
 
 /// Runs a CPA campaign: `cfg.samples` traces from `oracle`, the plaintext

@@ -7,22 +7,22 @@
 //! the tests and benches run them against both unmasked and masked traces
 //! and verify that the key falls out of the former and not the latter.
 //!
-//! * [`stats`] — trace statistics: means, difference-of-means, Welch's
-//!   *t*, and the trace-matrix bookkeeping — the batch reference the
-//!   single-pass accumulators are checked against;
-//! * [`spa`] — round-structure detection: the Figure 6 observation that
-//!   "the energy profile can show what operations are being performed";
+//! * [`TraceMatrix`], [`difference_of_means`], [`welch_t`] — batch trace
+//!   statistics, the reference the single-pass accumulators are checked
+//!   against;
+//! * [`detect_rounds`] — round-structure detection (SPA): the Figure 6
+//!   observation that "the energy profile can show what operations are
+//!   being performed";
 //! * [`dpa`] — the §1 attack: partition a sample of traces by a predicted
 //!   intermediate bit (a round-1 S-box output bit under a 6-bit subkey
 //!   guess) and look for a difference-of-means peak;
-//! * [`cpa`] — correlation power analysis (an extension beyond the paper):
-//!   Pearson correlation against a Hamming-weight leakage model, the
-//!   stronger attack later literature standardized on.
-//!
-//! * [`online`] — single-pass (streaming) equivalents of the batch
-//!   statistics: Welford mean/variance, online Welch-*t*, and
-//!   O(guesses × trace_len) DPA/CPA accumulators that never retain the
-//!   trace set — the memory- and merge-friendly core of every attack.
+//! * [`cpa_recover_subkey`] — correlation power analysis (an extension
+//!   beyond the paper): Pearson correlation against a Hamming-weight
+//!   leakage model, the stronger attack later literature standardized on;
+//! * [`Welford`], [`OnlineWelch`], [`OnlineDpa`], [`OnlineCpa`] —
+//!   single-pass (streaming) equivalents of the batch statistics that never
+//!   retain the trace set: the memory- and merge-friendly core of every
+//!   attack.
 //!
 //! The attack code is generic over a *trace oracle* — any
 //! `Fn(u64 plaintext) -> Vec<f64> + Sync` — so it runs identically against
@@ -35,22 +35,22 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod cpa;
+mod cpa;
 pub mod dpa;
-pub mod online;
-pub mod spa;
-pub mod stats;
+mod online;
+mod spa;
+mod stats;
 
-pub use cpa::{cpa_recover_subkey, predicted_hamming_weight, CpaConfig, CpaResult};
+pub use cpa::{cpa_recover_subkey, CpaConfig, CpaResult};
 pub use dpa::{
     analyze_bit, guess_ranks, plaintext_for, recover_subkey, recover_subkey_multibit_par,
-    sbox_chunk, selection_bit, DpaConfig, DpaResult,
+    selection_bit, DpaConfig, DpaResult,
 };
 pub use online::{OnlineCpa, OnlineDpa, OnlineWelch, Welford};
 pub use spa::{detect_rounds, SpaReport};
 pub use stats::{
-    difference_of_means, difference_of_means_checked, mean_trace, welch_t, welch_t_checked,
-    StatsError, TraceMatrix,
+    difference_of_means, mean_trace, variance_trace, welch_t, StatsError, TraceMatrix,
 };

@@ -49,8 +49,6 @@ impl TraceMatrix {
     ///
     /// Panics if the trace length differs from earlier rows — DPA requires
     /// aligned traces, and the simulator produces perfectly aligned ones.
-    /// Harness code that cannot rule out misalignment should use
-    /// [`TraceMatrix::try_push`].
     pub fn push(&mut self, trace: Vec<f64>) {
         self.try_push(trace).expect("misaligned trace");
     }
@@ -62,7 +60,7 @@ impl TraceMatrix {
     ///
     /// [`StatsError::WidthMismatch`] when the trace length differs from
     /// earlier rows; the matrix is left unchanged.
-    pub fn try_push(&mut self, trace: Vec<f64>) -> Result<(), StatsError> {
+    pub(crate) fn try_push(&mut self, trace: Vec<f64>) -> Result<(), StatsError> {
         if self.rows.is_empty() {
             self.width = trace.len();
         } else if trace.len() != self.width {
@@ -180,43 +178,8 @@ pub fn welch_t(g0: &TraceMatrix, g1: &TraceMatrix) -> Vec<f64> {
         .collect()
 }
 
-/// [`difference_of_means`] with the group widths checked: two non-empty
-/// groups of different widths are a data-handling bug the caller should
-/// hear about, not a silently truncated statistic.
-///
-/// # Errors
-///
-/// [`StatsError::WidthMismatch`] when both groups are non-empty and their
-/// widths differ.
-pub fn difference_of_means_checked(
-    g0: &TraceMatrix,
-    g1: &TraceMatrix,
-) -> Result<Vec<f64>, StatsError> {
-    check_group_widths(g0, g1)?;
-    Ok(difference_of_means(g0, g1))
-}
-
-/// [`welch_t`] with the group widths checked; see
-/// [`difference_of_means_checked`].
-///
-/// # Errors
-///
-/// [`StatsError::WidthMismatch`] when both groups are non-empty and their
-/// widths differ.
-pub fn welch_t_checked(g0: &TraceMatrix, g1: &TraceMatrix) -> Result<Vec<f64>, StatsError> {
-    check_group_widths(g0, g1)?;
-    Ok(welch_t(g0, g1))
-}
-
-fn check_group_widths(g0: &TraceMatrix, g1: &TraceMatrix) -> Result<(), StatsError> {
-    if !g0.is_empty() && !g1.is_empty() && g0.width() != g1.width() {
-        return Err(StatsError::WidthMismatch { expected: g0.width(), got: g1.width() });
-    }
-    Ok(())
-}
-
 /// Largest absolute value in a statistic trace, with its index.
-pub fn peak(stat: &[f64]) -> (usize, f64) {
+pub(crate) fn peak(stat: &[f64]) -> (usize, f64) {
     stat.iter().enumerate().map(|(i, &v)| (i, v.abs())).fold((0, 0.0), |best, cur| {
         if cur.1 > best.1 {
             cur
@@ -323,22 +286,6 @@ mod tests {
         assert_eq!(difference_of_means(&empty, &empty), Vec::<f64>::new());
         assert_eq!(welch_t(&empty, &empty), Vec::<f64>::new());
         assert_eq!(peak(&mean_trace(&empty)), (0, 0.0));
-    }
-
-    #[test]
-    fn checked_statistics_reject_mismatched_group_widths() {
-        let g0 = m(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let g1 = m(&[&[1.0], &[2.0]]);
-        let err = difference_of_means_checked(&g0, &g1).unwrap_err();
-        assert_eq!(err, StatsError::WidthMismatch { expected: 2, got: 1 });
-        assert_eq!(
-            welch_t_checked(&g0, &g1),
-            Err(StatsError::WidthMismatch { expected: 2, got: 1 })
-        );
-        // An empty group is not a width conflict (it means "no evidence").
-        let empty = TraceMatrix::new();
-        assert_eq!(difference_of_means_checked(&empty, &g0).unwrap(), vec![0.0, 0.0]);
-        assert_eq!(welch_t_checked(&g0, &g0).unwrap().len(), 2);
     }
 
     #[test]

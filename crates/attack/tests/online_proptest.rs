@@ -1,13 +1,13 @@
-//! Property tests pinning the single-pass accumulators in
-//! `emask_attack::online` to the batch statistics in
-//! `emask_attack::stats`: for arbitrary trace sets — including the
+//! Property tests pinning the single-pass accumulators (`Welford`,
+//! `OnlineWelch`) to the batch statistics (`mean_trace`,
+//! `variance_trace`, `welch_t`): for arbitrary trace sets — including the
 //! single-row and constant-column degenerate shapes — Welford's streaming
 //! mean/variance and the online Welch-*t* must agree with the two-pass
 //! formulas to within 1e-9, and splitting a stream at any point and
 //! merging the halves must agree with the unsplit stream.
 
-use emask_attack::online::{OnlineWelch, Welford};
-use emask_attack::stats::{mean_trace, variance_trace, welch_t, TraceMatrix};
+use emask_attack::{mean_trace, variance_trace, welch_t, TraceMatrix};
+use emask_attack::{OnlineWelch, Welford};
 use proptest::prelude::*;
 
 const MAX_ROWS: usize = 30;
@@ -110,8 +110,7 @@ proptest! {
         pool1 in proptest::collection::vec(-1e3f64..1e3, MAX_ROWS * MAX_WIDTH..MAX_ROWS * MAX_WIDTH),
     ) {
         // Both groups share a width — the only shape the accumulators are
-        // for (the batch statistic zero-pads mismatches; that path is
-        // covered by the `_checked` unit tests).
+        // for (the batch statistic zero-pads mismatches).
         let g0 = shape(rows0, width, &pool0);
         let g1 = shape(rows1, width, &pool1);
         let mut ow = OnlineWelch::new();

@@ -398,7 +398,7 @@ mod tests {
     use super::*;
     use crate::run_campaign;
     use emask_cc::MaskPolicy;
-    use emask_core::desgen::DesProgramSpec;
+    use emask_core::DesProgramSpec;
     use emask_par::{CancelToken, Jobs};
     use emask_telemetry::NullSink;
 

@@ -488,7 +488,7 @@ pub fn run_campaign_resumable_events<S: EventSink>(
 mod tests {
     use super::*;
     use emask_cc::MaskPolicy;
-    use emask_core::desgen::DesProgramSpec;
+    use emask_core::DesProgramSpec;
     use emask_core::RecoveryPolicy;
 
     fn small_des() -> MaskedDes {

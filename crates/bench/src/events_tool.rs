@@ -57,7 +57,7 @@ fn parse_lines(text: &str) -> Result<Vec<Line>, String> {
 /// # Errors
 ///
 /// The first offending line, 1-based, with the parse or schema reason.
-pub fn validate(text: &str) -> Result<String, String> {
+pub fn validate_events(text: &str) -> Result<String, String> {
     let lines = parse_lines(text)?;
     let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
     for line in &lines {
@@ -75,7 +75,7 @@ pub fn validate(text: &str) -> Result<String, String> {
 
 /// The last `n` non-empty lines, verbatim.
 #[must_use]
-pub fn tail(text: &str, n: usize) -> String {
+pub fn tail_events(text: &str, n: usize) -> String {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let start = lines.len().saturating_sub(n);
     let mut out = String::new();
@@ -105,7 +105,7 @@ fn uint(doc: &Json, key: &str) -> u64 {
 /// # Errors
 ///
 /// The first unparseable line (summaries of corrupt streams would lie).
-pub fn summarize(text: &str) -> Result<String, String> {
+pub fn summarize_events(text: &str) -> Result<String, String> {
     let lines = parse_lines(text)?;
     let mut out = String::from("event stream summary\n");
     let _ = writeln!(out, "  events: {}", lines.len());
@@ -261,7 +261,7 @@ const INSTANT_KINDS: [&str; 14] = [
 /// # Errors
 ///
 /// The first unparseable line.
-pub fn trace(text: &str) -> Result<String, String> {
+pub fn trace_events(text: &str) -> Result<String, String> {
     let lines = parse_lines(text)?;
     let end_tick = lines.last().map_or(1, |l| l.index + 1);
 
@@ -405,20 +405,20 @@ mod tests {
 
     #[test]
     fn validate_accepts_real_streams_and_rejects_junk() {
-        let report = validate(&sample_stream()).unwrap();
+        let report = validate_events(&sample_stream()).unwrap();
         assert!(report.starts_with("ok: 16 events"), "{report}");
         assert!(report.contains("span_opened"), "{report}");
-        assert!(validate("not json\n").is_err());
+        assert!(validate_events("not json\n").is_err());
         assert_eq!(
-            validate("{\"event\":\"martian\"}\n").unwrap_err(),
+            validate_events("{\"event\":\"martian\"}\n").unwrap_err(),
             "line 1: unknown event kind 'martian'"
         );
-        assert!(validate("{\"no_event\":1}\n").is_err());
+        assert!(validate_events("{\"no_event\":1}\n").is_err());
     }
 
     #[test]
     fn summarize_reports_lifecycle_convergence_and_drops() {
-        let report = summarize(&sample_stream()).unwrap();
+        let report = summarize_events(&sample_stream()).unwrap();
         assert!(report.contains("job 1: completed"), "{report}");
         assert!(report.contains("dpa: best_guess 33 margin 2.000 after 48 trials"), "{report}");
         assert!(report.contains("dropped operational events: 3"), "{report}");
@@ -431,15 +431,15 @@ mod tests {
     #[test]
     fn tail_returns_the_last_lines_verbatim() {
         let stream = sample_stream();
-        let t = tail(&stream, 2);
+        let t = tail_events(&stream, 2);
         assert_eq!(t.lines().count(), 2);
         assert!(stream.ends_with(&t), "tail must be a suffix");
-        assert_eq!(tail(&stream, 10_000), stream, "n past EOF returns everything");
+        assert_eq!(tail_events(&stream, 10_000), stream, "n past EOF returns everything");
     }
 
     #[test]
     fn trace_nests_job_attempt_shard_and_parses_as_strict_json() {
-        let doc = trace(&sample_stream()).unwrap();
+        let doc = trace_events(&sample_stream()).unwrap();
         let parsed = parse(&doc).unwrap();
         let rows = match parsed.get("traceEvents") {
             Some(Json::Arr(rows)) => rows,
@@ -484,7 +484,7 @@ mod tests {
             job.opened().to_json(),                         // open w/o close
             Event::JobResumed { job: 9 }.to_json(),
         );
-        let doc = trace(&stream).unwrap();
+        let doc = trace_events(&stream).unwrap();
         assert!(parse(&doc).is_ok(), "{doc}");
         assert!(doc.contains("(unmatched)"), "{doc}");
         assert!(doc.contains("job 9"), "unclosed span still rendered: {doc}");

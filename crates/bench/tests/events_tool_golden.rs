@@ -17,7 +17,7 @@
 //!
 //! and review the diff like any other code change.
 
-use emask_bench::events_tool::{summarize, tail, trace, validate};
+use emask_bench::{summarize_events, tail_events, trace_events, validate_events};
 
 const FIXTURE: &str = include_str!("fixtures/events.jsonl");
 const VALIDATE_GOLDEN: &str = include_str!("fixtures/validate.golden.txt");
@@ -31,7 +31,7 @@ const MARTIAN_KIND: &str = "martian_probe";
 /// Strict validation rejects the stream at exactly the malformed line.
 #[test]
 fn validate_rejects_the_unknown_event_kind_with_its_line_number() {
-    let err = validate(FIXTURE).expect_err("fixture contains a malformed line");
+    let err = validate_events(FIXTURE).expect_err("fixture contains a malformed line");
     assert_eq!(err, format!("line {MARTIAN_LINE}: unknown event kind '{MARTIAN_KIND}'"));
 }
 
@@ -40,7 +40,7 @@ fn validate_rejects_the_unknown_event_kind_with_its_line_number() {
 #[test]
 fn validate_accepts_the_cleaned_stream_and_matches_golden() {
     let cleaned = cleaned_fixture();
-    let report = validate(&cleaned).expect("cleaned fixture must validate");
+    let report = validate_events(&cleaned).expect("cleaned fixture must validate");
     assert_eq!(report, VALIDATE_GOLDEN);
     assert!(!report.contains(MARTIAN_KIND));
 }
@@ -50,7 +50,7 @@ fn validate_accepts_the_cleaned_stream_and_matches_golden() {
 /// accounting — matches the committed golden byte-for-byte.
 #[test]
 fn summarize_matches_golden() {
-    let report = summarize(FIXTURE).expect("summarize tolerates unknown kinds");
+    let report = summarize_events(FIXTURE).expect("summarize tolerates unknown kinds");
     assert_eq!(report, SUMMARY_GOLDEN);
     // Spot checks so a regenerated golden can't silently go hollow.
     assert!(report.contains("job 1: completed"), "{report}");
@@ -66,7 +66,7 @@ fn summarize_matches_golden() {
 /// parseable by the workspace's own strict JSON parser.
 #[test]
 fn trace_matches_golden_and_parses_as_strict_json() {
-    let doc = trace(FIXTURE).expect("trace tolerates unknown kinds");
+    let doc = trace_events(FIXTURE).expect("trace tolerates unknown kinds");
     assert_eq!(doc, TRACE_GOLDEN);
     let parsed = emask_serve::json::parse(&doc).expect("trace output must be strict JSON");
     let rows = match parsed.get("traceEvents") {
@@ -80,7 +80,7 @@ fn trace_matches_golden_and_parses_as_strict_json() {
 /// `tail` returns a verbatim suffix of the fixture, malformed line and all.
 #[test]
 fn tail_is_a_verbatim_suffix_of_the_fixture() {
-    let t = tail(FIXTURE, 3);
+    let t = tail_events(FIXTURE, 3);
     assert_eq!(t.lines().count(), 3);
     assert!(FIXTURE.ends_with(&t), "tail must be a suffix");
     assert!(t.contains(MARTIAN_KIND), "the malformed line sits in the last 3");
@@ -175,10 +175,10 @@ fn regenerate_goldens() {
         .filter(|(i, _)| i + 1 != MARTIAN_LINE)
         .map(|(_, l)| format!("{l}\n"))
         .collect();
-    std::fs::write(dir.join("validate.golden.txt"), validate(&cleaned).expect("validate"))
+    std::fs::write(dir.join("validate.golden.txt"), validate_events(&cleaned).expect("validate"))
         .expect("write validate golden");
-    std::fs::write(dir.join("summary.golden.txt"), summarize(&stream).expect("summarize"))
+    std::fs::write(dir.join("summary.golden.txt"), summarize_events(&stream).expect("summarize"))
         .expect("write summary golden");
-    std::fs::write(dir.join("trace.golden.json"), trace(&stream).expect("trace"))
+    std::fs::write(dir.join("trace.golden.json"), trace_events(&stream).expect("trace"))
         .expect("write trace golden");
 }

@@ -8,9 +8,9 @@
 //! and kill/resume are covered by the crate's unit tests and by the
 //! 4-job campaign test below.
 
-use emask_bench::campaign::{CampaignConfig, CampaignReport, FaultOutcome};
-use emask_bench::checkpoint::run_campaign;
-use emask_core::desgen::DesProgramSpec;
+use emask_bench::run_campaign;
+use emask_bench::{CampaignConfig, CampaignReport, FaultOutcome};
+use emask_core::DesProgramSpec;
 use emask_core::{CheckpointCadence, MaskPolicy, MaskedDes, RecoveryPolicy, RunError};
 use emask_cpu::{CpuErrorKind, FaultLane, RailMode};
 use emask_fault::{

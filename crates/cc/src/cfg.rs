@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 /// A basic block: a half-open range of instruction indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block {
+pub(crate) struct Block {
     /// First instruction index.
     pub start: usize,
     /// One past the last instruction index.
@@ -22,14 +22,14 @@ pub struct Block {
 
 /// The control-flow graph of one function.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cfg {
+pub(crate) struct Cfg {
     /// The blocks in layout order; block 0 is the entry.
     pub blocks: Vec<Block>,
 }
 
 impl Cfg {
     /// Builds the CFG of `f`.
-    pub fn build(f: &FuncIr) -> Cfg {
+    pub(crate) fn build(f: &FuncIr) -> Cfg {
         let body = &f.body;
         let n = body.len();
         if n == 0 {
@@ -88,23 +88,6 @@ impl Cfg {
             blocks[to].preds.push(from);
         }
         Cfg { blocks }
-    }
-
-    /// Number of edges — the paper's slicing complexity bound.
-    pub fn edge_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.succs.len()).sum()
-    }
-
-    /// The block containing instruction index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn block_of(&self, i: usize) -> usize {
-        self.blocks
-            .iter()
-            .position(|b| (b.start..b.end).contains(&i))
-            .expect("instruction index out of range")
     }
 }
 
@@ -168,7 +151,7 @@ mod tests {
                 assert!(cfg.blocks[p].succs.contains(&bi));
             }
         }
-        assert!(cfg.edge_count() >= 4);
+        assert!(cfg.blocks.iter().map(|b| b.succs.len()).sum::<usize>() >= 4);
     }
 
     #[test]
@@ -177,7 +160,7 @@ mod tests {
         let covered: usize = cfg.blocks.iter().map(|b| b.end - b.start).sum();
         assert_eq!(covered, f.body.len());
         for i in 0..f.body.len() {
-            let _ = cfg.block_of(i); // must not panic
+            assert!(cfg.blocks.iter().any(|b| (b.start..b.end).contains(&i)));
         }
     }
 }

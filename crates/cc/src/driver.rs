@@ -6,12 +6,10 @@ use crate::lexer::LexError;
 use crate::lower::lower_unit;
 use crate::opt;
 use crate::parser::{parse, ParseError};
-use crate::profile::{CompileProfile, PassTiming};
 use crate::sema::{check, SemaError};
 use crate::slice::{slice_unit, SliceReport};
 use emask_isa::{assemble, AssembleError, Program};
 use std::fmt;
-use std::time::Instant;
 
 /// Which instructions receive the secure bit — the paper's four comparison
 /// points (§4.3): 46.4 µJ / 52.6 µJ / 63.6 µJ / 83.5 µJ in the original.
@@ -148,98 +146,23 @@ pub struct CompileOutput {
 /// # Ok::<(), emask_cc::CompileError>(())
 /// ```
 pub fn compile(source: &str, options: CompileOptions) -> Result<CompileOutput, CompileError> {
-    compile_profiled(source, options).map(|(out, _)| out)
-}
-
-/// [`compile`], additionally returning a [`CompileProfile`] with per-pass
-/// wall times, IR size deltas, and the slice report's headline numbers.
-///
-/// # Errors
-///
-/// As for [`compile`].
-pub fn compile_profiled(
-    source: &str,
-    options: CompileOptions,
-) -> Result<(CompileOutput, CompileProfile), CompileError> {
-    let mut profile = CompileProfile { source_bytes: source.len(), ..Default::default() };
-    fn timed<T>(
-        name: &'static str,
-        profile: &mut CompileProfile,
-        f: impl FnOnce() -> Result<T, CompileError>,
-    ) -> Result<T, CompileError> {
-        let start = Instant::now();
-        let r = f();
-        profile.passes.push(PassTiming {
-            name,
-            wall: start.elapsed(),
-            ir_before: None,
-            ir_after: None,
-        });
-        r
-    }
-
-    let mut unit = timed("parse", &mut profile, || Ok(parse(source)?))?;
-    timed("check", &mut profile, || Ok(check(&unit).map(|_| ())?))?;
+    let mut unit = parse(source)?;
+    check(&unit)?;
     if options.locals_in_memory {
-        unit = timed("hoist", &mut profile, || Ok(crate::hoist::hoist_locals(&unit)?))?;
+        unit = crate::hoist::hoist_locals(&unit)?;
     }
-    let info = timed("recheck", &mut profile, || Ok(check(&unit)?))?;
-
-    let ir_size = |funcs: &[FuncIr]| funcs.iter().map(|f| f.body.len()).sum::<usize>();
-    let start = Instant::now();
+    let info = check(&unit)?;
     let mut funcs = lower_unit(&unit, &info);
-    profile.passes.push(PassTiming {
-        name: "lower",
-        wall: start.elapsed(),
-        ir_before: Some(0),
-        ir_after: Some(ir_size(&funcs)),
-    });
     if !options.no_optimize {
-        let before = ir_size(&funcs);
-        let start = Instant::now();
         for f in &mut funcs {
             opt::fold_const_globals(f, &unit);
             opt::optimize(f);
         }
-        profile.passes.push(PassTiming {
-            name: "optimize",
-            wall: start.elapsed(),
-            ir_before: Some(before),
-            ir_after: Some(ir_size(&funcs)),
-        });
     }
-
-    let start = Instant::now();
     let report = slice_unit(&funcs, &info);
-    profile.passes.push(PassTiming {
-        name: "slice",
-        wall: start.elapsed(),
-        ir_before: None,
-        ir_after: None,
-    });
-    let start = Instant::now();
     let asm = emit_unit(&unit, &funcs, &report, options.policy);
-    profile.passes.push(PassTiming {
-        name: "emit",
-        wall: start.elapsed(),
-        ir_before: None,
-        ir_after: None,
-    });
-    let start = Instant::now();
     let program = assemble(&asm)?;
-    profile.passes.push(PassTiming {
-        name: "assemble",
-        wall: start.elapsed(),
-        ir_before: None,
-        ir_after: None,
-    });
-
-    profile.text_instructions = program.text.len();
-    profile.secure_instructions = program.secure_instruction_count();
-    profile.critical_ir_instructions = report.critical.values().map(|s| s.len()).sum();
-    profile.tainted_globals = report.tainted_globals.len();
-    profile.tainted_branches = report.tainted_branches.len();
-    Ok((CompileOutput { asm, program, report, ir: funcs }, profile))
+    Ok(CompileOutput { asm, program, report, ir: funcs })
 }
 
 #[cfg(test)]
@@ -572,45 +495,6 @@ mod tests {
             out.program.text.iter().filter(|i| (i.is_load() || i.is_store()) && !i.secure).count();
         assert!(secure_mem > 0, "key traffic must be secure");
         assert!(plain_mem > secure_mem, "counter traffic must dominate and stay plain");
-    }
-
-    #[test]
-    fn profiled_compile_matches_plain_compile() {
-        let src = "secure int key[4] = {1,0,1,1}; int sink[4];\
-                   int main() { int i; for (i = 0; i < 4; i = i + 1) { sink[i] = key[i]; } return 0; }";
-        let opts = CompileOptions::paper_style(MaskPolicy::Selective);
-        let plain = compile(src, opts).unwrap();
-        let (out, prof) = compile_profiled(src, opts).unwrap();
-        assert_eq!(out.asm, plain.asm);
-        // Every pipeline stage is timed, in order, including the
-        // paper-style hoist pass.
-        let names: Vec<&str> = prof.passes.iter().map(|p| p.name).collect();
-        assert_eq!(
-            names,
-            [
-                "parse", "check", "hoist", "recheck", "lower", "optimize", "slice", "emit",
-                "assemble"
-            ]
-        );
-        assert_eq!(prof.source_bytes, src.len());
-        assert_eq!(prof.text_instructions, out.program.text.len());
-        assert_eq!(prof.secure_instructions, out.program.secure_instruction_count());
-        assert!(prof.critical_ir_instructions > 0);
-        assert_eq!(prof.tainted_globals, out.report.tainted_globals.len());
-        // Lowering creates the IR from nothing; the delta is its size.
-        assert!(prof.pass("lower").unwrap().ir_delta().unwrap() > 0);
-        assert!(prof.total_wall() > std::time::Duration::ZERO);
-    }
-
-    #[test]
-    fn profile_skips_passes_that_do_not_run() {
-        let src = "int main() { return 1; }";
-        let opts =
-            CompileOptions { policy: MaskPolicy::None, no_optimize: true, locals_in_memory: false };
-        let (_, prof) = compile_profiled(src, opts).unwrap();
-        assert!(prof.pass("hoist").is_none());
-        assert!(prof.pass("optimize").is_none());
-        assert!(prof.pass("assemble").is_some());
     }
 
     #[test]

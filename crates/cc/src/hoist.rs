@@ -26,7 +26,7 @@ use std::collections::HashSet;
 ///
 /// Returns [`SemaError`] if a function is (directly) recursive — static
 /// slots cannot support reentrancy.
-pub fn hoist_locals(unit: &Unit) -> Result<Unit, SemaError> {
+pub(crate) fn hoist_locals(unit: &Unit) -> Result<Unit, SemaError> {
     let mut out = unit.clone();
     for f in &mut out.functions {
         if calls_in_body(&f.body, &f.name) {

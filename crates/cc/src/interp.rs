@@ -77,12 +77,6 @@ impl IrMachine {
         }
     }
 
-    /// Overrides the IR step budget.
-    pub fn with_step_limit(mut self, steps: u64) -> Self {
-        self.steps_left = steps;
-        self
-    }
-
     /// Reads a global array (or scalar, length 1) after execution.
     pub fn global(&self, name: &str) -> Option<&[u32]> {
         self.globals.get(name).map(Vec::as_slice)
@@ -275,7 +269,8 @@ mod tests {
         let (unit, _) = machine("int main() { while (1) { } return 0; }", false);
         let info = check(&unit).unwrap();
         let funcs = lower_unit(&unit, &info);
-        let mut m = IrMachine::new(&unit, &funcs).with_step_limit(1_000);
+        let mut m = IrMachine::new(&unit, &funcs);
+        m.steps_left = 1_000;
         assert_eq!(m.run_main(), Err(IrTrap::StepLimit));
     }
 

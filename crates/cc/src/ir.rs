@@ -38,7 +38,7 @@ pub enum Operand {
 
 impl Operand {
     /// The temp, if this operand is one.
-    pub fn as_temp(self) -> Option<Temp> {
+    pub(crate) fn as_temp(self) -> Option<Temp> {
         match self {
             Operand::Temp(t) => Some(t),
             Operand::Const(_) => None,
@@ -46,7 +46,7 @@ impl Operand {
     }
 
     /// The constant, if this operand is one.
-    pub fn as_const(self) -> Option<u32> {
+    pub(crate) fn as_const(self) -> Option<u32> {
         match self {
             Operand::Const(c) => Some(c),
             Operand::Temp(_) => None,
@@ -89,7 +89,7 @@ pub enum BinKind {
 impl BinKind {
     /// Constant-folds the operation; `None` when it would trap (division by
     /// zero), leaving the fault to runtime.
-    pub fn eval(self, a: u32, b: u32) -> Option<u32> {
+    pub(crate) fn eval(self, a: u32, b: u32) -> Option<u32> {
         let (sa, sb) = (a as i32, b as i32);
         Some(match self {
             BinKind::Add => a.wrapping_add(b),
@@ -228,7 +228,7 @@ pub enum Inst {
 
 impl Inst {
     /// The temp defined by this instruction, if any.
-    pub fn def(&self) -> Option<Temp> {
+    pub(crate) fn def(&self) -> Option<Temp> {
         match self {
             Inst::Const { dst, .. }
             | Inst::Copy { dst, .. }
@@ -271,7 +271,7 @@ impl Inst {
 
     /// True if removing this instruction (when its def is dead) is safe —
     /// i.e. it has no side effects.
-    pub fn is_pure(&self) -> bool {
+    pub(crate) fn is_pure(&self) -> bool {
         !matches!(
             self,
             Inst::StoreGlobal { .. }

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A token kind, carrying its payload for literals and identifiers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Integer literal (decimal or `0x` hex), stored as the raw 32-bit
     /// pattern.
     Int(u32),
@@ -152,7 +152,7 @@ impl fmt::Display for Tok {
 
 /// A token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind and payload.
     pub tok: Tok,
     /// 1-based source line.
@@ -183,7 +183,7 @@ impl std::error::Error for LexError {}
 ///
 /// Returns [`LexError`] on unknown characters, malformed numbers, or an
 /// unterminated block comment.
-pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, LexError> {
     let mut out = Vec::new();
     let bytes = source.as_bytes();
     let mut i = 0;

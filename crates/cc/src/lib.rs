@@ -52,27 +52,31 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod ast;
-pub mod cfg;
-pub mod codegen;
-pub mod driver;
-pub mod hoist;
-pub mod interp;
-pub mod ir;
-pub mod lexer;
-pub mod lower;
-pub mod opt;
-pub mod parser;
-pub mod profile;
-pub mod regalloc;
-pub mod sema;
-pub mod slice;
+mod ast;
+mod cfg;
+mod codegen;
+mod driver;
+mod hoist;
+mod interp;
+mod ir;
+mod lexer;
+mod lower;
+mod opt;
+mod parser;
+mod regalloc;
+mod sema;
+mod slice;
 
-pub use driver::{
-    compile, compile_profiled, CompileError, CompileOptions, CompileOutput, MaskPolicy,
-};
+pub use ast::{BinOp, Expr, Function, Global, Stmt, UnOp, Unit};
+pub use driver::{compile, CompileError, CompileOptions, CompileOutput, MaskPolicy};
 pub use interp::{IrMachine, IrTrap};
-pub use profile::{CompileProfile, PassTiming};
+pub use ir::{BinKind, FuncIr, Inst, Label, Operand, Temp};
+pub use lexer::LexError;
+pub use lower::lower_unit;
+pub use opt::{fold_const_globals, optimize};
+pub use parser::{parse, ParseError};
+pub use sema::{check, FuncInfo, GlobalInfo, SemaError, UnitInfo};
 pub use slice::SliceReport;

@@ -68,7 +68,7 @@ pub fn fold_const_globals(f: &mut FuncIr, unit: &Unit) -> bool {
 /// `Bin` computing the same `(op, lhs, rhs)` as an earlier one becomes a
 /// copy of the earlier result. All knowledge resets at labels and dies
 /// when an operand (or the holding temp) is redefined.
-pub fn eliminate_common_subexpressions(f: &mut FuncIr) -> bool {
+pub(crate) fn eliminate_common_subexpressions(f: &mut FuncIr) -> bool {
     let mut changed = false;
     let mut available: HashMap<(BinKind, Operand, Operand), Temp> = HashMap::new();
     for inst in &mut f.body {
@@ -111,7 +111,7 @@ pub fn eliminate_common_subexpressions(f: &mut FuncIr) -> bool {
 
 /// Folds `Bin` instructions whose operands are both constants, and
 /// simplifies identities (`x + 0`, `x ^ 0`, `x * 1`, `x * 0`).
-pub fn fold_constants(f: &mut FuncIr) -> bool {
+pub(crate) fn fold_constants(f: &mut FuncIr) -> bool {
     let mut changed = false;
     for inst in &mut f.body {
         let Inst::Bin { op, dst, lhs, rhs } = inst else { continue };
@@ -168,7 +168,7 @@ pub fn fold_constants(f: &mut FuncIr) -> bool {
 ///
 /// Correctness: a temp's known value is invalidated when the temp is
 /// redefined; all knowledge is dropped at every label (join point).
-pub fn propagate_local(f: &mut FuncIr) -> bool {
+pub(crate) fn propagate_local(f: &mut FuncIr) -> bool {
     let mut changed = false;
     let mut known: HashMap<Temp, Operand> = HashMap::new();
     for inst in &mut f.body {
@@ -225,7 +225,7 @@ pub fn propagate_local(f: &mut FuncIr) -> bool {
 /// shifts (division only when provably safe — i.e. never, for signed
 /// semantics, so only `Mul` is reduced; `Rem` by a power of two is reduced
 /// to a mask when the dividend is a known-nonnegative comparison result).
-pub fn reduce_strength(f: &mut FuncIr) -> bool {
+pub(crate) fn reduce_strength(f: &mut FuncIr) -> bool {
     let mut changed = false;
     for inst in &mut f.body {
         let Inst::Bin { op: BinKind::Mul, dst, lhs, rhs } = inst else { continue };
@@ -250,7 +250,7 @@ pub fn reduce_strength(f: &mut FuncIr) -> bool {
 
 /// Removes pure instructions whose results are never used. Iterates until
 /// stable so chains of dead computations disappear.
-pub fn eliminate_dead(f: &mut FuncIr) -> bool {
+pub(crate) fn eliminate_dead(f: &mut FuncIr) -> bool {
     let mut changed_any = false;
     loop {
         let mut used: HashSet<Temp> = HashSet::new();

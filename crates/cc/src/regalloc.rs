@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 
 /// Where a temp lives at runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loc {
+pub(crate) enum Loc {
     /// A physical register.
     Reg(Reg),
     /// A stack slot (index, word-sized) in the frame's spill area.
@@ -22,7 +22,7 @@ pub enum Loc {
 
 /// The allocation result for one function.
 #[derive(Debug, Clone)]
-pub struct Allocation {
+pub(crate) struct Allocation {
     /// Temp → location.
     pub assign: HashMap<Temp, Loc>,
     /// Callee-saved registers used (must be saved/restored).
@@ -37,7 +37,7 @@ impl Allocation {
     /// # Panics
     ///
     /// Panics if `t` was never seen by the allocator — a compiler bug.
-    pub fn loc(&self, t: Temp) -> Loc {
+    pub(crate) fn loc(&self, t: Temp) -> Loc {
         *self.assign.get(&t).expect("temp escaped allocation")
     }
 }
@@ -58,7 +58,7 @@ struct Interval {
 
 /// Computes per-instruction liveness (the set live *before* each
 /// instruction) via standard backward dataflow over the CFG.
-pub fn liveness(f: &FuncIr, cfg: &Cfg) -> Vec<HashSet<Temp>> {
+pub(crate) fn liveness(f: &FuncIr, cfg: &Cfg) -> Vec<HashSet<Temp>> {
     let n = f.body.len();
     let nb = cfg.blocks.len();
     // Block-level use/def.
@@ -158,7 +158,7 @@ fn intervals(f: &FuncIr, before: &[HashSet<Temp>]) -> Vec<Interval> {
 }
 
 /// Allocates registers for `f`.
-pub fn allocate(f: &FuncIr, cfg: &Cfg) -> Allocation {
+pub(crate) fn allocate(f: &FuncIr, cfg: &Cfg) -> Allocation {
     let before = liveness(f, cfg);
     let ivs = intervals(f, &before);
     let mut free_t: Vec<Reg> = CALLER_SAVED.to_vec();

@@ -48,13 +48,8 @@ pub struct SliceReport {
 }
 
 impl SliceReport {
-    /// True if instruction `i` of `func` must be emitted secure.
-    pub fn is_critical(&self, func: &str, i: usize) -> bool {
-        self.critical.get(func).is_some_and(|s| s.contains(&i))
-    }
-
     /// Total number of critical instructions across the unit.
-    pub fn critical_count(&self) -> usize {
+    pub(crate) fn critical_count(&self) -> usize {
         self.critical.values().map(HashSet::len).sum()
     }
 }
@@ -77,7 +72,7 @@ impl fmt::Display for SliceReport {
 }
 
 /// Runs the forward slice over all functions of a unit.
-pub fn slice_unit(funcs: &[FuncIr], info: &UnitInfo) -> SliceReport {
+pub(crate) fn slice_unit(funcs: &[FuncIr], info: &UnitInfo) -> SliceReport {
     let mut report = SliceReport::default();
     // Seeds.
     for (name, g) in &info.globals {
@@ -323,7 +318,7 @@ mod tests {
         let main = funcs.iter().find(|f| f.name == "main").unwrap();
         for (i, inst) in main.body.iter().enumerate() {
             if matches!(inst, Inst::Const { .. }) {
-                assert!(!r.is_critical("main", i), "const at {i} wrongly critical");
+                assert!(!r.critical["main"].contains(&i), "const at {i} wrongly critical");
             }
         }
     }

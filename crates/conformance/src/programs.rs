@@ -5,8 +5,8 @@
 //! workspace integration tests (`tests/differential.rs`,
 //! `tests/three_way_differential.rs`, `tests/compiler_pipeline.rs`); they
 //! live here once, parameterized over plain integers so they compose with
-//! both the vendored proptest strategies (see [`strategies`]) and the
-//! deterministic [`corpus`] expansion the conformance suite uses.
+//! both proptest strategies and the deterministic [`corpus`] expansion the
+//! conformance suite uses.
 //!
 //! Every generated program is terminating by construction (bounded loops,
 //! no recursion) and writes its observable result into globals and `$v0`,
@@ -137,37 +137,6 @@ pub fn corpus(base_seed: u64, count: usize) -> Vec<String> {
             }
         })
         .collect()
-}
-
-/// Proptest strategies over the generator families, for property tests
-/// that want proptest's case scheduling instead of the fixed [`corpus`].
-pub mod strategies {
-    use super::*;
-    use proptest::collection::vec;
-    use proptest::prelude::*;
-
-    /// Strategy over [`random_program`] sources.
-    pub fn looped_program() -> impl Strategy<Value = String> {
-        (vec(0u32..10_000, 2..6), vec(any::<u8>(), 1..5), 1u32..4)
-            .prop_map(|(seed, ops, bound)| random_program(&seed, &ops, bound))
-    }
-
-    /// Strategy over [`random_expression_source`] sources.
-    pub fn expression_tree() -> impl Strategy<Value = String> {
-        (-500i32..500, 1i32..100, 0u32..16, 0u8..5)
-            .prop_map(|(a, b, c, pick)| random_expression_source(a, b, c, pick))
-    }
-
-    /// Strategy over [`random_array_source`] sources.
-    pub fn array_program() -> impl Strategy<Value = String> {
-        (vec(0u32..256, 3..7), 1u32..4)
-            .prop_map(|(vals, rounds)| random_array_source(&vals, rounds))
-    }
-
-    /// Strategy over [`random_reduce_source`] sources.
-    pub fn reduce_program() -> impl Strategy<Value = String> {
-        vec(0u32..100, 4..8).prop_map(|vals| random_reduce_source(&vals))
-    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! [`conformance_suite`] checks one [`CpuBackend`] against the reference
 //! interpreter; [`conformance_suite_pair`] checks any explicit pair. Both
 //! verify the **architectural contract** of
-//! [`emask_cpu::backend`]: identical final register and data-memory state,
+//! [`emask_cpu::CpuBackend`]: identical final register and data-memory state,
 //! identical retirement order, identical memory-traffic counts, hook
 //! transparency (a non-null hook that does nothing must not perturb the
 //! run), stop and resume through [`CpuBackend::run_with`], checkpoint
@@ -166,7 +166,7 @@ fn reference_stream<B: CpuBackend>(program: &Program, what: &str) -> (B, Vec<Cyc
 /// # Panics
 ///
 /// Panics on divergence, or if the stopped run claims to have halted.
-pub fn assert_stop_resume<B: CpuBackend>(program: &Program, what: &str) {
+pub(crate) fn assert_stop_resume<B: CpuBackend>(program: &Program, what: &str) {
     let (full, reference) = reference_stream::<B>(program, what);
     let total = reference.len();
     assert!(total > 2, "[{what}] program too short to stop mid-run");
@@ -281,8 +281,8 @@ fn corpus_options(i: usize) -> CompileOptions {
 
 /// Runs the full conformance suite for backend pair `(A, B)`: 256
 /// generated programs plus the real masked and unmasked DES binaries,
-/// compared architecturally; hook transparency, stop and resume
-/// ([`assert_stop_resume`]) and checkpoint round-trips spot-checked on both
+/// compared architecturally; hook transparency, stop and resume, and
+/// checkpoint round-trips spot-checked on both
 /// sides; per-backend energy CSVs emitted for the DES binaries.
 ///
 /// # Panics

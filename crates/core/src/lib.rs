@@ -2,7 +2,7 @@
 //!
 //! The paper's complete system assembled from the workspace substrates:
 //!
-//! 1. [`desgen`] generates the **bit-per-word DES program** of the paper's
+//! 1. [`des_source`] generates the **bit-per-word DES program** of the paper's
 //!    Figure 2/Figure 4 in Tiny-C, with the key annotated `secure` and the
 //!    output inverse permutation declassified;
 //! 2. `emask-cc` compiles it under a [`MaskPolicy`] (forward slicing
@@ -35,12 +35,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod desgen;
-pub mod recovery;
-pub mod runner;
-pub mod xtea;
+mod desgen;
+mod recovery;
+mod runner;
+mod xtea;
 
 pub use desgen::{des_source, DesProgramSpec};
 pub use emask_cc::MaskPolicy;
@@ -50,4 +51,4 @@ pub use emask_telemetry::{
 };
 pub use recovery::{CheckpointCadence, RecoveryPolicy, RecoveryStats};
 pub use runner::{EncryptionRun, MaskedDes, Phase, PhaseMarker, RecoveredRun, RunError};
-pub use xtea::{xtea_decrypt, xtea_encrypt, MaskedXtea, XteaRun};
+pub use xtea::{xtea_decrypt, xtea_encrypt, MaskedXtea, XteaError, XteaRun};

@@ -58,13 +58,6 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Checkpoint every `n` retired instructions instead of at phase
-    /// markers.
-    #[must_use]
-    pub fn every_retired(n: u64) -> Self {
-        Self { cadence: CheckpointCadence::Retired(n), ..Self::default() }
-    }
-
     /// Replaces the rollback budget.
     #[must_use]
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
@@ -95,7 +88,7 @@ pub struct RecoveryStats {
 /// the budget bounds total work including re-execution, so retrying a
 /// timeout would retry forever.
 #[must_use]
-pub fn recoverable(kind: CpuErrorKind) -> bool {
+pub(crate) fn recoverable(kind: CpuErrorKind) -> bool {
     !matches!(kind, CpuErrorKind::CycleLimit { .. })
 }
 
@@ -105,7 +98,7 @@ pub fn recoverable(kind: CpuErrorKind) -> bool {
 /// with [`crate::RunError::Zeroized`] — a persistent fault means an attack
 /// in progress, and key destruction beats key disclosure. Works on any
 /// [`CpuBackend`].
-pub fn zeroize_secrets<B: CpuBackend>(cpu: &mut B, key_addr: u32) {
+pub(crate) fn zeroize_secrets<B: CpuBackend>(cpu: &mut B, key_addr: u32) {
     for i in 0..64u32 {
         // The key array was poked through the same addresses at setup, so
         // these stores cannot fail; ignore errors anyway — zeroization
@@ -120,7 +113,7 @@ pub fn zeroize_secrets<B: CpuBackend>(cpu: &mut B, key_addr: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emask_cpu::memory::AccessError;
+    use emask_cpu::AccessError;
     use emask_cpu::{Bus, Cpu, Interpreter};
     use emask_isa::assemble;
 
@@ -159,7 +152,8 @@ mod tests {
     fn policy_builders() {
         let p = RecoveryPolicy::default();
         assert_eq!(p.cadence, CheckpointCadence::PhaseMarkers);
-        let q = RecoveryPolicy::every_retired(100).with_max_retries(2);
+        let q =
+            RecoveryPolicy { cadence: CheckpointCadence::Retired(100), ..p }.with_max_retries(2);
         assert_eq!(q.cadence, CheckpointCadence::Retired(100));
         assert_eq!(q.max_retries, 2);
     }

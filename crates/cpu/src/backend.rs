@@ -1,39 +1,6 @@
 //! The multi-backend CPU abstraction.
 //!
-//! A [`CpuBackend`] is any engine that executes an [`emask_isa::Program`]
-//! and exposes the *architectural contract* the rest of the workspace
-//! builds on: register/memory/PC state, retirement accounting, per-cycle
-//! [`CycleActivity`] emission for the energy model, [`PipelineHook`]
-//! attachment, and (where supported) checkpoint/rollback. The five-stage
-//! pipelined [`Cpu`] and the reference [`Interpreter`] are sibling
-//! implementations; future cores (bitsliced batch lanes, randomized issue)
-//! plug in as one more `impl` plus one conformance-suite registration.
-//!
-//! ## Architectural contract vs per-backend microarchitecture
-//!
-//! Two backends must agree on everything *architectural*: final register
-//! and data-memory state, the retirement order of instructions, the error
-//! taxonomy ([`CpuErrorKind`]), and the placement of memory traffic in the
-//! retirement stream (which is what phase-marker detection keys on). They
-//! are free to disagree on everything *microarchitectural*: cycle counts,
-//! stall/flush statistics, which latch lanes exist for fault injection,
-//! and the per-cycle energy figures derived from bus toggling. The generic
-//! conformance suite in `emask-conformance` checks exactly this split.
-//!
-//! ## One loop
-//!
-//! A backend implements one clock, [`CpuBackend::step`], and inherits the
-//! one run loop, [`CpuBackend::run_with`]: step until `halt`, charge the
-//! cycle budget before each step, and hand every activity record to a
-//! callback that may stop the run early by returning
-//! [`ControlFlow::Break`]. Full runs, windowed acquisition (stop at the
-//! window's end marker) and hooked fault campaigns all go through it.
-//!
-//! Dispatch is **static** throughout: `emask-core`'s runner is generic
-//! over `B: CpuBackend`, the hook type and the callback, and each
-//! backend's `step` routes [`NullHook`] runs to its bare clock at compile
-//! time, so the unmasked-`encrypt` loop carries no hook machinery — the
-//! trait costs nothing at runtime.
+//! The whole contract is documented on [`CpuBackend`].
 
 use crate::activity::CycleActivity;
 use crate::checkpoint::CpuCheckpoint;
@@ -64,8 +31,42 @@ pub trait BackendCheckpoint {
 /// The trait surface is the union of what `emask-core`'s DES runner, the
 /// `emask-fault` injection campaigns, and the differential test harnesses
 /// need: program load, hooked stepping, a stoppable run loop with activity
-/// streaming, architectural state access, and checkpointing. All methods
-/// dispatch statically; see the [module docs](self) for the contract.
+/// streaming, architectural state access, and checkpointing.
+///
+/// A backend is any engine that executes an [`emask_isa::Program`]
+/// and exposes the *architectural contract* the rest of the workspace
+/// builds on: register/memory/PC state, retirement accounting, per-cycle
+/// [`CycleActivity`] emission for the energy model, [`PipelineHook`]
+/// attachment, and (where supported) checkpoint/rollback. The five-stage
+/// pipelined [`Cpu`] and the reference [`Interpreter`] are sibling
+/// implementations; future cores (bitsliced batch lanes, randomized issue)
+/// plug in as one more `impl` plus one conformance-suite registration.
+///
+/// # Architectural contract vs per-backend microarchitecture
+///
+/// Two backends must agree on everything *architectural*: final register
+/// and data-memory state, the retirement order of instructions, the error
+/// taxonomy ([`CpuErrorKind`]), and the placement of memory traffic in the
+/// retirement stream (which is what phase-marker detection keys on). They
+/// are free to disagree on everything *microarchitectural*: cycle counts,
+/// stall/flush statistics, which latch lanes exist for fault injection,
+/// and the per-cycle energy figures derived from bus toggling. The generic
+/// conformance suite in `emask-conformance` checks exactly this split.
+///
+/// # One loop
+///
+/// A backend implements one clock, [`CpuBackend::step`], and inherits the
+/// one run loop, [`CpuBackend::run_with`]: step until `halt`, charge the
+/// cycle budget before each step, and hand every activity record to a
+/// callback that may stop the run early by returning
+/// [`ControlFlow::Break`]. Full runs, windowed acquisition (stop at the
+/// window's end marker) and hooked fault campaigns all go through it.
+///
+/// Dispatch is **static** throughout: `emask-core`'s runner is generic
+/// over `B: CpuBackend`, the hook type and the callback, and each
+/// backend's `step` routes [`NullHook`] runs to its bare clock at compile
+/// time, so the unmasked-`encrypt` loop carries no hook machinery — the
+/// trait costs nothing at runtime.
 pub trait CpuBackend: Sized {
     /// Stable backend name, used in conformance reports and energy CSVs.
     const NAME: &'static str;

@@ -147,14 +147,6 @@ impl<'a> HookCtx<'a> {
         Self { core: CoreView::Interp(interp) }
     }
 
-    /// The stable name of the backend behind this context.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.core {
-            CoreView::Pipeline(_) => "pipeline5",
-            CoreView::Interp(_) => "interp",
-        }
-    }
-
     /// The cycle about to be simulated (instructions executed, on the
     /// interpreter).
     pub fn cycle(&self) -> u64 {
@@ -507,7 +499,6 @@ mod tests {
         let p = program();
         let mut iss = crate::Interpreter::new(&p);
         let mut ctx = HookCtx::for_interp(&mut iss);
-        assert_eq!(ctx.backend_name(), "interp");
         // No latches: every lane operation reports "bubble".
         for lane in FaultLane::ALL {
             assert!(ctx.lane(lane).is_none());

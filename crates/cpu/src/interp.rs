@@ -20,8 +20,8 @@ use crate::hook::RailSkew;
 use crate::memory::DataMemory;
 use crate::pipeline::{alu_exec, alu_inputs, branch_taken, CpuError, CpuErrorKind, RunResult};
 use crate::regfile::RegisterFile;
-use emask_isa::program::{DATA_BASE, MEM_SIZE, STACK_TOP};
 use emask_isa::{encode, Instruction, Op, OpClass, Program, Reg};
+use emask_isa::{DATA_BASE, MEM_SIZE, STACK_TOP};
 
 /// The reference interpreter.
 #[derive(Debug, Clone)]

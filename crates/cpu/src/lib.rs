@@ -48,22 +48,23 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod activity;
-pub mod backend;
-pub mod checkpoint;
-pub mod hook;
-pub mod interp;
-pub mod memory;
-pub mod pipeline;
-pub mod regfile;
+mod activity;
+mod backend;
+mod checkpoint;
+mod hook;
+mod interp;
+mod memory;
+mod pipeline;
+mod regfile;
 
 pub use activity::{Bus, BusSample, CycleActivity, ExActivity, MemActivity};
 pub use backend::{BackendCheckpoint, CpuBackend};
 pub use checkpoint::CpuCheckpoint;
 pub use hook::{FaultLane, HookCtx, LaneView, NullHook, PipelineHook, RailMode};
 pub use interp::{InterpCheckpoint, Interpreter};
-pub use memory::DataMemory;
+pub use memory::{AccessError, DataMemory};
 pub use pipeline::{Cpu, CpuError, CpuErrorKind, RunResult};
 pub use regfile::RegisterFile;

@@ -35,12 +35,12 @@ impl std::error::Error for AccessError {}
 /// Words per dirty-tracking page: 64 words = 256 bytes. Small enough that
 /// a DES run's working set dirties only a handful of pages between
 /// checkpoints, large enough that the bitmap stays a few machine words.
-pub const PAGE_WORDS: usize = 64;
+pub(crate) const PAGE_WORDS: usize = 64;
 
 /// Byte-addressed RAM with word (32-bit) access granularity, matching the
 /// word-oriented load/store ISA.
 ///
-/// Every mutating access also marks the containing [`PAGE_WORDS`]-word
+/// Every mutating access also marks the containing 64-word
 /// page *dirty*. The checkpoint layer uses the dirty set to snapshot and
 /// roll back only the pages a run actually touched, instead of copying the
 /// whole RAM at every checkpoint boundary.
@@ -106,7 +106,7 @@ impl DataMemory {
     ///
     /// Panics if the image does not fit — a setup error, not a simulated
     /// fault.
-    pub fn load_image(&mut self, base: u32, image: &[u32]) {
+    pub(crate) fn load_image(&mut self, base: u32, image: &[u32]) {
         assert_eq!(base % 4, 0, "image base must be word-aligned");
         let start = (base / 4) as usize;
         let end = start + image.len();
@@ -134,7 +134,7 @@ impl DataMemory {
 
     /// Indices of every page dirtied since the last
     /// [`DataMemory::clear_dirty`], in ascending order.
-    pub fn dirty_pages(&self) -> Vec<usize> {
+    pub(crate) fn dirty_pages(&self) -> Vec<usize> {
         let mut pages = Vec::new();
         for (w, &bits) in self.dirty.iter().enumerate() {
             let mut bits = bits;
@@ -148,7 +148,7 @@ impl DataMemory {
     }
 
     /// Forgets all dirty-page marks (a checkpoint boundary).
-    pub fn clear_dirty(&mut self) {
+    pub(crate) fn clear_dirty(&mut self) {
         self.dirty.fill(0);
     }
 
@@ -159,7 +159,7 @@ impl DataMemory {
     /// # Panics
     ///
     /// Panics if the memories differ in size or `page` is out of range.
-    pub fn copy_page_from(&mut self, from: &DataMemory, page: usize) {
+    pub(crate) fn copy_page_from(&mut self, from: &DataMemory, page: usize) {
         assert_eq!(self.words.len(), from.words.len(), "page copy between unequal memories");
         let start = page * PAGE_WORDS;
         let end = (start + PAGE_WORDS).min(self.words.len());
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn edges_of_the_standard_memory_map() {
-        use emask_isa::program::{MEM_SIZE, STACK_TOP};
+        use emask_isa::{MEM_SIZE, STACK_TOP};
         let mut m = DataMemory::new(MEM_SIZE);
         // The last word is addressable; one past it is not.
         m.store(MEM_SIZE - 4, 0xDEAD_BEEF).unwrap();
@@ -334,7 +334,7 @@ mod tests {
         // A base+offset sum that wraps past u32::MAX must not alias back
         // into low memory: the wrapped address is simply out of range (or
         // unaligned) for any realistic memory size.
-        use emask_isa::program::MEM_SIZE;
+        use emask_isa::MEM_SIZE;
         let mut m = DataMemory::new(MEM_SIZE);
         m.store(0, 0x1234_5678).unwrap();
         let wrapped = 0xFFFF_FFFCu32; // -4 as an unsigned byte address

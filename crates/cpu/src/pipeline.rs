@@ -5,8 +5,8 @@ use crate::backend::CpuBackend;
 use crate::hook::{NullHook, RailSkew};
 use crate::memory::{AccessError, DataMemory};
 use crate::regfile::RegisterFile;
-use emask_isa::program::{DATA_BASE, MEM_SIZE, STACK_TOP};
 use emask_isa::{encode, Instruction, Op, OpClass, Program, Reg};
+use emask_isa::{DATA_BASE, MEM_SIZE, STACK_TOP};
 use std::fmt;
 use std::ops::ControlFlow;
 
@@ -185,7 +185,7 @@ impl Cpu {
     /// # Panics
     ///
     /// Panics if the data image does not fit in `mem`.
-    pub fn with_memory(program: &Program, mut mem: DataMemory) -> Self {
+    pub(crate) fn with_memory(program: &Program, mut mem: DataMemory) -> Self {
         mem.load_image(DATA_BASE, &program.data);
         let mut regs = RegisterFile::new();
         regs.write(Reg::Sp, STACK_TOP.min(mem.size() - 16));

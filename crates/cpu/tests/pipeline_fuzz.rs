@@ -4,7 +4,7 @@
 //! forwarding/interlock corner cases.
 
 use emask_cpu::{Cpu, CpuBackend, Interpreter};
-use emask_isa::program::DATA_BASE;
+use emask_isa::DATA_BASE;
 use emask_isa::{Instruction, Op, Program, Reg};
 use proptest::prelude::*;
 

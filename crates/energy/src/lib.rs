@@ -58,16 +58,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod model;
-pub mod profile;
-pub mod tech;
-pub mod trace;
-pub mod units;
+mod model;
+mod profile;
+mod tech;
+mod trace;
+mod units;
 
 pub use model::{ComponentEnergy, CycleEnergy, EnergyModel};
 pub use profile::{LeakageProfile, LeakageProfiler, LeakageRow};
-pub use tech::{EnergyParams, SecureStyle};
+pub use tech::{EnergyParams, SecureStyle, UnitBases, UnitCaps};
 pub use trace::EnergyTrace;
 pub use units::{FunctionalUnit, UnitState};

@@ -126,7 +126,7 @@ impl EnergyParams {
 
     /// Energy of one full-swing transition on a wire of `cap_pf`
     /// picofarads: `C·V²`, in picojoules.
-    pub fn toggle_pj(&self, cap_pf: f64) -> f64 {
+    pub(crate) fn toggle_pj(&self, cap_pf: f64) -> f64 {
         cap_pf * self.supply_v * self.supply_v
     }
 }

@@ -27,7 +27,7 @@ pub enum FunctionalUnit {
 impl FunctionalUnit {
     /// Which unit executes `op`; `None` for operations that exercise no
     /// datapath unit (jumps, halt).
-    pub fn for_op(op: Op) -> Option<FunctionalUnit> {
+    pub(crate) fn for_op(op: Op) -> Option<FunctionalUnit> {
         use Op::*;
         Some(match op {
             Addu | Subu | Addiu | Slt | Sltu | Slti | Sltiu | Lw | Sw | Beq | Bne | Blez | Bgtz

@@ -2,9 +2,7 @@
 //! against a live core.
 
 use crate::plan::{FaultModel, FaultPlan, FaultTarget, FaultTrigger};
-use emask_cpu::{CpuBackend, CpuError, FaultLane, HookCtx, PipelineHook, RunResult};
-use emask_isa::Program;
-use std::ops::ControlFlow;
+use emask_cpu::{FaultLane, HookCtx, PipelineHook};
 
 /// Per-fault bookkeeping across the run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -113,28 +111,6 @@ impl FaultInjector {
     }
 }
 
-/// Runs `program` to completion on backend `B` with `plan` injected,
-/// returning the final machine, the (spent) injector for forensics, and
-/// the run outcome.
-///
-/// This is the backend-generic campaign entry point: the same plan can be
-/// replayed against the five-stage pipeline and the reference interpreter
-/// to separate *architectural* fault effects (register/memory corruption,
-/// which both backends reproduce identically) from *microarchitectural*
-/// ones (latch-lane strikes and fetch squashes, which degrade to no-ops on
-/// backends without those structures — exactly as a strike on a bubble
-/// does on the pipeline).
-pub fn run_plan_on<B: CpuBackend>(
-    program: &Program,
-    plan: FaultPlan,
-    max_cycles: u64,
-) -> (B, FaultInjector, Result<RunResult, CpuError>) {
-    let mut cpu = B::load(program);
-    let mut inj = FaultInjector::new(plan);
-    let outcome = cpu.run_with(max_cycles, &mut inj, |_| ControlFlow::Continue(()));
-    (cpu, inj, outcome)
-}
-
 impl PipelineHook for FaultInjector {
     fn before_cycle(&mut self, ctx: &mut HookCtx<'_>) {
         for (i, spec) in self.plan.faults().iter().enumerate() {
@@ -192,8 +168,8 @@ impl PipelineHook for FaultInjector {
 mod tests {
     use super::*;
     use crate::plan::{FaultPlan, FaultSpec};
-    use emask_cpu::{Cpu, CpuBackend, RailMode};
-    use emask_isa::{assemble, OpClass, Reg};
+    use emask_cpu::{Cpu, CpuBackend, CpuError, RailMode, RunResult};
+    use emask_isa::{assemble, OpClass, Program, Reg};
     use std::ops::ControlFlow;
 
     fn program() -> emask_isa::Program {
@@ -207,6 +183,19 @@ mod tests {
         let mut inj = FaultInjector::new(plan);
         cpu.run_with(10_000, &mut inj, |_| ControlFlow::Continue(())).expect("run");
         (cpu, inj)
+    }
+
+    /// Runs `program` on backend `B` with `plan` injected, returning the
+    /// final machine, the spent injector and the run outcome.
+    fn run_plan_on<B: CpuBackend>(
+        program: &Program,
+        plan: FaultPlan,
+        max_cycles: u64,
+    ) -> (B, FaultInjector, Result<RunResult, CpuError>) {
+        let mut cpu = B::load(program);
+        let mut inj = FaultInjector::new(plan);
+        let outcome = cpu.run_with(max_cycles, &mut inj, |_| ControlFlow::Continue(()));
+        (cpu, inj, outcome)
     }
 
     #[test]
@@ -305,7 +294,7 @@ mod tests {
                 target: FaultTarget::Register(8),
                 model: FaultModel::BitFlip { bit: 0 },
             });
-            let (cpu, inj, outcome) = super::run_plan_on::<B>(&program(), plan, 10_000);
+            let (cpu, inj, outcome) = run_plan_on::<B>(&program(), plan, 10_000);
             outcome.expect("run");
             assert_eq!(inj.events().len(), 1, "{}", B::NAME);
             cpu.reg(Reg::T2)
@@ -321,8 +310,7 @@ mod tests {
             target: FaultTarget::Lane(FaultLane::IdExA, RailMode::Both),
             model: FaultModel::StuckAt { bit: 0, stuck_one: true },
         });
-        let (cpu, inj, outcome) =
-            super::run_plan_on::<emask_cpu::Interpreter>(&program(), plan, 10_000);
+        let (cpu, inj, outcome) = run_plan_on::<emask_cpu::Interpreter>(&program(), plan, 10_000);
         outcome.expect("run");
         assert!(!inj.any_injected(), "no latch lanes to strike");
         assert_eq!(cpu.reg(Reg::T2), 13, "architectural result untouched");

@@ -26,8 +26,8 @@
 //! that [`Cpu::run`](emask_cpu::Cpu::run) drives.
 //!
 //! Everything here works against any [`CpuBackend`](emask_cpu::CpuBackend),
-//! not just the pipeline: [`run_plan_on`] replays a plan on an explicit
-//! backend, and latch-lane strikes degrade to no-ops on backends without
+//! not just the pipeline: the same plan replays on any backend's
+//! `run_with`, and latch-lane strikes degrade to no-ops on backends without
 //! pipeline latches (the reference interpreter), the same way a strike on
 //! a bubble lands nowhere on the pipeline. Register and memory faults are
 //! architectural and reproduce identically everywhere.
@@ -58,12 +58,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod check;
-pub mod inject;
-pub mod plan;
+mod check;
+mod inject;
+mod plan;
 
 pub use check::DualRailChecker;
-pub use inject::{run_plan_on, FaultInjector, InjectionEvent};
+pub use inject::{FaultInjector, InjectionEvent};
 pub use plan::{FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger};

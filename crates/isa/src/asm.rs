@@ -51,10 +51,10 @@ impl std::error::Error for AssembleError {}
 /// # Examples
 ///
 /// ```
-/// use emask_isa::asm::assemble;
+/// use emask_isa::{assemble, Symbol};
 /// let p = assemble(".text\nstart: li $t0, 7\n b start\n halt\n")?;
-/// assert_eq!(p.text_addr("start"), 0);
-/// # Ok::<(), emask_isa::asm::AssembleError>(())
+/// assert_eq!(p.symbol("start"), Some(Symbol::Text(0)));
+/// # Ok::<(), emask_isa::AssembleError>(())
 /// ```
 pub fn assemble(source: &str) -> Result<Program, AssembleError> {
     Assembler::new().run(source)
@@ -540,7 +540,7 @@ mod tests {
     fn minimal_program_assembles() {
         let p = assemble(".text\nmain: addiu $t0, $zero, 5\n halt\n").unwrap();
         assert_eq!(p.text.len(), 2);
-        assert_eq!(p.text_addr("main"), 0);
+        assert_eq!(p.symbol("main"), Some(crate::program::Symbol::Text(0)));
     }
 
     #[test]

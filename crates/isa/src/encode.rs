@@ -203,16 +203,6 @@ pub fn decode(word: u32) -> Result<Instruction, DecodeError> {
     Ok(inst.with_secure(secure))
 }
 
-/// Decodes a whole text segment, reporting the index of the first bad
-/// word.
-///
-/// # Errors
-///
-/// Returns `(index, DecodeError)` for the first undecodable word.
-pub fn disassemble(words: &[u32]) -> Result<Vec<Instruction>, (usize, DecodeError)> {
-    words.iter().enumerate().map(|(i, &w)| decode(w).map_err(|e| (i, e))).collect()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -274,21 +264,6 @@ mod tests {
     #[test]
     fn unknown_opcode_rejected() {
         assert!(decode(31 << 26).is_err());
-    }
-
-    #[test]
-    fn disassemble_round_trips_a_program() {
-        let insts = sample_instructions();
-        let words: Vec<u32> = insts.iter().map(encode).collect();
-        assert_eq!(disassemble(&words).unwrap(), insts);
-    }
-
-    #[test]
-    fn disassemble_reports_bad_word_position() {
-        let words = vec![encode(&Instruction::nop()), 0x3F, encode(&Instruction::halt())];
-        let (i, e) = disassemble(&words).unwrap_err();
-        assert_eq!(i, 1);
-        assert_eq!(e.word, 0x3F);
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl Op {
     }
 
     /// The assembler mnemonic.
-    pub fn mnemonic(self) -> &'static str {
+    pub(crate) fn mnemonic(self) -> &'static str {
         use Op::*;
         match self {
             Addu => "addu",
@@ -145,7 +145,7 @@ impl Op {
     /// The paper's dedicated secure mnemonic, if this operation has one
     /// (`lw → slw`, `sw → ssw`, `xor → sxor`, shifts → `ssll`/`ssrl`/`ssra`,
     /// `xori → sxori`). Other operations render as `sec.<mnemonic>`.
-    pub fn secure_mnemonic(self) -> Option<&'static str> {
+    pub(crate) fn secure_mnemonic(self) -> Option<&'static str> {
         use Op::*;
         match self {
             Lw => Some("slw"),
@@ -313,7 +313,7 @@ impl Instruction {
     }
 
     /// Returns the same instruction with the secure bit as given.
-    pub fn with_secure(self, secure: bool) -> Self {
+    pub(crate) fn with_secure(self, secure: bool) -> Self {
         Self { secure, ..self }
     }
 
@@ -375,13 +375,8 @@ impl Instruction {
         self.class() == OpClass::Store
     }
 
-    /// True if the instruction may redirect control flow.
-    pub fn changes_control_flow(&self) -> bool {
-        matches!(self.class(), OpClass::Branch | OpClass::Jump)
-    }
-
     /// True for the canonical no-op encoding.
-    pub fn is_nop(&self) -> bool {
+    pub(crate) fn is_nop(&self) -> bool {
         self.op == Op::Sll && self.rd.is_zero() && self.rt.is_zero() && self.imm == 0
     }
 }

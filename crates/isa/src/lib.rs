@@ -19,8 +19,8 @@
 //! * [`Reg`] — architectural register names with MIPS conventions,
 //! * [`Op`] / [`Instruction`] — the instruction model with classification
 //!   helpers used by the pipeline and the energy model,
-//! * [`mod@encode`] — binary encode/decode (round-trip tested),
-//! * [`asm`] — a two-pass assembler with labels, `.data` directives, the
+//! * [`encode`] / [`decode`] — binary encode/decode (round-trip tested),
+//! * [`assemble`] — a two-pass assembler with labels, `.data` directives, the
 //!   paper's secure mnemonics (`slw`, `ssw`, `sxor`, ...), and the usual
 //!   pseudo-instructions (`li`, `la`, `move`, `b`, `blt`, ...),
 //! * [`Program`] — an assembled text + data image with a symbol table.
@@ -28,7 +28,7 @@
 //! ## Example
 //!
 //! ```
-//! use emask_isa::asm::assemble;
+//! use emask_isa::assemble;
 //!
 //! let program = assemble(
 //!     r#"
@@ -43,21 +43,22 @@
 //! )?;
 //! // `la` expands to lui+ori, so the secure load is instruction 2.
 //! assert!(program.text[2].secure);
-//! # Ok::<(), emask_isa::asm::AssembleError>(())
+//! # Ok::<(), emask_isa::AssembleError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod asm;
-pub mod encode;
-pub mod inst;
-pub mod program;
-pub mod reg;
+mod asm;
+mod encode;
+mod inst;
+mod program;
+mod reg;
 
 pub use asm::{assemble, AssembleError};
-pub use encode::{decode, disassemble, encode, DecodeError};
+pub use encode::{decode, encode, DecodeError};
 pub use inst::{Instruction, Op, OpClass};
-pub use program::Program;
-pub use reg::Reg;
+pub use program::{Program, Symbol, DATA_BASE, MEM_SIZE, STACK_TOP};
+pub use reg::{ParseRegError, Reg};

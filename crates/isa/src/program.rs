@@ -1,6 +1,5 @@
 //! Assembled program images: text, initial data memory, and symbols.
 
-use crate::encode::encode;
 use crate::inst::Instruction;
 use std::collections::HashMap;
 use std::fmt;
@@ -84,23 +83,6 @@ impl Program {
         }
     }
 
-    /// The instruction index of a text symbol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the symbol is missing or is a data symbol.
-    pub fn text_addr(&self, name: &str) -> u32 {
-        match self.symbol(name) {
-            Some(Symbol::Text(a)) => a,
-            other => panic!("`{name}` is not a text symbol (found {other:?})"),
-        }
-    }
-
-    /// Encodes the text segment to binary words.
-    pub fn encode_text(&self) -> Vec<u32> {
-        self.text.iter().map(encode).collect()
-    }
-
     /// Number of instructions carrying the secure bit.
     pub fn secure_instruction_count(&self) -> usize {
         self.text.iter().filter(|i| i.secure).count()
@@ -162,7 +144,7 @@ mod tests {
     #[test]
     fn symbol_lookup() {
         let p = sample();
-        assert_eq!(p.text_addr("main"), 0);
+        assert_eq!(p.symbol("main"), Some(Symbol::Text(0)));
         assert_eq!(p.data_addr("buf"), DATA_BASE);
         assert!(p.symbol("missing").is_none());
     }
@@ -176,14 +158,6 @@ mod tests {
     #[test]
     fn secure_count() {
         assert_eq!(sample().secure_instruction_count(), 1);
-    }
-
-    #[test]
-    fn encoded_text_decodes_back() {
-        let p = sample();
-        for (word, inst) in p.encode_text().iter().zip(&p.text) {
-            assert_eq!(&crate::encode::decode(*word).unwrap(), inst);
-        }
     }
 
     #[test]

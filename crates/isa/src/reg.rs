@@ -15,7 +15,7 @@ use std::str::FromStr;
 /// assert_eq!("$t0".parse::<Reg>()?, Reg::T0);
 /// assert_eq!("$8".parse::<Reg>()?, Reg::T0);
 /// assert_eq!(Reg::T0.to_string(), "$t0");
-/// # Ok::<(), emask_isa::reg::ParseRegError>(())
+/// # Ok::<(), emask_isa::ParseRegError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
@@ -117,30 +117,6 @@ impl Reg {
     pub fn is_zero(self) -> bool {
         self == Reg::Zero
     }
-
-    /// Caller-saved temporaries available to the register allocator.
-    pub fn allocatable_temps() -> &'static [Reg] {
-        &[
-            Reg::T0,
-            Reg::T1,
-            Reg::T2,
-            Reg::T3,
-            Reg::T4,
-            Reg::T5,
-            Reg::T6,
-            Reg::T7,
-            Reg::T8,
-            Reg::T9,
-            Reg::S0,
-            Reg::S1,
-            Reg::S2,
-            Reg::S3,
-            Reg::S4,
-            Reg::S5,
-            Reg::S6,
-            Reg::S7,
-        ]
-    }
 }
 
 impl fmt::Display for Reg {
@@ -220,14 +196,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn from_number_rejects_32() {
         Reg::from_number(32);
-    }
-
-    #[test]
-    fn allocatable_temps_exclude_special_registers() {
-        let temps = Reg::allocatable_temps();
-        for special in [Reg::Zero, Reg::At, Reg::Sp, Reg::Fp, Reg::Ra, Reg::Gp, Reg::K0, Reg::K1] {
-            assert!(!temps.contains(&special));
-        }
-        assert_eq!(temps.len(), 18);
     }
 }

@@ -28,6 +28,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
 mod lease;
@@ -158,7 +159,7 @@ impl CancelToken {
     /// a lease shrink drains the excess workers as they finish their
     /// current shard.
     #[must_use]
-    pub fn worker_allowed(&self, index: usize) -> bool {
+    pub(crate) fn worker_allowed(&self, index: usize) -> bool {
         index == 0 || self.inner.lease.as_ref().is_none_or(|l| index < l.allowed())
     }
 
@@ -319,7 +320,7 @@ impl Default for Jobs {
 /// The contiguous index ranges the trial range `0..n` is cut into: exactly
 /// `min(n, SHARDS)` non-empty shards, a pure function of `n`.
 #[must_use]
-pub fn shard_ranges(n: usize) -> Vec<Range<usize>> {
+pub(crate) fn shard_ranges(n: usize) -> Vec<Range<usize>> {
     let shards = n.min(SHARDS);
     (0..shards)
         .map(|s| {
@@ -330,9 +331,10 @@ pub fn shard_ranges(n: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// [`shard_ranges`] with each range paired with its shard index — the
-/// enumeration every shard-indexed consumer wants (span ladders, progress
-/// tables). Pure like `shard_ranges`: the plan for a given `n` is
+/// The contiguous index ranges the trial range `0..n` is cut into
+/// (exactly `min(n, SHARDS)` non-empty shards), each paired with its shard
+/// index — the enumeration every shard-indexed consumer wants (span
+/// ladders, progress tables). The plan for a given `n` is
 /// identical on every run, at any worker count, before or after a resume,
 /// which is what lets a supervisor emit per-shard telemetry *after* a
 /// campaign returns and still describe exactly the work that happened.
@@ -346,7 +348,7 @@ pub fn shard_plan(n: usize) -> Vec<(usize, Range<usize>)> {
 ///
 /// `worker(shard_index, trial_range)` folds the trials of one contiguous
 /// range into whatever accumulator it likes; because the shard layout is a
-/// pure function of `n` (see [`shard_ranges`]) and results are re-ordered
+/// pure function of `n` (see [`shard_plan`]) and results are re-ordered
 /// by shard index before being returned, the output is identical for any
 /// `jobs` value.
 ///

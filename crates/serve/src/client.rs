@@ -40,7 +40,7 @@ impl From<std::io::Error> for ClientError {
 /// # Errors
 ///
 /// [`ClientError::Io`] when the socket is unreachable or closed early.
-pub fn request_line(socket: &Path, line: &str) -> Result<String, ClientError> {
+pub(crate) fn request_line(socket: &Path, line: &str) -> Result<String, ClientError> {
     let mut stream = UnixStream::connect(socket)?;
     writeln!(stream, "{line}")?;
     stream.flush()?;
@@ -59,7 +59,7 @@ pub fn request_line(socket: &Path, line: &str) -> Result<String, ClientError> {
 ///
 /// [`ClientError::Rejected`] for `ok:false`, [`ClientError::Protocol`]
 /// for anything unparseable.
-pub fn expect_ok(reply: &str) -> Result<Json, ClientError> {
+pub(crate) fn expect_ok(reply: &str) -> Result<Json, ClientError> {
     let doc = parse(reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
     match doc.get("ok").and_then(Json::as_bool) {
         Some(true) => Ok(doc),

@@ -8,9 +8,8 @@
 //! with a fraction or exponent parses as `f64`. Duplicate object keys
 //! keep the last value, matching what every mainstream parser does.
 //! Nesting is bounded ([`MAX_DEPTH`]) so a hostile request cannot drive
-//! the recursive descent into a stack overflow, and [`parse_bytes`]
-//! rejects non-UTF-8 input up front — the parser proper only ever sees
-//! valid `&str`.
+//! the recursive descent into a stack overflow. The parser takes `&str`,
+//! so input is valid UTF-8 before it gets here.
 
 use std::fmt;
 
@@ -63,13 +62,13 @@ impl Json {
 
     /// The value as a `usize`, if it is a non-negative integer.
     #[must_use]
-    pub fn as_usize(&self) -> Option<usize> {
+    pub(crate) fn as_usize(&self) -> Option<usize> {
         self.as_u64().and_then(|v| usize::try_from(v).ok())
     }
 
     /// The value as a bool, if it is one.
     #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -119,7 +118,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
 /// Escapes `s` for embedding in a JSON string literal — the output half,
 /// mirroring `emask_telemetry`'s exporter conventions.
 #[must_use]
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -135,20 +134,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// Parses a raw byte buffer: rejects non-UTF-8 input (at the offset of
-/// the first invalid byte), then parses as [`parse`] does. This is the
-/// boundary where wire input becomes text — the `&str`-typed parser can
-/// then rely on encoding validity.
-///
-/// # Errors
-///
-/// [`ParseError`] for invalid UTF-8 or invalid JSON.
-pub fn parse_bytes(bytes: &[u8]) -> Result<Json, ParseError> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|e| ParseError { at: e.valid_up_to(), reason: "invalid UTF-8" })?;
-    parse(text)
 }
 
 struct Parser<'a> {
@@ -434,15 +419,5 @@ mod tests {
         // Siblings do not accumulate: depth is nesting, not node count.
         let wide = format!("[{}]", vec![deep(MAX_DEPTH - 1); 4].join(","));
         assert!(parse(&wide).is_ok());
-    }
-
-    #[test]
-    fn non_utf8_bytes_are_rejected_at_the_boundary() {
-        assert_eq!(parse_bytes(br#"{"a":1}"#).unwrap(), parse(r#"{"a":1}"#).unwrap());
-        let err = parse_bytes(b"{\"a\":\"\xff\"}").unwrap_err();
-        assert_eq!(err.reason, "invalid UTF-8");
-        assert_eq!(err.at, 6, "offset of the first invalid byte");
-        // An overlong encoding (0xC0 0x80 for NUL) is invalid UTF-8 too.
-        assert!(parse_bytes(b"\"\xc0\x80\"").is_err());
     }
 }

@@ -33,6 +33,7 @@
 
 #![deny(unsafe_code)] // `signal.rs` carries the one audited allow
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
 pub mod client;
@@ -48,7 +49,7 @@ mod supervisor;
 pub use retry::{RetryPolicy, MAX_BACKOFF_MS};
 pub use scheduler::Priority;
 pub use server::{serve, ServerConfig};
-pub use signal::{install as install_signal_handler, terminated};
+pub use signal::install as install_signal_handler;
 pub use sink::JobSink;
 pub use spec::{JobSpec, SpecError};
 pub use supervisor::{

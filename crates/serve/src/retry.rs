@@ -37,7 +37,7 @@ impl RetryPolicy {
     /// Whether a job that has already run `attempt` times (1-based) may
     /// run again.
     #[must_use]
-    pub fn allows(&self, attempt: u32) -> bool {
+    pub(crate) fn allows(&self, attempt: u32) -> bool {
         attempt <= self.max_retries
     }
 

@@ -48,7 +48,7 @@ impl Priority {
 
     /// Parses the stable name.
     #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         Some(match name {
             "high" => Priority::High,
             "normal" => Priority::Normal,

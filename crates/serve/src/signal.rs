@@ -44,6 +44,6 @@ pub fn install() {
 
 /// Whether a termination signal has arrived since [`install`].
 #[must_use]
-pub fn terminated() -> bool {
+pub(crate) fn terminated() -> bool {
     TERM.load(Ordering::SeqCst)
 }

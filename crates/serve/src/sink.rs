@@ -65,7 +65,7 @@ impl JobSink {
     /// # Errors
     ///
     /// Forwards the underlying IO error from the snapshot read.
-    pub fn subscribe(&self, path: &Path) -> std::io::Result<(String, Receiver<String>)> {
+    pub(crate) fn subscribe(&self, path: &Path) -> std::io::Result<(String, Receiver<String>)> {
         let mut st = self.state.lock().expect("job sink poisoned");
         let snapshot = std::fs::read_to_string(path)?;
         let (tx, rx) = sync_channel(SUBSCRIBER_DEPTH);
@@ -105,7 +105,7 @@ impl JobSink {
 
     /// Drops every live subscriber (their streams end); the file stays
     /// open for further appends.
-    pub fn disconnect_subscribers(&self) {
+    pub(crate) fn disconnect_subscribers(&self) {
         self.state.lock().expect("job sink poisoned").subscribers.clear();
     }
 }

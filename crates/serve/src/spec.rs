@@ -139,7 +139,7 @@ impl JobSpec {
     /// # Errors
     ///
     /// As for [`JobSpec::from_json`].
-    pub fn from_value(doc: &Json) -> Result<Self, SpecError> {
+    pub(crate) fn from_value(doc: &Json) -> Result<Self, SpecError> {
         let d = JobSpec::default();
         let experiment = match doc.get("experiment") {
             Some(Json::Str(s)) if !s.is_empty() => s.clone(),

@@ -698,7 +698,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
     /// # Errors
     ///
     /// A description when the job is unknown or its history unreadable.
-    pub fn subscribe(&self, id: u64) -> Result<(String, Receiver<String>), String> {
+    pub(crate) fn subscribe(&self, id: u64) -> Result<(String, Receiver<String>), String> {
         let inner = self.inner.lock().expect("supervisor poisoned");
         let rec = inner.jobs.get(&id).ok_or_else(|| format!("unknown job {id}"))?;
         let sink = Arc::clone(&rec.sink);
@@ -779,7 +779,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
     /// persisted, forwarded best-effort to live `watch` subscribers and
     /// drop-counted under backpressure — so the periodic heartbeat leaves
     /// the replayable history byte-for-byte untouched.
-    pub fn emit_service_metrics(&self) {
+    pub(crate) fn emit_service_metrics(&self) {
         let inner = self.inner.lock().expect("supervisor poisoned");
         let states = Self::state_counts(&inner);
         let gauge = |name: &str| states.iter().find(|(n, _)| *n == name).map_or(0, |(_, c)| *c);
@@ -808,7 +808,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
     /// every non-terminal job's sink. Operational, like
     /// [`emit_service_metrics`](Supervisor::emit_service_metrics): never
     /// persisted, so the replayable history is untouched.
-    pub fn emit_scheduler_heartbeat(&self) {
+    pub(crate) fn emit_scheduler_heartbeat(&self) {
         let inner = self.inner.lock().expect("supervisor poisoned");
         let depth = |c: Priority| inner.queues.depth(c) as u64;
         let event = Event::SchedulerHeartbeat {
@@ -855,7 +855,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
 
     /// Whether [`begin_shutdown`](Supervisor::begin_shutdown) has run.
     #[must_use]
-    pub fn shutting_down(&self) -> bool {
+    pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 

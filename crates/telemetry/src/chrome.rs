@@ -46,14 +46,11 @@ struct OpenSpan {
 /// Accumulates a run into Chrome trace-event JSON.
 ///
 /// Implements [`RunObserver`]: feed it cycles and phase events, then call
-/// [`ChromeTrace::render`] for the finished document. It can equally be
-/// driven by hand via [`ChromeTrace::record_cycle`] and
-/// [`ChromeTrace::mark_phase`].
+/// [`ChromeTrace::render`] for the finished document.
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTrace {
     events: Vec<String>,
     open: [Option<OpenSpan>; 6],
-    phase_count: usize,
 }
 
 impl ChromeTrace {
@@ -86,7 +83,7 @@ impl ChromeTrace {
     }
 
     /// Extends or closes each stage lane for one cycle of activity.
-    pub fn record_cycle(&mut self, act: &CycleActivity) {
+    pub(crate) fn record_cycle(&mut self, act: &CycleActivity) {
         for lane in 0..=STALL_LANE {
             if Self::lane_active(act, lane) {
                 match &mut self.open[lane] {
@@ -105,17 +102,11 @@ impl ChromeTrace {
     }
 
     /// Adds a phase-marker instant event at `cycle`.
-    pub fn mark_phase(&mut self, name: &str, cycle: u64) {
-        self.phase_count += 1;
+    pub(crate) fn mark_phase(&mut self, name: &str, cycle: u64) {
         self.events.push(format!(
             r#"{{"name":"{}","ph":"i","ts":{cycle},"pid":1,"tid":0,"s":"p"}}"#,
             escape_json(name),
         ));
-    }
-
-    /// Number of phase instants recorded so far.
-    pub fn phase_count(&self) -> usize {
-        self.phase_count
     }
 
     /// Closes any open spans and renders the full JSON document.
@@ -189,7 +180,7 @@ mod tests {
     fn phases_become_instant_events() {
         let mut t = ChromeTrace::new();
         t.mark_phase("round 1", 42);
-        assert_eq!(t.phase_count(), 1);
+        assert_eq!(t.events.len(), 1);
         let json = t.render();
         assert!(json.contains(r#""name":"round 1","ph":"i","ts":42"#), "{json}");
     }

@@ -174,7 +174,7 @@ pub enum Event {
         /// or `"deadline_exceeded"`.
         outcome: String,
     },
-    /// Replayable: a causal span opened (see [`crate::span`]). Emitted
+    /// Replayable: a causal span opened (see [`crate::Span`]). Emitted
     /// only at deterministic points, so the span stream keeps the
     /// byte-identity contract.
     SpanOpened {

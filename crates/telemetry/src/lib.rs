@@ -43,15 +43,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(clippy::unwrap_used)]
 
-pub mod chrome;
-pub mod events;
-pub mod export;
-pub mod metrics;
-pub mod observer;
-pub mod span;
-pub mod stream;
+mod chrome;
+mod events;
+mod export;
+mod metrics;
+mod observer;
+mod span;
+mod stream;
 
 pub use chrome::{escape_json, ChromeTrace};
 pub use events::{Event, EventSink, NullSink};
@@ -61,8 +62,7 @@ pub use export::{
     COMPONENT_COLUMNS,
 };
 pub use metrics::{
-    op_class_name, Histogram, MergeError, MetricsRegistry, MetricsSnapshot, MixEntry, PhaseMetrics,
-    OP_CLASSES,
+    Histogram, MergeError, MetricsRegistry, MetricsSnapshot, MixEntry, PhaseMetrics, OP_CLASSES,
 };
 pub use observer::{PhaseEvent, RunObserver};
 pub use span::{Span, SpanId};

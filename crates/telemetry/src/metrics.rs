@@ -51,7 +51,7 @@ pub const OP_CLASSES: [OpClass; 8] = [
 ];
 
 /// A short stable name for an instruction class (used in reports).
-pub fn op_class_name(class: OpClass) -> &'static str {
+pub(crate) fn op_class_name(class: OpClass) -> &'static str {
     match class {
         OpClass::AluReg => "alu_reg",
         OpClass::AluImm => "alu_imm",
@@ -144,7 +144,7 @@ impl Histogram {
     }
 
     /// The bucket width.
-    pub fn bucket_width(&self) -> f64 {
+    pub(crate) fn bucket_width(&self) -> f64 {
         self.width
     }
 

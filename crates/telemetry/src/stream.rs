@@ -44,8 +44,8 @@ struct BusState {
 
 /// A bounded multi-producer single-consumer event queue.
 ///
-/// Producers call [`emit`](EventBus::emit) / [`try_emit`](EventBus::try_emit)
-/// (or go through the [`EventSink`] impl); one consumer loops on
+/// Producers call [`emit`](EventBus::emit) (or go through the
+/// [`EventSink`] impl); one consumer loops on
 /// [`drain_wait`](EventBus::drain_wait) until the producer side calls
 /// [`close`](EventBus::close).
 #[derive(Debug)]
@@ -93,7 +93,7 @@ impl EventBus {
 
     /// Enqueues a lossy event; if the queue is full (or the bus is
     /// closed) the event is dropped and counted instead of blocking.
-    pub fn try_emit(&self, event: Event) {
+    pub(crate) fn try_emit(&self, event: Event) {
         let mut st = self.state.lock().expect("event bus poisoned");
         if st.closed || st.queue.len() >= self.capacity {
             st.dropped = st.dropped.saturating_add(1);

@@ -7,7 +7,7 @@
 //! cargo run --release --example masking_tradeoff [rounds]
 //! ```
 
-use emask::core::desgen::DesProgramSpec;
+use emask::core::DesProgramSpec;
 use emask::{MaskPolicy, MaskedDes, Phase};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

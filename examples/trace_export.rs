@@ -8,7 +8,7 @@
 //! Writes `fig6_trace.csv`, `fig8_key_diff.csv`, `fig9_masked_diff.csv`
 //! and `fig12_overhead.csv` into `out_dir` (default `target/figures`).
 
-use emask::core::desgen::DesProgramSpec;
+use emask::core::DesProgramSpec;
 use emask::{MaskPolicy, MaskedDes, Phase};
 use std::fs;
 use std::path::PathBuf;

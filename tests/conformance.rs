@@ -3,7 +3,7 @@
 //! (satellite of the `CpuBackend` refactor).
 
 use emask::cc::{compile, CompileOptions, MaskPolicy};
-use emask::core::desgen::{des_source, DesProgramSpec};
+use emask::core::{des_source, DesProgramSpec};
 use emask::cpu::{Cpu, CpuBackend, CycleActivity, Interpreter, NullHook};
 use emask_conformance::{assert_checkpoint_round_trip, conformance_suite, conformance_suite_pair};
 use proptest::prelude::*;

@@ -3,10 +3,10 @@
 //! program. Any divergence is a pipeline bug.
 
 use emask::cc::{compile, CompileOptions, MaskPolicy};
-use emask::core::desgen::{des_source, DesProgramSpec};
+use emask::core::{des_source, DesProgramSpec};
 use emask::cpu::{Cpu, CpuBackend, Interpreter};
-use emask::isa::program::DATA_BASE;
 use emask::isa::Reg;
+use emask::isa::DATA_BASE;
 use proptest::prelude::*;
 use std::ops::ControlFlow;
 

@@ -3,7 +3,7 @@
 //! mismatch or a CPU fault — never a panic, hang, or silently wrong
 //! accepted result.
 
-use emask::core::desgen::DesProgramSpec;
+use emask::core::DesProgramSpec;
 use emask::{MaskPolicy, MaskedDes};
 
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;

@@ -3,7 +3,7 @@
 //! in every secure region, for many random key pairs, while unmasked runs
 //! leak.
 
-use emask::core::desgen::DesProgramSpec;
+use emask::core::DesProgramSpec;
 use emask::{MaskPolicy, MaskedDes, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -2,7 +2,7 @@
 //! 16-round system. These are the acceptance tests of the reproduction —
 //! EXPERIMENTS.md records the exact measured values.
 
-use emask::core::desgen::DesProgramSpec;
+use emask::core::DesProgramSpec;
 use emask::energy::{FunctionalUnit, UnitState};
 use emask::{EnergyParams, MaskPolicy, MaskedDes, Phase};
 

@@ -3,22 +3,22 @@
 //! all must agree on every program, which localizes any miscompile to a
 //! single layer (lowering / optimizer / codegen+machine).
 
-use emask::cc::interp::IrMachine;
+use emask::cc::IrMachine;
+use emask::cc::{check, fold_const_globals, lower_unit, optimize, parse};
 use emask::cc::{compile, CompileOptions, MaskPolicy};
-use emask::cc::{lower::lower_unit, opt, parser::parse, sema::check};
 use emask::cpu::Cpu;
 use emask::isa::Reg;
 use emask_conformance::{random_array_source, random_expression_source};
 use proptest::prelude::*;
 
-fn via_ir(src: &str, optimize: bool) -> u32 {
+fn via_ir(src: &str, optimized: bool) -> u32 {
     let unit = parse(src).expect("parse");
     let info = check(&unit).expect("sema");
     let mut funcs = lower_unit(&unit, &info);
-    if optimize {
+    if optimized {
         for f in &mut funcs {
-            opt::fold_const_globals(f, &unit);
-            opt::optimize(f);
+            fold_const_globals(f, &unit);
+            optimize(f);
         }
     }
     IrMachine::new(&unit, &funcs).run_main().expect("ir run")
