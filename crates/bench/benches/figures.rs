@@ -5,7 +5,6 @@
 //! `repro` binary produces the full 16-round figures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use emask_bench::experiments;
 use emask_core::MaskPolicy;
 use std::hint::black_box;
 
@@ -13,7 +12,7 @@ fn bench_fig6_trace(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
     g.bench_function("fig6_round_trace_2r", |b| {
-        b.iter(|| experiments::fig6_round_trace(black_box(2)))
+        b.iter(|| emask_bench::fig6_round_trace(black_box(2)))
     });
     g.finish();
 }
@@ -22,13 +21,13 @@ fn bench_differentials(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
     g.bench_function("fig8_key_differential_unmasked_1r", |b| {
-        b.iter(|| experiments::key_differential(black_box(MaskPolicy::None), 1))
+        b.iter(|| emask_bench::key_differential(black_box(MaskPolicy::None), 1))
     });
     g.bench_function("fig9_key_differential_masked_1r", |b| {
-        b.iter(|| experiments::key_differential(black_box(MaskPolicy::Selective), 1))
+        b.iter(|| emask_bench::key_differential(black_box(MaskPolicy::Selective), 1))
     });
     g.bench_function("fig11_plaintext_differential_masked_1r", |b| {
-        b.iter(|| experiments::plaintext_differential(black_box(MaskPolicy::Selective), 1))
+        b.iter(|| emask_bench::plaintext_differential(black_box(MaskPolicy::Selective), 1))
     });
     g.finish();
 }
@@ -37,7 +36,7 @@ fn bench_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures");
     g.sample_size(10);
     g.bench_function("fig12_masking_overhead_1r", |b| {
-        b.iter(|| experiments::masking_overhead_trace(black_box(1)))
+        b.iter(|| emask_bench::masking_overhead_trace(black_box(1)))
     });
     g.finish();
 }
