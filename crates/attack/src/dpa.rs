@@ -10,7 +10,6 @@
 //! guess.
 
 use crate::online::OnlineDpa;
-use crate::stats::{difference_of_means, peak, TraceMatrix};
 use emask_des::bits::permute;
 use emask_des::sbox_lookup;
 use emask_des::{E, IP};
@@ -128,40 +127,6 @@ pub(crate) fn sbox_chunk(plaintext: u64, sbox: usize) -> u8 {
 #[must_use]
 pub fn plaintext_for(seed: u64, index: u64) -> u64 {
     StdRng::seed_from_u64(trial_seed(seed, index)).gen()
-}
-
-/// Partition-and-difference analysis over an already-collected trace set:
-/// the peak |difference of means| per guess for one selection bit. The
-/// batch reference the single-pass [`OnlineDpa`] is checked against.
-///
-/// # Panics
-///
-/// Panics if `sbox >= 8` or `bit >= 4`.
-pub fn analyze_bit(
-    plaintexts: &[u64],
-    traces: &[Vec<f64>],
-    sbox: usize,
-    bit: usize,
-) -> ([f64; 64], [usize; 64]) {
-    assert!(sbox < 8 && bit < 4);
-    let mut peaks = [0.0f64; 64];
-    let mut peak_cycles = [0usize; 64];
-    for guess in 0..64u8 {
-        let mut g0 = TraceMatrix::new();
-        let mut g1 = TraceMatrix::new();
-        for (p, t) in plaintexts.iter().zip(traces) {
-            if selection_bit(*p, guess, sbox, bit) {
-                g1.push(t.clone());
-            } else {
-                g0.push(t.clone());
-            }
-        }
-        let dom = difference_of_means(&g0, &g1);
-        let (cycle, magnitude) = peak(&dom);
-        peaks[guess as usize] = magnitude;
-        peak_cycles[guess as usize] = cycle;
-    }
-    (peaks, peak_cycles)
 }
 
 /// The verdict over 64 per-guess peaks: the winning guess (the last of
@@ -327,6 +292,42 @@ where
 {
     recover_subkey(oracle, cfg, jobs, &CancelToken::new(), None, |_, _| {}, |_| {})
         .unwrap_or_else(|_| unreachable!("a private never-cancelled token cannot interrupt"))
+}
+
+/// Partition-and-difference analysis over an already-collected trace set:
+/// the peak |difference of means| per guess for one selection bit. The
+/// batch reference the single-pass [`OnlineDpa`] is checked against.
+///
+/// # Panics
+///
+/// Panics if `sbox >= 8` or `bit >= 4`.
+#[cfg(test)]
+pub(crate) fn analyze_bit(
+    plaintexts: &[u64],
+    traces: &[Vec<f64>],
+    sbox: usize,
+    bit: usize,
+) -> ([f64; 64], [usize; 64]) {
+    use crate::stats::{difference_of_means, peak, TraceMatrix};
+    assert!(sbox < 8 && bit < 4);
+    let mut peaks = [0.0f64; 64];
+    let mut peak_cycles = [0usize; 64];
+    for guess in 0..64u8 {
+        let mut g0 = TraceMatrix::new();
+        let mut g1 = TraceMatrix::new();
+        for (p, t) in plaintexts.iter().zip(traces) {
+            if selection_bit(*p, guess, sbox, bit) {
+                g1.push(t.clone());
+            } else {
+                g0.push(t.clone());
+            }
+        }
+        let dom = difference_of_means(&g0, &g1);
+        let (cycle, magnitude) = peak(&dom);
+        peaks[guess as usize] = magnitude;
+        peak_cycles[guess as usize] = cycle;
+    }
+    (peaks, peak_cycles)
 }
 
 #[cfg(test)]

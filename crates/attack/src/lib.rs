@@ -4,12 +4,12 @@
 //! differential power analysis (DPA) over per-cycle energy traces, built to
 //! the descriptions in Kocher et al. and Goubin & Patarin that the paper
 //! cites. These attacks are what the secure instructions must defeat —
-//! the tests and benches run them against both unmasked and masked traces
-//! and verify that the key falls out of the former and not the latter.
+//! the tests run them against both unmasked and masked traces and verify
+//! that the key falls out of the former and not the latter.
 //!
-//! * [`TraceMatrix`], [`difference_of_means`], [`welch_t`] — batch trace
-//!   statistics, the reference the single-pass accumulators are checked
-//!   against;
+//! * [`TraceMatrix`], [`mean_trace`], [`variance_trace`], [`welch_t`] —
+//!   batch trace statistics, the test oracle the single-pass accumulators
+//!   are checked against (no production path runs them);
 //! * [`detect_rounds`] — round-structure detection (SPA): the Figure 6
 //!   observation that "the energy profile can show what operations are
 //!   being performed";
@@ -46,11 +46,9 @@ mod stats;
 
 pub use cpa::{cpa_recover_subkey, CpaConfig, CpaResult};
 pub use dpa::{
-    analyze_bit, guess_ranks, plaintext_for, recover_subkey, recover_subkey_multibit_par,
-    selection_bit, DpaConfig, DpaResult,
+    guess_ranks, plaintext_for, recover_subkey, recover_subkey_multibit_par, selection_bit,
+    DpaConfig, DpaResult,
 };
 pub use online::{OnlineCpa, OnlineDpa, OnlineWelch, Welford};
 pub use spa::{detect_rounds, SpaReport};
-pub use stats::{
-    difference_of_means, mean_trace, variance_trace, welch_t, StatsError, TraceMatrix,
-};
+pub use stats::{mean_trace, variance_trace, welch_t, StatsError, TraceMatrix};

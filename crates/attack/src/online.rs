@@ -190,12 +190,11 @@ impl OnlineWelch {
 /// into that guess's group-1 sum; the group-0 mean falls out of the
 /// shared total sum. One accumulator holds O(bits × guesses × trace_len)
 /// — one sum vector per (bit, guess) plus the total — whatever the number
-/// of traces folded into it, unlike the batch [`crate::dpa::analyze_bit`]
-/// path that retains the full trace matrix. (A sharded campaign holds
-/// several accumulators at once; see [`crate::dpa::recover_subkey`].)
-///
-/// [`push_block`](OnlineDpa::push_block) is the fast way in: it walks
-/// each sum vector once per block instead of once per trace.
+/// of traces folded into it, unlike a batch difference of means over a
+/// retained [`TraceMatrix`](crate::TraceMatrix). (A sharded campaign
+/// holds several accumulators at once; see [`crate::dpa::recover_subkey`],
+/// which folds its traces in blocks that walk each sum vector once per
+/// block instead of once per trace.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineDpa {
     sbox: usize,
@@ -229,8 +228,7 @@ const TILE_BUDGET: usize = 16 * 512;
 const LANES: usize = 8;
 
 impl OnlineDpa {
-    /// Single-bit DPA on output `bit` of `sbox` — the streaming
-    /// equivalent of [`crate::dpa::analyze_bit`].
+    /// Single-bit DPA on output `bit` of `sbox`.
     ///
     /// # Panics
     ///
@@ -288,7 +286,7 @@ impl OnlineDpa {
     }
 
     /// Folds one `(plaintext, trace)` observation in: the one-trace case
-    /// of [`push_block`](OnlineDpa::push_block).
+    /// of the blocked fold that DPA campaigns use.
     ///
     /// # Errors
     ///
@@ -317,7 +315,7 @@ impl OnlineDpa {
     /// # Panics
     ///
     /// Panics if `plaintexts` and `traces` differ in length.
-    pub fn push_block<T: AsRef<[f64]>>(
+    pub(crate) fn push_block<T: AsRef<[f64]>>(
         &mut self,
         plaintexts: &[u64],
         traces: &[T],

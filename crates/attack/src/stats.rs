@@ -139,20 +139,6 @@ pub fn variance_trace(m: &TraceMatrix) -> Vec<f64> {
     acc
 }
 
-/// The DPA statistic: pointwise `mean(group1) - mean(group0)`.
-///
-/// Groups of different sizes are fine; an empty group yields zeros (no
-/// evidence either way).
-pub fn difference_of_means(g0: &TraceMatrix, g1: &TraceMatrix) -> Vec<f64> {
-    let width = g0.width().max(g1.width());
-    if g0.is_empty() || g1.is_empty() {
-        return vec![0.0; width];
-    }
-    let m0 = mean_trace(g0);
-    let m1 = mean_trace(g1);
-    m1.iter().zip(&m0).map(|(a, b)| a - b).collect()
-}
-
 /// Pointwise Welch's *t* statistic between two groups — the standard
 /// leakage-assessment test (TVLA-style): |t| ≳ 4.5 flags a leak.
 pub fn welch_t(g0: &TraceMatrix, g1: &TraceMatrix) -> Vec<f64> {
@@ -187,6 +173,21 @@ pub(crate) fn peak(stat: &[f64]) -> (usize, f64) {
             best
         }
     })
+}
+
+/// The DPA statistic: pointwise `mean(group1) - mean(group0)`.
+///
+/// Groups of different sizes are fine; an empty group yields zeros (no
+/// evidence either way).
+#[cfg(test)]
+pub(crate) fn difference_of_means(g0: &TraceMatrix, g1: &TraceMatrix) -> Vec<f64> {
+    let width = g0.width().max(g1.width());
+    if g0.is_empty() || g1.is_empty() {
+        return vec![0.0; width];
+    }
+    let m0 = mean_trace(g0);
+    let m1 = mean_trace(g1);
+    m1.iter().zip(&m0).map(|(a, b)| a - b).collect()
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //! Code that regenerates every table and figure of the paper's evaluation
 //! (§4.3). The library holds the experiment implementations; the `repro`
 //! binary drives them (`cargo run --release -p emask-bench --bin repro --
-//! all`), and the Criterion benches (`cargo bench`) time the underlying
-//! machinery.
+//! all`). The repository benchmark (`benchmark/`) times them.
 //!
 //! Experiment ↔ paper mapping:
 //!

@@ -211,7 +211,6 @@ pub(crate) fn assert_stop_resume<B: CpuBackend>(program: &Program, what: &str) {
 ///
 /// Exposed for the mid-DES checkpoint property test; panics on divergence.
 pub fn assert_checkpoint_round_trip<B: CpuBackend>(program: &Program, what: &str) {
-    assert!(B::SUPPORTS_CHECKPOINT, "[{what}] {} advertises no checkpoints", B::NAME);
     let (_, reference) = reference_stream::<B>(program, what);
     let total = reference.len();
     assert!(total > 4, "[{what}] program too short to interrupt");
@@ -318,14 +317,9 @@ pub fn conformance_suite_pair<A: CpuBackend, B: CpuBackend>() -> ConformanceRepo
             assert_stop_resume::<A>(&out.program, &what);
             assert_stop_resume::<B>(&out.program, &what);
             report.stop_resume_checks += 2;
-            if A::SUPPORTS_CHECKPOINT {
-                assert_checkpoint_round_trip::<A>(&out.program, &what);
-                report.checkpoint_round_trips += 1;
-            }
-            if B::SUPPORTS_CHECKPOINT {
-                assert_checkpoint_round_trip::<B>(&out.program, &what);
-                report.checkpoint_round_trips += 1;
-            }
+            assert_checkpoint_round_trip::<A>(&out.program, &what);
+            assert_checkpoint_round_trip::<B>(&out.program, &what);
+            report.checkpoint_round_trips += 2;
         }
     }
 
@@ -344,10 +338,8 @@ pub fn conformance_suite_pair<A: CpuBackend, B: CpuBackend>() -> ConformanceRepo
         assert_stop_resume::<A>(&out.program, &what);
         assert_stop_resume::<B>(&out.program, &what);
         report.stop_resume_checks += 2;
-        if A::SUPPORTS_CHECKPOINT {
-            assert_checkpoint_round_trip::<A>(&out.program, &what);
-            report.checkpoint_round_trips += 1;
-        }
+        assert_checkpoint_round_trip::<A>(&out.program, &what);
+        report.checkpoint_round_trips += 1;
         report.energy_csvs.push(emit_energy_csv::<A>(&a.trace, label));
         report.energy_csvs.push(emit_energy_csv::<B>(&b.trace, label));
         report.des_binaries += 1;

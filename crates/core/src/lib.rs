@@ -51,4 +51,4 @@ pub use emask_telemetry::{
 };
 pub use recovery::{CheckpointCadence, RecoveryPolicy, RecoveryStats};
 pub use runner::{EncryptionRun, MaskedDes, Phase, PhaseMarker, RecoveredRun, RunError};
-pub use xtea::{xtea_decrypt, xtea_encrypt, MaskedXtea, XteaError, XteaRun};
+pub use xtea::{xtea_decrypt, xtea_encrypt, MaskedXtea, XteaRun};

@@ -84,7 +84,7 @@ impl EncryptionRun {
     }
 }
 
-/// Failures while running a compiled DES program.
+/// Failures while running a compiled cipher program (DES or XTEA).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The simulated CPU faulted.
@@ -105,8 +105,8 @@ pub enum RunError {
         /// Its value.
         value: u32,
     },
-    /// A data symbol the harness relies on (`key`, `data`, `marker`,
-    /// `output`) is absent from the compiled program — a malformed or
+    /// A data symbol the harness relies on (DES: `key`, `data`, `marker`,
+    /// `output`; XTEA: `key`, `vin`, `vout`) is absent from the compiled program — a malformed or
     /// hand-edited image, surfaced as an error instead of a panic.
     MissingSymbol {
         /// The absent symbol.
@@ -638,10 +638,10 @@ impl MaskedDes {
         self.encrypt_recovered_on::<Cpu, H>(plaintext, key, hook, policy)
     }
 
-    /// [`MaskedDes::encrypt_recovered`] on an explicit checkpoint-capable
-    /// [`CpuBackend`]. Rollback cost and cadence are microarchitectural —
-    /// the interpreter counts instructions where the pipeline counts cycles
-    /// — but the recovered ciphertext and retired-instruction stream are
+    /// [`MaskedDes::encrypt_recovered`] on an explicit [`CpuBackend`].
+    /// Rollback cost and cadence are microarchitectural — the interpreter
+    /// counts instructions where the pipeline counts cycles — but the
+    /// recovered ciphertext and retired-instruction stream are
     /// architectural and identical across backends.
     ///
     /// # Errors
@@ -650,9 +650,8 @@ impl MaskedDes {
     ///
     /// # Panics
     ///
-    /// Panics if this instance is a decryptor, or if
-    /// `B::SUPPORTS_CHECKPOINT` is `false`.
-    pub fn encrypt_recovered_on<B: CpuBackend, H: PipelineHook>(
+    /// Panics if this instance is a decryptor.
+    fn encrypt_recovered_on<B: CpuBackend, H: PipelineHook>(
         &self,
         plaintext: u64,
         key: u64,
@@ -660,11 +659,6 @@ impl MaskedDes {
         policy: &RecoveryPolicy,
     ) -> Result<RecoveredRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        assert!(
-            B::SUPPORTS_CHECKPOINT,
-            "backend {} does not support checkpoint/rollback recovery",
-            B::NAME
-        );
         let (mut cpu, marker_addr) = self.load_block::<B>(plaintext, key)?;
         let mut model = EnergyModel::with_params(self.params);
         let mut trace = EnergyTrace::new();

@@ -11,11 +11,11 @@
 //! Unlike the bit-per-word DES, XTEA works on full 32-bit words, so this
 //! also exercises the energy model with high-Hamming-weight data.
 
+use crate::RunError;
 use emask_cc::{compile, CompileError, CompileOptions, MaskPolicy};
 use emask_cpu::{Cpu, CpuBackend, NullHook, RunResult};
 use emask_energy::{EnergyModel, EnergyParams, EnergyTrace};
 use emask_isa::Program;
-use std::fmt;
 use std::ops::ControlFlow;
 
 /// Number of XTEA rounds (the standard 32 Feistel cycles).
@@ -114,61 +114,6 @@ pub struct XteaRun {
     pub output_start: usize,
 }
 
-/// Failures while running the XTEA program.
-#[derive(Debug, Clone, PartialEq)]
-pub enum XteaError {
-    /// The simulated CPU faulted.
-    Cpu(emask_cpu::CpuError),
-    /// The ciphertext disagreed with the golden model.
-    Mismatch {
-        /// Simulated output.
-        simulated: [u32; 2],
-        /// Golden-model output.
-        expected: [u32; 2],
-    },
-    /// A data symbol the harness relies on (`key`, `vin`, `vout`) is
-    /// absent from the compiled program.
-    MissingSymbol {
-        /// The absent symbol.
-        name: String,
-    },
-    /// Poking an input array or reading the output array hit a memory
-    /// fault — the image layout disagrees with the data-memory size.
-    ImageAccess {
-        /// The symbol whose array was being accessed.
-        name: String,
-        /// Word index within the array.
-        index: usize,
-        /// The underlying access fault.
-        source: emask_cpu::AccessError,
-    },
-}
-
-impl fmt::Display for XteaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            XteaError::Cpu(e) => write!(f, "cpu fault: {e}"),
-            XteaError::Mismatch { simulated, expected } => {
-                write!(f, "xtea mismatch: simulated {simulated:08X?}, expected {expected:08X?}")
-            }
-            XteaError::MissingSymbol { name } => {
-                write!(f, "program has no data symbol `{name}`")
-            }
-            XteaError::ImageAccess { name, index, source } => {
-                write!(f, "accessing `{name}[{index}]`: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for XteaError {}
-
-impl From<emask_cpu::CpuError> for XteaError {
-    fn from(e: emask_cpu::CpuError) -> Self {
-        XteaError::Cpu(e)
-    }
-}
-
 /// A compiled, reusable masked-XTEA instance.
 #[derive(Debug, Clone)]
 pub struct MaskedXtea {
@@ -210,14 +155,14 @@ impl MaskedXtea {
     ///
     /// # Errors
     ///
-    /// Returns [`XteaError`] on a simulation fault or golden-model
-    /// mismatch.
-    pub fn encrypt(&self, v: [u32; 2], key: [u32; 4]) -> Result<XteaRun, XteaError> {
+    /// Returns [`RunError`] on a simulation fault or golden-model
+    /// mismatch; a mismatch packs each block as `(v0 << 32) | v1`.
+    pub fn encrypt(&self, v: [u32; 2], key: [u32; 4]) -> Result<XteaRun, RunError> {
         let mut cpu = Cpu::new(&self.program);
         let sym = |name: &str| {
             self.program
                 .try_data_addr(name)
-                .ok_or_else(|| XteaError::MissingSymbol { name: name.to_string() })
+                .ok_or_else(|| RunError::MissingSymbol { name: name.to_string() })
         };
         let key_addr = sym("key")?;
         let vin_addr = sym("vin")?;
@@ -225,10 +170,10 @@ impl MaskedXtea {
         let poke = |cpu: &mut Cpu, name: &str, base: u32, words: &[u32]| {
             for (i, w) in words.iter().enumerate() {
                 cpu.memory_mut().store(base + 4 * i as u32, *w).map_err(|source| {
-                    XteaError::ImageAccess { name: name.to_string(), index: i, source }
+                    RunError::ImageAccess { name: name.to_string(), index: i, source }
                 })?;
             }
-            Ok::<(), XteaError>(())
+            Ok::<(), RunError>(())
         };
         poke(&mut cpu, "key", key_addr, &key)?;
         poke(&mut cpu, "vin", vin_addr, &v)?;
@@ -252,14 +197,18 @@ impl MaskedXtea {
         })?;
 
         let read_out = |index: usize| {
-            cpu.memory().load(vout_addr + 4 * index as u32).map_err(|source| {
-                XteaError::ImageAccess { name: "vout".to_string(), index, source }
-            })
+            cpu.memory()
+                .load(vout_addr + 4 * index as u32)
+                .map_err(|source| RunError::ImageAccess { name: "vout".to_string(), index, source })
         };
         let ciphertext = [read_out(0)?, read_out(1)?];
         let expected = xtea_encrypt(v, key);
         if ciphertext != expected {
-            return Err(XteaError::Mismatch { simulated: ciphertext, expected });
+            let pack = |[v0, v1]: [u32; 2]| (u64::from(v0) << 32) | u64::from(v1);
+            return Err(RunError::Mismatch {
+                simulated: pack(ciphertext),
+                expected: pack(expected),
+            });
         }
         Ok(XteaRun { ciphertext, trace, stats, output_start })
     }
@@ -352,6 +301,6 @@ mod tests {
             .expect("delta lui present");
         xtea.program.text[pos].imm ^= 1;
         let err = xtea.encrypt([1, 2], [3, 4, 5, 6]).expect_err("corrupted delta");
-        assert!(matches!(err, XteaError::Mismatch { .. }));
+        assert!(matches!(err, RunError::Mismatch { .. }));
     }
 }

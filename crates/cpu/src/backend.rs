@@ -12,8 +12,8 @@ use emask_isa::{Program, Reg};
 use std::ops::ControlFlow;
 
 /// A restorable snapshot of one backend's full execution state, with
-/// incremental (dirty-page) memory tracking. Every [`CpuBackend`] with
-/// [`CpuBackend::SUPPORTS_CHECKPOINT`] set provides one.
+/// incremental (dirty-page) memory tracking. Every [`CpuBackend`]
+/// provides one.
 pub trait BackendCheckpoint {
     /// The backend clock at the checkpoint boundary — the length an energy
     /// trace must be truncated to on rollback.
@@ -70,13 +70,6 @@ pub trait BackendCheckpoint {
 pub trait CpuBackend: Sized {
     /// Stable backend name, used in conformance reports and energy CSVs.
     const NAME: &'static str;
-
-    /// Whether [`CpuBackend::checkpoint`] and friends are functional. When
-    /// `false` the checkpoint methods panic; generic drivers must gate on
-    /// this flag (the conformance suite skips round-trip tests for such
-    /// backends, and `encrypt_recovered_on` refuses them at compile-time
-    /// assertion).
-    const SUPPORTS_CHECKPOINT: bool;
 
     /// The backend's checkpoint type.
     type Checkpoint: BackendCheckpoint;
@@ -178,10 +171,6 @@ pub trait CpuBackend: Sized {
     }
 
     /// Snapshots the backend and starts dirty-page tracking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`CpuBackend::SUPPORTS_CHECKPOINT`] is `false`.
     fn checkpoint(&mut self) -> Self::Checkpoint;
 
     /// Advances `cp` to the backend's current state (dirty pages only).
@@ -205,7 +194,6 @@ impl BackendCheckpoint for CpuCheckpoint {
 
 impl CpuBackend for Cpu {
     const NAME: &'static str = "pipeline5";
-    const SUPPORTS_CHECKPOINT: bool = true;
     type Checkpoint = CpuCheckpoint;
 
     fn load(program: &Program) -> Self {
@@ -284,7 +272,6 @@ impl BackendCheckpoint for InterpCheckpoint {
 
 impl CpuBackend for Interpreter {
     const NAME: &'static str = "interp";
-    const SUPPORTS_CHECKPOINT: bool = true;
     type Checkpoint = InterpCheckpoint;
 
     fn load(program: &Program) -> Self {
@@ -380,7 +367,6 @@ mod tests {
     #[test]
     fn generic_checkpoint_round_trip() {
         fn round_trip<B: CpuBackend>() {
-            assert!(B::SUPPORTS_CHECKPOINT);
             let p = program();
             let mut b = B::load(&p);
             for _ in 0..6 {

@@ -115,27 +115,6 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     Ok(value)
 }
 
-/// Escapes `s` for embedding in a JSON string literal — the output half,
-/// mirroring `emask_telemetry`'s exporter conventions.
-#[must_use]
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -370,8 +349,12 @@ mod tests {
     fn string_escapes_round_trip() {
         let v = parse(r#""a\"b\\c\nd\u0041""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
-        assert_eq!(escape("a\"b\\c\ndA"), r#"a\"b\\c\ndA"#);
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        // What the writers escape (`emask_telemetry::escape_json`) parses
+        // back to the input.
+        for s in ["\"", "\\", "\n", "\u{1}", "a\"b\\c\ndA"] {
+            let literal = format!("\"{}\"", emask_telemetry::escape_json(s));
+            assert_eq!(parse(&literal).unwrap().as_str(), Some(s), "{literal}");
+        }
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! event files flush, and the process exits 0. A restarted server rescans
 //! the state directory and resumes parked jobs automatically.
 
-use crate::json::{escape, parse, Json};
+use crate::json::{parse, Json};
 use crate::signal;
 use crate::spec::JobSpec;
 use crate::supervisor::{ExperimentRunner, ServiceStats, Supervisor, SupervisorConfig};
+use emask_telemetry::escape_json;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -77,7 +78,11 @@ fn ok_line(extra: &str) -> String {
 }
 
 fn err_line(kind: &str, error: &str) -> String {
-    format!("{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"}}", escape(kind), escape(error))
+    format!(
+        "{{\"ok\":false,\"kind\":\"{}\",\"error\":\"{}\"}}",
+        escape_json(kind),
+        escape_json(error)
+    )
 }
 
 /// Renders a [`ServiceStats`] snapshot as the `stats` reply payload
@@ -119,7 +124,7 @@ fn stats_payload(stats: &ServiceStats, shutting_down: bool) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{n}", escape(kind));
+        let _ = write!(out, "\"{}\":{n}", escape_json(kind));
     }
     out.push('}');
     out
@@ -201,7 +206,7 @@ pub fn serve<R: ExperimentRunner + 'static>(cfg: &ServerConfig, runner: R) -> Re
 }
 
 fn handle_connection<R: ExperimentRunner>(stream: UnixStream, sup: &Supervisor<R>) {
-    let reader = match stream.try_clone() {
+    let mut reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(e) => {
             eprintln!("emask-serve: connection setup failed: {e}");
@@ -209,15 +214,24 @@ fn handle_connection<R: ExperimentRunner>(stream: UnixStream, sup: &Supervisor<R
         }
     };
     let mut writer = stream;
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => return, // client went away
-        };
-        if line.trim().is_empty() {
-            continue;
+    // Lines are read as bytes, so a request that is not UTF-8 gets the
+    // same typed protocol error as one that is not JSON.
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return, // client went away
+            Ok(_) => {}
         }
-        let streamed = respond(&line, sup, &mut writer);
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let streamed = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => respond(line, sup, &mut writer),
+            Err(e) => {
+                writeln!(writer, "{}", err_line("protocol", &format!("request is not UTF-8: {e}")))
+            }
+        };
         if streamed.is_err() {
             return; // write side closed
         }
@@ -257,7 +271,7 @@ fn respond<R: ExperimentRunner>(
                     format!(
                         "{{\"job\":{},\"experiment\":\"{}\",\"state\":\"{}\",\"priority\":\"{}\",\"attempt\":{}}}",
                         s.id,
-                        escape(&s.experiment),
+                        escape_json(&s.experiment),
                         s.state,
                         s.priority,
                         s.attempt

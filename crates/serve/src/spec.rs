@@ -8,7 +8,8 @@
 //! order, so the persisted spec file round-trips byte-identically — the
 //! same convention as the telemetry event vocabulary.
 
-use crate::json::{escape, parse, Json};
+use crate::json::{parse, Json};
+use emask_telemetry::escape_json;
 use std::fmt;
 
 /// A campaign job: one experiment plus its supervision envelope.
@@ -204,10 +205,10 @@ impl JobSpec {
                 "\"cadence\":{},\"jobs\":{},\"deadline_ms\":{},",
                 "\"max_retries\":{},\"backoff_ms\":{},\"priority\":\"{}\"}}"
             ),
-            escape(&self.experiment),
+            escape_json(&self.experiment),
             self.trials,
             self.rounds,
-            escape(&self.policy),
+            escape_json(&self.policy),
             self.sbox,
             self.seed,
             self.recover,
@@ -216,7 +217,7 @@ impl JobSpec {
             deadline,
             self.max_retries,
             self.backoff_ms,
-            escape(&self.priority),
+            escape_json(&self.priority),
         )
     }
 }

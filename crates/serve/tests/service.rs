@@ -499,6 +499,21 @@ fn socket_protocol_round_trip() {
         matches!(err, client::ClientError::Rejected(ref kind, _) if kind == "invalid"),
         "{err}"
     );
+    // A request line that is not UTF-8 gets the typed protocol error, and
+    // the connection stays open for the next request.
+    {
+        use std::io::{BufRead, BufReader, Write};
+        let mut conn = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+        let mut replies = BufReader::new(conn.try_clone().unwrap());
+        let mut reply = String::new();
+        conn.write_all(b"{\"cmd\":\"status\",\"id\":\"\xff\"}\n").unwrap();
+        replies.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"kind\":\"protocol\""), "got: {reply}");
+        reply.clear();
+        conn.write_all(b"{\"cmd\":\"status\"}\n").unwrap();
+        replies.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"ok\":true"), "got: {reply}");
+    }
 
     client::shutdown(&socket).unwrap();
     server.join().unwrap().unwrap();

@@ -196,8 +196,8 @@ pub fn summary(snap: &MetricsSnapshot) -> String {
 }
 
 /// [`summary`] with the execution host's context appended — the
-/// self-describing form campaign reports and `BENCH_*.json` entries use,
-/// so a number measured in a constrained container says so.
+/// self-describing form campaign reports use, so a number measured in a
+/// constrained container says so.
 pub fn summary_with_host(snap: &MetricsSnapshot, host: &HostContext) -> String {
     let mut out = summary(snap);
     out.push('\n');
@@ -205,9 +205,9 @@ pub fn summary_with_host(snap: &MetricsSnapshot, host: &HostContext) -> String {
     out
 }
 
-/// The execution host's context, recorded alongside benchmark and
-/// campaign reports so numbers from constrained containers (a
-/// single-CPU CI runner, a pinned cpuset) are self-describing.
+/// The execution host's context, recorded alongside campaign reports so
+/// numbers from constrained containers (a single-CPU CI runner, a pinned
+/// cpuset) are self-describing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostContext {
     /// CPUs visible to this process (`std::thread::available_parallelism`).
@@ -230,21 +230,6 @@ impl HostContext {
             let _ = write!(out, ", jobs {jobs}");
         }
         out.push('\n');
-        out
-    }
-
-    /// The same facts as a JSON object fragment, for `BENCH_*.json`
-    /// entries (hand-assembled; no serde in the build).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(r#"{{"cpus":{}"#, self.cpus);
-        if let Some(set) = &self.cpuset {
-            let _ = write!(out, r#","cpuset":"{}""#, crate::chrome::escape_json(set));
-        }
-        if let Some(jobs) = self.jobs {
-            let _ = write!(out, r#","jobs":{jobs}"#);
-        }
-        out.push('}');
         out
     }
 }
@@ -592,24 +577,18 @@ mod tests {
     }
 
     #[test]
-    fn host_context_reports_cpus_and_renders_both_formats() {
+    fn host_context_reports_cpus_and_renders_one_line() {
         let ctx = host_context(Some(4));
         assert!(ctx.cpus >= 1);
         assert_eq!(ctx.jobs, Some(4));
         let line = ctx.render();
         assert!(line.starts_with("host: "), "{line}");
         assert!(line.contains("jobs 4"), "{line}");
-        let json = ctx.to_json();
-        assert!(json.starts_with(r#"{"cpus":"#), "{json}");
-        assert!(json.contains(r#""jobs":4"#), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
         // Without a jobs setting, the field is simply absent.
         let bare = HostContext { cpus: 1, cpuset: None, jobs: None };
         assert_eq!(bare.render(), "host: 1 cpu(s) visible\n");
-        assert_eq!(bare.to_json(), r#"{"cpus":1}"#);
         let pinned = HostContext { cpus: 8, cpuset: Some("0-3".into()), jobs: Some(2) };
         assert_eq!(pinned.render(), "host: 8 cpu(s) visible, cpuset 0-3, jobs 2\n");
-        assert_eq!(pinned.to_json(), r#"{"cpus":8,"cpuset":"0-3","jobs":2}"#);
     }
 
     #[test]
