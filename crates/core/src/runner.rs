@@ -106,8 +106,9 @@ pub enum RunError {
         value: u32,
     },
     /// A data symbol the harness relies on (DES: `key`, `data`, `marker`,
-    /// `output`; XTEA: `key`, `vin`, `vout`) is absent from the compiled program — a malformed or
-    /// hand-edited image, surfaced as an error instead of a panic.
+    /// `output`; XTEA: `key`, `vin`, `vout`) is absent from the compiled
+    /// program — a malformed or hand-edited image, surfaced as an error
+    /// instead of a panic.
     MissingSymbol {
         /// The absent symbol.
         name: String,
