@@ -219,6 +219,14 @@ fn fault_csv() {
 }
 
 #[test]
+fn fault_failstop() {
+    let cfg = CampaignConfig { recovery: None, ..fault_config() };
+    let report = run_campaign(&fault_device(), &cfg, jobs(), &CancelToken::new(), None, &NullSink)
+        .expect("campaign");
+    check("fault_failstop", &(report.csv() + &report.summary()));
+}
+
+#[test]
 fn fault_csv_checkpointed() {
     let path = tmp("fault.ckpt");
     let _ = std::fs::remove_file(&path);
