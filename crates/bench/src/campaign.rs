@@ -37,8 +37,8 @@
 //! pipeline lane × rail mode, registers, data memory, fetch squash, and
 //! op-class-triggered strikes on the secure load path.
 
-use emask_core::{EncryptionRun, MaskedDes, RecoveryPolicy, RecoveryStats, RunError};
-use emask_cpu::{CpuErrorKind, FaultLane, RailMode};
+use emask_core::{MaskedDes, RecoveryPolicy, RecoveryStats, RunError};
+use emask_cpu::{CpuErrorKind, FaultLane, NullHook, RailMode};
 use emask_fault::{
     DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
 };
@@ -270,11 +270,11 @@ fn trial_spec(i: usize, cycle: u64, bit: u8, key_addr: Option<u32>) -> (FaultSpe
     (FaultSpec { trigger, target, model }, name)
 }
 
-/// Classifies one trial's result (the run outcome plus the recovery
-/// counters the runner attached to it).
-fn classify(result: &Result<(EncryptionRun, RecoveryStats), RunError>) -> (FaultOutcome, String) {
+/// Classifies one trial's result: the recovery counters of a completed
+/// run, or the error that ended it.
+fn classify(result: &Result<RecoveryStats, RunError>) -> (FaultOutcome, String) {
     match result {
-        Ok((_, rec)) if rec.rollbacks > 0 => {
+        Ok(rec) if rec.rollbacks > 0 => {
             (FaultOutcome::Recovered, format!("recovered after {} rollback(s)", rec.rollbacks))
         }
         Ok(_) => (FaultOutcome::NoEffect, String::new()),
@@ -312,8 +312,7 @@ pub(crate) struct TrialRunner {
 impl TrialRunner {
     /// Runs the clean baseline and derives the trial lattice parameters.
     pub(crate) fn prepare(des: &MaskedDes, cfg: &CampaignConfig) -> Result<Self, RunError> {
-        let clean = des.encrypt(cfg.plaintext, cfg.key)?;
-        let clean_cycles = clean.stats.cycles;
+        let clean_cycles = des.encrypt_hooked(cfg.plaintext, cfg.key, &mut NullHook)?.cycles;
         // A faulted run that loops forever must terminate promptly:
         // twice the clean run is generous for any non-looping
         // perturbation. An explicit override exists for hang-path tests.
@@ -356,17 +355,17 @@ impl TrialRunner {
                 Some(policy) => self
                     .des
                     .encrypt_recovered(cfg.plaintext, cfg.key, &mut hook, policy)
-                    .map(|r| (r.run, r.recovery)),
+                    .map(|r| r.recovery),
                 None => self
                     .des
                     .encrypt_hooked(cfg.plaintext, cfg.key, &mut hook)
-                    .map(|run| (run, RecoveryStats::default())),
+                    .map(|_| RecoveryStats::default()),
             }
         });
         let (outcome, detail, stats) = match caught {
             Ok(result) => {
                 let stats = match &result {
-                    Ok((_, s)) => *s,
+                    Ok(s) => *s,
                     // A zeroized run still spent its rollback budget —
                     // count the work in the totals.
                     Err(RunError::Zeroized { rollbacks, .. }) => {

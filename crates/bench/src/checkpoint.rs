@@ -36,7 +36,7 @@ use crate::campaign::{
     outcome_from_name, CampaignConfig, CampaignReport, TrialRunner, OUTCOME_COUNT,
 };
 use emask_core::{MaskedDes, RunError};
-use emask_par::{run_sharded_cancellable, CancelToken, Interrupted, Jobs};
+use emask_par::{fold_sharded, shard_plan, CancelToken, Interrupted, Jobs};
 use emask_telemetry::{fnv1a, CampaignTrial, Event, EventSink, NullSink, RecoveryTotals};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -130,8 +130,9 @@ fn config_fingerprint(cfg: &CampaignConfig, clean_cycles: u64) -> u64 {
 const MAGIC: &str = "emask-campaign-checkpoint v1";
 
 /// One completed shard: its classified rows (trial order) plus the
-/// aggregate recovery counters of those trials.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// aggregate recovery counters of those trials. Also the accumulator the
+/// campaign folds its shards into.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct ShardRecord {
     pub(crate) trials: Vec<CampaignTrial>,
     pub(crate) recovery: RecoveryTotals,
@@ -361,87 +362,85 @@ pub fn run_campaign<S: EventSink>(
             cadence: 0,
         });
     }
-    let sharded = run_sharded_cancellable(jobs, cfg.trials, token, |shard, range| {
-        if let Some((_, store)) = &store {
-            if let Some(rec) = store.lock().expect("checkpoint store").shards.get(&shard) {
-                return Ok(rec.clone());
-            }
-        }
-        let len = range.len();
-        let mut trials = Vec::with_capacity(len);
-        let mut recovery = RecoveryTotals::default();
-        for (done, i) in range.enumerate() {
-            // Trial-boundary cancellation: a tripped token discards this
-            // shard's partial rows (recomputed deterministically on
-            // resume) and reports how many trials it had folded.
-            if token.check().is_err() {
-                return Err(done);
-            }
-            let (trial, _, stats) = runner.run_trial(i);
-            if runner.recovery_enabled() {
-                recovery.absorb(stats.checkpoints, u64::from(stats.rollbacks), stats.pages_moved);
-            }
-            if S::ACTIVE {
-                if stats.rollbacks > 0 {
-                    sink.emit(Event::RecoveryAttempted { trial: i as u64 });
+    let plan = shard_plan(cfg.trials);
+    let folded = fold_sharded(
+        jobs,
+        cfg.trials,
+        token,
+        None,
+        |spent: Option<ShardRecord>| {
+            let mut rec = spent.unwrap_or_default();
+            rec.trials.clear();
+            rec.recovery = RecoveryTotals::default();
+            rec
+        },
+        |rec, range| {
+            let shard = plan.iter().position(|(_, r)| *r == range).expect("a planned shard");
+            if let Some((_, store)) = &store {
+                if let Some(done) = store.lock().expect("checkpoint store").shards.get(&shard) {
+                    rec.clone_from(done);
+                    return Ok(());
                 }
-                sink.emit(Event::TrialCompleted { trial: i as u64 });
             }
-            trials.push(trial);
-        }
-        let rec = ShardRecord { trials, recovery };
-        let Some((path, store)) = &store else {
+            let len = range.len();
+            for (done, i) in range.enumerate() {
+                // Trial-boundary cancellation: a tripped token discards
+                // this shard's partial rows (recomputed deterministically
+                // on resume) and reports how many trials it had folded.
+                token.check().map_err(|_| done)?;
+                let (trial, _, stats) = runner.run_trial(i);
+                if runner.recovery_enabled() {
+                    rec.recovery.absorb(
+                        stats.checkpoints,
+                        u64::from(stats.rollbacks),
+                        stats.pages_moved,
+                    );
+                }
+                if S::ACTIVE {
+                    if stats.rollbacks > 0 {
+                        sink.emit(Event::RecoveryAttempted { trial: i as u64 });
+                    }
+                    sink.emit(Event::TrialCompleted { trial: i as u64 });
+                }
+                rec.trials.push(trial);
+            }
+            if let Some((path, store)) = &store {
+                let mut guard = store.lock().expect("checkpoint store");
+                guard.shards.insert(shard, rec.clone());
+                // Mid-run persistence is best effort — an unwritable path
+                // still fails the run, loudly, at the final save below.
+                let _ = guard.save(path);
+                if S::ACTIVE {
+                    sink.emit(Event::CheckpointWritten { shards_done: guard.shards.len() as u64 });
+                }
+            }
             if S::ACTIVE {
                 sink.emit(Event::ShardCompleted { shard: shard as u64, len: len as u64 });
             }
-            return Ok(rec);
-        };
-        let mut guard = store.lock().expect("checkpoint store");
-        guard.shards.insert(shard, rec.clone());
-        // Mid-run persistence is best effort — an unwritable path still
-        // fails the run, loudly, at the final save below.
-        let _ = guard.save(path);
-        if S::ACTIVE {
-            sink.emit(Event::CheckpointWritten { shards_done: guard.shards.len() as u64 });
-            sink.emit(Event::ShardCompleted { shard: shard as u64, len: len as u64 });
-        }
-        Ok(rec)
-    });
-    let checkpoint =
-        store.map(|(path, store)| (path, store.into_inner().expect("checkpoint store")));
-    let records = match sharded {
-        Ok(records) => records,
-        Err(interrupted) => {
-            // Persist what completed so a resume skips it, then surface
-            // the trip as a typed error for the supervisor.
-            if let Some((path, checkpoint)) = &checkpoint {
-                checkpoint.save(path)?;
-            }
-            return Err(CampaignError::Interrupted(interrupted));
-        }
-    };
-    if let Some((path, checkpoint)) = &checkpoint {
-        checkpoint.save(path)?;
+            Ok(())
+        },
+        // Shards are contiguous ascending index ranges merged in shard
+        // order, so appending keeps the rows in trial order.
+        |all, rec| {
+            all.trials.extend_from_slice(&rec.trials);
+            all.recovery.merge(&rec.recovery);
+        },
+        |_, _| {},
+    );
+    if let Some((path, store)) = store {
+        // Persist what completed, so a resume after an interruption skips
+        // it; the trip then surfaces as a typed error for the supervisor.
+        store.into_inner().expect("checkpoint store").save(path)?;
     }
+    let ShardRecord { trials, recovery } = folded?.unwrap_or_default();
 
-    // Shards are contiguous ascending index ranges, so concatenating the
-    // shard-ordered records yields the rows in trial order.
-    let mut trials = Vec::with_capacity(cfg.trials);
     let mut counts = [0usize; OUTCOME_COUNT];
-    let mut recovery = RecoveryTotals::default();
-    for rec in records {
-        for t in &rec.trials {
-            let outcome = outcome_from_name(&t.outcome).expect("validated outcome name");
-            counts[outcome.index()] += 1;
-            if S::ACTIVE {
-                sink.emit(Event::FaultOutcome {
-                    trial: t.index as u64,
-                    outcome: t.outcome.clone(),
-                });
-            }
+    for t in &trials {
+        let outcome = outcome_from_name(&t.outcome).expect("validated outcome name");
+        counts[outcome.index()] += 1;
+        if S::ACTIVE {
+            sink.emit(Event::FaultOutcome { trial: t.index as u64, outcome: t.outcome.clone() });
         }
-        recovery.merge(&rec.recovery);
-        trials.extend(rec.trials);
     }
     if S::ACTIVE {
         sink.emit(Event::CampaignCompleted {
@@ -576,44 +575,45 @@ mod tests {
         }
 
         let des = small_des();
-        let cfg = CampaignConfig {
-            trials: 64,
-            recovery: Some(RecoveryPolicy::default()),
-            ..CampaignConfig::default()
-        };
+        // Both trial paths: fail-stop and recovering.
+        for recovery in [None, Some(RecoveryPolicy::default())] {
+            let cfg = CampaignConfig { trials: 64, recovery, ..CampaignConfig::default() };
 
-        // Reference: one uninterrupted run.
-        let ref_path = tmp_path("interrupt-ref");
-        let _ = std::fs::remove_file(&ref_path);
-        let full = run_campaign_resumable(&des, &cfg, Jobs::serial(), &ref_path).expect("full run");
-        let _ = std::fs::remove_file(&ref_path);
+            // Reference: one uninterrupted run.
+            let ref_path = tmp_path("interrupt-ref");
+            let _ = std::fs::remove_file(&ref_path);
+            let full =
+                run_campaign_resumable(&des, &cfg, Jobs::serial(), &ref_path).expect("full run");
+            let _ = std::fs::remove_file(&ref_path);
 
-        // Interrupted run: cancel after 10 trials, serial so the trip
-        // lands mid-campaign deterministically.
-        let path = tmp_path("interrupt");
-        let _ = std::fs::remove_file(&path);
-        let token = CancelToken::new();
-        let sink = CancelAfter { token: &token, seen: AtomicU64::new(0), after: 10 };
-        let err = run_campaign(&des, &cfg, Jobs::serial(), &token, Some(&path), &sink)
-            .expect_err("tripped token must interrupt");
-        let CampaignError::Interrupted(i) = &err else {
-            panic!("expected Interrupted, got {err}");
-        };
-        assert_eq!(i.reason, emask_par::CancelReason::Cancelled);
-        assert!(i.completed_trials < cfg.trials, "the interrupt landed mid-campaign");
+            // Interrupted run: cancel after 10 trials, serial so the trip
+            // lands mid-campaign deterministically.
+            let path = tmp_path("interrupt");
+            let _ = std::fs::remove_file(&path);
+            let token = CancelToken::new();
+            let sink = CancelAfter { token: &token, seen: AtomicU64::new(0), after: 10 };
+            let err = run_campaign(&des, &cfg, Jobs::serial(), &token, Some(&path), &sink)
+                .expect_err("tripped token must interrupt");
+            let CampaignError::Interrupted(i) = &err else {
+                panic!("expected Interrupted, got {err}");
+            };
+            assert_eq!(i.reason, emask_par::CancelReason::Cancelled);
+            assert!(i.completed_trials < cfg.trials, "the interrupt landed mid-campaign");
 
-        // The checkpoint holds only fully completed shards…
-        let cp = CampaignCheckpoint::load(&path).expect("load").expect("present");
-        let persisted: usize = cp.shards.values().map(|r| r.trials.len()).sum();
-        assert!(persisted <= i.completed_trials, "partial shards are never persisted");
+            // The checkpoint holds only fully completed shards…
+            let cp = CampaignCheckpoint::load(&path).expect("load").expect("present");
+            let persisted: usize = cp.shards.values().map(|r| r.trials.len()).sum();
+            assert!(persisted <= i.completed_trials, "partial shards are never persisted");
+            assert!(persisted > 0, "the shards before the trip are persisted");
 
-        // …and a plain resume finishes the rest, byte-identically.
-        let resumed =
-            run_campaign_resumable(&des, &cfg, Jobs::new(4).expect("jobs"), &path).expect("resume");
-        assert_eq!(resumed.csv(), full.csv());
-        assert_eq!(resumed.summary(), full.summary());
-        assert_eq!(resumed.recovery, full.recovery);
-        let _ = std::fs::remove_file(&path);
+            // …and a plain resume finishes the rest, byte-identically.
+            let resumed = run_campaign_resumable(&des, &cfg, Jobs::new(4).expect("jobs"), &path)
+                .expect("resume");
+            assert_eq!(resumed.csv(), full.csv(), "recovery {recovery:?}");
+            assert_eq!(resumed.summary(), full.summary(), "recovery {recovery:?}");
+            assert_eq!(resumed.recovery, full.recovery, "recovery {recovery:?}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

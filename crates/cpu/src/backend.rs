@@ -15,10 +15,6 @@ use std::ops::ControlFlow;
 /// incremental (dirty-page) memory tracking. Every [`CpuBackend`]
 /// provides one.
 pub trait BackendCheckpoint {
-    /// The backend clock at the checkpoint boundary — the length an energy
-    /// trace must be truncated to on rollback.
-    fn cycle(&self) -> u64;
-
     /// Instructions retired as of the checkpoint boundary.
     fn retired(&self) -> u64;
 
@@ -181,9 +177,6 @@ pub trait CpuBackend: Sized {
 }
 
 impl BackendCheckpoint for CpuCheckpoint {
-    fn cycle(&self) -> u64 {
-        self.cycle()
-    }
     fn retired(&self) -> u64 {
         self.retired()
     }
@@ -259,9 +252,6 @@ impl CpuBackend for Cpu {
 }
 
 impl BackendCheckpoint for InterpCheckpoint {
-    fn cycle(&self) -> u64 {
-        self.cycle()
-    }
     fn retired(&self) -> u64 {
         self.retired()
     }
@@ -373,12 +363,12 @@ mod tests {
                 b.step(&mut NullHook).expect("step");
             }
             let mut cp = b.checkpoint();
-            assert_eq!(BackendCheckpoint::cycle(&cp), b.cycles());
-            let regs_at_cp = b.registers();
+            let (cycles_at_cp, regs_at_cp) = (b.cycles(), b.registers());
             for _ in 0..6 {
                 b.step(&mut NullHook).expect("step");
             }
             b.checkpoint_restore(&mut cp);
+            assert_eq!(b.cycles(), cycles_at_cp);
             assert_eq!(b.registers(), regs_at_cp);
             while !b.is_halted() {
                 b.step(&mut NullHook).expect("step");

@@ -117,9 +117,7 @@ impl CpuCheckpoint {
         cpu.rail_skew = RailSkew::default();
     }
 
-    /// The cycle count at the checkpoint boundary — the length an energy
-    /// trace must be truncated to on rollback so re-executed cycles are not
-    /// double-counted.
+    /// The cycle count at the checkpoint boundary.
     pub fn cycle(&self) -> u64 {
         self.cycle
     }

@@ -94,13 +94,6 @@ impl EnergyTrace {
         EnergyTrace { samples: self.samples[range].to_vec() }
     }
 
-    /// Discards every sample past `len` — used by checkpoint rollback to
-    /// drop the energy of cycles that are about to be re-executed. A `len`
-    /// at or past the current length is a no-op.
-    pub fn truncate(&mut self, len: usize) {
-        self.samples.truncate(len);
-    }
-
     /// Largest absolute sample — used to assert that a masked differential
     /// trace is (near-)zero.
     pub fn max_abs(&self) -> f64 {
