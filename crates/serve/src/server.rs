@@ -12,6 +12,9 @@
 //! | `{"cmd":"watch","job":N}` | the job's event lines (history, then live), then `{"ok":true,"job":N,"state":…}` |
 //! | `{"cmd":"shutdown"}` | `{"ok":true}` — then the server drains and exits |
 //!
+//! A request line longer than [`MAX_REQUEST_LINE`] bytes gets a
+//! `protocol` error and the connection closes.
+//!
 //! SIGTERM is equivalent to `shutdown`: the accept loop stops admitting,
 //! the running job checkpoints and parks at its next trial boundary, the
 //! event files flush, and the process exits 0. A restarted server rescans
@@ -22,7 +25,7 @@ use crate::signal;
 use crate::spec::JobSpec;
 use crate::supervisor::{ExperimentRunner, ServiceStats, Supervisor, SupervisorConfig};
 use emask_telemetry::escape_json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -68,6 +71,12 @@ impl ServerConfig {
         }
     }
 }
+
+/// The longest request line the service reads, newline excluded. The
+/// largest valid request, a `submit` carrying every `JobSpec` field, is
+/// well under 1 KiB; a longer line is refused before it can grow the
+/// connection's read buffer any further.
+const MAX_REQUEST_LINE: u64 = 64 * 1024;
 
 fn ok_line(extra: &str) -> String {
     if extra.is_empty() {
@@ -215,13 +224,19 @@ fn handle_connection<R: ExperimentRunner>(stream: UnixStream, sup: &Supervisor<R
     };
     let mut writer = stream;
     // Lines are read as bytes, so a request that is not UTF-8 gets the
-    // same typed protocol error as one that is not JSON.
+    // same typed protocol error as one that is not JSON. Each read stops
+    // one byte past the longest allowed line.
     let mut buf = Vec::new();
     loop {
         buf.clear();
-        match reader.read_until(b'\n', &mut buf) {
+        match reader.by_ref().take(MAX_REQUEST_LINE + 1).read_until(b'\n', &mut buf) {
             Ok(0) | Err(_) => return, // client went away
             Ok(_) => {}
+        }
+        if buf.len() as u64 > MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            let error = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+            let _ = writeln!(writer, "{}", err_line("protocol", &error));
+            return;
         }
         let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
         let line = line.strip_suffix(b"\r").unwrap_or(line);

@@ -514,6 +514,22 @@ fn socket_protocol_round_trip() {
         replies.read_line(&mut reply).unwrap();
         assert!(reply.contains("\"ok\":true"), "got: {reply}");
     }
+    // A request line one byte over the 64 KiB bound gets the typed
+    // protocol error, then the server closes the connection.
+    {
+        use std::io::{BufRead, BufReader, Read, Write};
+        let mut conn = std::os::unix::net::UnixStream::connect(&socket).unwrap();
+        // Fail rather than hang on a server that waits for the newline.
+        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut replies = BufReader::new(conn.try_clone().unwrap());
+        conn.write_all(&vec![b'a'; 64 * 1024 + 1]).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        assert!(reply.contains("\"kind\":\"protocol\""), "got: {reply}");
+        assert!(reply.contains("exceeds"), "got: {reply}");
+        let mut rest = Vec::new();
+        assert_eq!(replies.read_to_end(&mut rest).unwrap(), 0, "connection closed after the reply");
+    }
 
     client::shutdown(&socket).unwrap();
     server.join().unwrap().unwrap();
