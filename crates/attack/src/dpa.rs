@@ -223,9 +223,9 @@ where
 /// block at a time, into [`OnlineDpa`] accumulators that merge in fixed
 /// shard order (see `emask_par::fold_sharded`): the result is
 /// bit-identical for any `jobs` value, and memory does not grow with
-/// `cfg.samples` — one merged prefix, one accumulator per worker, and
-/// the shards that finished ahead of a slower earlier one are alive at
-/// once, each O(guesses × trace_len); two at `jobs = 1`.
+/// `cfg.samples` — at most one merged prefix and one accumulator per
+/// worker are alive at once, each O(guesses × trace_len); two at
+/// `jobs = 1`.
 ///
 /// With `cadence: Some(c)`, every `c` trials (and once at the end; only
 /// at the end for `Some(0)`) the merged accumulator over trials `0..b` is

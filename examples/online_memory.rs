@@ -3,10 +3,9 @@
 //! it is produced, so peak RSS is flat in the number of traces — where the
 //! batch path's trace matrix grows linearly.
 //!
-//! A sharded campaign holds one merged prefix, one accumulator per worker
-//! and the shards that finished ahead of a slower earlier one; at
-//! `Jobs::serial()`, as here, that is two accumulators whatever the trace
-//! count.
+//! A sharded campaign holds at most one merged prefix and one accumulator
+//! per worker; at `Jobs::serial()`, as here, that is two accumulators
+//! whatever the trace count.
 //!
 //! ```text
 //! cargo run --release --example online_memory [traces] [--batch]
