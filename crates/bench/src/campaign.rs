@@ -44,10 +44,7 @@ use emask_fault::{
 };
 use emask_isa::OpClass;
 use emask_par::catch_trial;
-use emask_telemetry::{
-    campaign_csv, campaign_summary, recovery_coverage, recovery_summary, CampaignTrial,
-    RecoveryTotals,
-};
+use std::fmt::Write as _;
 
 /// Number of [`FaultOutcome`] categories.
 pub const OUTCOME_COUNT: usize = 8;
@@ -159,6 +156,81 @@ impl Default for CampaignConfig {
     }
 }
 
+/// One fault-injection trial's result: one row of the campaign CSV.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CampaignTrial {
+    /// Trial index within the campaign.
+    pub index: usize,
+    /// The cycle (or first cycle) at which the fault was scheduled.
+    pub cycle: u64,
+    /// The bit position disturbed.
+    pub bit: u8,
+    /// Target name (e.g. `id_ex.a:true`, `regfile:r8`, `memory:key`).
+    pub target: String,
+    /// Fault-model name (e.g. `bit-flip`, `stuck-at`, `glitch`).
+    pub model: String,
+    /// The classified outcome.
+    pub outcome: FaultOutcome,
+    /// Free-form detail (an error message, or empty).
+    pub detail: String,
+}
+
+impl CampaignTrial {
+    /// Appends the trial as one CSV row
+    /// (`trial,cycle,bit,target,model,outcome,detail` and a newline) —
+    /// the row of both the campaign CSV and the campaign checkpoint.
+    /// Commas and newlines in the free-form detail become `;`, so the
+    /// document stays one row per trial without a quoting dialect.
+    pub(crate) fn write_row(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{},{},{},{},{},{},",
+            self.index,
+            self.cycle,
+            self.bit,
+            self.target,
+            self.model,
+            self.outcome.name()
+        );
+        out.extend(self.detail.chars().map(|c| if c == ',' || c == '\n' { ';' } else { c }));
+        out.push('\n');
+    }
+}
+
+/// Aggregate checkpoint/rollback counters of a campaign's recovered
+/// runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryTotals {
+    /// Runs absorbed into these totals.
+    pub runs: u64,
+    /// Checkpoints taken across all runs (excluding the implicit one at
+    /// cycle 0 of each run).
+    pub checkpoints: u64,
+    /// Rollback/re-execute events across all runs.
+    pub rollbacks: u64,
+    /// Dirty pages moved by checkpoint refreshes and restores — the
+    /// measurable memory cost of the incremental checkpoint scheme.
+    pub pages_moved: u64,
+}
+
+impl RecoveryTotals {
+    /// Folds one run's recovery counters into the totals.
+    pub(crate) fn absorb(&mut self, stats: &RecoveryStats) {
+        self.runs += 1;
+        self.checkpoints += stats.checkpoints;
+        self.rollbacks += u64::from(stats.rollbacks);
+        self.pages_moved += stats.pages_moved;
+    }
+
+    /// Merges another shard's totals into these.
+    pub(crate) fn merge(&mut self, other: &RecoveryTotals) {
+        self.runs += other.runs;
+        self.checkpoints += other.checkpoints;
+        self.rollbacks += other.rollbacks;
+        self.pages_moved += other.pages_moved;
+    }
+}
+
 /// A completed campaign: every trial row plus the classified totals.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
@@ -174,6 +246,20 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
+    /// The report of `trials` (in trial order), with the outcome totals
+    /// counted from them.
+    pub(crate) fn new(
+        trials: Vec<CampaignTrial>,
+        clean_cycles: u64,
+        recovery: RecoveryTotals,
+    ) -> Self {
+        let mut counts = [0usize; OUTCOME_COUNT];
+        for t in &trials {
+            counts[t.outcome.index()] += 1;
+        }
+        Self { trials, counts, clean_cycles, recovery }
+    }
+
     /// Trials classified as `outcome`.
     pub fn count(&self, outcome: FaultOutcome) -> usize {
         self.counts[outcome.index()]
@@ -184,29 +270,110 @@ impl CampaignReport {
         self.trials.len()
     }
 
-    /// The per-trial CSV document.
+    /// The per-trial CSV document: a header, then one row per trial
+    /// (see [`CampaignTrial`]).
     pub fn csv(&self) -> String {
-        campaign_csv(&self.trials)
-    }
-
-    /// The human-readable classified-totals summary. When recovery ran,
-    /// the detection→recovery coverage table and the aggregate
-    /// checkpoint/rollback counters are appended.
-    pub fn summary(&self) -> String {
-        let mut out = campaign_summary(&self.trials);
-        if self.recovery.runs > 0 {
-            out.push('\n');
-            out.push_str(&self.coverage());
-            out.push('\n');
-            out.push_str(&recovery_summary(&self.recovery));
+        let mut out = String::from("trial,cycle,bit,target,model,outcome,detail\n");
+        for t in &self.trials {
+            t.write_row(&mut out);
         }
         out
     }
 
-    /// The detection→recovery coverage table, grouped by fault target.
-    pub fn coverage(&self) -> String {
-        recovery_coverage(&self.trials)
+    /// The human-readable classified totals: one
+    /// `<outcome> <count> (<percent>)` line per outcome in first-seen
+    /// order, then a `sum N/N` line asserting every trial was classified.
+    /// When recovery ran, the detection→recovery coverage table and the
+    /// aggregate checkpoint/rollback counters are appended.
+    pub fn summary(&self) -> String {
+        let mut seen: Vec<FaultOutcome> = Vec::new();
+        for t in &self.trials {
+            if !seen.contains(&t.outcome) {
+                seen.push(t.outcome);
+            }
+        }
+        let mut out = String::from("fault campaign summary\n======================\n");
+        let total = self.total();
+        for &o in &seen {
+            let n = self.count(o);
+            let pct = if total == 0 { 0.0 } else { 100.0 * n as f64 / total as f64 };
+            let _ = writeln!(out, "  {:<18} {n:>6} ({pct:.1}%)", o.name());
+        }
+        let classified: usize = self.counts.iter().sum();
+        let _ = writeln!(out, "  sum {classified}/{total}");
+        if self.recovery.runs > 0 {
+            let r = &self.recovery;
+            out.push('\n');
+            out.push_str(&self.coverage());
+            out.push_str("\nrecovery totals\n---------------\n");
+            let _ = writeln!(out, "  runs        {:>8}", r.runs);
+            let _ = writeln!(out, "  checkpoints {:>8}", r.checkpoints);
+            let _ = writeln!(out, "  rollbacks   {:>8}", r.rollbacks);
+            let _ = writeln!(out, "  pages moved {:>8}", r.pages_moved);
+        }
+        out
     }
+
+    /// The detection→recovery coverage table: for each fault target
+    /// (first-seen order), how many trials ran, how many faults were
+    /// *detected* ([`FaultOutcome::Detected`], [`FaultOutcome::Recovered`]
+    /// or [`FaultOutcome::Zeroized`]), and how many of those detections
+    /// were *handled* safely (recovered — the run completed with a correct
+    /// result — or zeroized — the key was destroyed before disclosure).
+    /// The final column is handled/detected.
+    pub fn coverage(&self) -> String {
+        // Per target: trials, detections, recovered, zeroized.
+        let mut rows: Vec<(&str, [usize; 4])> = Vec::new();
+        for t in &self.trials {
+            let i = rows.iter().position(|(name, _)| *name == t.target).unwrap_or_else(|| {
+                rows.push((&t.target, [0; 4]));
+                rows.len() - 1
+            });
+            let row = &mut rows[i].1;
+            row[0] += 1;
+            match t.outcome {
+                FaultOutcome::Detected => row[1] += 1,
+                FaultOutcome::Recovered => {
+                    row[1] += 1;
+                    row[2] += 1;
+                }
+                FaultOutcome::Zeroized => {
+                    row[1] += 1;
+                    row[3] += 1;
+                }
+                _ => {}
+            }
+        }
+        let mut out = String::from("detection\u{2192}recovery coverage by target\n");
+        out.push_str("target                 trials  detected  recovered  zeroized  coverage\n");
+        let mut total = [0; 4];
+        for (name, row) in &rows {
+            coverage_row(&mut out, name, *row);
+            for (sum, n) in total.iter_mut().zip(row) {
+                *sum += n;
+            }
+        }
+        coverage_row(&mut out, "total", total);
+        out
+    }
+}
+
+/// One line of [`CampaignReport::coverage`]: trials, detections,
+/// recovered, zeroized, then handled/detections.
+fn coverage_row(
+    out: &mut String,
+    name: &str,
+    [trials, detections, recovered, zeroized]: [usize; 4],
+) {
+    let cov = if detections == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.1}%", 100.0 * (recovered + zeroized) as f64 / detections as f64)
+    };
+    let _ = writeln!(
+        out,
+        "  {name:<20} {trials:>6} {detections:>9} {recovered:>10} {zeroized:>9} {cov:>9}"
+    );
 }
 
 /// How a lane fault's rail mode reads in reports.
@@ -291,13 +458,6 @@ fn classify(result: &Result<RecoveryStats, RunError>) -> (FaultOutcome, String) 
     }
 }
 
-/// Maps a stable outcome report name back to the [`FaultOutcome`] —
-/// the inverse of [`FaultOutcome::name`], used when reloading persisted
-/// campaign rows.
-pub(crate) fn outcome_from_name(name: &str) -> Option<FaultOutcome> {
-    FaultOutcome::ALL.into_iter().find(|o| o.name() == name)
-}
-
 /// The prepared per-trial execution context of
 /// [`run_campaign`](crate::run_campaign): the cycle-limited core plus the
 /// lattice parameters derived from the clean baseline run.
@@ -337,7 +497,7 @@ impl TrialRunner {
     /// Never panics outward: the trial body runs under a per-trial panic
     /// catch, so a panicking trial becomes data, its shard keeps going,
     /// and the campaign completes.
-    pub(crate) fn run_trial(&self, i: usize) -> (CampaignTrial, FaultOutcome, RecoveryStats) {
+    pub(crate) fn run_trial(&self, i: usize) -> (CampaignTrial, RecoveryStats) {
         let cfg = &self.cfg;
         // Spread strike cycles across the whole clean run. The spec and
         // its report names are computed *outside* the panic catch so a
@@ -384,10 +544,10 @@ impl TrialRunner {
             bit,
             target: target_name,
             model: model_name,
-            outcome: outcome.name().to_string(),
+            outcome,
             detail,
         };
-        (trial, outcome, stats)
+        (trial, stats)
     }
 }
 
@@ -498,7 +658,7 @@ mod tests {
         let report = campaign(&des, &cfg, 4);
         assert_eq!(report.total(), 16);
         assert_eq!(report.count(FaultOutcome::Panic), 1);
-        assert_eq!(report.trials[5].outcome, "panic");
+        assert_eq!(report.trials[5].outcome, FaultOutcome::Panic);
         assert!(
             report.trials[5].detail.contains("trial 5 panicked"),
             "{}",
@@ -522,5 +682,89 @@ mod tests {
         // worker count.
         let b = campaign(&des, &cfg, 4);
         assert_eq!(a.trials, b.trials);
+    }
+
+    fn trial(i: usize, outcome: FaultOutcome, detail: &str) -> CampaignTrial {
+        CampaignTrial {
+            index: i,
+            cycle: 10 * i as u64,
+            bit: (i % 32) as u8,
+            target: "id_ex.a".into(),
+            model: "bit-flip".into(),
+            outcome,
+            detail: detail.into(),
+        }
+    }
+
+    fn report(trials: Vec<CampaignTrial>) -> CampaignReport {
+        CampaignReport::new(trials, 0, RecoveryTotals::default())
+    }
+
+    #[test]
+    fn campaign_csv_is_one_row_per_trial_with_sanitized_detail() {
+        let trials = vec![
+            trial(0, FaultOutcome::NoEffect, ""),
+            trial(1, FaultOutcome::Crash, "cycle 3: fault, with comma\nnewline"),
+        ];
+        let csv = report(trials).csv();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0], "trial,cycle,bit,target,model,outcome,detail");
+        assert_eq!(lines[1], "0,0,0,id_ex.a,bit-flip,no-effect,");
+        // The detail's comma and newline were flattened to ';'.
+        assert_eq!(lines[2].split(',').count(), lines[0].split(',').count());
+        assert!(lines[2].ends_with("cycle 3: fault; with comma;newline"));
+    }
+
+    #[test]
+    fn campaign_summary_totals_classify_every_trial() {
+        let trials = vec![
+            trial(0, FaultOutcome::NoEffect, ""),
+            trial(1, FaultOutcome::Detected, ""),
+            trial(2, FaultOutcome::NoEffect, ""),
+            trial(3, FaultOutcome::WrongCiphertext, ""),
+        ];
+        let s = report(trials).summary();
+        assert!(s.contains("no-effect"));
+        assert!(s.contains("2 (50.0%)"));
+        assert!(s.contains("sum 4/4"));
+        assert!(report(Vec::new()).summary().contains("sum 0/0"));
+    }
+
+    #[test]
+    fn recovery_totals_absorb_and_merge() {
+        let stats = |checkpoints, rollbacks, pages_moved| RecoveryStats {
+            checkpoints,
+            rollbacks,
+            pages_moved,
+        };
+        let mut a = RecoveryTotals::default();
+        a.absorb(&stats(3, 1, 40));
+        a.absorb(&stats(2, 0, 10));
+        assert_eq!(a, RecoveryTotals { runs: 2, checkpoints: 5, rollbacks: 1, pages_moved: 50 });
+        let mut b = RecoveryTotals::default();
+        b.absorb(&stats(1, 2, 5));
+        a.merge(&b);
+        assert_eq!(a.runs, 3);
+        assert_eq!(a.rollbacks, 3);
+        let s = CampaignReport::new(vec![trial(0, FaultOutcome::NoEffect, "")], 0, a).summary();
+        assert!(s.contains("rollbacks"));
+        assert!(s.contains("3"));
+    }
+
+    #[test]
+    fn recovery_coverage_groups_by_target() {
+        let mut t0 = trial(0, FaultOutcome::Recovered, "");
+        t0.target = "regfile:r8".into();
+        let mut t1 = trial(1, FaultOutcome::Zeroized, "");
+        t1.target = "regfile:r8".into();
+        let t2 = trial(2, FaultOutcome::NoEffect, "");
+        let cov = report(vec![t0, t1, t2]).coverage();
+        assert!(cov.contains("regfile:r8"), "{cov}");
+        assert!(cov.contains("100.0%"), "{cov}");
+        // The no-effect-only target has no detections: coverage is '-'.
+        let id_ex = cov.lines().find(|l| l.trim_start().starts_with("id_ex.a")).expect("row");
+        assert!(id_ex.trim_end().ends_with('-'), "{id_ex}");
+        assert!(cov.lines().last().expect("total").trim_start().starts_with("total"));
     }
 }

@@ -33,11 +33,11 @@
 //!   mixing two campaigns' rows would corrupt the report.
 
 use crate::campaign::{
-    outcome_from_name, CampaignConfig, CampaignReport, TrialRunner, OUTCOME_COUNT,
+    CampaignConfig, CampaignReport, CampaignTrial, FaultOutcome, RecoveryTotals, TrialRunner,
 };
 use emask_core::{MaskedDes, RunError};
 use emask_par::{fold_sharded, shard_plan, CancelToken, Interrupted, Jobs};
-use emask_telemetry::{fnv1a, CampaignTrial, Event, EventSink, NullSink, RecoveryTotals};
+use emask_telemetry::{fnv1a, Event, EventSink, NullSink};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -234,7 +234,7 @@ impl CampaignCheckpoint {
                 r.pages_moved
             );
             for t in &rec.trials {
-                let _ = writeln!(out, "{}", render_row(t));
+                t.write_row(&mut out);
             }
         }
         let checksum = fnv1a(out.as_bytes());
@@ -257,31 +257,23 @@ impl CampaignCheckpoint {
     }
 }
 
-/// One trial as a campaign CSV row — the same sanitized encoding as
-/// [`emask_telemetry::campaign_csv`], so the stored detail round-trips
-/// and the final document is byte-identical to an uninterrupted run's.
-fn render_row(t: &CampaignTrial) -> String {
-    let detail: String =
-        t.detail.chars().map(|c| if c == ',' || c == '\n' { ';' } else { c }).collect();
-    format!("{},{},{},{},{},{},{detail}", t.index, t.cycle, t.bit, t.target, t.model, t.outcome)
-}
-
-/// Parses one stored CSV row; `None` means corrupt.
+/// Parses one stored CSV row (as written by
+/// [`CampaignTrial::write_row`]); `None` means corrupt. An outcome name
+/// outside the known set can only come from file damage, so it rejects
+/// the snapshot rather than mis-count later.
 fn parse_row(line: &str) -> Option<CampaignTrial> {
     let mut f = line.splitn(7, ',');
-    let trial = CampaignTrial {
+    Some(CampaignTrial {
         index: f.next()?.parse().ok()?,
         cycle: f.next()?.parse().ok()?,
         bit: f.next()?.parse().ok()?,
         target: f.next()?.to_string(),
         model: f.next()?.to_string(),
-        outcome: f.next()?.to_string(),
+        outcome: f
+            .next()
+            .and_then(|name| FaultOutcome::ALL.into_iter().find(|o| o.name() == name))?,
         detail: f.next()?.to_string(),
-    };
-    // An outcome name outside the known set can only come from file
-    // damage; reject the snapshot rather than mis-count later.
-    outcome_from_name(&trial.outcome)?;
-    Some(trial)
+    })
 }
 
 /// Runs a fault campaign against `des`: a clean baseline run, then
@@ -388,13 +380,9 @@ pub fn run_campaign<S: EventSink>(
                 // this shard's partial rows (recomputed deterministically
                 // on resume) and reports how many trials it had folded.
                 token.check().map_err(|_| done)?;
-                let (trial, _, stats) = runner.run_trial(i);
+                let (trial, stats) = runner.run_trial(i);
                 if runner.recovery_enabled() {
-                    rec.recovery.absorb(
-                        stats.checkpoints,
-                        u64::from(stats.rollbacks),
-                        stats.pages_moved,
-                    );
+                    rec.recovery.absorb(&stats);
                 }
                 if S::ACTIVE {
                     if stats.rollbacks > 0 {
@@ -433,23 +421,19 @@ pub fn run_campaign<S: EventSink>(
         store.into_inner().expect("checkpoint store").save(path)?;
     }
     let ShardRecord { trials, recovery } = folded?.unwrap_or_default();
-
-    let mut counts = [0usize; OUTCOME_COUNT];
-    for t in &trials {
-        let outcome = outcome_from_name(&t.outcome).expect("validated outcome name");
-        counts[outcome.index()] += 1;
-        if S::ACTIVE {
-            sink.emit(Event::FaultOutcome { trial: t.index as u64, outcome: t.outcome.clone() });
-        }
-    }
+    let report = CampaignReport::new(trials, runner.clean_cycles(), recovery);
     if S::ACTIVE {
+        for t in &report.trials {
+            let outcome = t.outcome.name().to_string();
+            sink.emit(Event::FaultOutcome { trial: t.index as u64, outcome });
+        }
         sink.emit(Event::CampaignCompleted {
             trials: cfg.trials as u64,
             dropped_events: sink.dropped(),
             dropped_by_kind: sink.dropped_by_kind(),
         });
     }
-    Ok(CampaignReport { trials, counts, clean_cycles: runner.clean_cycles(), recovery })
+    Ok(report)
 }
 
 /// [`run_campaign`] checkpointing to `path`, never cancelled, no events.
@@ -521,6 +505,88 @@ mod tests {
         // Totals stored per shard reassemble into the report's totals.
         let sum: u64 = cp.shards.values().map(|r| r.recovery.rollbacks).sum();
         assert_eq!(sum, report.recovery.rollbacks);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The v1 on-disk format, as `CampaignCheckpoint::save` wrote it when
+    /// the trial record still held its outcome as a string: the finished
+    /// 9-trial recovering campaign of [`v1_config`] on the 1-round
+    /// selectively masked device. Shard headers carry the recovery
+    /// counters; row 8's detail had its comma rewritten to `;`.
+    const V1_SNAPSHOT: &str = "\
+emask-campaign-checkpoint v1
+fingerprint 13046ac706c96764
+shard 0 1 1 4 0 19
+0,0,0,id_ex.a:true,bit-flip,no-effect,
+shard 1 1 1 4 0 19
+1,3257,1,id_ex.b:both,bit-flip,no-effect,
+shard 2 1 1 4 1 21
+2,6514,7,ex_mem.alu:true,bit-flip,recovered,recovered after 1 rollback(s)
+shard 3 1 1 4 0 19
+3,9771,15,ex_mem.store:both,bit-flip,no-effect,
+shard 4 1 1 4 0 19
+4,13028,31,mem_wb.value:true,bit-flip,no-effect,
+shard 5 1 1 4 0 19
+5,16285,0,id_ex.a:both,stuck-at,no-effect,
+shard 6 1 1 4 0 19
+6,19542,1,regfile:r8,glitch,no-effect,
+shard 7 1 1 4 0 20
+7,22799,7,memory:key,bit-flip,no-effect,
+shard 8 1 1 0 0 0
+8,26056,15,fetch-squash,bit-flip,wrong-ciphertext,ciphertext mismatch: simulated 4472457288EEDDE2; golden model 4472457288EEDDEA
+checksum 7ee934d71ea12900
+";
+
+    fn v1_config() -> CampaignConfig {
+        CampaignConfig {
+            trials: 9,
+            recovery: Some(RecoveryPolicy::default()),
+            ..CampaignConfig::default()
+        }
+    }
+
+    #[test]
+    fn v1_snapshot_text_round_trips_byte_for_byte() {
+        let cp = CampaignCheckpoint::parse(V1_SNAPSHOT).expect("a valid v1 snapshot");
+        assert_eq!(cp.completed(), (0..9).collect::<Vec<_>>());
+        assert_eq!(cp.shards[&2].trials[0].outcome, FaultOutcome::Recovered);
+        assert_eq!(
+            cp.shards[&2].recovery,
+            RecoveryTotals { runs: 1, checkpoints: 4, rollbacks: 1, pages_moved: 21 }
+        );
+        assert_eq!(cp.shards[&8].trials[0].outcome, FaultOutcome::WrongCiphertext);
+        assert_eq!(cp.render(), V1_SNAPSHOT);
+        // An unknown outcome name is damage, not a new category.
+        let damaged = V1_SNAPSHOT.replacen(",no-effect,", ",no-efect,", 1);
+        let body = &damaged[..damaged.rfind("checksum ").expect("checksum line")];
+        let resealed = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
+        assert!(CampaignCheckpoint::parse(&resealed).is_none());
+    }
+
+    #[test]
+    fn v1_snapshot_resumes_without_rerunning_a_trial() {
+        /// Counts the trials the resumed campaign actually runs.
+        struct CountTrials(std::sync::atomic::AtomicU64);
+        impl EventSink for CountTrials {
+            fn emit(&self, event: Event) {
+                if matches!(event, Event::TrialCompleted { .. }) {
+                    self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+            }
+        }
+        let des = small_des();
+        let path = tmp_path("v1");
+        std::fs::write(&path, V1_SNAPSHOT).expect("write");
+        let sink = CountTrials(std::sync::atomic::AtomicU64::new(0));
+        let resumed =
+            run_campaign_resumable_events(&des, &v1_config(), Jobs::serial(), &path, &sink)
+                .expect("resume");
+        assert_eq!(sink.0.into_inner(), 0, "every shard is served from the snapshot");
+        let fresh =
+            run_campaign(&des, &v1_config(), Jobs::serial(), &CancelToken::new(), None, &NullSink)
+                .expect("fresh run");
+        assert_eq!(resumed.csv(), fresh.csv());
+        assert_eq!(resumed.summary(), fresh.summary());
         let _ = std::fs::remove_file(&path);
     }
 

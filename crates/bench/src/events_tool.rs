@@ -24,7 +24,7 @@
 //! all render sensibly instead of erroring.
 
 use emask_serve::json::{parse, Json};
-use emask_telemetry::{escape_json, Event, Histogram};
+use emask_telemetry::{chrome_trace_json, escape_json, Event, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -334,27 +334,9 @@ pub fn trace_events(text: &str) -> Result<String, String> {
         }
     }
 
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut lanes = vec!["events".to_string()];
     lanes.extend((1..=max_depth).map(|d| format!("depth {d}")));
-    for (tid, name) in lanes.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-            escape_json(name),
-        );
-        out.push_str(",\n");
-    }
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    Ok(out)
+    Ok(chrome_trace_json(&lanes, &events))
 }
 
 #[cfg(test)]

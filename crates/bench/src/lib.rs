@@ -46,7 +46,9 @@ pub mod experiments;
 pub mod loadgen;
 mod service;
 
-pub use campaign::{CampaignConfig, CampaignReport, FaultOutcome, OUTCOME_COUNT};
+pub use campaign::{
+    CampaignConfig, CampaignReport, CampaignTrial, FaultOutcome, RecoveryTotals, OUTCOME_COUNT,
+};
 pub use checkpoint::{
     run_campaign, run_campaign_resumable, run_campaign_resumable_events, CampaignCheckpoint,
     CampaignError,

@@ -13,7 +13,7 @@ use crate::campaign::CampaignConfig;
 use crate::checkpoint::{run_campaign, CampaignError};
 use crate::experiments::{self, TvlaReport, KEY, PLAINTEXT};
 use emask_core::{DesProgramSpec, MaskPolicy, MaskedDes, RecoveryPolicy};
-use emask_par::Jobs;
+use emask_par::{shard_plan, Jobs};
 use emask_serve::{ExperimentRunner, JobCtx, JobSpec, RunStatus};
 use emask_telemetry::{EventSink as _, Span};
 
@@ -113,19 +113,22 @@ impl ExperimentRunner for BenchRunner {
         if spec.sbox >= 8 {
             return Err("sbox must be in 0..=7".into());
         }
-        let f64s = std::mem::size_of::<f64>() as u64;
-        // Peak accumulator footprint per experiment; the dominant terms
-        // are the O(guesses × window) difference/correlation arrays,
-        // multiplied by the worker count (each shard folds its own). The
+        // Peak accumulator footprint per experiment: the sample vectors
+        // of one accumulator, times the accumulators a sharded fold
+        // holds at once (one per worker plus the merged prefix). The
         // attacks accumulate only the round-1 window at any round count.
-        let workers = spec.jobs as u64;
+        let vectors = |count: u64, window: u64| {
+            let accumulators = spec.jobs.min(shard_plan(spec.trials).len()) as u64 + 1;
+            count * window * std::mem::size_of::<f64>() as u64 * accumulators
+        };
         Ok(match spec.experiment.as_str() {
-            // 64 guesses × (sum1, sum0, counts) per cycle.
-            "dpa" => 64 * ROUND_WINDOW_LEN * 3 * f64s * workers,
-            // 64 guesses × (Σt, Σt², Σht) per cycle plus the h moments.
-            "cpa" => 64 * ROUND_WINDOW_LEN * 3 * f64s * workers,
-            // Two Welford groups × (mean, m2) per cycle.
-            "tvla" => 2 * tvla_window_len(spec.rounds) * 2 * f64s * workers,
+            // `OnlineDpa::multibit`: 4 bits × 64 guesses of group-1 sums
+            // plus the all-trace total.
+            "dpa" => vectors(4 * 64 + 1, ROUND_WINDOW_LEN),
+            // `OnlineCpa`: Σt and Σt² plus Σh·t for each of 64 guesses.
+            "cpa" => vectors(2 + 64, ROUND_WINDOW_LEN),
+            // `OnlineWelch`: two Welford groups × (mean, m2).
+            "tvla" => vectors(2 * 2, tvla_window_len(spec.rounds)),
             // One outcome record per trial plus the recovery journal.
             "fault" => spec.trials as u64 * 128,
             // Per-instruction profile, bounded by program length.
@@ -144,7 +147,7 @@ impl ExperimentRunner for BenchRunner {
         // count; `items` is the shard's trial count. (`leakage` has no
         // trial sharding, so it gets no ladder.)
         if matches!(status, RunStatus::Done { .. }) && spec.experiment != "leakage" {
-            for (index, range) in emask_par::shard_plan(spec.trials) {
+            for (index, range) in shard_plan(spec.trials) {
                 let shard = Span::below(ctx.span, "shard", index as u64);
                 shard.open_on(ctx.sink);
                 shard.close_on(ctx.sink, range.len() as u64);
@@ -336,6 +339,49 @@ mod tests {
             .admit(&JobSpec { experiment: "dpa".into(), rounds: 16, jobs: 8, ..JobSpec::default() })
             .unwrap();
         assert!(big > small, "dpa at 16 rounds x 8 workers dwarfs a 1-round tvla");
+    }
+
+    #[test]
+    fn dpa_admission_at_one_worker_covers_two_real_accumulators() {
+        // A one-worker fold holds its shard's accumulator and the merged
+        // prefix: two `OnlineDpa::multibit`s, each 4 × 64 group-1 sum
+        // vectors plus the total over the measured round-1 window.
+        for rounds in [1usize, 16] {
+            let run =
+                compile(MaskPolicy::Selective, rounds).unwrap().encrypt(PLAINTEXT, KEY).unwrap();
+            let window = run.phase_window(emask_core::Phase::Round(1)).unwrap().len() as u64;
+            let accumulator = (4 * 64 + 1) * window * std::mem::size_of::<f64>() as u64;
+            let spec = JobSpec {
+                experiment: "dpa".into(),
+                rounds,
+                trials: 64,
+                jobs: 1,
+                ..JobSpec::default()
+            };
+            let estimate = BenchRunner.admit(&spec).unwrap();
+            assert!(estimate >= 2 * accumulator, "{rounds} rounds: {estimate} < 2 × {accumulator}");
+        }
+    }
+
+    #[test]
+    fn the_chaos_soak_mix_fits_the_default_memory_budget() {
+        // `repro loadgen --seed 11` is the CI chaos soak's traffic, and the
+        // benchmark's `serve_mix` replays it: every job of it (worker
+        // requests 1–4) must be admitted under the supervisor's default
+        // budget.
+        let budget = emask_serve::SupervisorConfig::new(PathBuf::new()).memory_budget;
+        let mut seen = std::collections::BTreeSet::new();
+        for k in 0..256 {
+            let spec = crate::loadgen::workload_spec(11, k);
+            seen.insert((spec.experiment.clone(), spec.jobs));
+            let estimate = BenchRunner.admit(&spec).unwrap();
+            assert!(estimate <= budget, "job {k} ({spec:?}): {estimate} > {budget}");
+        }
+        for experiment in ["dpa", "tvla", "fault"] {
+            for jobs in 1..=4 {
+                assert!(seen.contains(&(experiment.to_string(), jobs)), "{experiment} at {jobs}");
+            }
+        }
     }
 
     #[test]

@@ -142,5 +142,5 @@ fn panicking_trial_in_a_4_job_campaign_is_data_not_fatal() {
     let report = campaign(&des, &cfg, 4);
     assert_eq!(report.total(), 24);
     assert_eq!(report.count(FaultOutcome::Panic), 1);
-    assert_eq!(report.trials[7].outcome, "panic");
+    assert_eq!(report.trials[7].outcome, FaultOutcome::Panic);
 }

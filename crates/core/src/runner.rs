@@ -179,7 +179,6 @@ impl From<CpuError> for RunError {
 pub struct MaskedDes {
     program: Program,
     report: SliceReport,
-    policy: MaskPolicy,
     spec: DesProgramSpec,
     params: EnergyParams,
     decryptor: bool,
@@ -229,7 +228,6 @@ impl MaskedDes {
         Ok(Self {
             program: out.program,
             report: out.report,
-            policy,
             spec: *spec,
             params: EnergyParams::calibrated(),
             decryptor: decrypt,
@@ -249,11 +247,6 @@ impl MaskedDes {
     pub fn with_params(mut self, params: EnergyParams) -> Self {
         self.params = params;
         self
-    }
-
-    /// The masking policy.
-    pub fn policy(&self) -> MaskPolicy {
-        self.policy
     }
 
     /// The compiled program.

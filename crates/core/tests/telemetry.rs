@@ -3,7 +3,7 @@
 //! the exporters must produce byte-stable artifacts.
 
 use emask_core::{
-    ChromeTrace, CycleCsv, DesProgramSpec, EncryptionRun, MaskPolicy, MaskedDes, MetricsRegistry,
+    ChromeTrace, DesProgramSpec, EncryptionRun, MaskPolicy, MaskedDes, MetricsRegistry,
 };
 use emask_telemetry::{fnv1a, metrics_csv, summary};
 
@@ -88,27 +88,6 @@ fn chrome_trace_export_is_golden() {
     // --trace-out /tmp/t.json and re-fingerprint.
     assert_eq!(json.len(), 1_569_808, "trace JSON length drifted");
     assert_eq!(fnv1a(json.as_bytes()), 0x6491_FE90_7741_551F, "trace JSON bytes drifted");
-}
-
-#[test]
-fn cycle_csv_export_is_golden() {
-    let mut csv = CycleCsv::new();
-    let run = observed_run(&mut csv);
-    let text = csv.into_csv();
-    let mut lines = text.lines();
-
-    assert_eq!(
-        lines.next().unwrap(),
-        "cycle,inst_bus,operand_latches,functional_units,result_bus,mem_bus,\
-         writeback_latch,regfile,memory,clock,total,phase"
-    );
-    // One row per simulated cycle, all tagged with a phase.
-    assert_eq!(text.lines().count() as u64, run.stats.cycles + 1);
-    assert!(lines.next().unwrap().ends_with(",startup"));
-    assert!(text.lines().last().unwrap().ends_with(",output permutation"));
-
-    assert_eq!(text.len(), 2_292_294, "cycle CSV length drifted");
-    assert_eq!(fnv1a(text.as_bytes()), 0xF094_1726_B3BA_9BD6, "cycle CSV bytes drifted");
 }
 
 #[test]

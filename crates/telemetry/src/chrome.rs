@@ -114,29 +114,38 @@ impl ChromeTrace {
         for lane in 0..=STALL_LANE {
             self.close(lane);
         }
-        let mut out = String::new();
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
         // Lane-name metadata first: tid 0 = phases, 1..=5 = stages, 6 = stalls.
-        let mut names = vec!["phase markers".to_string()];
-        names.extend(STAGES.iter().map(|s| s.to_string()));
-        names.push("stalls".to_string());
-        for (tid, name) in names.iter().enumerate() {
-            out.push_str(&format!(
-                r#"{{"name":"thread_name","ph":"M","pid":1,"tid":{tid},"args":{{"name":"{}"}}}}"#,
-                escape_json(name),
-            ));
-            out.push_str(",\n");
-        }
-        for (i, e) in self.events.iter().enumerate() {
-            out.push_str(e);
-            if i + 1 < self.events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+        let mut lanes = vec!["phase markers".to_string()];
+        lanes.extend(STAGES.iter().map(|s| s.to_string()));
+        lanes.push("stalls".to_string());
+        chrome_trace_json(&lanes, &self.events)
     }
+}
+
+/// Renders a Chrome trace-event document: `displayTimeUnit`, one
+/// `thread_name` metadata row per lane (`lanes[tid]` names thread `tid`
+/// of process 1), then `events`, one rendered event object per line,
+/// comma-joined.
+pub fn chrome_trace_json(lanes: &[String], events: &[String]) -> String {
+    let mut out = String::new();
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
+    for (tid, name) in lanes.iter().enumerate() {
+        let _ = write!(
+            out,
+            r#"{{"name":"thread_name","ph":"M","pid":1,"tid":{tid},"args":{{"name":"{}"}}}}"#,
+            escape_json(name),
+        );
+        out.push_str(",\n");
+    }
+    for (i, e) in events.iter().enumerate() {
+        out.push_str(e);
+        if i + 1 < events.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out.push_str("]}\n");
+    out
 }
 
 impl RunObserver for ChromeTrace {

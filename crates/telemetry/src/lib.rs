@@ -15,9 +15,10 @@
 //!   typed [`MetricsSnapshot`].
 //! * [`ChromeTrace`] — Chrome trace-event JSON (one lane per pipeline
 //!   stage, phase markers as instant events) for `chrome://tracing` /
-//!   Perfetto.
-//! * [`CycleCsv`], [`metrics_csv`], [`summary`] — per-cycle energy CSV,
-//!   per-phase metrics CSV, and the human-readable run report.
+//!   Perfetto; [`chrome_trace_json`] renders the document wrapper for
+//!   any lane set.
+//! * [`metrics_csv`], [`summary`] — the per-phase metrics CSV and the
+//!   human-readable run report.
 //! * [`Event`] / [`EventSink`] / [`EventBus`] — the live campaign event
 //!   stream: structured replayable + operational events, a zero-cost
 //!   null sink (same compile-time routing as `PipelineHook`), and a
@@ -54,19 +55,15 @@ mod observer;
 mod span;
 mod stream;
 
-pub use chrome::{escape_json, ChromeTrace};
+pub use chrome::{chrome_trace_json, escape_json, ChromeTrace};
 pub use events::{Event, EventSink, NullSink};
-pub use export::{
-    campaign_csv, campaign_summary, host_context, metrics_csv, recovery_coverage, recovery_summary,
-    summary, summary_with_host, CampaignTrial, CycleCsv, HostContext, RecoveryTotals,
-    COMPONENT_COLUMNS,
-};
+pub use export::{host_context, metrics_csv, summary, summary_with_host, HostContext};
 pub use metrics::{
-    Histogram, MergeError, MetricsRegistry, MetricsSnapshot, MixEntry, PhaseMetrics, OP_CLASSES,
+    Histogram, MetricsRegistry, MetricsSnapshot, MixEntry, PhaseMetrics, OP_CLASSES,
 };
 pub use observer::{PhaseEvent, RunObserver};
 pub use span::{Span, SpanId};
-pub use stream::{EventBus, DEFAULT_BUS_CAPACITY};
+pub use stream::EventBus;
 
 /// 64-bit FNV-1a: the dependency-free hash behind checkpoint fingerprints
 /// and checksums and the committed digests that pin exporter output.

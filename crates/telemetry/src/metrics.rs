@@ -5,38 +5,6 @@ use crate::observer::{PhaseEvent, RunObserver};
 use emask_cpu::{CycleActivity, RunResult};
 use emask_energy::{ComponentEnergy, CycleEnergy};
 use emask_isa::OpClass;
-use std::fmt;
-
-/// Why two telemetry accumulators could not be combined.
-///
-/// Parallel drivers observe each worker's encryptions into a private
-/// [`MetricsRegistry`] and fold the partials together at join; a shape
-/// disagreement means the workers measured incomparable things and the
-/// merged numbers would be garbage, so it surfaces as a typed error.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MergeError {
-    /// The histograms have different bucket widths or bucket counts.
-    HistogramShape {
-        /// This accumulator's (width, bucket-count).
-        expected: (f64, usize),
-        /// The other accumulator's (width, bucket-count).
-        got: (f64, usize),
-    },
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::HistogramShape { expected, got } => write!(
-                f,
-                "histogram shapes differ: {} buckets of {} pJ vs {} buckets of {} pJ",
-                expected.1, expected.0, got.1, got.0
-            ),
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
 
 /// All instruction classes, in a fixed reporting order.
 pub const OP_CLASSES: [OpClass; 8] = [
@@ -143,11 +111,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// The bucket width.
-    pub(crate) fn bucket_width(&self) -> f64 {
-        self.width
-    }
-
     /// Number of recorded samples (finite or not).
     pub fn count(&self) -> u64 {
         self.n
@@ -229,31 +192,6 @@ impl Histogram {
             below = through;
         }
         self.max()
-    }
-
-    /// Absorbs another histogram's samples, bucket by bucket.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::HistogramShape`] when the bucket widths or counts
-    /// differ; the histogram is left unchanged.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), MergeError> {
-        if self.width != other.width || self.counts.len() != other.counts.len() {
-            return Err(MergeError::HistogramShape {
-                expected: (self.width, self.counts.len()),
-                got: (other.width, other.counts.len()),
-            });
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a = a.saturating_add(*b);
-        }
-        self.overflow = self.overflow.saturating_add(other.overflow);
-        self.n = self.n.saturating_add(other.n);
-        self.finite = self.finite.saturating_add(other.finite);
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        Ok(())
     }
 }
 
@@ -403,58 +341,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Absorbs another registry's counts — the join step of a parallel
-    /// campaign where each worker observed its own encryptions.
-    ///
-    /// Counters, the instruction mix, energy totals, and the cycle-energy
-    /// histogram add; phases merge **by name** (cycles and energy add, the
-    /// start cycle takes the minimum), with phases first seen in `other`
-    /// appended in their order of appearance; the run result keeps this
-    /// registry's if present, else adopts the other's — per-run pipeline
-    /// stats have no meaningful sum and the simulator's runs are identical
-    /// in shape anyway.
-    ///
-    /// # Errors
-    ///
-    /// [`MergeError::HistogramShape`] when the cycle-energy histograms
-    /// disagree in shape; counters are untouched on error.
-    pub fn merge(&mut self, other: &MetricsRegistry) -> Result<(), MergeError> {
-        // Validate before mutating anything.
-        if self.cycle_energy.bucket_width() != other.cycle_energy.bucket_width()
-            || self.cycle_energy.counts().len() != other.cycle_energy.counts().len()
-        {
-            return Err(MergeError::HistogramShape {
-                expected: (self.cycle_energy.bucket_width(), self.cycle_energy.counts().len()),
-                got: (other.cycle_energy.bucket_width(), other.cycle_energy.counts().len()),
-            });
-        }
-        self.cycle_energy.merge(&other.cycle_energy).expect("shape checked above");
-        self.cycles = self.cycles.saturating_add(other.cycles);
-        self.retired = self.retired.saturating_add(other.retired);
-        self.retired_secure = self.retired_secure.saturating_add(other.retired_secure);
-        self.stall_cycles = self.stall_cycles.saturating_add(other.stall_cycles);
-        self.flushed = self.flushed.saturating_add(other.flushed);
-        self.secure_cycles = self.secure_cycles.saturating_add(other.secure_cycles);
-        for (a, b) in self.mix.iter_mut().zip(&other.mix) {
-            a.normal = a.normal.saturating_add(b.normal);
-            a.secure = a.secure.saturating_add(b.secure);
-        }
-        self.energy += other.energy;
-        for theirs in &other.phases {
-            if let Some(ours) = self.phases.iter_mut().find(|p| p.name == theirs.name) {
-                ours.cycles = ours.cycles.saturating_add(theirs.cycles);
-                ours.energy += theirs.energy;
-                ours.start_cycle = ours.start_cycle.min(theirs.start_cycle);
-            } else {
-                self.phases.push(theirs.clone());
-            }
-        }
-        if self.run.is_none() {
-            self.run = other.run;
-        }
-        Ok(())
-    }
-
     fn current_phase(&mut self, cycle: u64) -> &mut PhaseMetrics {
         if self.phases.is_empty() {
             self.phases.push(PhaseMetrics {
@@ -565,13 +451,6 @@ mod tests {
         assert!((h.mean() - 10.0).abs() < 1e-12, "mean over finite samples only");
         assert_eq!(h.min(), 5.0);
         assert_eq!(h.max(), 15.0);
-        // Merging a NaN-tainted histogram keeps the combined stats clean.
-        let mut clean = Histogram::new(10.0, 3);
-        clean.record(25.0);
-        clean.merge(&h).expect("same shape");
-        assert_eq!(clean.finite_count(), 3);
-        assert!(clean.mean().is_finite());
-        assert_eq!(clean.max(), 25.0);
     }
 
     #[test]
@@ -665,74 +544,6 @@ mod tests {
         assert_eq!(round.cycles, 2);
         assert!((round.energy.total() - 2.0).abs() < 1e-12);
         assert!((snap.total_pj() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_merge_adds_samples_and_rejects_shape_mismatch() {
-        let mut a = Histogram::new(10.0, 3);
-        let mut b = Histogram::new(10.0, 3);
-        for v in [0.0, 15.0] {
-            a.record(v);
-        }
-        for v in [5.0, 35.0, -2.0] {
-            b.record(v);
-        }
-        a.merge(&b).expect("same shape");
-        assert_eq!(a.counts(), &[3, 1, 0]);
-        assert_eq!(a.overflow(), 1);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.min(), -2.0);
-        assert_eq!(a.max(), 35.0);
-        assert!((a.mean() - 53.0 / 5.0).abs() < 1e-12);
-
-        let narrow = Histogram::new(5.0, 3);
-        let before = a.clone();
-        let err = a.merge(&narrow).unwrap_err();
-        assert_eq!(err, MergeError::HistogramShape { expected: (10.0, 3), got: (5.0, 3) });
-        assert!(err.to_string().contains("histogram shapes differ"));
-        assert_eq!(a, before, "failed merge must not mutate");
-    }
-
-    #[test]
-    fn registry_merge_combines_counters_and_phases_by_name() {
-        let one_pj = |cycle| CycleEnergy {
-            cycle,
-            components: ComponentEnergy { clock: 1.0, ..Default::default() },
-        };
-        // Worker A: 2 startup cycles, then 1 cycle of "round 1".
-        let mut a = MetricsRegistry::new();
-        for c in 0..2 {
-            a.on_cycle(&CycleActivity::idle(c), &one_pj(c));
-        }
-        a.on_phase(&PhaseEvent { name: "round 1".into(), cycle: 2, index: 0 });
-        a.on_cycle(&CycleActivity::idle(2), &one_pj(2));
-        // Worker B: "round 1" and a phase A never saw.
-        let mut b = MetricsRegistry::new();
-        b.on_phase(&PhaseEvent { name: "round 1".into(), cycle: 0, index: 0 });
-        for c in 0..3 {
-            b.on_cycle(&CycleActivity::idle(c), &one_pj(c));
-        }
-        b.on_phase(&PhaseEvent { name: "round 2".into(), cycle: 3, index: 1 });
-        b.on_cycle(&CycleActivity::idle(3), &one_pj(3));
-
-        a.merge(&b).expect("same histogram shape");
-        let snap = a.snapshot();
-        assert_eq!(snap.cycles, 7);
-        assert!((snap.total_pj() - 7.0).abs() < 1e-12);
-        let round1 = snap.phase("round 1").expect("merged by name");
-        assert_eq!(round1.cycles, 4);
-        assert_eq!(round1.start_cycle, 0, "start takes the minimum");
-        assert_eq!(snap.phase("round 2").expect("adopted from other").cycles, 1);
-        assert_eq!(snap.phases.len(), 3); // startup, round 1, round 2
-        assert_eq!(snap.cycle_energy.count(), 7);
-    }
-
-    #[test]
-    fn registry_merge_is_associativity_friendly_for_empty() {
-        let mut empty = MetricsRegistry::new();
-        let other = MetricsRegistry::new();
-        empty.merge(&other).expect("empty merges");
-        assert_eq!(empty.snapshot().cycles, 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Default queue capacity: deep enough that a consumer flushing to disk
 /// never stalls a worker in practice, small enough to bound memory.
-pub const DEFAULT_BUS_CAPACITY: usize = 1024;
+const DEFAULT_BUS_CAPACITY: usize = 1024;
 
 #[derive(Debug)]
 struct BusState {

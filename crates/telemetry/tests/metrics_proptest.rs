@@ -1,14 +1,8 @@
-//! Property tests for the telemetry merge algebra: splitting a sample
-//! stream at any point, recording the halves into separate accumulators,
-//! and merging must equal recording the whole stream into one — the
-//! invariant the parallel campaign join step relies on. Covers the
-//! [`Histogram`] bucket/overflow/min/max counters (exact) and the mean
-//! (to float tolerance: the split changes `sum`'s addition bracketing),
-//! plus the [`MetricsRegistry`] counter/phase merge.
+//! Property tests for the telemetry histogram: its quantiles are
+//! monotone in `q` and bounded by the observed extremes, for any sample
+//! stream.
 
-use emask_cpu::{CycleActivity, RunResult};
-use emask_energy::{ComponentEnergy, CycleEnergy};
-use emask_telemetry::{Histogram, MetricsRegistry, PhaseEvent, RunObserver};
+use emask_telemetry::Histogram;
 use proptest::prelude::*;
 
 const POOL: usize = 64;
@@ -30,110 +24,8 @@ fn record_all(values: &[f64]) -> Histogram {
     h
 }
 
-fn check_split_equals_whole(values: &[f64], cut: usize) {
-    let whole = record_all(values);
-    let mut left = record_all(&values[..cut]);
-    let right = record_all(&values[cut..]);
-    left.merge(&right).expect("same shape");
-    assert_eq!(left.counts(), whole.counts());
-    assert_eq!(left.overflow(), whole.overflow());
-    assert_eq!(left.count(), whole.count());
-    assert_eq!(left.finite_count(), whole.finite_count());
-    assert_eq!(left.min().to_bits(), whole.min().to_bits());
-    assert_eq!(left.max().to_bits(), whole.max().to_bits());
-    // `sum` brackets differently across the split: tolerance, not bits.
-    assert!((left.mean() - whole.mean()).abs() <= 1e-9);
-    // Conservation: every sample is in a bucket or in overflow.
-    let bucketed: u64 = whole.counts().iter().sum();
-    assert_eq!(bucketed + whole.overflow(), whole.count());
-}
-
-/// Drives `cycles[lo..hi]` into a registry, announcing the "round 1"
-/// marker at `phase_at` — or at the half's first cycle when the split
-/// lands after the marker (exactly what a campaign worker resuming
-/// mid-phase does).
-fn drive(reg: &mut MetricsRegistry, energies: &[f64], lo: usize, hi: usize, phase_at: usize) {
-    let marker_at = phase_at.max(lo);
-    for (c, &e) in energies.iter().enumerate().take(hi).skip(lo) {
-        if c == marker_at {
-            reg.on_phase(&PhaseEvent { name: "round 1".into(), cycle: c as u64, index: 0 });
-        }
-        let energy = CycleEnergy {
-            cycle: c as u64,
-            components: ComponentEnergy { clock: e, ..Default::default() },
-        };
-        reg.on_cycle(&CycleActivity::idle(c as u64), &energy);
-    }
-    reg.on_finish(&RunResult::default());
-}
-
-fn check_registry_split(energies: &[f64], cut: usize, phase_at: usize) {
-    let mut whole = MetricsRegistry::new();
-    drive(&mut whole, energies, 0, energies.len(), phase_at);
-    let mut left = MetricsRegistry::new();
-    drive(&mut left, energies, 0, cut, phase_at);
-    let mut right = MetricsRegistry::new();
-    drive(&mut right, energies, cut, energies.len(), phase_at);
-    left.merge(&right).expect("same histogram shape");
-    let (a, b) = (left.snapshot(), whole.snapshot());
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.stall_cycles, b.stall_cycles);
-    assert_eq!(a.retired, b.retired);
-    assert_eq!(a.cycle_energy.counts(), b.cycle_energy.counts());
-    assert_eq!(a.cycle_energy.overflow(), b.cycle_energy.overflow());
-    assert!((a.total_pj() - b.total_pj()).abs() <= 1e-6);
-    let phase = |s: &emask_telemetry::MetricsSnapshot, name: &str| {
-        s.phase(name).map(|p| p.cycles).unwrap_or(0)
-    };
-    assert_eq!(phase(&a, "round 1"), phase(&b, "round 1"));
-    assert_eq!(
-        phase(&a, MetricsRegistry::STARTUP_PHASE),
-        phase(&b, MetricsRegistry::STARTUP_PHASE)
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn histogram_merge_of_splits_equals_whole(ps in samples_and_split()) {
-        let (pool, cut) = ps;
-        check_split_equals_whole(&pool, cut);
-    }
-
-    #[test]
-    fn histogram_merge_with_specials_keeps_counts_consistent(
-        ps in samples_and_split(),
-        specials in proptest::collection::vec(0usize..3, 0..4),
-    ) {
-        // Sprinkle NaN/±inf among the finite samples; the split/merge
-        // identity must still hold, and the stats must stay finite.
-        let (pool, cut) = ps;
-        let mut values = pool;
-        for s in specials {
-            values.push([f64::NAN, f64::INFINITY, f64::NEG_INFINITY][s]);
-        }
-        let cut = cut % (values.len() + 1);
-        check_split_equals_whole(&values, cut);
-        prop_assert!(record_all(&values).mean().is_finite());
-    }
-
-    #[test]
-    fn boundary_values_bucket_consistently_after_merge(k in 0u32..25) {
-        // A sample exactly on bucket boundary k lands in bucket k (or
-        // overflow past the end) whether recorded directly or merged in.
-        let v = f64::from(k) * 25.0;
-        let direct = record_all(&[v]);
-        let mut merged = Histogram::new(25.0, 20);
-        merged.merge(&direct).expect("same shape");
-        let idx = k as usize;
-        if idx < 20 {
-            prop_assert_eq!(merged.counts()[idx], 1);
-            prop_assert_eq!(merged.overflow(), 0);
-        } else {
-            prop_assert_eq!(merged.overflow(), 1);
-        }
-    }
 
     #[test]
     fn quantiles_are_monotone_and_bounded(
@@ -155,32 +47,5 @@ proptest! {
         // The extremes pin to the exact extremes.
         prop_assert_eq!(h.quantile(0.0), h.min());
         prop_assert_eq!(h.quantile(1.0), h.max());
-    }
-
-    #[test]
-    fn quantiles_survive_the_split_merge_identity(
-        ps in samples_and_split(),
-        q in 0u32..101,
-    ) {
-        // quantile() reads only counts/width/min/max — state the merge
-        // reconstructs exactly — so split+merge must answer identically
-        // to recording the whole stream, bit for bit.
-        let (pool, cut) = ps;
-        let whole = record_all(&pool);
-        let mut left = record_all(&pool[..cut]);
-        left.merge(&record_all(&pool[cut..])).expect("same shape");
-        let q = f64::from(q) / 100.0;
-        prop_assert_eq!(left.quantile(q).to_bits(), whole.quantile(q).to_bits());
-    }
-
-    #[test]
-    fn registry_merge_of_splits_equals_whole(
-        energies in proptest::collection::vec(0.0f64..500.0, 1..40),
-        cut_frac in 0usize..40,
-        phase_frac in 0usize..40,
-    ) {
-        let cut = cut_frac % (energies.len() + 1);
-        let phase_at = phase_frac % energies.len();
-        check_registry_split(&energies, cut, phase_at);
     }
 }

@@ -61,7 +61,7 @@ pub use emask_par as par;
 pub use emask_telemetry as telemetry;
 
 pub use emask_core::{
-    ChromeTrace, CycleCsv, EncryptionRun, EnergyParams, EnergyTrace, MaskPolicy, MaskedDes,
-    MaskedXtea, MetricsRegistry, MetricsSnapshot, Phase, RunObserver, SecureStyle,
+    ChromeTrace, EncryptionRun, EnergyParams, EnergyTrace, MaskPolicy, MaskedDes, MaskedXtea,
+    MetricsRegistry, MetricsSnapshot, Phase, RunObserver, SecureStyle,
 };
 pub use emask_des::{Des, KeySchedule};

@@ -168,3 +168,23 @@ fn memory_exhaustion_is_a_clean_fault() {
     let err = cpu.run(1_000).unwrap_err();
     assert!(matches!(err.kind, emask::cpu::CpuErrorKind::Memory(_)));
 }
+
+#[test]
+fn corrupted_sbox_fails_the_round_one_window_check() {
+    // `encrypt_window` stops at the marker that ends its window, before
+    // the ciphertext exists, so the round-state check there is the only
+    // thing between a corrupted table and an accepted attack trace.
+    // Flip bit 0 of every S-box 1 entry: round 1's f output changes.
+    let mut des = des();
+    let window = des
+        .encrypt(PLAINTEXT, KEY)
+        .expect("clean run")
+        .phase_window(emask::Phase::Round(1))
+        .expect("round 1");
+    let base = ((des.program().data_addr("sbox") - emask::isa::DATA_BASE) / 4) as usize;
+    for entry in &mut des.program_mut().data[base..base + 64] {
+        *entry ^= 1;
+    }
+    let err = des.encrypt_window(PLAINTEXT, KEY, window).expect_err("corrupted S-box 1");
+    assert!(matches!(err, emask::core::RunError::Mismatch { .. }), "{err:?}");
+}
