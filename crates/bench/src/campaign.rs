@@ -1,12 +1,16 @@
 //! Fault-injection campaigns: sweep faults across cycles × bit positions
 //! × locations, classify every outcome, and export the results.
 //!
-//! A campaign takes a compiled [`MaskedDes`] and runs it once cleanly
-//! (baseline cycle count, golden-model check), then once per trial with a
-//! single planned fault installed through
-//! [`MaskedDes::encrypt_hooked`] as a `(FaultInjector, DualRailChecker)`
-//! hook pair. Each trial is classified into exactly one
-//! [`FaultOutcome`]:
+//! A campaign takes a compiled [`MaskedDes`] and records its clean run
+//! once as a [`CleanLadder`] (baseline cycle count, golden-model check,
+//! the machine at every checkpoint boundary), then runs each trial with a
+//! single planned fault installed as a `(FaultInjector, DualRailChecker)`
+//! hook pair. Every trial uses the same block, so a trial forks from the
+//! last rung before its fault can strike and stops once its machine
+//! rejoins the clean run ([`MaskedDes::encrypt_forked`]); it classifies
+//! exactly as the same trial simulated from reset
+//! ([`run_campaign_from_reset`]). Each trial is classified into exactly
+//! one [`FaultOutcome`]:
 //!
 //! * **no-effect** — the run completed and the ciphertext matched the
 //!   reference DES (the runner validates every accepted run against the
@@ -37,8 +41,8 @@
 //! pipeline lane × rail mode, registers, data memory, fetch squash, and
 //! op-class-triggered strikes on the secure load path.
 
-use emask_core::{MaskedDes, RecoveryPolicy, RecoveryStats, RunError};
-use emask_cpu::{CpuErrorKind, FaultLane, NullHook, RailMode};
+use emask_core::{CleanLadder, MaskedDes, RecoveryPolicy, RecoveryStats, RunError};
+use emask_cpu::{CpuErrorKind, FaultLane, PipelineHook, RailMode};
 use emask_fault::{
     DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
 };
@@ -126,9 +130,9 @@ pub struct CampaignConfig {
     /// The key of every trial.
     pub key: u64,
     /// Checkpoint/rollback recovery policy. `None` (the default) runs
-    /// each trial fail-stop through `encrypt_hooked` — a detected fault
-    /// aborts the run ([`FaultOutcome::Detected`]). `Some` routes trials
-    /// through `encrypt_recovered`, turning detections into
+    /// each trial fail-stop, as `encrypt_hooked` would — a detected fault
+    /// aborts the run ([`FaultOutcome::Detected`]). `Some` runs trials as
+    /// `encrypt_recovered` would, turning detections into
     /// [`FaultOutcome::Recovered`] or [`FaultOutcome::Zeroized`].
     pub recovery: Option<RecoveryPolicy>,
     /// Overrides the per-trial cycle budget. `None` (the default) uses
@@ -171,29 +175,29 @@ pub struct CampaignTrial {
     pub model: String,
     /// The classified outcome.
     pub outcome: FaultOutcome,
-    /// Free-form detail (an error message, or empty).
+    /// Free-form detail (an error message, or empty), with every comma
+    /// and newline turned into `;`.
     pub detail: String,
 }
 
 impl CampaignTrial {
     /// Appends the trial as one CSV row
     /// (`trial,cycle,bit,target,model,outcome,detail` and a newline) —
-    /// the row of both the campaign CSV and the campaign checkpoint.
-    /// Commas and newlines in the free-form detail become `;`, so the
-    /// document stays one row per trial without a quoting dialect.
+    /// the row of both the campaign CSV and the campaign checkpoint. A
+    /// campaign's details hold no comma or newline (they become `;` when
+    /// the trial is classified), so the row needs no quoting dialect.
     pub(crate) fn write_row(&self, out: &mut String) {
-        let _ = write!(
+        let _ = writeln!(
             out,
-            "{},{},{},{},{},{},",
+            "{},{},{},{},{},{},{}",
             self.index,
             self.cycle,
             self.bit,
             self.target,
             self.model,
-            self.outcome.name()
+            self.outcome.name(),
+            self.detail
         );
-        out.extend(self.detail.chars().map(|c| if c == ',' || c == '\n' { ';' } else { c }));
-        out.push('\n');
     }
 }
 
@@ -458,21 +462,38 @@ fn classify(result: &Result<RecoveryStats, RunError>) -> (FaultOutcome, String) 
     }
 }
 
+/// The earliest cycle at which a fault on `trigger` can strike. A trial
+/// forks from the clean run's last rung at or below it. Retirement and
+/// op-class triggers count from reset, so their trials fork from cycle 0.
+fn earliest_strike(trigger: FaultTrigger) -> u64 {
+    match trigger {
+        FaultTrigger::AtCycle(c) | FaultTrigger::CycleWindow { start: c, .. } => c,
+        FaultTrigger::AtRetired(_) | FaultTrigger::OnOpClass { .. } => 0,
+    }
+}
+
+/// The hook of one trial: the planned fault and the dual-rail checker.
+type TrialHook = (FaultInjector, DualRailChecker);
+
 /// The prepared per-trial execution context of
-/// [`run_campaign`](crate::run_campaign): the cycle-limited core plus the
-/// lattice parameters derived from the clean baseline run.
+/// [`run_campaign`](crate::run_campaign): the cycle-limited core, the
+/// clean run's ladder, and the lattice parameters derived from it.
 pub(crate) struct TrialRunner {
     des: MaskedDes,
     cfg: CampaignConfig,
     bits: Vec<u8>,
-    clean_cycles: u64,
+    ladder: CleanLadder,
     key_addr: Option<u32>,
 }
 
 impl TrialRunner {
-    /// Runs the clean baseline and derives the trial lattice parameters.
+    /// Records the clean run as a ladder at the campaign's checkpoint
+    /// cadence (the default policy's when trials are fail-stop) and
+    /// derives the trial lattice parameters from it.
     pub(crate) fn prepare(des: &MaskedDes, cfg: &CampaignConfig) -> Result<Self, RunError> {
-        let clean_cycles = des.encrypt_hooked(cfg.plaintext, cfg.key, &mut NullHook)?.cycles;
+        let cadence = cfg.recovery.unwrap_or_default().cadence;
+        let ladder = des.clean_ladder(cfg.plaintext, cfg.key, cadence)?;
+        let clean_cycles = ladder.run().stats.cycles;
         // A faulted run that loops forever must terminate promptly:
         // twice the clean run is generous for any non-looping
         // perturbation. An explicit override exists for hang-path tests.
@@ -480,12 +501,12 @@ impl TrialRunner {
         let des = des.clone().with_cycle_limit(limit);
         let key_addr = des.program().try_data_addr("key");
         let bits = if cfg.bits.is_empty() { vec![0u8] } else { cfg.bits.clone() };
-        Ok(Self { des, cfg: cfg.clone(), bits, clean_cycles, key_addr })
+        Ok(Self { des, cfg: cfg.clone(), bits, ladder, key_addr })
     }
 
     /// Cycle count of the clean baseline run.
     pub(crate) fn clean_cycles(&self) -> u64 {
-        self.clean_cycles
+        self.ladder.run().stats.cycles
     }
 
     /// Whether trials run under a recovery policy.
@@ -493,16 +514,50 @@ impl TrialRunner {
         self.cfg.recovery.is_some()
     }
 
-    /// Runs trial `i` of the deterministic lattice and classifies it.
-    /// Never panics outward: the trial body runs under a per-trial panic
-    /// catch, so a panicking trial becomes data, its shard keeps going,
-    /// and the campaign completes.
+    /// Runs trial `i` of the deterministic lattice, forked from the clean
+    /// run's ladder, and classifies it.
     pub(crate) fn run_trial(&self, i: usize) -> (CampaignTrial, RecoveryStats) {
+        self.trial(i, |hook, fork_at| self.run_forked(hook, fork_at))
+    }
+
+    /// One trial's run, forked from the ladder at `fork_at`. A fail-stop
+    /// trial reports no recovery counters.
+    fn run_forked<H: PipelineHook>(
+        &self,
+        hook: &mut H,
+        fork_at: u64,
+    ) -> Result<RecoveryStats, RunError> {
+        let policy = self.cfg.recovery.as_ref();
+        let run = self.des.encrypt_forked(&self.ladder, fork_at, hook, policy)?;
+        Ok(if policy.is_some() { run.recovery } else { RecoveryStats::default() })
+    }
+
+    /// One trial's run from reset: the reference a forked trial must
+    /// match.
+    fn run_from_reset<H: PipelineHook>(&self, hook: &mut H) -> Result<RecoveryStats, RunError> {
+        let (plaintext, key) = (self.cfg.plaintext, self.cfg.key);
+        match &self.cfg.recovery {
+            Some(policy) => {
+                self.des.encrypt_recovered(plaintext, key, hook, policy).map(|r| r.recovery)
+            }
+            None => self.des.encrypt_hooked(plaintext, key, hook).map(|_| RecoveryStats::default()),
+        }
+    }
+
+    /// Builds trial `i`'s fault, runs it with `run(hook, earliest strike)`
+    /// and classifies the result. Never panics outward: the run goes
+    /// under a per-trial panic catch, so a panicking trial becomes data,
+    /// its shard keeps going, and the campaign completes.
+    fn trial(
+        &self,
+        i: usize,
+        run: impl FnOnce(&mut TrialHook, u64) -> Result<RecoveryStats, RunError>,
+    ) -> (CampaignTrial, RecoveryStats) {
         let cfg = &self.cfg;
         // Spread strike cycles across the whole clean run. The spec and
         // its report names are computed *outside* the panic catch so a
         // panicking trial still reports what it was attempting.
-        let cycle = (i as u64).wrapping_mul(self.clean_cycles) / cfg.trials.max(1) as u64;
+        let cycle = (i as u64).wrapping_mul(self.clean_cycles()) / cfg.trials.max(1) as u64;
         let bit = self.bits[i % self.bits.len()];
         let (spec, target_name) = trial_spec(i, cycle, bit, self.key_addr);
         let model_name = spec.model.name().to_string();
@@ -511,16 +566,7 @@ impl TrialRunner {
                 panic!("campaign self-test panic (trial {i})");
             }
             let mut hook = (FaultInjector::new(FaultPlan::single(spec)), DualRailChecker::new());
-            match &cfg.recovery {
-                Some(policy) => self
-                    .des
-                    .encrypt_recovered(cfg.plaintext, cfg.key, &mut hook, policy)
-                    .map(|r| r.recovery),
-                None => self
-                    .des
-                    .encrypt_hooked(cfg.plaintext, cfg.key, &mut hook)
-                    .map(|_| RecoveryStats::default()),
-            }
+            run(&mut hook, earliest_strike(spec.trigger))
         });
         let (outcome, detail, stats) = match caught {
             Ok(result) => {
@@ -538,6 +584,10 @@ impl TrialRunner {
             }
             Err(p) => (FaultOutcome::Panic, p.to_string(), RecoveryStats::default()),
         };
+        // Commas and newlines in the free-form detail become `;` once,
+        // here, so the CSV stays one row per trial without a quoting
+        // dialect and a row read back from a checkpoint equals this one.
+        let detail = detail.replace([',', '\n'], ";");
         let trial = CampaignTrial {
             index: i,
             cycle,
@@ -549,6 +599,35 @@ impl TrialRunner {
         };
         (trial, stats)
     }
+}
+
+/// The reference a fault campaign is held to: every trial of `cfg`'s
+/// lattice run serially **from reset** — a fresh machine simulated from
+/// cycle 0 to the end through [`MaskedDes::encrypt_recovered`], or
+/// [`MaskedDes::encrypt_hooked`] when trials are fail-stop — instead of
+/// forked from the clean run's ladder as
+/// [`run_campaign`](crate::run_campaign) runs them. Its trials and
+/// recovery totals equal the campaign's; it only simulates more cycles.
+///
+/// # Errors
+///
+/// The clean baseline run's [`RunError`], as for `run_campaign`.
+pub fn run_campaign_from_reset(
+    des: &MaskedDes,
+    cfg: &CampaignConfig,
+) -> Result<CampaignReport, RunError> {
+    let runner = TrialRunner::prepare(des, cfg)?;
+    let mut recovery = RecoveryTotals::default();
+    let trials = (0..cfg.trials)
+        .map(|i| {
+            let (trial, stats) = runner.trial(i, |hook, _| runner.run_from_reset(hook));
+            if runner.recovery_enabled() {
+                recovery.absorb(&stats);
+            }
+            trial
+        })
+        .collect();
+    Ok(CampaignReport::new(trials, runner.clean_cycles(), recovery))
 }
 
 #[cfg(test)]
@@ -702,18 +781,25 @@ mod tests {
 
     #[test]
     fn campaign_csv_is_one_row_per_trial_with_sanitized_detail() {
-        let trials = vec![
-            trial(0, FaultOutcome::NoEffect, ""),
-            trial(1, FaultOutcome::Crash, "cycle 3: fault, with comma\nnewline"),
-        ];
-        let csv = report(trials).csv();
+        let cfg = CampaignConfig { trials: 2, ..CampaignConfig::default() };
+        let runner = TrialRunner::prepare(&small_des(), &cfg).unwrap();
+        let (clean, _) = runner.trial(0, |_, _| Ok(RecoveryStats::default()));
+        let name = "fault, with comma\nnewline".to_string();
+        let (crash, _) = runner.trial(1, |_, _| Err(RunError::MissingSymbol { name }));
+        // The detail is flattened when the trial is classified, so the
+        // row a checkpoint reads back equals the trial itself.
+        assert_eq!(crash.detail, "program has no data symbol `fault; with comma;newline`");
+        let csv = report(vec![clean, crash]).csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "trial,cycle,bit,target,model,outcome,detail");
-        assert_eq!(lines[1], "0,0,0,id_ex.a,bit-flip,no-effect,");
-        // The detail's comma and newline were flattened to ';'.
+        assert!(
+            lines[1].starts_with("0,0,0,") && lines[1].ends_with(",no-effect,"),
+            "{}",
+            lines[1]
+        );
         assert_eq!(lines[2].split(',').count(), lines[0].split(',').count());
-        assert!(lines[2].ends_with("cycle 3: fault; with comma;newline"));
+        assert!(lines[2].ends_with(",crash,program has no data symbol `fault; with comma;newline`"));
     }
 
     #[test]
@@ -766,5 +852,47 @@ mod tests {
         let id_ex = cov.lines().find(|l| l.trim_start().starts_with("id_ex.a")).expect("row");
         assert!(id_ex.trim_end().ends_with('-'), "{id_ex}");
         assert!(cov.lines().last().expect("total").trim_start().starts_with("total"));
+    }
+
+    /// Counts the cycles a hook is stepped through, forwarding the rest.
+    struct CountSteps<'a, H> {
+        inner: H,
+        steps: &'a std::cell::Cell<u64>,
+    }
+
+    impl<H: PipelineHook> PipelineHook for CountSteps<'_, H> {
+        fn before_cycle(&mut self, ctx: &mut emask_cpu::HookCtx<'_>) {
+            self.steps.set(self.steps.get() + 1);
+            self.inner.before_cycle(ctx);
+        }
+        fn after_cycle(&mut self, act: &emask_cpu::CycleActivity) -> Result<(), CpuErrorKind> {
+            self.inner.after_cycle(act)
+        }
+        fn is_inert(&self, cycle: u64) -> bool {
+            self.inner.is_inert(cycle)
+        }
+    }
+
+    #[test]
+    #[ignore = "the 16-round lattice both ways: about 10 s in release; CI runs it"]
+    fn forked_16_round_trials_match_runs_from_reset_in_a_third_of_the_steps() {
+        let des = MaskedDes::compile(MaskPolicy::Selective).unwrap();
+        for recovery in [None, Some(RecoveryPolicy::default())] {
+            let cfg = CampaignConfig { trials: 128, recovery, ..CampaignConfig::default() };
+            let runner = TrialRunner::prepare(&des, &cfg).unwrap();
+            let (forked_steps, reset_steps) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+            for i in 0..cfg.trials {
+                let forked = runner.trial(i, |hook, fork_at| {
+                    runner
+                        .run_forked(&mut CountSteps { inner: hook, steps: &forked_steps }, fork_at)
+                });
+                let reset = runner.trial(i, |hook, _| {
+                    runner.run_from_reset(&mut CountSteps { inner: hook, steps: &reset_steps })
+                });
+                assert_eq!(forked, reset, "trial {i}, recovery {recovery:?}");
+            }
+            let (forked, reset) = (forked_steps.get(), reset_steps.get());
+            assert!(3 * forked <= reset, "{forked} forked vs {reset} steps from reset");
+        }
     }
 }

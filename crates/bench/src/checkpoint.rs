@@ -585,6 +585,7 @@ checksum 7ee934d71ea12900
         let fresh =
             run_campaign(&des, &v1_config(), Jobs::serial(), &CancelToken::new(), None, &NullSink)
                 .expect("fresh run");
+        assert_eq!(resumed.trials, fresh.trials);
         assert_eq!(resumed.csv(), fresh.csv());
         assert_eq!(resumed.summary(), fresh.summary());
         let _ = std::fs::remove_file(&path);

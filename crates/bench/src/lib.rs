@@ -47,7 +47,8 @@ pub mod loadgen;
 mod service;
 
 pub use campaign::{
-    CampaignConfig, CampaignReport, CampaignTrial, FaultOutcome, RecoveryTotals, OUTCOME_COUNT,
+    run_campaign_from_reset, CampaignConfig, CampaignReport, CampaignTrial, FaultOutcome,
+    RecoveryTotals, OUTCOME_COUNT,
 };
 pub use checkpoint::{
     run_campaign, run_campaign_resumable, run_campaign_resumable_events, CampaignCheckpoint,

@@ -53,6 +53,13 @@ fn tvla_window_len(rounds: usize) -> u64 {
     KEY_PERM_WINDOW_LEN + ROUND_WINDOW_LEN * rounds as u64
 }
 
+/// The rounds a TVLA or leakage job runs on: the device is capped at two,
+/// whatever round count the job names. Admission sizes the job by the
+/// same number.
+fn studied_rounds(rounds: usize) -> usize {
+    rounds.min(2)
+}
+
 fn compile(policy: MaskPolicy, rounds: usize) -> Result<MaskedDes, String> {
     MaskedDes::compile_spec(policy, &DesProgramSpec { rounds })
         .map_err(|e| format!("device compile failed: {e}"))
@@ -128,7 +135,7 @@ impl ExperimentRunner for BenchRunner {
             // `OnlineCpa`: Σt and Σt² plus Σh·t for each of 64 guesses.
             "cpa" => vectors(2 + 64, ROUND_WINDOW_LEN),
             // `OnlineWelch`: two Welford groups × (mean, m2).
-            "tvla" => vectors(2 * 2, tvla_window_len(spec.rounds)),
+            "tvla" => vectors(2 * 2, tvla_window_len(studied_rounds(spec.rounds))),
             // One outcome record per trial plus the recovery journal.
             "fault" => spec.trials as u64 * 128,
             // Per-instruction profile, bounded by program length.
@@ -241,7 +248,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                 }
             }
             "tvla" => {
-                let rounds = spec.rounds.min(2);
+                let rounds = studied_rounds(spec.rounds);
                 match experiments::tvla(
                     policy,
                     rounds,
@@ -265,7 +272,7 @@ fn run_experiment(spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
                         completed_trials: 0,
                     });
                 }
-                let rounds = spec.rounds.min(2);
+                let rounds = studied_rounds(spec.rounds);
                 let traces = spec.trials.clamp(6, 48);
                 let cmp = experiments::leakage_attribution(rounds, traces, spec.seed);
                 ctx.sink.emit(emask_telemetry::Event::CampaignCompleted {
@@ -397,6 +404,14 @@ mod tests {
             assert!(ROUND_WINDOW_LEN >= round1.len() as u64, "{rounds} rounds: {round1:?}");
             assert!(tvla_window_len(rounds) >= (last.end - kp.start) as u64, "{rounds} rounds");
         }
+    }
+
+    #[test]
+    fn tvla_admission_sizes_the_rounds_the_job_runs() {
+        let tvla = |rounds| JobSpec { experiment: "tvla".into(), rounds, ..JobSpec::default() };
+        let two = BenchRunner.admit(&tvla(2)).unwrap();
+        assert_eq!(BenchRunner.admit(&tvla(16)).unwrap(), two);
+        assert!(BenchRunner.admit(&tvla(1)).unwrap() < two);
     }
 
     #[test]

@@ -26,8 +26,15 @@
 //! no energy, and only the machine state rolls back. The conformance
 //! suite's checkpoint round trip (a bit-identical activity stream after a
 //! restore) is what shows that a rollback replays exactly.
+//!
+//! A fault campaign runs many faults against one block, so the same
+//! step loop also records the block's clean run as a [`CleanLadder`] —
+//! the machine at each checkpoint boundary — and
+//! [`crate::MaskedDes::encrypt_forked`] starts each trial from the last
+//! rung before its fault and stops it where it rejoins the clean run.
 
-use emask_cpu::{CpuBackend, CpuErrorKind};
+use crate::runner::RecoveredRun;
+use emask_cpu::{Cpu, CpuBackend, CpuErrorKind};
 use emask_isa::Reg;
 
 /// When the recovery runner takes a checkpoint.
@@ -74,6 +81,49 @@ pub struct RecoveryStats {
     /// Total dirty pages moved by checkpoint refreshes and restores — the
     /// measurable cost of the incremental memory scheme.
     pub pages_moved: u64,
+}
+
+/// A machine at a checkpoint boundary, with the recovery counters the run
+/// had there: the start of a run of the recovering step loop, and each
+/// rung of a [`CleanLadder`].
+#[derive(Debug, Clone)]
+pub(crate) struct Rung<B> {
+    pub(crate) machine: B,
+    pub(crate) recovery: RecoveryStats,
+}
+
+/// The most rungs a [`CleanLadder`] keeps. Past it the ladder drops every
+/// other rung, so a fine cadence (`Retired(1)` on 16 rounds would leave
+/// some 300 k boundaries of 32 KB RAM each) costs at most this many
+/// machines. Phase markers leave 20 rungs on 16 rounds, so they are never
+/// thinned.
+pub(crate) const MAX_RUNGS: usize = 64;
+
+/// The clean run of one block, kept as a ladder of its machine at the
+/// checkpoint boundaries of one [`CheckpointCadence`] — the base fault
+/// trials fork from
+/// ([`MaskedDes::clean_ladder`](crate::MaskedDes::clean_ladder),
+/// [`MaskedDes::encrypt_forked`](crate::MaskedDes::encrypt_forked)).
+///
+/// Rung 0 is the loaded machine at cycle 0; the others follow at
+/// boundaries in cycle order (every boundary, or every 2^k-th one if the
+/// cadence leaves more than 64). Each holds the machine right after the
+/// boundary's checkpoint refresh, with the run's [`RecoveryStats`] there.
+#[derive(Debug, Clone)]
+pub struct CleanLadder {
+    pub(crate) plaintext: u64,
+    pub(crate) key: u64,
+    pub(crate) cadence: CheckpointCadence,
+    pub(crate) rungs: Vec<Rung<Cpu>>,
+    pub(crate) run: RecoveredRun,
+}
+
+impl CleanLadder {
+    /// The clean run's result: its pipeline statistics (the baseline
+    /// cycle count among them) and checkpoint counters.
+    pub fn run(&self) -> &RecoveredRun {
+        &self.run
+    }
 }
 
 /// Whether a fault of this kind is a candidate for rollback recovery.

@@ -5,7 +5,8 @@ use crate::desgen::{
     MARKER_ROUND,
 };
 use crate::recovery::{
-    recoverable, zeroize_secrets, CheckpointCadence, RecoveryPolicy, RecoveryStats,
+    recoverable, zeroize_secrets, CheckpointCadence, CleanLadder, RecoveryPolicy, RecoveryStats,
+    Rung, MAX_RUNGS,
 };
 use emask_cc::{compile, CompileError, CompileOptions, MaskPolicy, SliceReport};
 use emask_cpu::AccessError;
@@ -607,6 +608,11 @@ impl MaskedDes {
     /// [`RecoveryPolicy::max_retries`] rollbacks the key material is
     /// zeroized and the run aborts with [`RunError::Zeroized`].
     ///
+    /// This is the one recovering step loop, run from reset with no clean
+    /// run to rejoin; [`MaskedDes::encrypt_forked`] runs the same loop
+    /// from a rung of a [`CleanLadder`] and stops where the run rejoins
+    /// it.
+    ///
     /// # Errors
     ///
     /// As for [`MaskedDes::encrypt_hooked`], plus [`RunError::Zeroized`]
@@ -648,17 +654,169 @@ impl MaskedDes {
         policy: &RecoveryPolicy,
     ) -> Result<RecoveredRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        let (mut cpu, marker_addr) = self.load_block::<B>(plaintext, key)?;
-        // The implicit cycle-0 checkpoint.
+        let (machine, _) = self.load_block::<B>(plaintext, key)?;
+        let start = Rung { machine, recovery: RecoveryStats::default() };
+        let retries = Some(policy.max_retries);
+        self.step_loop((plaintext, key), start, hook, policy.cadence, retries, |_, _, _| {
+            ControlFlow::Continue(())
+        })
+    }
+
+    /// Records the clean run of one block as a [`CleanLadder`]: the
+    /// recovering step loop with no hook, keeping the machine at every
+    /// checkpoint boundary of `cadence`. Fault campaigns record it once
+    /// and fork every trial from it with [`MaskedDes::encrypt_forked`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`MaskedDes::encrypt_hooked`]: the clean run must complete
+    /// within the cycle budget and match the golden model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this instance is a decryptor.
+    pub fn clean_ladder(
+        &self,
+        plaintext: u64,
+        key: u64,
+        cadence: CheckpointCadence,
+    ) -> Result<CleanLadder, RunError> {
+        assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
+        let (machine, _) = self.load_block::<Cpu>(plaintext, key)?;
+        let start = Rung { machine, recovery: RecoveryStats::default() };
+        let mut rungs = vec![start.clone()];
+        // Rungs sit at every `stride`-th boundary; when they overflow,
+        // every other one goes and the stride doubles.
+        let (mut boundaries, mut stride) = (0u64, 1u64);
+        let run = self.step_loop(
+            (plaintext, key),
+            start,
+            &mut NullHook,
+            cadence,
+            None,
+            |cpu, recovery, _| {
+                boundaries += 1;
+                if boundaries.is_multiple_of(stride) {
+                    rungs.push(Rung { machine: cpu.clone(), recovery: *recovery });
+                    if rungs.len() > MAX_RUNGS {
+                        rungs = std::mem::take(&mut rungs).into_iter().step_by(2).collect();
+                        stride *= 2;
+                    }
+                }
+                ControlFlow::Continue(())
+            },
+        )?;
+        Ok(CleanLadder { plaintext, key, cadence, rungs, run })
+    }
+
+    /// Runs the block of `ladder` with `hook` installed, **forked** from
+    /// the clean run: the run starts from the last rung at or below
+    /// `fork_at`, and stops as soon as it rejoins the clean run. Its
+    /// result equals that of running the same hook from reset —
+    /// [`MaskedDes::encrypt_recovered`] under `Some(policy)`, or a
+    /// fail-stop [`MaskedDes::encrypt_hooked`] under `None` — when the
+    /// hook leaves the machine alone before cycle `fork_at`.
+    ///
+    /// The run starts with the rung's cycle as its executed-steps count
+    /// and the rung's [`RecoveryStats`]. After each checkpoint refresh it
+    /// stops when three things hold: the hook [is
+    /// inert](PipelineHook::is_inert) from there on, the machine equals
+    /// the ladder's rung at the same cycle, and the clean run's remaining
+    /// cycles still fit the cycle budget. It then returns the clean run's
+    /// statistics, with the clean remainder's checkpoint and page
+    /// counters added to its own. The hook's own state (counters, event
+    /// logs) stops where the run does.
+    ///
+    /// Under `None` a detected fault ends the run as in
+    /// [`MaskedDes::encrypt_hooked`]; the checkpoints only serve to meet
+    /// the ladder, and the counters count them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`MaskedDes::encrypt_recovered`] under `Some`, and as for
+    /// [`MaskedDes::encrypt_hooked`] under `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this instance is a decryptor, or if `recovery`'s cadence
+    /// is not the one the ladder was recorded at.
+    pub fn encrypt_forked<H: PipelineHook>(
+        &self,
+        ladder: &CleanLadder,
+        fork_at: u64,
+        hook: &mut H,
+        recovery: Option<&RecoveryPolicy>,
+    ) -> Result<RecoveredRun, RunError> {
+        assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
+        let retries = recovery.map(|policy| {
+            assert_eq!(
+                policy.cadence, ladder.cadence,
+                "the ladder was recorded at another cadence"
+            );
+            policy.max_retries
+        });
+        // A rung past the budget would skip the cycle-limit error a run
+        // from reset meets on the way there.
+        let from = fork_at.min(self.cycle_limit);
+        let start = ladder
+            .rungs
+            .iter()
+            .rev()
+            .find(|r| r.machine.cycles() <= from)
+            .expect("rung 0 sits at cycle 0");
+        let clean = &ladder.run;
+        let block = (ladder.plaintext, ladder.key);
+        self.step_loop(block, start.clone(), hook, ladder.cadence, retries, |cpu, own, executed| {
+            let cycle = cpu.cycles();
+            let Ok(i) = ladder.rungs.binary_search_by_key(&cycle, |r| r.machine.cycles()) else {
+                return ControlFlow::Continue(());
+            };
+            let rung = &ladder.rungs[i];
+            let fits = executed + (clean.stats.cycles - cycle) <= self.cycle_limit;
+            if !fits || rung.machine != *cpu {
+                return ControlFlow::Continue(());
+            }
+            ControlFlow::Break(RecoveredRun {
+                stats: clean.stats,
+                recovery: RecoveryStats {
+                    checkpoints: own.checkpoints + clean.recovery.checkpoints
+                        - rung.recovery.checkpoints,
+                    rollbacks: own.rollbacks,
+                    pages_moved: own.pages_moved + clean.recovery.pages_moved
+                        - rung.recovery.pages_moved,
+                },
+            })
+        })
+    }
+
+    /// The recovering step loop, from `start` until `halt` or until
+    /// `at_rest` breaks. It takes a checkpoint at every boundary of
+    /// `cadence`; a step error the core detects rolls back to the last
+    /// one while `retries` (`Some(max_retries)`) allows, zeroizing the key
+    /// when they run out, and ends the run under `None` (fail-stop).
+    /// After each checkpoint refresh at which the hook is inert,
+    /// `at_rest(machine, counters, executed)` may end the run with a
+    /// result of its own.
+    fn step_loop<B: CpuBackend, H: PipelineHook>(
+        &self,
+        (plaintext, key): (u64, u64),
+        start: Rung<B>,
+        hook: &mut H,
+        cadence: CheckpointCadence,
+        retries: Option<u32>,
+        mut at_rest: impl FnMut(&B, &RecoveryStats, u64) -> ControlFlow<RecoveredRun>,
+    ) -> Result<RecoveredRun, RunError> {
+        let marker_addr = self.data_sym("marker")?;
+        let Rung { machine: mut cpu, mut recovery } = start;
+        // The checkpoint at the start: cycle 0, or the rung forked from.
         let mut cp = cpu.checkpoint();
-        let mut recovery = RecoveryStats::default();
         // Steps actually executed, *including* re-executed windows. The
         // architectural cycle counter rolls back with the checkpoint, so
         // the budget is enforced on this monotone counter instead. That,
         // and catching each step's error to roll back, is why this loop
         // drives `step` itself rather than `run_with`, whose budget is the
         // backend clock and which ends the run on the first error.
-        let mut executed: u64 = 0;
+        let mut executed: u64 = cpu.cycles();
 
         while !cpu.is_halted() {
             if executed >= self.cycle_limit {
@@ -670,7 +828,7 @@ impl MaskedDes {
             executed += 1;
             match cpu.step(hook) {
                 Ok(act) => {
-                    let boundary = match policy.cadence {
+                    let boundary = match cadence {
                         CheckpointCadence::Retired(n) => {
                             n > 0 && cpu.stats().retired - cp.retired() >= n
                         }
@@ -682,18 +840,30 @@ impl MaskedDes {
                         cpu.checkpoint_refresh(&mut cp);
                         recovery.checkpoints += 1;
                         recovery.pages_moved += cp.pages_moved() as u64;
+                        // Decided only here: no later rollback goes below
+                        // this refresh, so an inert hook stays inert.
+                        if hook.is_inert(cpu.cycles()) {
+                            if let ControlFlow::Break(run) = at_rest(&cpu, &recovery, executed) {
+                                return Ok(run);
+                            }
+                        }
                     }
                 }
-                Err(e) if recoverable(e.kind) => {
-                    if recovery.rollbacks >= policy.max_retries {
-                        zeroize_secrets(&mut cpu, self.data_sym("key")?);
-                        return Err(RunError::Zeroized { rollbacks: recovery.rollbacks, last: e });
+                Err(e) => match retries {
+                    Some(max_retries) if recoverable(e.kind) => {
+                        if recovery.rollbacks >= max_retries {
+                            zeroize_secrets(&mut cpu, self.data_sym("key")?);
+                            return Err(RunError::Zeroized {
+                                rollbacks: recovery.rollbacks,
+                                last: e,
+                            });
+                        }
+                        recovery.rollbacks += 1;
+                        cpu.checkpoint_restore(&mut cp);
+                        recovery.pages_moved += cp.pages_moved() as u64;
                     }
-                    recovery.rollbacks += 1;
-                    cpu.checkpoint_restore(&mut cp);
-                    recovery.pages_moved += cp.pages_moved() as u64;
-                }
-                Err(e) => return Err(RunError::Cpu(e)),
+                    _ => return Err(RunError::Cpu(e)),
+                },
             }
         }
         self.read_validated_output(&cpu, plaintext, key)?;
@@ -1140,6 +1310,9 @@ mod tests {
             }
             Ok(())
         }
+        fn is_inert(&self, cycle: u64) -> bool {
+            self.fired || self.at_cycle < cycle
+        }
     }
 
     /// A persistent (stuck-at) detection: fires at every cycle at or past
@@ -1238,6 +1411,59 @@ mod tests {
             err,
             RunError::Cpu(CpuError { kind: CpuErrorKind::CycleLimit { limit: 100 }, .. })
         ));
+    }
+
+    #[test]
+    fn forked_runs_equal_runs_from_reset_on_a_thinned_ladder_too() {
+        let des = two_rounds(MaskPolicy::Selective);
+        let clean = des.encrypt(PLAIN, KEY).expect("clean run").stats;
+        // Phase markers leave one rung per marker; a 40-instruction
+        // cadence leaves hundreds of boundaries, thinned to at most
+        // MAX_RUNGS rungs.
+        for (cadence, rungs) in [
+            (CheckpointCadence::PhaseMarkers, 6..=6),
+            (CheckpointCadence::Retired(40), 33..=MAX_RUNGS),
+        ] {
+            let ladder = des.clean_ladder(PLAIN, KEY, cadence).expect("ladder");
+            assert!(
+                rungs.contains(&ladder.rungs.len()),
+                "{cadence:?}: {} rungs",
+                ladder.rungs.len()
+            );
+            assert!(ladder.rungs.windows(2).all(|w| w[0].machine.cycles() < w[1].machine.cycles()));
+            assert_eq!(ladder.run.stats, clean);
+            let policy = RecoveryPolicy { cadence, ..RecoveryPolicy::default() };
+            for at_cycle in [clean.cycles / 5, clean.cycles / 2, clean.cycles * 4 / 5] {
+                let fault = || TransientFault { at_cycle, fired: false };
+                let forked = des.encrypt_forked(&ladder, at_cycle, &mut fault(), Some(&policy));
+                let reset = des.encrypt_recovered(PLAIN, KEY, &mut fault(), &policy);
+                assert_eq!(forked, reset, "{cadence:?}, strike at {at_cycle}");
+                assert_eq!(forked.expect("recovered").recovery.rollbacks, 1);
+                let forked = des.encrypt_forked(&ladder, at_cycle, &mut fault(), None);
+                let reset = des.encrypt_hooked(PLAIN, KEY, &mut fault());
+                assert_eq!(forked.map(|r| r.stats), reset, "fail-stop, strike at {at_cycle}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_forked_run_rejoins_only_within_the_cycle_budget() {
+        // The replay after a rollback pushes the run past a budget just
+        // above the clean run: from reset it is a hang, and the forked run
+        // must not rejoin the clean run to finish inside the budget.
+        let des = two_rounds(MaskPolicy::Selective);
+        let ladder = des.clean_ladder(PLAIN, KEY, CheckpointCadence::PhaseMarkers).expect("ladder");
+        let clean_cycles = ladder.run().stats.cycles;
+        let tight = des.with_cycle_limit(clean_cycles + 10);
+        let at_cycle = clean_cycles / 2;
+        let policy = RecoveryPolicy::default();
+        let fault = || TransientFault { at_cycle, fired: false };
+        let reset = tight.encrypt_recovered(PLAIN, KEY, &mut fault(), &policy);
+        assert!(matches!(
+            reset,
+            Err(RunError::Cpu(CpuError { kind: CpuErrorKind::CycleLimit { .. }, .. }))
+        ));
+        assert_eq!(tight.encrypt_forked(&ladder, at_cycle, &mut fault(), Some(&policy)), reset);
     }
 
     #[test]

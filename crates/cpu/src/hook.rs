@@ -15,7 +15,13 @@
 //!
 //! Hooks compose structurally: `(A, B)` runs both halves in order (`A`'s
 //! state mutations are visible to `B`; `B`'s `after_cycle` only runs if
-//! `A`'s accepted the cycle), and `&mut H` forwards to `H`.
+//! `A`'s accepted the cycle, and the pair is inert when both are), and
+//! `&mut H` forwards to `H`.
+//!
+//! A hook also says when it is done with a run
+//! ([`PipelineHook::is_inert`]): from then on the machine evolves as if
+//! no hook were installed, which is what lets a fault trial stop once its
+//! machine equals the clean run's (`Cpu` compares by machine state).
 
 use crate::activity::CycleActivity;
 use crate::interp::Interpreter;
@@ -293,7 +299,9 @@ impl<'a> HookCtx<'a> {
 
 /// Per-cycle pipeline intervention callbacks. All defaults are no-ops, so
 /// [`NullHook`] (and any hook that only implements one side) costs
-/// nothing.
+/// nothing. A hook with behavior that can tell when it is done should
+/// answer [`PipelineHook::is_inert`]; otherwise a run that could stop
+/// early, once it rejoins a clean run, simulates to the end.
 pub trait PipelineHook {
     /// `true` only when this hook (transitively) does nothing at all.
     /// [`CpuBackend::step`](crate::CpuBackend::step) uses it to route such
@@ -321,6 +329,23 @@ pub trait PipelineHook {
         let _ = act;
         Ok(())
     }
+
+    /// `true` when, from machine cycle `cycle` on, this hook will neither
+    /// change the core nor veto a cycle — provided the run never rolls
+    /// back below `cycle`. A runner asks right after a checkpoint
+    /// refresh at `cycle`, the lowest point any later rollback can reach.
+    /// Once the hook is inert, a machine that equals a clean run's
+    /// machine at the same cycle finishes as the clean run did, so the
+    /// runner may stop simulating there (see `emask-core`'s
+    /// `encrypt_forked`).
+    ///
+    /// The default answers `true` only for a null hook: a hook with
+    /// behavior is never inert unless it says so. A wrong `true` makes
+    /// the runner skip strikes the hook still had to make.
+    fn is_inert(&self, cycle: u64) -> bool {
+        let _ = cycle;
+        Self::IS_NULL
+    }
 }
 
 /// The do-nothing hook. [`CpuBackend::step`](crate::CpuBackend::step) with
@@ -341,6 +366,9 @@ impl<H: PipelineHook + ?Sized> PipelineHook for &mut H {
     fn after_cycle(&mut self, act: &CycleActivity) -> Result<(), CpuErrorKind> {
         (**self).after_cycle(act)
     }
+    fn is_inert(&self, cycle: u64) -> bool {
+        (**self).is_inert(cycle)
+    }
 }
 
 impl<A: PipelineHook, B: PipelineHook> PipelineHook for (A, B) {
@@ -353,6 +381,9 @@ impl<A: PipelineHook, B: PipelineHook> PipelineHook for (A, B) {
     fn after_cycle(&mut self, act: &CycleActivity) -> Result<(), CpuErrorKind> {
         self.0.after_cycle(act)?;
         self.1.after_cycle(act)
+    }
+    fn is_inert(&self, cycle: u64) -> bool {
+        self.0.is_inert(cycle) && self.1.is_inert(cycle)
     }
 }
 
@@ -578,5 +609,23 @@ mod tests {
         assert_eq!(err.cycle, 3);
         // The second hook never saw the vetoed cycle.
         assert_eq!(hook.1 .0, 3);
+    }
+
+    #[test]
+    fn only_null_hooks_are_inert_by_default_and_pairs_need_both_halves() {
+        struct Busy;
+        impl PipelineHook for Busy {}
+        struct Spent(bool);
+        impl PipelineHook for Spent {
+            fn is_inert(&self, _cycle: u64) -> bool {
+                self.0
+            }
+        }
+        assert!(NullHook.is_inert(0));
+        assert!(!Busy.is_inert(u64::MAX), "a hook with behavior must say it is done");
+        let mut spent = Spent(true);
+        assert!((&mut spent, NullHook).is_inert(7));
+        assert!(!(Spent(true), Spent(false)).is_inert(7));
+        assert!(!(Busy, Spent(true)).is_inert(7));
     }
 }

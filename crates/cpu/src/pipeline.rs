@@ -102,14 +102,14 @@ impl RunResult {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IfId {
     pub(crate) pc: u32,
     pub(crate) inst: Instruction,
     pub(crate) valid: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct IdEx {
     pub(crate) pc: u32,
     pub(crate) inst: Instruction,
@@ -120,7 +120,7 @@ pub(crate) struct IdEx {
     pub(crate) valid: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ExMem {
     pub(crate) inst: Instruction,
     /// ALU result or memory address.
@@ -130,7 +130,7 @@ pub(crate) struct ExMem {
     pub(crate) valid: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemWb {
     pub(crate) inst: Instruction,
     pub(crate) value: u32,
@@ -153,7 +153,14 @@ const BUBBLE: Instruction = Instruction {
 /// [`Cpu::run_collecting`] (collect every [`CycleActivity`]) or
 /// [`CpuBackend::run_with`] (stream records to a callback that may stop
 /// the run, with an optional [`PipelineHook`](crate::PipelineHook)).
-#[derive(Debug, Clone)]
+///
+/// Two machines compare equal when every piece of state a clock cycle
+/// reads or writes agrees: the program, registers, data-memory contents
+/// (not the dirty-page set, which is checkpoint bookkeeping), PC, cycle
+/// count, halt and fetch flags, the four latches, the statistics and any
+/// pending rail skew. Equal machines run on identically — which is what
+/// lets a fault trial stop once it rejoins the clean run.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cpu {
     pub(crate) text: Vec<Instruction>,
     pub(crate) regs: RegisterFile,

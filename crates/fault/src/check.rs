@@ -64,6 +64,15 @@ impl PipelineHook for DualRailChecker {
         }
         Ok(())
     }
+
+    /// Always: the checker never changes the core, and the ill-formed
+    /// pairs it vetoes exist only in a cycle where a single-rail fault
+    /// was injected — by another hook, whose own inertness rules that
+    /// out. Its counters do keep counting while a run goes on, so they
+    /// stop wherever a runner stops an inert run early.
+    fn is_inert(&self, _cycle: u64) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

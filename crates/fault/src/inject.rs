@@ -162,6 +162,27 @@ impl PipelineHook for FaultInjector {
             }
         }
     }
+
+    /// Every planned fault is spent: its trigger window closed before
+    /// `cycle` (an `AtCycle` or `CycleWindow` fault, stuck-ats included),
+    /// or its one-shot model already went off — a landed bit-flip, or a
+    /// glitch with no glitch cycles left. An active stuck-at is never
+    /// inert, nor is an unfired transient on a retirement or op-class
+    /// trigger, which can still come true.
+    fn is_inert(&self, cycle: u64) -> bool {
+        self.plan.faults().iter().zip(&self.state).all(|(spec, st)| {
+            let closed = match spec.trigger {
+                FaultTrigger::AtCycle(c) => c < cycle,
+                FaultTrigger::CycleWindow { end, .. } => end <= cycle,
+                FaultTrigger::AtRetired(_) | FaultTrigger::OnOpClass { .. } => false,
+            };
+            match spec.model {
+                FaultModel::BitFlip { .. } => closed || st.fired,
+                FaultModel::StuckAt { .. } => closed,
+                FaultModel::Glitch { .. } => (closed || st.fired) && st.glitch_left == 0,
+            }
+        })
+    }
 }
 
 #[cfg(test)]
@@ -314,5 +335,41 @@ mod tests {
         outcome.expect("run");
         assert!(!inj.any_injected(), "no latch lanes to strike");
         assert_eq!(cpu.reg(Reg::T2), 13, "architectural result untouched");
+    }
+
+    #[test]
+    fn inert_once_the_trigger_closes_or_the_transient_is_spent() {
+        use FaultTrigger::{AtCycle, AtRetired, CycleWindow};
+        /// The first cycle boundary at which the injector (paired with
+        /// the always-inert checker) is inert; it must stay inert after.
+        fn first_inert(model: FaultModel, trigger: FaultTrigger) -> Option<u64> {
+            let spec = FaultSpec { trigger, target: FaultTarget::Register(10), model };
+            let mut hook =
+                (FaultInjector::new(FaultPlan::single(spec)), crate::DualRailChecker::new());
+            let mut cpu = Cpu::new(&program());
+            let mut first = hook.is_inert(0).then_some(0);
+            while !cpu.is_halted() {
+                cpu.step(&mut hook).expect("step");
+                let inert = hook.is_inert(cpu.cycles());
+                assert!(inert || first.is_none(), "{model:?} on {trigger:?} woke up again");
+                first = first.or(inert.then_some(cpu.cycles()));
+            }
+            first
+        }
+        let flip = FaultModel::BitFlip { bit: 0 };
+        let stuck = FaultModel::StuckAt { bit: 0, stuck_one: true };
+        let glitch = FaultModel::Glitch { mask: 1, cycles: 3 };
+        // A point strike is spent once its cycle has passed, stuck-at
+        // included; a glitch also has to use up its cycles (2, 3, 4).
+        assert_eq!(first_inert(flip, AtCycle(2)), Some(3));
+        assert_eq!(first_inert(stuck, AtCycle(2)), Some(3));
+        assert_eq!(first_inert(glitch, AtCycle(2)), Some(5));
+        // A window closes at its end, even over an active stuck-at.
+        assert_eq!(first_inert(stuck, CycleWindow { start: 1, end: 4 }), Some(4));
+        // A retirement trigger never closes: a flip is spent once it
+        // lands, a stuck-at stays live to the end.
+        assert!(first_inert(flip, AtRetired(2)).is_some_and(|c| c > 0));
+        assert_eq!(first_inert(stuck, AtRetired(2)), None);
+        assert!(crate::DualRailChecker::new().is_inert(0));
     }
 }

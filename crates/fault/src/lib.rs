@@ -18,6 +18,12 @@
 //!   [`CpuErrorKind::DualRailViolation`](emask_cpu::CpuErrorKind) instead
 //!   of silently corrupting the ciphertext.
 //!
+//! Both say when they are done with a run
+//! ([`PipelineHook::is_inert`](emask_cpu::PipelineHook::is_inert)): the
+//! injector once every planned fault is spent, the checker always, since
+//! only an injected single-rail fault gives it something to veto. That is
+//! what lets a fault campaign stop a trial once it rejoins the clean run.
+//!
 //! Injector and checker compose as a hook tuple, so a typical faulted run
 //! is `cpu.run_with(limit, &mut (injector, checker), |_| Continue(()))`
 //! through [`CpuBackend::run_with`](emask_cpu::CpuBackend::run_with), the

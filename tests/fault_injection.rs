@@ -188,3 +188,36 @@ fn corrupted_sbox_fails_the_round_one_window_check() {
     let err = des.encrypt_window(PLAINTEXT, KEY, window).expect_err("corrupted S-box 1");
     assert!(matches!(err, emask::core::RunError::Mismatch { .. }), "{err:?}");
 }
+
+/// A campaign forks each trial from the clean run's ladder and stops it
+/// where it rejoins the clean run. Every lattice class (target `i % 10`
+/// × model `i % 7`, 70 trials) must classify exactly as the same trial
+/// simulated from reset to the end, fail-stop and recovering alike, with
+/// the same recovery counters.
+#[test]
+fn forked_campaign_trials_equal_trials_run_from_reset() {
+    use emask::core::RecoveryPolicy;
+    use emask::par::{CancelToken, Jobs};
+    use emask_bench::{run_campaign, run_campaign_from_reset, CampaignConfig};
+    let des = MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
+        .expect("compile");
+    for recovery in [None, Some(RecoveryPolicy::default())] {
+        let cfg = CampaignConfig { trials: 70, recovery, ..CampaignConfig::default() };
+        let forked = run_campaign(
+            &des,
+            &cfg,
+            Jobs::serial(),
+            &CancelToken::new(),
+            None,
+            &emask::telemetry::NullSink,
+        )
+        .expect("forked campaign");
+        let reset = run_campaign_from_reset(&des, &cfg).expect("campaign from reset");
+        for (f, r) in forked.trials.iter().zip(&reset.trials) {
+            assert_eq!(f, r, "recovery {recovery:?}");
+        }
+        assert_eq!(forked.trials.len(), reset.trials.len());
+        assert_eq!(forked.recovery, reset.recovery, "recovery {recovery:?}");
+        assert_eq!(forked.clean_cycles, reset.clean_cycles);
+    }
+}
