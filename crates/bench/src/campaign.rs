@@ -487,12 +487,10 @@ pub(crate) struct TrialRunner {
 }
 
 impl TrialRunner {
-    /// Records the clean run as a ladder at the campaign's checkpoint
-    /// cadence (the default policy's when trials are fail-stop) and
-    /// derives the trial lattice parameters from it.
+    /// Records the clean run as a ladder and derives the trial lattice
+    /// parameters from it.
     pub(crate) fn prepare(des: &MaskedDes, cfg: &CampaignConfig) -> Result<Self, RunError> {
-        let cadence = cfg.recovery.unwrap_or_default().cadence;
-        let ladder = des.clean_ladder(cfg.plaintext, cfg.key, cadence)?;
+        let ladder = des.clean_ladder(cfg.plaintext, cfg.key)?;
         let clean_cycles = ladder.run().stats.cycles;
         // A faulted run that loops forever must terminate promptly:
         // twice the clean run is generous for any non-looping

@@ -120,9 +120,16 @@ impl From<RunError> for CampaignError {
 /// never be resumed under different settings. `clean_cycles` folds in the
 /// compiled program itself (policy, rounds) without hashing the binary.
 fn config_fingerprint(cfg: &CampaignConfig, clean_cycles: u64) -> u64 {
+    // Spelled as the policy's `Debug` printed it while it still had a
+    // cadence and a retry budget, so v1 checkpoints keep their
+    // fingerprint.
+    let recovery = match cfg.recovery {
+        Some(_) => "Some(RecoveryPolicy { cadence: PhaseMarkers, max_retries: 8 })",
+        None => "None",
+    };
     let canon = format!(
-        "v1|trials={}|bits={:?}|pt={:016x}|key={:016x}|recovery={:?}|limit={:?}|panic={:?}|clean={clean_cycles}",
-        cfg.trials, cfg.bits, cfg.plaintext, cfg.key, cfg.recovery, cfg.cycle_limit, cfg.panic_trial
+        "v1|trials={}|bits={:?}|pt={:016x}|key={:016x}|recovery={recovery}|limit={:?}|panic={:?}|clean={clean_cycles}",
+        cfg.trials, cfg.bits, cfg.plaintext, cfg.key, cfg.cycle_limit, cfg.panic_trial
     );
     fnv1a(canon.as_bytes())
 }

@@ -13,7 +13,7 @@
 use emask_bench::run_campaign;
 use emask_bench::{CampaignConfig, CampaignReport, FaultOutcome};
 use emask_core::DesProgramSpec;
-use emask_core::{CheckpointCadence, MaskPolicy, MaskedDes, RecoveryPolicy, RunError};
+use emask_core::{MaskPolicy, MaskedDes, RecoveryPolicy, RunError};
 use emask_cpu::{CpuErrorKind, FaultLane, RailMode};
 use emask_fault::{
     DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
@@ -73,21 +73,16 @@ fn real_injected_fault_is_detected_then_recovered_transparently() {
     // Fail-stop detection first: encrypt_hooked dies on this fault.
     let strike = calibrate_detected_strike(&des, clean.stats.cycles);
 
-    // With recovery, both checkpoint cadences roll the same fault back
-    // and replay to the clean run's result.
-    for policy in [
-        RecoveryPolicy::default(),
-        RecoveryPolicy { cadence: CheckpointCadence::Retired(500), ..RecoveryPolicy::default() },
-    ] {
-        let mut hook =
-            (FaultInjector::new(FaultPlan::single(transient_spec(strike))), DualRailChecker::new());
-        let recovered = des
-            .encrypt_recovered(PLAINTEXT, KEY, &mut hook, &policy)
-            .expect("transient fault must recover");
-        assert!(hook.0.any_injected());
-        assert!(recovered.recovery.rollbacks >= 1, "{:?}", recovered.recovery);
-        assert_eq!(recovered.stats, clean.stats, "retired stream must replay identically");
-    }
+    // With recovery, the same fault rolls back and replays to the clean
+    // run's result.
+    let mut hook =
+        (FaultInjector::new(FaultPlan::single(transient_spec(strike))), DualRailChecker::new());
+    let recovered = des
+        .encrypt_recovered(PLAINTEXT, KEY, &mut hook, &RecoveryPolicy::default())
+        .expect("transient fault must recover");
+    assert!(hook.0.any_injected());
+    assert!(recovered.recovery.rollbacks >= 1, "{:?}", recovered.recovery);
+    assert_eq!(recovered.stats, clean.stats, "retired stream must replay identically");
 }
 
 #[test]
@@ -101,12 +96,11 @@ fn persistent_fault_exhausts_the_budget_and_zeroizes() {
         model: FaultModel::StuckAt { bit: 0, stuck_one: true },
     };
     let mut hook = (FaultInjector::new(FaultPlan::single(spec)), DualRailChecker::new());
-    let policy = RecoveryPolicy { max_retries: 3, ..RecoveryPolicy::default() };
     let err = des
-        .encrypt_recovered(PLAINTEXT, KEY, &mut hook, &policy)
+        .encrypt_recovered(PLAINTEXT, KEY, &mut hook, &RecoveryPolicy::default())
         .expect_err("persistent fault must not complete");
     match err {
-        RunError::Zeroized { rollbacks, .. } => assert_eq!(rollbacks, 3),
+        RunError::Zeroized { rollbacks, .. } => assert_eq!(rollbacks, RecoveryPolicy::MAX_RETRIES),
         other => panic!("expected Zeroized, got {other}"),
     }
 }

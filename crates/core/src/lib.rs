@@ -47,6 +47,6 @@ pub use desgen::{des_source, DesProgramSpec};
 pub use emask_cc::MaskPolicy;
 pub use emask_energy::{EnergyParams, EnergyTrace, SecureStyle};
 pub use emask_telemetry::{ChromeTrace, MetricsRegistry, MetricsSnapshot, PhaseEvent, RunObserver};
-pub use recovery::{CheckpointCadence, CleanLadder, RecoveryPolicy, RecoveryStats};
+pub use recovery::{CleanLadder, RecoveryPolicy, RecoveryStats};
 pub use runner::{EncryptionRun, MaskedDes, Phase, PhaseMarker, RecoveredRun, RunError};
 pub use xtea::{xtea_decrypt, xtea_encrypt, MaskedXtea, XteaRun};

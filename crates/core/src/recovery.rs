@@ -8,15 +8,14 @@
 //! module closes the loop from **detection to tolerance**:
 //!
 //! * the core takes an architectural checkpoint
-//!   ([`emask_cpu::CpuCheckpoint`]) at a configurable cadence
-//!   ([`CheckpointCadence`]);
+//!   ([`emask_cpu::CpuCheckpoint`]) at every DES phase marker;
 //! * on a detected fault (dual-rail violation, memory fault, divide by
 //!   zero, runaway PC) the run rolls back to the last checkpoint and
 //!   re-executes — a transient fault has already been spent, so the replay
 //!   is clean and the run completes with the golden-checked ciphertext and
 //!   the retired-instruction counts of a fault-free run;
 //! * a *persistent* fault re-fires on every replay; after
-//!   [`RecoveryPolicy::max_retries`] rollbacks the runner **zeroizes** the
+//!   [`RecoveryPolicy::MAX_RETRIES`] rollbacks the runner **zeroizes** the
 //!   key material ([`zeroize_secrets`]) and aborts with
 //!   [`crate::RunError::Zeroized`] — the standard smart-card response to
 //!   an attack in progress (key destruction beats key disclosure).
@@ -37,36 +36,21 @@ use crate::runner::RecoveredRun;
 use emask_cpu::{Cpu, CpuBackend, CpuErrorKind};
 use emask_isa::Reg;
 
-/// When the recovery runner takes a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointCadence {
-    /// Every `n` retired instructions (rounded up to the cycle at which
-    /// the threshold is crossed). Smaller `n` means cheaper re-execution
-    /// but more checkpoint overhead.
-    Retired(u64),
-    /// At every DES phase marker (initial permutation, each round, output
-    /// permutation) — the natural algorithmic boundary: a detected fault
-    /// re-executes at most one round.
-    PhaseMarkers,
-}
+/// How a run responds to detected faults. The policy is fixed: a
+/// checkpoint at every DES phase marker (initial permutation, key
+/// permutation, each round, output permutation), so a detected fault
+/// re-executes at most one round, and zeroization after
+/// [`RecoveryPolicy::MAX_RETRIES`] rollbacks. Make one with
+/// `RecoveryPolicy::default()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[non_exhaustive]
+pub struct RecoveryPolicy;
 
-/// How a run responds to detected faults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Checkpoint cadence.
-    pub cadence: CheckpointCadence,
+impl RecoveryPolicy {
     /// Total rollback budget for the whole run. A transient fault needs
     /// exactly one; a persistent fault burns the budget and triggers
     /// zeroization.
-    pub max_retries: u32,
-}
-
-impl Default for RecoveryPolicy {
-    /// Round-boundary checkpoints with a small retry budget — one round of
-    /// re-execution per transient, zeroize after 8 strikes.
-    fn default() -> Self {
-        Self { cadence: CheckpointCadence::PhaseMarkers, max_retries: 8 }
-    }
+    pub const MAX_RETRIES: u32 = 8;
 }
 
 /// What recovery did during one run — attached to the result so campaigns
@@ -92,28 +76,19 @@ pub(crate) struct Rung<B> {
     pub(crate) recovery: RecoveryStats,
 }
 
-/// The most rungs a [`CleanLadder`] keeps. Past it the ladder drops every
-/// other rung, so a fine cadence (`Retired(1)` on 16 rounds would leave
-/// some 300 k boundaries of 32 KB RAM each) costs at most this many
-/// machines. Phase markers leave 20 rungs on 16 rounds, so they are never
-/// thinned.
-pub(crate) const MAX_RUNGS: usize = 64;
-
-/// The clean run of one block, kept as a ladder of its machine at the
-/// checkpoint boundaries of one [`CheckpointCadence`] — the base fault
-/// trials fork from
+/// The clean run of one block, kept as a ladder of its machine at every
+/// checkpoint boundary — the base fault trials fork from
 /// ([`MaskedDes::clean_ladder`](crate::MaskedDes::clean_ladder),
 /// [`MaskedDes::encrypt_forked`](crate::MaskedDes::encrypt_forked)).
 ///
-/// Rung 0 is the loaded machine at cycle 0; the others follow at
-/// boundaries in cycle order (every boundary, or every 2^k-th one if the
-/// cadence leaves more than 64). Each holds the machine right after the
-/// boundary's checkpoint refresh, with the run's [`RecoveryStats`] there.
+/// Rung 0 is the loaded machine at cycle 0; one rung per phase marker
+/// follows in cycle order (20 on 16 rounds). Each holds the machine right
+/// after the boundary's checkpoint refresh, with the run's
+/// [`RecoveryStats`] there.
 #[derive(Debug, Clone)]
 pub struct CleanLadder {
     pub(crate) plaintext: u64,
     pub(crate) key: u64,
-    pub(crate) cadence: CheckpointCadence,
     pub(crate) rungs: Vec<Rung<Cpu>>,
     pub(crate) run: RecoveredRun,
 }
@@ -192,12 +167,5 @@ mod tests {
         }
         check::<Cpu>();
         check::<Interpreter>();
-    }
-
-    #[test]
-    fn default_policy_checkpoints_at_phase_markers() {
-        let p = RecoveryPolicy::default();
-        assert_eq!(p.cadence, CheckpointCadence::PhaseMarkers);
-        assert_eq!(p.max_retries, 8);
     }
 }

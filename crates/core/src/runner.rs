@@ -5,8 +5,7 @@ use crate::desgen::{
     MARKER_ROUND,
 };
 use crate::recovery::{
-    recoverable, zeroize_secrets, CheckpointCadence, CleanLadder, RecoveryPolicy, RecoveryStats,
-    Rung, MAX_RUNGS,
+    recoverable, zeroize_secrets, CleanLadder, RecoveryPolicy, RecoveryStats, Rung,
 };
 use emask_cc::{compile, CompileError, CompileOptions, MaskPolicy, SliceReport};
 use emask_cpu::AccessError;
@@ -594,18 +593,19 @@ impl MaskedDes {
         Ok(())
     }
 
-    /// [`MaskedDes::encrypt_hooked`] with checkpoint/rollback **recovery**:
-    /// the run takes architectural checkpoints at the policy's cadence, and
-    /// a fault the core *detects* (dual-rail violation, memory fault,
-    /// divide-by-zero, runaway PC) rolls the machine back to the last
-    /// checkpoint and re-executes instead of aborting.
+    /// [`MaskedDes::encrypt_hooked`] with checkpoint/rollback **recovery**
+    /// under the fixed [`RecoveryPolicy`]: the run takes an architectural
+    /// checkpoint at every phase marker, and a fault the core *detects*
+    /// (dual-rail violation, memory fault, divide-by-zero, runaway PC)
+    /// rolls the machine back to the last checkpoint and re-executes
+    /// instead of aborting.
     ///
     /// A transient fault (the usual glitch model) has already fired when
     /// the replay starts, so the replay is clean: the run completes with a
     /// golden-checked ciphertext and the retired-instruction statistics of
     /// a fault-free run. Like [`MaskedDes::encrypt_hooked`], the run models
     /// no energy. A persistent fault re-fires on every replay; after
-    /// [`RecoveryPolicy::max_retries`] rollbacks the key material is
+    /// [`RecoveryPolicy::MAX_RETRIES`] rollbacks the key material is
     /// zeroized and the run aborts with [`RunError::Zeroized`].
     ///
     /// This is the one recovering step loop, run from reset with no clean
@@ -628,16 +628,16 @@ impl MaskedDes {
         plaintext: u64,
         key: u64,
         hook: &mut H,
-        policy: &RecoveryPolicy,
+        _policy: &RecoveryPolicy,
     ) -> Result<RecoveredRun, RunError> {
-        self.encrypt_recovered_on::<Cpu, H>(plaintext, key, hook, policy)
+        self.encrypt_recovered_on::<Cpu, H>(plaintext, key, hook)
     }
 
     /// [`MaskedDes::encrypt_recovered`] on an explicit [`CpuBackend`].
-    /// Rollback cost and cadence are microarchitectural — the interpreter
-    /// counts instructions where the pipeline counts cycles — but the
-    /// recovered ciphertext and retired-instruction stream are
-    /// architectural and identical across backends.
+    /// Rollback cost is microarchitectural — the interpreter counts
+    /// instructions where the pipeline counts cycles — but the recovered
+    /// ciphertext and retired-instruction stream are architectural and
+    /// identical across backends.
     ///
     /// # Errors
     ///
@@ -651,21 +651,17 @@ impl MaskedDes {
         plaintext: u64,
         key: u64,
         hook: &mut H,
-        policy: &RecoveryPolicy,
     ) -> Result<RecoveredRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
         let (machine, _) = self.load_block::<B>(plaintext, key)?;
         let start = Rung { machine, recovery: RecoveryStats::default() };
-        let retries = Some(policy.max_retries);
-        self.step_loop((plaintext, key), start, hook, policy.cadence, retries, |_, _, _| {
-            ControlFlow::Continue(())
-        })
+        self.step_loop((plaintext, key), start, hook, true, |_, _, _| ControlFlow::Continue(()))
     }
 
     /// Records the clean run of one block as a [`CleanLadder`]: the
     /// recovering step loop with no hook, keeping the machine at every
-    /// checkpoint boundary of `cadence`. Fault campaigns record it once
-    /// and fork every trial from it with [`MaskedDes::encrypt_forked`].
+    /// checkpoint boundary. Fault campaigns record it once and fork every
+    /// trial from it with [`MaskedDes::encrypt_forked`].
     ///
     /// # Errors
     ///
@@ -675,38 +671,17 @@ impl MaskedDes {
     /// # Panics
     ///
     /// Panics if this instance is a decryptor.
-    pub fn clean_ladder(
-        &self,
-        plaintext: u64,
-        key: u64,
-        cadence: CheckpointCadence,
-    ) -> Result<CleanLadder, RunError> {
+    pub fn clean_ladder(&self, plaintext: u64, key: u64) -> Result<CleanLadder, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
         let (machine, _) = self.load_block::<Cpu>(plaintext, key)?;
         let start = Rung { machine, recovery: RecoveryStats::default() };
         let mut rungs = vec![start.clone()];
-        // Rungs sit at every `stride`-th boundary; when they overflow,
-        // every other one goes and the stride doubles.
-        let (mut boundaries, mut stride) = (0u64, 1u64);
-        let run = self.step_loop(
-            (plaintext, key),
-            start,
-            &mut NullHook,
-            cadence,
-            None,
-            |cpu, recovery, _| {
-                boundaries += 1;
-                if boundaries.is_multiple_of(stride) {
-                    rungs.push(Rung { machine: cpu.clone(), recovery: *recovery });
-                    if rungs.len() > MAX_RUNGS {
-                        rungs = std::mem::take(&mut rungs).into_iter().step_by(2).collect();
-                        stride *= 2;
-                    }
-                }
+        let run =
+            self.step_loop((plaintext, key), start, &mut NullHook, false, |cpu, recovery, _| {
+                rungs.push(Rung { machine: cpu.clone(), recovery: *recovery });
                 ControlFlow::Continue(())
-            },
-        )?;
-        Ok(CleanLadder { plaintext, key, cadence, rungs, run })
+            })?;
+        Ok(CleanLadder { plaintext, key, rungs, run })
     }
 
     /// Runs the block of `ladder` with `hook` installed, **forked** from
@@ -722,10 +697,13 @@ impl MaskedDes {
     /// stops when three things hold: the hook [is
     /// inert](PipelineHook::is_inert) from there on, the machine equals
     /// the ladder's rung at the same cycle, and the clean run's remaining
-    /// cycles still fit the cycle budget. It then returns the clean run's
-    /// statistics, with the clean remainder's checkpoint and page
-    /// counters added to its own. The hook's own state (counters, event
-    /// logs) stops where the run does.
+    /// cycles still fit the cycle budget. It then returns its own
+    /// pipeline statistics and checkpoint and page counters with the
+    /// clean remainder's added: each counter's clean total minus its
+    /// value at the rung. The machines' equality leaves the statistics
+    /// out, so a trial that skipped or squashed an instruction on the way
+    /// rejoins too. The hook's own state (counters, event logs) stops
+    /// where the run does.
     ///
     /// Under `None` a detected fault ends the run as in
     /// [`MaskedDes::encrypt_hooked`]; the checkpoints only serve to meet
@@ -738,8 +716,7 @@ impl MaskedDes {
     ///
     /// # Panics
     ///
-    /// Panics if this instance is a decryptor, or if `recovery`'s cadence
-    /// is not the one the ladder was recorded at.
+    /// Panics if this instance is a decryptor.
     pub fn encrypt_forked<H: PipelineHook>(
         &self,
         ladder: &CleanLadder,
@@ -748,13 +725,6 @@ impl MaskedDes {
         recovery: Option<&RecoveryPolicy>,
     ) -> Result<RecoveredRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        let retries = recovery.map(|policy| {
-            assert_eq!(
-                policy.cadence, ladder.cadence,
-                "the ladder was recorded at another cadence"
-            );
-            policy.max_retries
-        });
         // A rung past the budget would skip the cycle-limit error a run
         // from reset meets on the way there.
         let from = fork_at.min(self.cycle_limit);
@@ -766,7 +736,7 @@ impl MaskedDes {
             .expect("rung 0 sits at cycle 0");
         let clean = &ladder.run;
         let block = (ladder.plaintext, ladder.key);
-        self.step_loop(block, start.clone(), hook, ladder.cadence, retries, |cpu, own, executed| {
+        self.step_loop(block, start.clone(), hook, recovery.is_some(), |cpu, own, executed| {
             let cycle = cpu.cycles();
             let Ok(i) = ladder.rungs.binary_search_by_key(&cycle, |r| r.machine.cycles()) else {
                 return ControlFlow::Continue(());
@@ -776,8 +746,19 @@ impl MaskedDes {
             if !fits || rung.machine != *cpu {
                 return ControlFlow::Continue(());
             }
+            // Each counter: this run's count plus the clean run's past the
+            // rung.
+            let (o, c, r) = (cpu.stats(), clean.stats, rung.machine.stats());
             ControlFlow::Break(RecoveredRun {
-                stats: clean.stats,
+                stats: RunResult {
+                    cycles: o.cycles + c.cycles - r.cycles,
+                    retired: o.retired + c.retired - r.retired,
+                    retired_secure: o.retired_secure + c.retired_secure - r.retired_secure,
+                    stalls: o.stalls + c.stalls - r.stalls,
+                    flushed: o.flushed + c.flushed - r.flushed,
+                    loads: o.loads + c.loads - r.loads,
+                    stores: o.stores + c.stores - r.stores,
+                },
                 recovery: RecoveryStats {
                     checkpoints: own.checkpoints + clean.recovery.checkpoints
                         - rung.recovery.checkpoints,
@@ -790,20 +771,19 @@ impl MaskedDes {
     }
 
     /// The recovering step loop, from `start` until `halt` or until
-    /// `at_rest` breaks. It takes a checkpoint at every boundary of
-    /// `cadence`; a step error the core detects rolls back to the last
-    /// one while `retries` (`Some(max_retries)`) allows, zeroizing the key
-    /// when they run out, and ends the run under `None` (fail-stop).
-    /// After each checkpoint refresh at which the hook is inert,
-    /// `at_rest(machine, counters, executed)` may end the run with a
-    /// result of its own.
+    /// `at_rest` breaks. It takes a checkpoint at every phase-marker
+    /// store. With `recover`, a step error the core detects rolls back to
+    /// the last one, up to [`RecoveryPolicy::MAX_RETRIES`] times, and
+    /// zeroizes the key when the budget runs out; without it, the error
+    /// ends the run (fail-stop). After each checkpoint refresh at which
+    /// the hook is inert, `at_rest(machine, counters, executed)` may end
+    /// the run with a result of its own.
     fn step_loop<B: CpuBackend, H: PipelineHook>(
         &self,
         (plaintext, key): (u64, u64),
         start: Rung<B>,
         hook: &mut H,
-        cadence: CheckpointCadence,
-        retries: Option<u32>,
+        recover: bool,
         mut at_rest: impl FnMut(&B, &RecoveryStats, u64) -> ControlFlow<RecoveredRun>,
     ) -> Result<RecoveredRun, RunError> {
         let marker_addr = self.data_sym("marker")?;
@@ -828,14 +808,9 @@ impl MaskedDes {
             executed += 1;
             match cpu.step(hook) {
                 Ok(act) => {
-                    let boundary = match cadence {
-                        CheckpointCadence::Retired(n) => {
-                            n > 0 && cpu.stats().retired - cp.retired() >= n
-                        }
-                        CheckpointCadence::PhaseMarkers => act.mem.is_some_and(|m| {
-                            m.is_store && m.addr == marker_addr && phase_of_marker(m.data).is_some()
-                        }),
-                    };
+                    let boundary = act.mem.is_some_and(|m| {
+                        m.is_store && m.addr == marker_addr && phase_of_marker(m.data).is_some()
+                    });
                     if boundary {
                         cpu.checkpoint_refresh(&mut cp);
                         recovery.checkpoints += 1;
@@ -849,21 +824,16 @@ impl MaskedDes {
                         }
                     }
                 }
-                Err(e) => match retries {
-                    Some(max_retries) if recoverable(e.kind) => {
-                        if recovery.rollbacks >= max_retries {
-                            zeroize_secrets(&mut cpu, self.data_sym("key")?);
-                            return Err(RunError::Zeroized {
-                                rollbacks: recovery.rollbacks,
-                                last: e,
-                            });
-                        }
-                        recovery.rollbacks += 1;
-                        cpu.checkpoint_restore(&mut cp);
-                        recovery.pages_moved += cp.pages_moved() as u64;
+                Err(e) if recover && recoverable(e.kind) => {
+                    if recovery.rollbacks >= RecoveryPolicy::MAX_RETRIES {
+                        zeroize_secrets(&mut cpu, self.data_sym("key")?);
+                        return Err(RunError::Zeroized { rollbacks: recovery.rollbacks, last: e });
                     }
-                    _ => return Err(RunError::Cpu(e)),
-                },
+                    recovery.rollbacks += 1;
+                    cpu.checkpoint_restore(&mut cp);
+                    recovery.pages_moved += cp.pages_moved() as u64;
+                }
+                Err(e) => return Err(RunError::Cpu(e)),
             }
         }
         self.read_validated_output(&cpu, plaintext, key)?;
@@ -959,12 +929,7 @@ mod tests {
             .expect("clean run");
         let mut hook = TransientFault { at_cycle: clean.stats.cycles / 2, fired: false };
         let rec = des
-            .encrypt_recovered_on::<emask_cpu::Interpreter, _>(
-                PLAIN,
-                KEY,
-                &mut hook,
-                &RecoveryPolicy::default(),
-            )
+            .encrypt_recovered_on::<emask_cpu::Interpreter, _>(PLAIN, KEY, &mut hook)
             .expect("recovered run");
         assert_eq!(rec.recovery.rollbacks, 1);
         assert_eq!(rec.stats, clean.stats);
@@ -1337,19 +1302,14 @@ mod tests {
     fn clean_run_under_recovery_matches_plain_encrypt() {
         let des = two_rounds(MaskPolicy::Selective);
         let clean = des.encrypt(PLAIN, KEY).expect("clean run");
-        for policy in [
-            RecoveryPolicy::default(),
-            RecoveryPolicy {
-                cadence: CheckpointCadence::Retired(200),
-                ..RecoveryPolicy::default()
-            },
-        ] {
-            let rec =
-                des.encrypt_recovered(PLAIN, KEY, &mut NullHook, &policy).expect("recovered run");
-            assert_eq!(rec.stats, clean.stats);
-            assert_eq!(rec.recovery.rollbacks, 0);
-            assert!(rec.recovery.checkpoints > 0, "cadence must have fired");
-        }
+        let rec = des
+            .encrypt_recovered(PLAIN, KEY, &mut NullHook, &RecoveryPolicy::default())
+            .expect("recovered run");
+        assert_eq!(rec.stats, clean.stats);
+        assert_eq!(rec.recovery.rollbacks, 0);
+        // One checkpoint per phase marker: two permutations, two rounds,
+        // the output permutation.
+        assert_eq!(rec.recovery.checkpoints, 5);
     }
 
     #[test]
@@ -1367,18 +1327,12 @@ mod tests {
         // With recovery the run completes like a clean one: a
         // golden-checked ciphertext and the same retired-instruction
         // counts — checkpoint/rollback is transparent.
-        for policy in [
-            RecoveryPolicy::default(),
-            RecoveryPolicy {
-                cadence: CheckpointCadence::Retired(300),
-                ..RecoveryPolicy::default()
-            },
-        ] {
-            let mut hook = TransientFault { at_cycle, fired: false };
-            let rec = des.encrypt_recovered(PLAIN, KEY, &mut hook, &policy).expect("recovered run");
-            assert_eq!(rec.recovery.rollbacks, 1, "exactly one rollback");
-            assert_eq!(rec.stats, clean.stats, "retired stream must match");
-        }
+        let mut hook = TransientFault { at_cycle, fired: false };
+        let rec = des
+            .encrypt_recovered(PLAIN, KEY, &mut hook, &RecoveryPolicy::default())
+            .expect("recovered run");
+        assert_eq!(rec.recovery.rollbacks, 1, "exactly one rollback");
+        assert_eq!(rec.stats, clean.stats, "retired stream must match");
     }
 
     #[test]
@@ -1386,17 +1340,17 @@ mod tests {
         let des = two_rounds(MaskPolicy::Selective);
         let clean_cycles = des.encrypt(PLAIN, KEY).expect("clean run").stats.cycles;
         let mut hook = PersistentFault { from_cycle: clean_cycles / 2 };
-        let policy = RecoveryPolicy { max_retries: 3, ..RecoveryPolicy::default() };
-        let err =
-            des.encrypt_recovered(PLAIN, KEY, &mut hook, &policy).expect_err("budget exhausted");
+        let err = des
+            .encrypt_recovered(PLAIN, KEY, &mut hook, &RecoveryPolicy::default())
+            .expect_err("budget exhausted");
         match err {
             RunError::Zeroized { rollbacks, last } => {
-                assert_eq!(rollbacks, 3);
+                assert_eq!(rollbacks, RecoveryPolicy::MAX_RETRIES);
                 assert!(matches!(last.kind, CpuErrorKind::DualRailViolation { .. }));
             }
             other => panic!("expected Zeroized, got {other:?}"),
         }
-        assert!(err.to_string().contains("zeroized after 3 rollbacks"));
+        assert!(err.to_string().contains("zeroized after 8 rollbacks"));
     }
 
     #[test]
@@ -1413,37 +1367,76 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn forked_runs_equal_runs_from_reset_on_a_thinned_ladder_too() {
-        let des = two_rounds(MaskPolicy::Selective);
-        let clean = des.encrypt(PLAIN, KEY).expect("clean run").stats;
-        // Phase markers leave one rung per marker; a 40-instruction
-        // cadence leaves hundreds of boundaries, thinned to at most
-        // MAX_RUNGS rungs.
-        for (cadence, rungs) in [
-            (CheckpointCadence::PhaseMarkers, 6..=6),
-            (CheckpointCadence::Retired(40), 33..=MAX_RUNGS),
-        ] {
-            let ladder = des.clean_ladder(PLAIN, KEY, cadence).expect("ladder");
-            assert!(
-                rungs.contains(&ladder.rungs.len()),
-                "{cadence:?}: {} rungs",
-                ladder.rungs.len()
-            );
-            assert!(ladder.rungs.windows(2).all(|w| w[0].machine.cycles() < w[1].machine.cycles()));
-            assert_eq!(ladder.run.stats, clean);
-            let policy = RecoveryPolicy { cadence, ..RecoveryPolicy::default() };
-            for at_cycle in [clean.cycles / 5, clean.cycles / 2, clean.cycles * 4 / 5] {
-                let fault = || TransientFault { at_cycle, fired: false };
-                let forked = des.encrypt_forked(&ladder, at_cycle, &mut fault(), Some(&policy));
-                let reset = des.encrypt_recovered(PLAIN, KEY, &mut fault(), &policy);
-                assert_eq!(forked, reset, "{cadence:?}, strike at {at_cycle}");
-                assert_eq!(forked.expect("recovered").recovery.rollbacks, 1);
-                let forked = des.encrypt_forked(&ladder, at_cycle, &mut fault(), None);
-                let reset = des.encrypt_hooked(PLAIN, KEY, &mut fault());
-                assert_eq!(forked.map(|r| r.stats), reset, "fail-stop, strike at {at_cycle}");
+    /// An instruction skip: squashes the IF/ID latch at the first cycle
+    /// at or past `at_cycle` at which it holds an instruction, and
+    /// records the last cycle it saw.
+    struct Squash {
+        at_cycle: u64,
+        done: bool,
+        last_cycle: u64,
+    }
+
+    impl PipelineHook for Squash {
+        fn before_cycle(&mut self, ctx: &mut emask_cpu::HookCtx<'_>) {
+            self.last_cycle = ctx.cycle();
+            if !self.done && ctx.cycle() >= self.at_cycle {
+                self.done = ctx.squash_if_id();
             }
         }
+        fn is_inert(&self, _cycle: u64) -> bool {
+            self.done
+        }
+    }
+
+    /// Runs `fault()` forked from `ladder` at `at_cycle` and from reset,
+    /// recovering and fail-stop, demands equal results and returns the
+    /// forked recovering run with its hook.
+    fn forked_equals_reset<H: PipelineHook>(
+        des: &MaskedDes,
+        ladder: &CleanLadder,
+        at_cycle: u64,
+        fault: impl Fn() -> H,
+    ) -> (Result<RecoveredRun, RunError>, H) {
+        let policy = RecoveryPolicy::default();
+        let mut hook = fault();
+        let forked = des.encrypt_forked(ladder, at_cycle, &mut hook, Some(&policy));
+        let reset = des.encrypt_recovered(PLAIN, KEY, &mut fault(), &policy);
+        assert_eq!(forked, reset, "recovering, strike at {at_cycle}");
+        let failstop = des.encrypt_forked(ladder, at_cycle, &mut fault(), None);
+        let reset = des.encrypt_hooked(PLAIN, KEY, &mut fault());
+        assert_eq!(failstop.map(|r| r.stats), reset, "fail-stop, strike at {at_cycle}");
+        (forked, hook)
+    }
+
+    #[test]
+    fn forked_runs_equal_runs_from_reset() {
+        let des = two_rounds(MaskPolicy::Selective);
+        let clean = des.encrypt(PLAIN, KEY).expect("clean run").stats;
+        // Rung 0 and one rung per phase marker.
+        let ladder = des.clean_ladder(PLAIN, KEY).expect("ladder");
+        assert_eq!(ladder.rungs.len(), 6);
+        assert!(ladder.rungs.windows(2).all(|w| w[0].machine.cycles() < w[1].machine.cycles()));
+        assert_eq!(ladder.run.stats, clean);
+        for at_cycle in [clean.cycles / 5, clean.cycles / 2, clean.cycles * 4 / 5] {
+            let fault = || TransientFault { at_cycle, fired: false };
+            let (forked, _) = forked_equals_reset(&des, &ladder, at_cycle, fault);
+            assert_eq!(forked.expect("recovered").recovery.rollbacks, 1);
+        }
+        // A skipped instruction the program can do without leaves the
+        // machine equal to the clean run's but its counters apart: the
+        // forked run rejoins and must still count like a run from reset.
+        let mut rejoined_apart = 0;
+        for k in 1..16 {
+            let at_cycle = clean.cycles * k / 16;
+            let fault = || Squash { at_cycle, done: false, last_cycle: 0 };
+            let (forked, hook) = forked_equals_reset(&des, &ladder, at_cycle, fault);
+            if let Ok(run) = forked {
+                if run.stats != clean && hook.last_cycle + 1 < run.stats.cycles {
+                    rejoined_apart += 1;
+                }
+            }
+        }
+        assert!(rejoined_apart > 0, "no squash rejoined with counters of its own");
     }
 
     #[test]
@@ -1452,7 +1445,7 @@ mod tests {
         // above the clean run: from reset it is a hang, and the forked run
         // must not rejoin the clean run to finish inside the budget.
         let des = two_rounds(MaskPolicy::Selective);
-        let ladder = des.clean_ladder(PLAIN, KEY, CheckpointCadence::PhaseMarkers).expect("ladder");
+        let ladder = des.clean_ladder(PLAIN, KEY).expect("ladder");
         let clean_cycles = ladder.run().stats.cycles;
         let tight = des.with_cycle_limit(clean_cycles + 10);
         let at_cycle = clean_cycles / 2;

@@ -15,9 +15,6 @@ use std::ops::ControlFlow;
 /// incremental (dirty-page) memory tracking. Every [`CpuBackend`]
 /// provides one.
 pub trait BackendCheckpoint {
-    /// Instructions retired as of the checkpoint boundary.
-    fn retired(&self) -> u64;
-
     /// Pages copied by the most recent refresh or restore.
     fn pages_moved(&self) -> usize;
 }
@@ -104,11 +101,6 @@ pub trait CpuBackend: Sized {
     /// and `flushed` are microarchitectural.
     fn stats(&self) -> RunResult;
 
-    /// Instructions retired so far (architectural).
-    fn retired(&self) -> u64 {
-        self.stats().retired
-    }
-
     /// Advances the backend one clock with a hook intervening:
     /// `before_cycle`, the clock itself, then `after_cycle`, which may veto
     /// the cycle with a typed fault. Implementations route a hook with
@@ -177,9 +169,6 @@ pub trait CpuBackend: Sized {
 }
 
 impl BackendCheckpoint for CpuCheckpoint {
-    fn retired(&self) -> u64 {
-        self.retired()
-    }
     fn pages_moved(&self) -> usize {
         self.pages_moved()
     }
@@ -252,9 +241,6 @@ impl CpuBackend for Cpu {
 }
 
 impl BackendCheckpoint for InterpCheckpoint {
-    fn retired(&self) -> u64 {
-        self.retired()
-    }
     fn pages_moved(&self) -> usize {
         self.pages_moved()
     }
@@ -335,7 +321,7 @@ mod tests {
         let mut b = B::load(&p);
         let stats = CpuBackend::run(&mut b, 1_000_000).expect("run");
         assert!(b.is_halted());
-        (b.registers(), b.retired(), stats)
+        (b.registers(), b.stats().retired, stats)
     }
 
     #[test]

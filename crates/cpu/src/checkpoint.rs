@@ -117,16 +117,6 @@ impl CpuCheckpoint {
         cpu.rail_skew = RailSkew::default();
     }
 
-    /// The cycle count at the checkpoint boundary.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Instructions retired as of the checkpoint boundary.
-    pub fn retired(&self) -> u64 {
-        self.stats.retired
-    }
-
     /// Pages copied by the most recent refresh or restore — the measurable
     /// cost of the incremental scheme.
     pub fn pages_moved(&self) -> usize {
@@ -221,16 +211,5 @@ mod tests {
         cpu.rail_skew.mem_bus = 0xFF;
         cp.restore(&mut cpu);
         assert!(cpu.rail_skew.is_clean());
-    }
-
-    #[test]
-    fn checkpoint_cycle_and_retired_reporting() {
-        let mut cpu = Cpu::new(&program());
-        for _ in 0..10 {
-            cpu.clock().expect("step");
-        }
-        let cp = CpuCheckpoint::capture(&mut cpu);
-        assert_eq!(cp.cycle(), 10);
-        assert_eq!(cp.retired(), cpu.stats.retired);
     }
 }

@@ -269,17 +269,6 @@ impl InterpCheckpoint {
         let _ = RailSkew::default();
     }
 
-    /// The instruction count at the checkpoint boundary.
-    pub fn cycle(&self) -> u64 {
-        self.executed
-    }
-
-    /// Instructions retired as of the boundary (same as
-    /// [`InterpCheckpoint::cycle`] on this backend).
-    pub fn retired(&self) -> u64 {
-        self.stats.retired
-    }
-
     /// Pages copied by the most recent refresh or restore.
     pub fn pages_moved(&self) -> usize {
         self.last_pages_moved
@@ -443,8 +432,6 @@ mod tests {
             iss.step(&mut NullHook).unwrap();
         }
         let mut cp = InterpCheckpoint::capture(&mut iss);
-        assert_eq!(cp.cycle(), 5);
-        assert_eq!(cp.retired(), 5);
         for _ in 0..7 {
             iss.step(&mut NullHook).unwrap();
         }

@@ -221,3 +221,55 @@ fn forked_campaign_trials_equal_trials_run_from_reset() {
         assert_eq!(forked.clean_cycles, reset.clean_cycles);
     }
 }
+
+/// A fault that re-fires on every replay spends the whole fixed rollback
+/// budget, `RecoveryPolicy::MAX_RETRIES` = 8, and zeroizes the key; a
+/// recovering campaign classifies such a trial as `zeroized`.
+#[test]
+fn persistent_fault_spends_the_fixed_rollback_budget_and_zeroizes() {
+    use emask::core::{RecoveryPolicy, RunError};
+    use emask::cpu::{FaultLane, RailMode};
+    use emask::fault::{
+        DualRailChecker, FaultInjector, FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger,
+    };
+    use emask::par::{CancelToken, Jobs};
+    use emask_bench::{run_campaign, CampaignConfig, FaultOutcome};
+    let des = MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
+        .expect("compile");
+    // A stuck-at on one rail of an operand latch for the whole run: each
+    // replay meets it again.
+    let spec = FaultSpec {
+        trigger: FaultTrigger::CycleWindow { start: 0, end: u64::MAX },
+        target: FaultTarget::Lane(FaultLane::IdExA, RailMode::TrueOnly),
+        model: FaultModel::StuckAt { bit: 0, stuck_one: true },
+    };
+    let mut hook = (FaultInjector::new(FaultPlan::single(spec)), DualRailChecker::new());
+    let err = des
+        .encrypt_recovered(PLAINTEXT, KEY, &mut hook, &RecoveryPolicy::default())
+        .expect_err("a persistent fault must not complete");
+    assert!(matches!(err, RunError::Zeroized { rollbacks: 8, .. }), "{err}");
+
+    // Trial 0 of the campaign lattice is a one-shot bit flip, so a
+    // one-trial campaign cannot zeroize. The first lattice stuck-at the
+    // checker meets on every replay is trial 12 of a 13-trial campaign:
+    // a stuck-at-1 on the complement rail of the EX/MEM ALU latch.
+    let cfg = CampaignConfig {
+        trials: 13,
+        recovery: Some(RecoveryPolicy::default()),
+        ..CampaignConfig::default()
+    };
+    let report = run_campaign(
+        &des,
+        &cfg,
+        Jobs::serial(),
+        &CancelToken::new(),
+        None,
+        &emask::telemetry::NullSink,
+    )
+    .expect("campaign");
+    let trial = &report.trials[12];
+    assert_eq!((trial.target.as_str(), trial.model.as_str()), ("ex_mem.alu:comp", "stuck-at"));
+    assert_eq!(trial.outcome, FaultOutcome::Zeroized, "{}", report.summary());
+    assert!(trial.detail.starts_with("key zeroized after 8 rollbacks"), "{}", trial.detail);
+    assert_eq!(report.count(FaultOutcome::Zeroized), 1, "{}", report.summary());
+}
