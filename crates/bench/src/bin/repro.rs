@@ -21,14 +21,14 @@ use emask_core::{
     MetricsRegistry, RecoveryPolicy,
 };
 use emask_par::{CancelToken, Interrupted, Jobs};
-use emask_serve::{client, ServerConfig};
-use emask_telemetry::{host_context, metrics_csv, summary_with_host, Event, EventBus, NullSink};
+use emask_serve::{client, JobSink, ServerConfig};
+use emask_telemetry::{host_context, metrics_csv, summary_with_host, Event, EventSink, NullSink};
 use std::env;
 use std::fs;
 use std::io::{BufWriter, IsTerminal, Write};
 use std::path::Path;
 use std::process::ExitCode;
-use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Every runnable experiment, as listed in `usage()`; `all` expands to the
@@ -218,21 +218,18 @@ fn main() -> ExitCode {
     print!("# {}", host_context(Some(opts.jobs.get())).render());
     println!();
 
-    // `--live-out` installs the bounded event bus plus one consumer thread
-    // that splits the stream: replayable events become the JSONL document,
-    // operational events drive the stderr progress line.
-    let (bus, consumer) = match &opts.live_out {
-        Some(path) => {
-            let bus = Arc::new(EventBus::default());
-            let progress = !opts.quiet && std::io::stderr().is_terminal();
-            let handle = {
-                let bus = Arc::clone(&bus);
-                let path = path.clone();
-                std::thread::spawn(move || live_consumer(&bus, &path, progress))
-            };
-            (Some(bus), Some(handle))
-        }
-        None => (None, None),
+    // `--live-out` writes the replayable events as a JSONL document
+    // (`-` = stdout); on a terminal, unless `--quiet`, campaign headers
+    // and trial heartbeats also drive a stderr progress/ETA line.
+    let live = match &opts.live_out {
+        Some(path) => match Live::create(path, !opts.quiet && std::io::stderr().is_terminal()) {
+            Ok(live) => Some(live),
+            Err(e) => {
+                eprintln!("error: live event stream failed: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
     };
 
     let mut failed = false;
@@ -247,15 +244,15 @@ fn main() -> ExitCode {
             "table1" => table1(&opts),
             "xor" => xor(),
             "spa" => spa(&opts),
-            "dpa" => dpa(&opts, bus.as_deref()),
+            "dpa" => dpa(&opts, live.as_ref()),
             "cpa" => cpa(&opts),
             "sweep" => sweep(&opts),
             "coupling" => coupling(&opts),
             "perclass" => perclass(&opts),
-            "tvla" => tvla(&opts, bus.as_deref()),
+            "tvla" => tvla(&opts, live.as_ref()),
             "ablations" => ablations(&opts),
             "fault" => {
-                if let Err(e) = fault(&opts, bus.as_deref()) {
+                if let Err(e) = fault(&opts, live.as_ref()) {
                     eprintln!("error: fault campaign failed: {e}");
                     failed = true;
                 }
@@ -274,20 +271,10 @@ fn main() -> ExitCode {
         println!();
     }
 
-    if let Some(bus) = &bus {
-        bus.close();
-    }
-    if let Some(handle) = consumer {
-        match handle.join() {
-            Ok(Err(e)) => {
-                eprintln!("error: live event stream failed: {e}");
-                failed = true;
-            }
-            Err(_) => {
-                eprintln!("error: live event consumer panicked");
-                failed = true;
-            }
-            Ok(Ok(())) => {}
+    if let Some(live) = &live {
+        if let Err(e) = live.finish() {
+            eprintln!("error: live event stream failed: {e}");
+            failed = true;
         }
     }
     if failed {
@@ -302,69 +289,97 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--live-out` consumer loop: drains the bus until the producers
-/// close it, appending replayable events to the JSONL document (`-` =
-/// stdout) and folding operational events into a single in-place stderr
-/// progress/ETA line (suppressed when stderr is not a terminal or
-/// `--quiet` was passed).
-fn live_consumer(bus: &EventBus, path: &str, progress: bool) -> std::io::Result<()> {
-    let mut writer: Box<dyn Write> = if path == "-" {
-        Box::new(std::io::stdout())
-    } else {
-        Box::new(BufWriter::new(fs::File::create(path)?))
-    };
-    // Progress state, reset by each campaign header.
-    let mut experiment = String::new();
-    let mut total = 0u64;
-    let mut done = 0u64;
-    let mut started = Instant::now();
-    let mut drawn = false;
+/// Seconds between redraws of the stderr progress line.
+const PROGRESS_REDRAW_S: f64 = 0.1;
 
-    let mut buf = Vec::new();
-    while bus.drain_wait(&mut buf) {
-        for event in buf.drain(..) {
-            if event.is_replayable() {
-                if let Event::CampaignStarted { experiment: exp, trials, .. } = &event {
-                    experiment = exp.clone();
-                    total = *trials;
-                    done = 0;
-                    started = Instant::now();
-                }
-                writeln!(writer, "{}", event.to_json())?;
-            } else if let Event::TrialCompleted { .. } = event {
-                done += 1;
+/// The `--live-out` sink: every event goes to the [`JobSink`] that
+/// writes the JSONL document. No subscriber is registered, so nothing
+/// is ever dropped and the trait's default `dropped` of 0 holds.
+struct Live {
+    sink: JobSink,
+    /// The stderr progress/ETA line, when one is drawn.
+    progress: Option<Mutex<Progress>>,
+}
+
+/// Progress state, reset by each campaign header.
+struct Progress {
+    experiment: String,
+    total: u64,
+    done: u64,
+    started: Instant,
+    drawn: Option<Instant>,
+}
+
+impl Live {
+    /// Truncates `path` (`-` = stdout) for the document.
+    fn create(path: &str, progress: bool) -> std::io::Result<Self> {
+        let sink = if path == "-" {
+            JobSink::new(std::io::stdout())
+        } else {
+            JobSink::new(BufWriter::new(fs::File::create(path)?))
+        };
+        let progress = progress.then(|| {
+            Mutex::new(Progress {
+                experiment: String::new(),
+                total: 0,
+                done: 0,
+                started: Instant::now(),
+                drawn: None,
+            })
+        });
+        Ok(Live { sink, progress })
+    }
+
+    /// Ends the progress line and flushes the document.
+    fn finish(&self) -> std::io::Result<()> {
+        if let Some(progress) = &self.progress {
+            if progress.lock().expect("progress line poisoned").drawn.is_some() {
+                eprintln!();
             }
         }
-        if progress && total > 0 {
-            let elapsed = started.elapsed().as_secs_f64();
-            let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
-            let eta = if rate > 0.0 && done < total {
-                format!("{:.0}s", (total - done) as f64 / rate)
-            } else {
-                "--".into()
-            };
-            eprint!("\r{experiment}: {done}/{total} trials ({rate:.0}/s, ETA {eta})    ");
-            let _ = std::io::stderr().flush();
-            drawn = true;
+        self.sink.flush()
+    }
+}
+
+impl Progress {
+    /// Folds in one event and redraws the line at most every
+    /// [`PROGRESS_REDRAW_S`], and at the last trial.
+    fn update(&mut self, event: &Event) {
+        match event {
+            Event::CampaignStarted { experiment, trials, .. } => {
+                self.experiment.clone_from(experiment);
+                self.total = *trials;
+                self.done = 0;
+                self.started = Instant::now();
+            }
+            Event::TrialCompleted { .. } => self.done += 1,
+            _ => return,
         }
+        let due = self.drawn.is_none_or(|t| t.elapsed().as_secs_f64() >= PROGRESS_REDRAW_S);
+        if self.total == 0 || !(due || self.done == self.total) {
+            return;
+        }
+        let (experiment, done, total) = (&self.experiment, self.done, self.total);
+        let elapsed = self.started.elapsed().as_secs_f64();
+        let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
+        let eta = if rate > 0.0 && done < total {
+            format!("{:.0}s", (total - done) as f64 / rate)
+        } else {
+            "--".into()
+        };
+        eprint!("\r{experiment}: {done}/{total} trials ({rate:.0}/s, ETA {eta})    ");
+        let _ = std::io::stderr().flush();
+        self.drawn = Some(Instant::now());
     }
-    if drawn {
-        eprintln!();
+}
+
+impl EventSink for Live {
+    fn emit(&self, event: Event) {
+        if let Some(progress) = &self.progress {
+            progress.lock().expect("progress line poisoned").update(&event);
+        }
+        self.sink.emit(event);
     }
-    // Operational events (progress heartbeats) are droppable by design;
-    // surface the count so shedding is never silent. The replayable
-    // stream in the JSONL document is lossless regardless.
-    let dropped = bus.dropped();
-    if dropped > 0 {
-        let by_kind: Vec<String> =
-            bus.dropped_by_kind().into_iter().map(|(kind, n)| format!("{kind} x{n}")).collect();
-        eprintln!(
-            "note: {dropped} operational events dropped under backpressure [{}] \
-             (the replayable JSONL stream is lossless)",
-            by_kind.join(", ")
-        );
-    }
-    writer.flush()
 }
 
 /// The `repro serve|submit|status|stats|cancel|watch` subcommands — the
@@ -928,7 +943,7 @@ fn uninterrupted<T>(result: Result<T, Interrupted>) -> T {
     result.unwrap_or_else(|_| unreachable!("a private never-cancelled token cannot interrupt"))
 }
 
-fn dpa(opts: &Opts, bus: Option<&EventBus>) {
+fn dpa(opts: &Opts, live: Option<&Live>) {
     println!(
         "== DPA: round-1 subkey recovery, S-box 1, {} samples, {} jobs ==",
         opts.samples,
@@ -937,9 +952,9 @@ fn dpa(opts: &Opts, bus: Option<&EventBus>) {
     let token = CancelToken::new();
     let (rounds, samples, jobs, cadence) = (opts.rounds, opts.samples, opts.jobs, opts.cadence);
     let run = |policy| {
-        uninterrupted(match bus {
-            Some(b) => {
-                emask_bench::dpa_attack(policy, rounds, samples, 0, jobs, &token, cadence, b)
+        uninterrupted(match live {
+            Some(live) => {
+                emask_bench::dpa_attack(policy, rounds, samples, 0, jobs, &token, cadence, live)
             }
             None => emask_bench::dpa_attack(
                 policy, rounds, samples, 0, jobs, &token, cadence, &NullSink,
@@ -979,15 +994,17 @@ fn cpa(opts: &Opts) {
     println!("after masking:  {masked}");
 }
 
-fn tvla(opts: &Opts, bus: Option<&EventBus>) {
+fn tvla(opts: &Opts, live: Option<&Live>) {
     println!("== TVLA: fixed-vs-random-key Welch t (extension; threshold 4.5) ==");
     let rounds = opts.rounds.min(2);
     let groups = (opts.samples / 4).max(8);
     let token = CancelToken::new();
     let (jobs, cadence) = (opts.jobs, opts.cadence);
     let run = |policy| {
-        uninterrupted(match bus {
-            Some(b) => emask_bench::tvla(policy, rounds, groups, 11, jobs, &token, cadence, b),
+        uninterrupted(match live {
+            Some(live) => {
+                emask_bench::tvla(policy, rounds, groups, 11, jobs, &token, cadence, live)
+            }
             None => emask_bench::tvla(policy, rounds, groups, 11, jobs, &token, cadence, &NullSink),
         })
     };
@@ -1065,7 +1082,7 @@ fn ablations(opts: &Opts) {
 /// `--recover` the trials run under checkpoint/rollback recovery; with
 /// `--checkpoint` the campaign itself persists progress after every
 /// shard and `--resume` continues a killed run byte-identically.
-fn fault(opts: &Opts, bus: Option<&EventBus>) -> Result<(), Box<dyn std::error::Error>> {
+fn fault(opts: &Opts, live: Option<&Live>) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "== Fault campaign: {} trials, bits {:?}, selective masking, {} rounds, {} jobs{} ==",
         opts.fault_trials,
@@ -1086,8 +1103,8 @@ fn fault(opts: &Opts, bus: Option<&EventBus>) -> Result<(), Box<dyn std::error::
     };
     let token = CancelToken::new();
     let checkpoint = opts.checkpoint.as_deref().map(Path::new);
-    let report: CampaignReport = match bus {
-        Some(b) => run_campaign(&des, &cfg, opts.jobs, &token, checkpoint, b)?,
+    let report: CampaignReport = match live {
+        Some(live) => run_campaign(&des, &cfg, opts.jobs, &token, checkpoint, live)?,
         None => run_campaign(&des, &cfg, opts.jobs, &token, checkpoint, &NullSink)?,
     };
     println!("clean run: {} cycles; cycle budget per trial: 2x", report.clean_cycles);

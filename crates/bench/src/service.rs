@@ -376,7 +376,7 @@ mod tests {
         // benchmark's `serve_mix` replays it: every job of it (worker
         // requests 1–4) must be admitted under the supervisor's default
         // budget.
-        let budget = emask_serve::SupervisorConfig::new(PathBuf::new()).memory_budget;
+        let budget = emask_serve::ServerConfig::new(PathBuf::new()).memory_budget;
         let mut seen = std::collections::BTreeSet::new();
         for k in 0..256 {
             let spec = crate::loadgen::workload_spec(11, k);

@@ -9,9 +9,11 @@ use emask_bench::{CampaignConfig, CampaignReport};
 use emask_core::DesProgramSpec;
 use emask_core::{MaskPolicy, MaskedDes};
 use emask_par::{CancelToken, Jobs};
-use emask_telemetry::{fnv1a, Event, EventBus, EventSink, NullSink};
+use emask_serve::JobSink;
+use emask_telemetry::{fnv1a, Event, EventSink, NullSink};
+use std::io::Write;
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// An ordered in-memory sink.
 struct Collect(Mutex<Vec<Event>>);
@@ -218,31 +220,32 @@ fn resumed_campaign_stream_is_identical_to_uninterrupted() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A writer into a buffer the test keeps a handle on.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Vec<u8>>>);
+
+impl Write for Shared {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("shared buffer").extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 #[test]
-fn event_bus_end_to_end_delivers_the_replayable_stream_in_order() {
+fn job_sink_document_equals_the_replayable_stream() {
     let des = device();
     let cfg = CampaignConfig { trials: 24, ..CampaignConfig::default() };
-    let bus = EventBus::new(8); // small queue: exercises backpressure
-    let (report, jsonl) = std::thread::scope(|scope| {
-        let consumer = scope.spawn(|| {
-            let mut out = String::new();
-            let mut buf = Vec::new();
-            while bus.drain_wait(&mut buf) {
-                for e in buf.drain(..) {
-                    if e.is_replayable() {
-                        out.push_str(&e.to_json());
-                        out.push('\n');
-                    }
-                }
-            }
-            out
-        });
-        let report = fault_campaign(&des, &cfg, Jobs::new(4).unwrap(), &bus);
-        bus.close();
-        (report, consumer.join().expect("consumer"))
-    });
+    let out = Shared::default();
+    let sink = JobSink::new(out.clone());
+    let report = fault_campaign(&des, &cfg, Jobs::new(4).unwrap(), &sink);
+    sink.flush().expect("flush");
+    let jsonl = String::from_utf8(out.0.lock().expect("shared buffer").clone()).expect("utf-8");
     let direct = Collect::new();
     fault_campaign(&des, &cfg, Jobs::new(2).unwrap(), &direct);
-    assert_eq!(jsonl, direct.replayable_jsonl(), "bus transport must preserve the stream");
+    assert_eq!(jsonl, direct.replayable_jsonl(), "the sink must write the replayable stream");
     assert_eq!(report.total(), 24);
 }

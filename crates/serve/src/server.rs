@@ -23,54 +23,12 @@
 use crate::json::{parse, Json};
 use crate::signal;
 use crate::spec::JobSpec;
-use crate::supervisor::{ExperimentRunner, ServiceStats, Supervisor, SupervisorConfig};
+use crate::supervisor::{ExperimentRunner, ServerConfig, ServiceStats, Supervisor};
 use emask_telemetry::escape_json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Everything `repro serve` configures.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// The Unix socket path to listen on.
-    pub socket: PathBuf,
-    /// The job state directory (specs, events, checkpoints, results).
-    pub state_dir: PathBuf,
-    /// Max queued jobs before submissions bounce.
-    pub queue_depth: usize,
-    /// Per-job accumulator budget in bytes.
-    pub memory_budget: u64,
-    /// Concurrent executor threads.
-    pub executors: usize,
-    /// Worker threads in the shared pool the executors lease from.
-    pub thread_budget: usize,
-    /// Batch starvation-avoidance aging threshold (0 disables).
-    pub aging_threshold: u64,
-    /// Per-class admission quotas, High/Normal/Batch order.
-    pub class_quotas: [usize; 3],
-}
-
-impl ServerConfig {
-    /// Defaults around a state directory: socket `<dir>/serve.sock`,
-    /// plus the [`SupervisorConfig`] defaults (depth 32, budget 512 MiB,
-    /// executors and thread budget at the machine's parallelism).
-    #[must_use]
-    pub fn new(state_dir: PathBuf) -> Self {
-        let sup = SupervisorConfig::new(state_dir.clone());
-        ServerConfig {
-            socket: state_dir.join("serve.sock"),
-            state_dir,
-            queue_depth: sup.queue_depth,
-            memory_budget: sup.memory_budget,
-            executors: sup.executors,
-            thread_budget: sup.thread_budget,
-            aging_threshold: sup.aging_threshold,
-            class_quotas: sup.class_quotas,
-        }
-    }
-}
 
 /// The longest request line the service reads, newline excluded. The
 /// largest valid request, a `submit` carrying every `JobSpec` field, is
@@ -148,17 +106,12 @@ fn stats_payload(stats: &ServiceStats, shutting_down: bool) -> String {
 /// per-connection errors are handled inline and never abort the server.
 pub fn serve<R: ExperimentRunner + 'static>(cfg: &ServerConfig, runner: R) -> Result<(), String> {
     signal::install();
-    let sup_cfg = SupervisorConfig {
-        state_dir: cfg.state_dir.clone(),
-        queue_depth: cfg.queue_depth,
-        memory_budget: cfg.memory_budget,
+    let cfg = ServerConfig {
         executors: cfg.executors.max(1),
         thread_budget: cfg.thread_budget.max(1),
-        aging_threshold: cfg.aging_threshold,
-        class_quotas: cfg.class_quotas,
+        ..cfg.clone()
     };
-    let executors = sup_cfg.executors;
-    let sup = Arc::new(Supervisor::new(sup_cfg, runner).map_err(|e| e.to_string())?);
+    let sup = Arc::new(Supervisor::new(cfg.clone(), runner).map_err(|e| e.to_string())?);
     let resumed = sup.rescan()?;
     for id in &resumed {
         eprintln!("emask-serve: resuming job {id}");
@@ -167,7 +120,7 @@ pub fn serve<R: ExperimentRunner + 'static>(cfg: &ServerConfig, runner: R) -> Re
     let _ = std::fs::remove_file(&cfg.socket);
     let listener = UnixListener::bind(&cfg.socket).map_err(|e| e.to_string())?;
     listener.set_nonblocking(true).map_err(|e| e.to_string())?;
-    let executor_threads: Vec<_> = (0..executors)
+    let executor_threads: Vec<_> = (0..cfg.executors)
         .map(|_| {
             std::thread::spawn({
                 let sup = Arc::clone(&sup);
@@ -175,7 +128,7 @@ pub fn serve<R: ExperimentRunner + 'static>(cfg: &ServerConfig, runner: R) -> Re
             })
         })
         .collect();
-    eprintln!("emask-serve: listening on {} ({executors} executors)", cfg.socket.display());
+    eprintln!("emask-serve: listening on {} ({} executors)", cfg.socket.display(), cfg.executors);
     // The gauge heartbeat rides the 25 ms accept poll: every 40th idle
     // poll (~1 s) pushes one operational `service_metrics` event to the
     // live watchers. Operational events are never persisted, so the

@@ -1,18 +1,23 @@
-//! The per-job event sink: a JSONL file of record plus live fanout.
+//! The event sink: a JSONL document of record plus live fanout.
 //!
-//! Every job owns one append-only `job-<id>.events.jsonl`. Replayable
-//! events (the campaign's deterministic stream **and** the job-lifecycle
-//! events) are written to the file losslessly — appended across retries
-//! and resumes, the file is the job's full supervision history.
-//! Operational heartbeats are not persisted; they are forwarded
-//! best-effort to live subscribers (`watch` connections) through bounded
-//! channels, dropped and counted under backpressure — the same two-tier
-//! policy as [`emask_telemetry::EventBus`].
+//! Replayable events (the campaign's deterministic stream **and** the
+//! job-lifecycle events) are written to the document losslessly; a write
+//! blocks the emitting thread, so a slow document throttles the campaign
+//! instead of losing events. Operational heartbeats are never written;
+//! they are forwarded best-effort to live subscribers (`watch`
+//! connections) through bounded channels, dropped and counted per kind
+//! under backpressure.
+//!
+//! The service gives every job one append-only `job-<id>.events.jsonl`
+//! ([`JobSink::open`]): appended across retries and resumes, the file is
+//! the job's full supervision history. `repro --live-out` writes one
+//! campaign's document to a fresh file or to stdout ([`JobSink::new`])
+//! and registers no subscribers, so nothing is dropped there.
 
 use emask_telemetry::{Event, EventSink};
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -22,11 +27,14 @@ use std::sync::Mutex;
 const SUBSCRIBER_DEPTH: usize = 256;
 
 struct SinkState {
-    file: File,
+    out: Box<dyn Write + Send>,
+    /// The first failed write, kept for [`JobSink::flush`].
+    failed: Option<std::io::Error>,
     subscribers: Vec<SyncSender<String>>,
 }
 
-/// The per-job [`EventSink`]: lossless JSONL file + lossy live fanout.
+/// The [`EventSink`] behind every job and `repro --live-out`: lossless
+/// JSONL document + lossy live fanout.
 pub struct JobSink {
     state: Mutex<SinkState>,
     dropped: AtomicU64,
@@ -43,22 +51,31 @@ impl std::fmt::Debug for JobSink {
 }
 
 impl JobSink {
+    /// A sink writing its replayable lines to `out`.
+    pub fn new(out: impl Write + Send + 'static) -> Self {
+        JobSink {
+            state: Mutex::new(SinkState {
+                out: Box::new(out),
+                failed: None,
+                subscribers: Vec::new(),
+            }),
+            dropped: AtomicU64::new(0),
+            dropped_kinds: Mutex::new(BTreeMap::new()),
+        }
+    }
+
     /// Opens (appending) the job's event file.
     ///
     /// # Errors
     ///
     /// Forwards the underlying IO error.
     pub fn open(path: &Path) -> std::io::Result<Self> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(JobSink {
-            state: Mutex::new(SinkState { file, subscribers: Vec::new() }),
-            dropped: AtomicU64::new(0),
-            dropped_kinds: Mutex::new(BTreeMap::new()),
-        })
+        Ok(Self::new(OpenOptions::new().create(true).append(true).open(path)?))
     }
 
     /// Registers a live subscriber: returns the channel end to stream
-    /// from, after `snapshot` receives everything already on disk. The
+    /// from, after `snapshot` receives everything already on disk at
+    /// `path`, the file this sink was [`open`](JobSink::open)ed on. The
     /// snapshot read and the registration happen under one lock, so no
     /// event is missed or duplicated at the handoff.
     ///
@@ -76,18 +93,22 @@ impl JobSink {
     fn deliver(&self, line: &str, kind: &'static str, persist: bool) {
         let mut st = self.state.lock().expect("job sink poisoned");
         if persist {
-            // An unwritable event file is a lost history, not a lost
+            // An unwritable document is a lost history, not a lost
             // campaign — the CSV/summary results don't pass through here.
-            // Surface it loudly on stderr rather than killing the job.
-            if let Err(e) = writeln!(st.file, "{line}") {
-                eprintln!("emask-serve: event file write failed: {e}");
+            // Surface the first failure on stderr and keep it for
+            // `flush` rather than killing the job.
+            if let Err(e) = writeln!(st.out, "{line}") {
+                if st.failed.is_none() {
+                    eprintln!("error: event stream write failed: {e}");
+                    st.failed = Some(e);
+                }
             }
         }
         let mut dropped = 0u64;
         st.subscribers.retain(|tx| match tx.try_send(line.to_string()) {
             Ok(()) => true,
-            // Replayable lines survive in the file either way; the shed
-            // live copy is still counted so drops are never silent.
+            // Replayable lines survive in the document either way; the
+            // shed live copy is still counted so drops are never silent.
             Err(TrySendError::Full(_)) => {
                 dropped += 1;
                 true
@@ -103,8 +124,20 @@ impl JobSink {
         }
     }
 
-    /// Drops every live subscriber (their streams end); the file stays
-    /// open for further appends.
+    /// Flushes the document.
+    ///
+    /// # Errors
+    ///
+    /// The first write that failed since the last `flush`, if any, else
+    /// the flush's own error.
+    pub fn flush(&self) -> std::io::Result<()> {
+        let mut st = self.state.lock().expect("job sink poisoned");
+        let flushed = st.out.flush();
+        st.failed.take().map_or(flushed, Err)
+    }
+
+    /// Drops every live subscriber (their streams end); the document
+    /// stays open for further writes.
     pub(crate) fn disconnect_subscribers(&self) {
         self.state.lock().expect("job sink poisoned").subscribers.clear();
     }
@@ -195,5 +228,30 @@ mod tests {
         assert_eq!(sink.dropped_by_kind(), vec![("trial_completed".to_string(), 10)]);
         drop(rx);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A writer that fails every write, counting the attempts.
+    struct Full(std::sync::Arc<AtomicU64>);
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Err(std::io::Error::other("device full"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn flush_returns_the_first_failed_write() {
+        let attempts = std::sync::Arc::new(AtomicU64::new(0));
+        let sink = JobSink::new(Full(std::sync::Arc::clone(&attempts)));
+        sink.emit(Event::JobQueued { job: 3, experiment: "dpa".into(), trials: 2 });
+        sink.emit(Event::JobStarted { job: 3, attempt: 1 });
+        assert_eq!(attempts.load(Ordering::Relaxed), 2, "every replayable line is attempted");
+        assert_eq!(sink.flush().unwrap_err().to_string(), "device full");
+        assert!(sink.flush().is_ok(), "the failure is reported once");
     }
 }

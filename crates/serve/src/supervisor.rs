@@ -249,9 +249,12 @@ pub struct JobStatus {
     pub attempt: u32,
 }
 
-/// Supervisor tuning knobs.
+/// Everything `repro serve` configures: the socket and the supervisor's
+/// tuning knobs.
 #[derive(Debug, Clone)]
-pub struct SupervisorConfig {
+pub struct ServerConfig {
+    /// The Unix socket path [`serve`](crate::serve) listens on.
+    pub socket: PathBuf,
     /// Directory for specs, events, checkpoints, results, and markers.
     pub state_dir: PathBuf,
     /// Max jobs waiting in the queue before submissions bounce.
@@ -273,14 +276,16 @@ pub struct SupervisorConfig {
     pub class_quotas: [usize; 3],
 }
 
-impl SupervisorConfig {
-    /// Defaults: depth 32, budget 512 MiB, executors and thread budget at
-    /// the machine's parallelism, aging after 8 bypasses, per-class
-    /// quotas equal to the global depth (i.e. only the global bound).
+impl ServerConfig {
+    /// Defaults around a state directory: socket `<dir>/serve.sock`,
+    /// depth 32, budget 512 MiB, executors and thread budget at the
+    /// machine's parallelism, aging after 8 bypasses, per-class quotas
+    /// equal to the global depth (i.e. only the global bound).
     #[must_use]
     pub fn new(state_dir: PathBuf) -> Self {
         let parallelism = Jobs::auto().get();
-        SupervisorConfig {
+        ServerConfig {
+            socket: state_dir.join("serve.sock"),
             state_dir,
             queue_depth: 32,
             memory_budget: 512 * 1024 * 1024,
@@ -420,7 +425,7 @@ pub struct ServiceStats {
 /// [`ThreadBudget`] via leases; any number of protocol threads
 /// submit/cancel/observe.
 pub struct Supervisor<R> {
-    cfg: SupervisorConfig,
+    cfg: ServerConfig,
     runner: R,
     inner: Mutex<Inner>,
     work: Condvar,
@@ -441,7 +446,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
     /// # Errors
     ///
     /// Forwards the directory-creation error.
-    pub fn new(cfg: SupervisorConfig, runner: R) -> std::io::Result<Self> {
+    pub fn new(cfg: ServerConfig, runner: R) -> std::io::Result<Self> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let budget = ThreadBudget::new(cfg.thread_budget);
         Ok(Supervisor {
@@ -1228,11 +1233,7 @@ mod tests {
     fn cancel_between_claim_and_start_records_one_terminal() {
         let dir = std::env::temp_dir().join(format!("emask-serve-claim-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = SupervisorConfig {
-            executors: 1,
-            thread_budget: 1,
-            ..SupervisorConfig::new(dir.clone())
-        };
+        let cfg = ServerConfig { executors: 1, thread_budget: 1, ..ServerConfig::new(dir.clone()) };
         let sup = Supervisor::new(cfg, DoneRunner).unwrap();
         let id = sup.submit(JobSpec { experiment: "done".into(), ..JobSpec::default() }).unwrap();
         // What an executor does, with a cancel landing between its pop and

@@ -7,7 +7,7 @@
 use emask_par::Interrupted;
 use emask_serve::{
     client, ExperimentRunner, JobCtx, JobSpec, JobState, RejectReason, RunStatus, ServerConfig,
-    Supervisor, SupervisorConfig,
+    Supervisor,
 };
 use emask_telemetry::{Event, EventSink, Span};
 use std::path::PathBuf;
@@ -118,7 +118,7 @@ fn with_executor<R: ExperimentRunner + 'static>(
 fn completed_job_writes_the_deterministic_csv() {
     let dir = state_dir("complete");
     let sup =
-        Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(0)).unwrap());
+        Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(0)).unwrap());
     with_executor(&sup, |sup| {
         let id = sup.submit(spec(50)).unwrap();
         assert_eq!(wait_terminal(sup, id), JobState::Completed);
@@ -137,7 +137,7 @@ fn completed_job_writes_the_deterministic_csv() {
 fn cancelled_job_stops_at_a_trial_boundary() {
     let dir = state_dir("cancel");
     let sup =
-        Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(2)).unwrap());
+        Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(2)).unwrap());
     with_executor(&sup, |sup| {
         let id = sup.submit(spec(10_000)).unwrap();
         while sup.job_state(id).unwrap() != JobState::Running {
@@ -158,7 +158,7 @@ fn cancelled_job_stops_at_a_trial_boundary() {
 fn queued_job_cancels_without_ever_running() {
     let dir = state_dir("cancel-queued");
     let sup =
-        Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(2)).unwrap());
+        Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(2)).unwrap());
     with_executor(&sup, |sup| {
         let running = sup.submit(spec(10_000)).unwrap();
         let queued = sup.submit(spec(10)).unwrap();
@@ -177,7 +177,7 @@ fn queued_job_cancels_without_ever_running() {
 fn deadline_trips_the_token_mid_run() {
     let dir = state_dir("deadline");
     let sup =
-        Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(2)).unwrap());
+        Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(2)).unwrap());
     with_executor(&sup, |sup| {
         let id = sup.submit(JobSpec { deadline_ms: Some(40), ..spec(100_000) }).unwrap();
         assert_eq!(wait_terminal(sup, id), JobState::DeadlineExceeded);
@@ -192,7 +192,7 @@ fn transient_failures_retry_with_recorded_backoff_then_succeed() {
     let dir = state_dir("retry");
     let runner = StepRunner::new(0);
     runner.panic_attempts.store(2, Ordering::SeqCst);
-    let sup = Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), runner).unwrap());
+    let sup = Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), runner).unwrap());
     with_executor(&sup, |sup| {
         let id = sup.submit(JobSpec { max_retries: 2, backoff_ms: 5, ..spec(20) }).unwrap();
         assert_eq!(wait_terminal(sup, id), JobState::Completed);
@@ -216,7 +216,7 @@ fn exhausted_retries_fail_the_job_permanently() {
     let dir = state_dir("retry-exhausted");
     let runner = StepRunner::new(0);
     runner.panic_attempts.store(10, Ordering::SeqCst);
-    let sup = Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), runner).unwrap());
+    let sup = Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), runner).unwrap());
     with_executor(&sup, |sup| {
         let id = sup.submit(JobSpec { max_retries: 1, backoff_ms: 1, ..spec(5) }).unwrap();
         assert_eq!(wait_terminal(sup, id), JobState::Failed);
@@ -237,7 +237,7 @@ fn span_stream_nests_job_attempt_and_backoff_deterministically() {
     let dir = state_dir("spans");
     let runner = StepRunner::new(0);
     runner.panic_attempts.store(1, Ordering::SeqCst);
-    let sup = Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), runner).unwrap());
+    let sup = Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), runner).unwrap());
     with_executor(&sup, |sup| {
         let id = sup.submit(JobSpec { max_retries: 1, backoff_ms: 5, ..spec(20) }).unwrap();
         assert_eq!(wait_terminal(sup, id), JobState::Completed);
@@ -274,11 +274,8 @@ fn span_stream_nests_job_attempt_and_backoff_deterministically() {
 #[test]
 fn admission_control_rejects_with_typed_reasons() {
     let dir = state_dir("admission");
-    let cfg = SupervisorConfig {
-        queue_depth: 1,
-        memory_budget: 64 * 1024,
-        ..SupervisorConfig::new(dir.clone())
-    };
+    let cfg =
+        ServerConfig { queue_depth: 1, memory_budget: 64 * 1024, ..ServerConfig::new(dir.clone()) };
     let sup = Supervisor::new(cfg, StepRunner::new(0)).unwrap();
     // No executor: everything stays queued.
     assert!(matches!(
@@ -308,7 +305,7 @@ fn shutdown_restart_resume_is_byte_identical() {
 
     // First server: start the job, shut down mid-run.
     let sup1 =
-        Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(1)).unwrap());
+        Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(1)).unwrap());
     let exec1 = std::thread::spawn({
         let sup = Arc::clone(&sup1);
         move || sup.run_executor()
@@ -327,7 +324,7 @@ fn shutdown_restart_resume_is_byte_identical() {
 
     // Second server over the same state dir: rescan resumes the job.
     let sup2 =
-        Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(0)).unwrap());
+        Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(0)).unwrap());
     let resumed = sup2.rescan().unwrap();
     assert_eq!(resumed, vec![id]);
     with_executor(&sup2, |sup| {
@@ -347,7 +344,7 @@ fn shutdown_restart_resume_is_byte_identical() {
 #[test]
 fn high_submission_preempts_the_running_batch_job() {
     let dir = state_dir("preempt");
-    let cfg = SupervisorConfig { executors: 1, ..SupervisorConfig::new(dir.clone()) };
+    let cfg = ServerConfig { executors: 1, ..ServerConfig::new(dir.clone()) };
     let sup = Arc::new(Supervisor::new(cfg, StepRunner::new(1)).unwrap());
     with_executor(&sup, |sup| {
         let batch = sup.submit(spec_class(2_000, "batch")).unwrap();
@@ -386,8 +383,7 @@ fn high_submission_preempts_the_running_batch_job() {
 #[test]
 fn starved_batch_jobs_age_into_the_normal_class() {
     let dir = state_dir("aging");
-    let cfg =
-        SupervisorConfig { executors: 1, aging_threshold: 2, ..SupervisorConfig::new(dir.clone()) };
+    let cfg = ServerConfig { executors: 1, aging_threshold: 2, ..ServerConfig::new(dir.clone()) };
     let sup = Arc::new(Supervisor::new(cfg, StepRunner::new(0)).unwrap());
     // Queue up before any executor runs: one Batch job behind a wall of
     // Normal jobs, so the dispatch-count aging must trigger.
@@ -409,7 +405,7 @@ fn starved_batch_jobs_age_into_the_normal_class() {
 #[test]
 fn class_quota_rejects_only_the_saturated_class() {
     let dir = state_dir("quota");
-    let cfg = SupervisorConfig { class_quotas: [1, 1, 1], ..SupervisorConfig::new(dir.clone()) };
+    let cfg = ServerConfig { class_quotas: [1, 1, 1], ..ServerConfig::new(dir.clone()) };
     let sup = Supervisor::new(cfg, StepRunner::new(0)).unwrap();
     // No executor: everything stays queued against its quota.
     sup.submit(spec_class(5, "batch")).unwrap();
@@ -426,7 +422,7 @@ fn class_quota_rejects_only_the_saturated_class() {
 #[test]
 fn rescan_resumes_interrupted_jobs_in_id_order() {
     let dir = state_dir("rescan-order");
-    let sup = Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(0)).unwrap();
+    let sup = Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(0)).unwrap();
     let ids = vec![
         sup.submit(spec_class(5, "normal")).unwrap(),
         sup.submit(spec_class(5, "batch")).unwrap(),
@@ -434,7 +430,7 @@ fn rescan_resumes_interrupted_jobs_in_id_order() {
     ];
     drop(sup);
     let sup =
-        Arc::new(Supervisor::new(SupervisorConfig::new(dir.clone()), StepRunner::new(0)).unwrap());
+        Arc::new(Supervisor::new(ServerConfig::new(dir.clone()), StepRunner::new(0)).unwrap());
     let resumed = sup.rescan().unwrap();
     assert_eq!(resumed, ids, "rescan order is sorted by job id, not directory order");
     with_executor(&sup, |sup| {

@@ -19,7 +19,7 @@
 #![allow(clippy::unwrap_used)]
 
 use emask_par::Interrupted;
-use emask_serve::{ExperimentRunner, JobCtx, JobSpec, RunStatus, Supervisor, SupervisorConfig};
+use emask_serve::{ExperimentRunner, JobCtx, JobSpec, RunStatus, ServerConfig, Supervisor};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,11 +176,11 @@ fn validate_history(events: &str) -> Result<(), String> {
 
 fn run_sequence(ops: &[u8]) {
     let dir = case_dir();
-    let cfg = SupervisorConfig {
+    let cfg = ServerConfig {
         executors: 2,
         thread_budget: 2,
         aging_threshold: 2,
-        ..SupervisorConfig::new(dir.clone())
+        ..ServerConfig::new(dir.clone())
     };
     let sup = Arc::new(Supervisor::new(cfg, StepRunner).unwrap());
     let execs: Vec<_> = (0..2)

@@ -21,8 +21,8 @@
 //!   per-trial completions, shard completions, checkpoint writes,
 //!   recovery attempts. Their interleaving depends on scheduling, so they
 //!   never enter the replayable stream — they drive the live stderr
-//!   progress/ETA line and may be dropped under backpressure
-//!   ([`EventBus::try_emit`](crate::stream::EventBus::try_emit)).
+//!   progress/ETA line and the live watchers, and a sink may drop them
+//!   under backpressure (counted in [`EventSink::dropped`]).
 //!
 //! ## Zero cost when disabled
 //!
@@ -487,9 +487,8 @@ pub trait EventSink: Sync {
     const ACTIVE: bool = true;
 
     /// Accepts one event. Implementations decide the delivery policy
-    /// (block, drop, buffer); see
-    /// [`EventBus`](crate::stream::EventBus) for the bounded
-    /// backpressure-aware implementation.
+    /// (block, drop, buffer); `emask-serve`'s `JobSink` writes
+    /// replayable events losslessly and sheds operational ones.
     fn emit(&self, event: Event);
 
     /// Operational events this sink has shed under backpressure so far.

@@ -19,10 +19,10 @@
 //!   any lane set.
 //! * [`metrics_csv`], [`summary`] — the per-phase metrics CSV and the
 //!   human-readable run report.
-//! * [`Event`] / [`EventSink`] / [`EventBus`] — the live campaign event
-//!   stream: structured replayable + operational events, a zero-cost
-//!   null sink (same compile-time routing as `PipelineHook`), and a
-//!   bounded backpressure-aware bus for live consumers.
+//! * [`Event`] / [`EventSink`] — the live campaign event stream:
+//!   structured replayable + operational events and a zero-cost null
+//!   sink (same compile-time routing as `PipelineHook`). The sink that
+//!   writes the JSONL document is `emask-serve`'s `JobSink`.
 //! * [`Span`] / [`SpanId`] — causal spans over the event stream:
 //!   deterministic hierarchical ids (job → attempt → shard → trial)
 //!   emitted as replayable open/close events, rebuildable offline into a
@@ -53,7 +53,6 @@ mod export;
 mod metrics;
 mod observer;
 mod span;
-mod stream;
 
 pub use chrome::{chrome_trace_json, escape_json, ChromeTrace};
 pub use events::{Event, EventSink, NullSink};
@@ -63,7 +62,6 @@ pub use metrics::{
 };
 pub use observer::{PhaseEvent, RunObserver};
 pub use span::{Span, SpanId};
-pub use stream::EventBus;
 
 /// 64-bit FNV-1a: the dependency-free hash behind checkpoint fingerprints
 /// and checksums and the committed digests that pin exporter output.

@@ -3,7 +3,8 @@
 //! in every secure region, for many random key pairs, while unmasked runs
 //! leak.
 
-use emask::core::DesProgramSpec;
+use emask::cc::{compile, CompileOptions};
+use emask::core::{des_source, DesProgramSpec};
 use emask::{MaskPolicy, MaskedDes, Phase};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,4 +188,33 @@ fn the_control_schedule_is_the_same_for_every_input() {
     let des = MaskedDes::compile(MaskPolicy::Selective).expect("compile");
     let [a, b, ..] = inputs;
     assert_eq!(control_hash(&des, a.0, a.1), control_hash(&des, b.0, b.1), "16 rounds");
+}
+
+/// The branches whose condition the compiler's slice finds tainted when
+/// the plaintext is secure too, so every input-dependent branch shows.
+fn tainted_branches(source: &str, policy: MaskPolicy) -> Vec<(String, usize)> {
+    let source = source.replacen("int data[64];", "secure int data[64];", 1);
+    let out = compile(&source, CompileOptions::paper_style(policy)).expect("compile");
+    out.report.tainted_branches
+}
+
+#[test]
+fn no_branch_depends_on_the_key_or_the_plaintext() {
+    // The static twin of the test above: the slice finds no branch whose
+    // condition the key or the plaintext reaches.
+    let policies = [MaskPolicy::None, MaskPolicy::Selective, MaskPolicy::AllInstructions];
+    for rounds in [1, 2, 16] {
+        let source = des_source(&DesProgramSpec { rounds });
+        for policy in policies {
+            let branches = tainted_branches(&source, policy);
+            assert!(branches.is_empty(), "{rounds} rounds, {policy:?}: {branches:?}");
+        }
+    }
+    // A plaintext-dependent branch at the top of `main` is found.
+    let source = des_source(&DesProgramSpec { rounds: 1 });
+    let mutant =
+        source.replacen("int main() {", "int main() {\n    if (data[0]) { marker = 0; }", 1);
+    assert_ne!(mutant, source, "the mutant must change the source");
+    let branches = tainted_branches(&mutant, MaskPolicy::Selective);
+    assert!(!branches.is_empty() && branches.iter().all(|(f, _)| f == "main"), "{branches:?}");
 }
