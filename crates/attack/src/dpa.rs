@@ -52,10 +52,11 @@ pub struct DpaResult {
     pub margin: f64,
 }
 
+#[cfg(test)]
 impl DpaResult {
     /// True if the campaign singled out `subkey` with a margin of at least
     /// `min_margin`.
-    pub fn recovered(&self, subkey: u8, min_margin: f64) -> bool {
+    pub(crate) fn recovered(&self, subkey: u8, min_margin: f64) -> bool {
         self.best_guess == subkey && self.margin >= min_margin
     }
 }

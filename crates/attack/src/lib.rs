@@ -7,9 +7,6 @@
 //! the tests run them against both unmasked and masked traces and verify
 //! that the key falls out of the former and not the latter.
 //!
-//! * [`TraceMatrix`], [`mean_trace`], [`variance_trace`], [`welch_t`] —
-//!   batch trace statistics, the test oracle the single-pass accumulators
-//!   are checked against (no production path runs them);
 //! * [`detect_rounds`] — round-structure detection (SPA): the Figure 6
 //!   observation that "the energy profile can show what operations are
 //!   being performed";
@@ -19,10 +16,10 @@
 //! * [`cpa_recover_subkey`] — correlation power analysis (an extension
 //!   beyond the paper): Pearson correlation against a Hamming-weight
 //!   leakage model, the stronger attack later literature standardized on;
-//! * [`Welford`], [`OnlineWelch`], [`OnlineDpa`], [`OnlineCpa`] —
-//!   single-pass (streaming) equivalents of the batch statistics that never
-//!   retain the trace set: the memory- and merge-friendly core of every
-//!   attack.
+//! * [`Welford`], [`OnlineWelch`], [`OnlineDpa`], [`OnlineCpa`] — the
+//!   one statistics engine: single-pass (streaming) accumulators that never
+//!   retain the trace set, the memory- and merge-friendly core of every
+//!   attack. Their typed failure is [`StatsError`].
 //!
 //! The attack code is generic over a *trace oracle* — any
 //! `Fn(u64 plaintext) -> Vec<f64> + Sync` — so it runs identically against
@@ -51,4 +48,4 @@ pub use dpa::{
 };
 pub use online::{OnlineCpa, OnlineDpa, OnlineWelch, Welford};
 pub use spa::{detect_rounds, SpaReport};
-pub use stats::{mean_trace, variance_trace, welch_t, StatsError, TraceMatrix};
+pub use stats::StatsError;

@@ -1,15 +1,19 @@
 //! Trace statistics: the arithmetic behind DPA.
+//!
+//! Production code shares [`StatsError`] and `peak` with the online
+//! accumulators. The batch engine below (`TraceMatrix`, `mean_trace`,
+//! `variance_trace`, `welch_t`) exists in test builds only: it is the
+//! two-pass oracle the accumulators are checked against.
 
 use std::fmt;
 
 /// Typed failures of the trace-statistics layer.
 ///
-/// Misaligned traces and degenerate matrices used to surface as panics
-/// deep inside an attack; harness code (campaign runners, CLIs) wants to
-/// classify them instead.
+/// Harness code (campaign runners, CLIs) classifies a misaligned trace
+/// instead of panicking deep inside an attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatsError {
-    /// A trace's length disagrees with the matrix / accumulator width.
+    /// A trace's length disagrees with the accumulator's width.
     WidthMismatch {
         /// The established width.
         expected: usize,
@@ -31,15 +35,17 @@ impl fmt::Display for StatsError {
 impl std::error::Error for StatsError {}
 
 /// A set of equal-length power traces (one row per encryption run).
+#[cfg(test)]
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceMatrix {
+pub(crate) struct TraceMatrix {
     rows: Vec<Vec<f64>>,
     width: usize,
 }
 
+#[cfg(test)]
 impl TraceMatrix {
     /// An empty matrix.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -49,7 +55,7 @@ impl TraceMatrix {
     ///
     /// Panics if the trace length differs from earlier rows — DPA requires
     /// aligned traces, and the simulator produces perfectly aligned ones.
-    pub fn push(&mut self, trace: Vec<f64>) {
+    pub(crate) fn push(&mut self, trace: Vec<f64>) {
         self.try_push(trace).expect("misaligned trace");
     }
 
@@ -71,26 +77,27 @@ impl TraceMatrix {
     }
 
     /// Number of traces.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True when no traces are recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
     /// Trace length in cycles.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.width
     }
 
     /// The rows.
-    pub fn rows(&self) -> &[Vec<f64>] {
+    pub(crate) fn rows(&self) -> &[Vec<f64>] {
         &self.rows
     }
 }
 
+#[cfg(test)]
 impl FromIterator<Vec<f64>> for TraceMatrix {
     fn from_iter<I: IntoIterator<Item = Vec<f64>>>(iter: I) -> Self {
         let mut m = TraceMatrix::new();
@@ -102,7 +109,8 @@ impl FromIterator<Vec<f64>> for TraceMatrix {
 }
 
 /// Pointwise mean of a set of traces. Empty input gives an empty trace.
-pub fn mean_trace(m: &TraceMatrix) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn mean_trace(m: &TraceMatrix) -> Vec<f64> {
     if m.is_empty() {
         return Vec::new();
     }
@@ -120,7 +128,8 @@ pub fn mean_trace(m: &TraceMatrix) -> Vec<f64> {
 }
 
 /// Pointwise variance (population) of a set of traces.
-pub fn variance_trace(m: &TraceMatrix) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn variance_trace(m: &TraceMatrix) -> Vec<f64> {
     if m.is_empty() {
         return Vec::new();
     }
@@ -141,7 +150,8 @@ pub fn variance_trace(m: &TraceMatrix) -> Vec<f64> {
 
 /// Pointwise Welch's *t* statistic between two groups — the standard
 /// leakage-assessment test (TVLA-style): |t| ≳ 4.5 flags a leak.
-pub fn welch_t(g0: &TraceMatrix, g1: &TraceMatrix) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn welch_t(g0: &TraceMatrix, g1: &TraceMatrix) -> Vec<f64> {
     if g0.len() < 2 || g1.len() < 2 {
         return vec![0.0; g0.width().max(g1.width())];
     }

@@ -696,7 +696,7 @@ checksum 7ee934d71ea12900
         let cfg = CampaignConfig { trials: 16, ..CampaignConfig::default() };
         let path = tmp_path("deadline");
         let _ = std::fs::remove_file(&path);
-        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
+        let token = CancelToken::for_job(Some(std::time::Duration::ZERO), None);
         let err = run_campaign(&des, &cfg, Jobs::serial(), &token, Some(&path), &NullSink)
             .expect_err("expired deadline must interrupt");
         match err {

@@ -48,24 +48,6 @@ pub struct LoadgenConfig {
     pub verify: bool,
 }
 
-impl LoadgenConfig {
-    /// Defaults around a state directory: 4 clients x 6 jobs, seed 7,
-    /// 10% cancels, 120 s budget, no verification.
-    #[must_use]
-    pub fn new(state_dir: PathBuf) -> Self {
-        LoadgenConfig {
-            socket: state_dir.join("serve.sock"),
-            state_dir,
-            clients: 4,
-            per_client: 6,
-            seed: 7,
-            cancel_pct: 10,
-            wait_secs: 120,
-            verify: false,
-        }
-    }
-}
-
 /// What one `loadgen` run did and observed.
 #[derive(Debug, Default)]
 pub struct LoadgenReport {

@@ -78,7 +78,8 @@ impl IrMachine {
     }
 
     /// Reads a global array (or scalar, length 1) after execution.
-    pub fn global(&self, name: &str) -> Option<&[u32]> {
+    #[cfg(test)]
+    pub(crate) fn global(&self, name: &str) -> Option<&[u32]> {
         self.globals.get(name).map(Vec::as_slice)
     }
 

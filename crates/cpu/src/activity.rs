@@ -174,8 +174,9 @@ impl Bus {
     pub const ALL: [Bus; 6] =
         [Bus::Instruction, Bus::OperandA, Bus::OperandB, Bus::Result, Bus::Memory, Bus::Writeback];
 
-    /// A short stable name (used in trace exports).
-    pub fn name(self) -> &'static str {
+    /// A short stable name.
+    #[cfg(test)]
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Bus::Instruction => "inst",
             Bus::OperandA => "op_a",

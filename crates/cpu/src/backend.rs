@@ -185,13 +185,13 @@ impl CpuBackend for Cpu {
         Cpu::reg(self, r)
     }
     fn set_reg(&mut self, r: Reg, value: u32) {
-        Cpu::set_reg(self, r, value);
+        self.regs.write(r, value);
     }
     fn registers(&self) -> [u32; 32] {
-        Cpu::registers(self)
+        self.regs.snapshot()
     }
     fn memory(&self) -> &DataMemory {
-        Cpu::memory(self)
+        &self.mem
     }
     fn memory_mut(&mut self) -> &mut DataMemory {
         Cpu::memory_mut(self)
@@ -200,13 +200,13 @@ impl CpuBackend for Cpu {
         self.pc
     }
     fn is_halted(&self) -> bool {
-        Cpu::is_halted(self)
+        self.halted
     }
     fn cycles(&self) -> u64 {
-        Cpu::cycles(self)
+        self.cycle
     }
     fn stats(&self) -> RunResult {
-        Cpu::stats(self)
+        self.stats
     }
     fn step<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
         // A null hook gets the bare clock: no context, no copy of the
@@ -254,31 +254,33 @@ impl CpuBackend for Interpreter {
         Interpreter::new(program)
     }
     fn reg(&self, r: Reg) -> u32 {
-        Interpreter::reg(self, r)
+        self.regs.read(r)
     }
     fn set_reg(&mut self, r: Reg, value: u32) {
-        Interpreter::set_reg(self, r, value);
+        self.regs.write(r, value);
     }
     fn registers(&self) -> [u32; 32] {
-        Interpreter::registers(self)
+        self.regs.snapshot()
     }
     fn memory(&self) -> &DataMemory {
-        Interpreter::memory(self)
+        &self.mem
     }
     fn memory_mut(&mut self) -> &mut DataMemory {
-        Interpreter::memory_mut(self)
+        &mut self.mem
     }
     fn pc(&self) -> u32 {
-        Interpreter::pc(self)
+        self.pc
     }
     fn is_halted(&self) -> bool {
-        Interpreter::is_halted(self)
+        self.halted
     }
     fn cycles(&self) -> u64 {
-        self.executed()
+        self.executed
     }
+    // One instruction a step and no pipeline: `retired` equals `cycles`,
+    // and `stalls` and `flushed` stay zero.
     fn stats(&self) -> RunResult {
-        Interpreter::stats(self)
+        self.stats
     }
     fn step<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
         if H::IS_NULL {

@@ -128,6 +128,7 @@ impl CpuCheckpoint {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::CpuBackend;
     use emask_isa::{assemble, Program, Reg};
 
     fn program() -> Program {

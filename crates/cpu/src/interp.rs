@@ -55,53 +55,6 @@ impl Interpreter {
         }
     }
 
-    /// Current value of a register.
-    pub fn reg(&self, r: Reg) -> u32 {
-        self.regs.read(r)
-    }
-
-    /// Sets a register before (or between) runs — harness argument passing.
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
-        self.regs.write(r, value);
-    }
-
-    /// Immutable view of data memory.
-    pub fn memory(&self) -> &DataMemory {
-        &self.mem
-    }
-
-    /// Mutable view of data memory (harness setup).
-    pub fn memory_mut(&mut self) -> &mut DataMemory {
-        &mut self.mem
-    }
-
-    /// The current program counter (text index).
-    pub fn pc(&self) -> u32 {
-        self.pc
-    }
-
-    /// True once `halt` has executed.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Number of instructions executed.
-    pub fn executed(&self) -> u64 {
-        self.executed
-    }
-
-    /// A snapshot of all registers.
-    pub fn registers(&self) -> [u32; 32] {
-        self.regs.snapshot()
-    }
-
-    /// Statistics accumulated so far, in [`RunResult`] form. `retired`
-    /// equals `cycles` equals instructions executed; `stalls` and
-    /// `flushed` are always zero (there is no pipeline to stall or flush).
-    pub fn stats(&self) -> RunResult {
-        self.stats
-    }
-
     /// Executes one instruction and synthesizes its activity record: the
     /// fetch, operand, execute, memory and write-back roles of the five
     /// pipeline stages collapsed into a single record whose `cycle` is the
@@ -414,9 +367,9 @@ mod tests {
         a.run(1000).unwrap();
         let mut count = Count(0);
         b.run_with(1000, &mut count, |_| ControlFlow::Continue(())).unwrap();
-        assert_eq!(count.0, b.executed());
+        assert_eq!(count.0, b.cycles());
         assert_eq!(a.registers(), b.registers());
-        assert_eq!(a.executed(), b.executed());
+        assert_eq!(a.cycles(), b.cycles());
     }
 
     #[test]
@@ -436,7 +389,7 @@ mod tests {
             iss.step(&mut NullHook).unwrap();
         }
         cp.restore(&mut iss);
-        assert_eq!(iss.executed(), 5);
+        assert_eq!(iss.cycles(), 5);
         while !iss.is_halted() {
             iss.step(&mut NullHook).unwrap();
         }

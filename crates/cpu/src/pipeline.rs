@@ -248,43 +248,9 @@ impl Cpu {
         self.regs.read(r)
     }
 
-    /// Sets a register before (or between) runs — used by harnesses to pass
-    /// arguments.
-    pub fn set_reg(&mut self, r: Reg, value: u32) {
-        self.regs.write(r, value);
-    }
-
-    /// A snapshot of all 32 registers.
-    pub fn registers(&self) -> [u32; 32] {
-        self.regs.snapshot()
-    }
-
-    /// Immutable view of data memory.
-    pub fn memory(&self) -> &DataMemory {
-        &self.mem
-    }
-
     /// Mutable view of data memory (for harness setup, e.g. poking inputs).
     pub fn memory_mut(&mut self) -> &mut DataMemory {
         &mut self.mem
-    }
-
-    /// True once `halt` has retired.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// Cycles elapsed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Statistics accumulated so far — the same [`RunResult`] a completed
-    /// [`Cpu::run`] returns. Callers driving [`CpuBackend::step`] manually
-    /// (e.g. a checkpointing recovery loop) read the final counts here
-    /// after `halt` retires.
-    pub fn stats(&self) -> RunResult {
-        self.stats
     }
 
     /// Runs to completion, discarding activity records.

@@ -53,7 +53,7 @@ fn build(steps: &[Step]) -> Program {
             Step::Load { rd, slot } => Instruction::lw(reg(rd), 4 * i32::from(slot % 64), Reg::Gp),
             Step::Store { rt, slot } => Instruction::sw(reg(rt), 4 * i32::from(slot % 64), Reg::Gp),
             Step::SecureXor { rd, rs, rt } => {
-                Instruction::r(Op::Xor, reg(rd), reg(rs), reg(rt)).into_secure()
+                Instruction::r(Op::Xor, reg(rd), reg(rs), reg(rt)).with_secure(true)
             }
         };
         text.push(inst);

@@ -215,7 +215,8 @@ impl EnergyModel {
     }
 
     /// The parameters in use.
-    pub fn params(&self) -> &EnergyParams {
+    #[cfg(test)]
+    pub(crate) fn params(&self) -> &EnergyParams {
         &self.params
     }
 

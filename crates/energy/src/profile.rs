@@ -87,11 +87,6 @@ impl LeakageProfiler {
         Self { phase: "startup".into(), ..Self::default() }
     }
 
-    /// Number of completed traces folded in so far.
-    pub fn traces(&self) -> u64 {
-        self.traces
-    }
-
     /// The current phase label; subsequent attributions are tagged with it.
     pub fn set_phase(&mut self, name: &str) {
         if self.phase != name {

@@ -111,7 +111,8 @@ impl EnergyTrace {
     /// Indices of local maxima above `threshold` separated by at least
     /// `min_gap` cycles — the round-structure detector behind the
     /// Figure 6 observation that the 16 DES rounds are visible.
-    pub fn peaks(&self, threshold: f64, min_gap: usize) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn peaks(&self, threshold: f64, min_gap: usize) -> Vec<usize> {
         let mut peaks = Vec::new();
         let mut last: Option<usize> = None;
         for (i, &s) in self.samples.iter().enumerate() {

@@ -34,7 +34,7 @@ pub struct InjectionEvent {
 /// glitch triggers) re-arm if the strike could not land (e.g. the targeted
 /// latch held a bubble), so window- and retirement-triggered transients
 /// keep trying until they hit something real; a strike that lands is
-/// recorded in [`FaultInjector::events`].
+/// recorded as an [`InjectionEvent`] (see [`FaultInjector::any_injected`]).
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -49,13 +49,9 @@ impl FaultInjector {
         Self { plan, state, events: Vec::new() }
     }
 
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Every strike that landed, in cycle order.
-    pub fn events(&self) -> &[InjectionEvent] {
+    #[cfg(test)]
+    pub(crate) fn events(&self) -> &[InjectionEvent] {
         &self.events
     }
 

@@ -29,9 +29,10 @@ pub enum FaultTrigger {
     },
 }
 
+#[cfg(test)]
 impl FaultTrigger {
-    /// A short stable name (used in campaign reports).
-    pub fn name(&self) -> &'static str {
+    /// A short stable name.
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultTrigger::AtCycle(_) => "at-cycle",
             FaultTrigger::CycleWindow { .. } => "cycle-window",
@@ -58,9 +59,10 @@ pub enum FaultTarget {
     FetchSquash,
 }
 
+#[cfg(test)]
 impl FaultTarget {
-    /// A short stable name (used in campaign reports).
-    pub fn name(&self) -> &'static str {
+    /// A short stable name.
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             FaultTarget::Lane(lane, _) => lane.name(),
             FaultTarget::Register(_) => "regfile",
@@ -138,15 +140,11 @@ impl FaultPlan {
     }
 
     /// Adds a fault, builder-style.
+    #[cfg(test)]
     #[must_use]
-    pub fn with(mut self, spec: FaultSpec) -> Self {
+    pub(crate) fn with(mut self, spec: FaultSpec) -> Self {
         self.faults.push(spec);
         self
-    }
-
-    /// Adds a fault in place.
-    pub fn push(&mut self, spec: FaultSpec) {
-        self.faults.push(spec);
     }
 
     /// The planned faults, in injection order.

@@ -696,17 +696,17 @@ mod tests {
         // the assembler accepts.
         let samples = vec![
             Instruction::r(Op::Addu, Reg::T0, Reg::T1, Reg::T2),
-            Instruction::r(Op::Xor, Reg::S3, Reg::A0, Reg::V1).into_secure(),
-            Instruction::r(Op::Nor, Reg::T0, Reg::T1, Reg::T2).into_secure(),
+            Instruction::r(Op::Xor, Reg::S3, Reg::A0, Reg::V1).with_secure(true),
+            Instruction::r(Op::Nor, Reg::T0, Reg::T1, Reg::T2).with_secure(true),
             Instruction::shift(Op::Sll, Reg::T0, Reg::T1, 31),
-            Instruction::shift(Op::Sra, Reg::T0, Reg::T1, 1).into_secure(),
+            Instruction::shift(Op::Sra, Reg::T0, Reg::T1, 1).with_secure(true),
             Instruction::i(Op::Addiu, Reg::Sp, Reg::Sp, -32),
             Instruction::i(Op::Andi, Reg::T0, Reg::T1, 0xFFFF),
-            Instruction::i(Op::Slti, Reg::T0, Reg::T1, -5).into_secure(),
+            Instruction::i(Op::Slti, Reg::T0, Reg::T1, -5).with_secure(true),
             Instruction::i(Op::Lui, Reg::T0, Reg::Zero, 0xFFFF),
             Instruction::lw(Reg::T0, -4, Reg::Sp),
-            Instruction::lw(Reg::T3, 128, Reg::Gp).into_secure(),
-            Instruction::sw(Reg::Ra, 0, Reg::Sp).into_secure(),
+            Instruction::lw(Reg::T3, 128, Reg::Gp).with_secure(true),
+            Instruction::sw(Reg::Ra, 0, Reg::Sp).with_secure(true),
             Instruction::branch(Op::Bne, Reg::T0, Reg::T1, 5),
             Instruction::branch(Op::Bgez, Reg::A0, Reg::Zero, -3),
             Instruction::jr(Reg::Ra),

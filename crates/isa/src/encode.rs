@@ -213,16 +213,16 @@ mod tests {
         use Op::*;
         vec![
             Instruction::r(Addu, Reg::T0, Reg::T1, Reg::T2),
-            Instruction::r(Xor, Reg::S3, Reg::A0, Reg::V1).into_secure(),
+            Instruction::r(Xor, Reg::S3, Reg::A0, Reg::V1).with_secure(true),
             Instruction::r(Mul, Reg::T7, Reg::T8, Reg::T9),
             Instruction::shift(Sll, Reg::T0, Reg::T1, 31),
-            Instruction::shift(Sra, Reg::T0, Reg::T1, 1).into_secure(),
+            Instruction::shift(Sra, Reg::T0, Reg::T1, 1).with_secure(true),
             Instruction::i(Addiu, Reg::Sp, Reg::Sp, -32),
             Instruction::i(Andi, Reg::T0, Reg::T1, 0xFFFF),
             Instruction::i(Lui, Reg::T0, Reg::Zero, 0x7FFF),
             Instruction::lw(Reg::T0, -4, Reg::Sp),
-            Instruction::lw(Reg::T0, 1024, Reg::Gp).into_secure(),
-            Instruction::sw(Reg::Ra, 0, Reg::Sp).into_secure(),
+            Instruction::lw(Reg::T0, 1024, Reg::Gp).with_secure(true),
+            Instruction::sw(Reg::Ra, 0, Reg::Sp).with_secure(true),
             Instruction::branch(Beq, Reg::T0, Reg::T1, -100),
             Instruction::branch(Bgez, Reg::A0, Reg::Zero, 7),
             Instruction::jump(J, 0x03FF_FFFF),
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn secure_bit_is_bit_31() {
         let plain = encode(&Instruction::lw(Reg::T0, 0, Reg::T1));
-        let secure = encode(&Instruction::lw(Reg::T0, 0, Reg::T1).into_secure());
+        let secure = encode(&Instruction::lw(Reg::T0, 0, Reg::T1).with_secure(true));
         assert_eq!(secure, plain | 0x8000_0000);
     }
 

@@ -307,13 +307,8 @@ impl Instruction {
         Self::base(Op::Halt)
     }
 
-    /// Returns the same instruction with the secure bit set.
-    pub fn into_secure(self) -> Self {
-        Self { secure: true, ..self }
-    }
-
     /// Returns the same instruction with the secure bit as given.
-    pub(crate) fn with_secure(self, secure: bool) -> Self {
+    pub fn with_secure(self, secure: bool) -> Self {
         Self { secure, ..self }
     }
 
@@ -484,7 +479,7 @@ mod tests {
 
     #[test]
     fn secure_bit_round_trips() {
-        let i = Instruction::lw(Reg::T0, 0, Reg::T1).into_secure();
+        let i = Instruction::lw(Reg::T0, 0, Reg::T1).with_secure(true);
         assert!(i.secure);
         assert!(!i.with_secure(false).secure);
     }
@@ -496,18 +491,18 @@ mod tests {
             "xor $t0, $t1, $t2"
         );
         assert_eq!(
-            Instruction::r(Op::Xor, Reg::T0, Reg::T1, Reg::T2).into_secure().to_string(),
+            Instruction::r(Op::Xor, Reg::T0, Reg::T1, Reg::T2).with_secure(true).to_string(),
             "sxor $t0, $t1, $t2"
         );
         assert_eq!(Instruction::lw(Reg::T3, -4, Reg::Sp).to_string(), "lw $t3, -4($sp)");
         assert_eq!(
-            Instruction::lw(Reg::T3, -4, Reg::Sp).into_secure().to_string(),
+            Instruction::lw(Reg::T3, -4, Reg::Sp).with_secure(true).to_string(),
             "slw $t3, -4($sp)"
         );
         assert_eq!(Instruction::nop().to_string(), "nop");
         assert_eq!(Instruction::halt().to_string(), "halt");
         assert_eq!(
-            Instruction::r(Op::Subu, Reg::T0, Reg::T1, Reg::T2).into_secure().to_string(),
+            Instruction::r(Op::Subu, Reg::T0, Reg::T1, Reg::T2).with_secure(true).to_string(),
             "sec.subu $t0, $t1, $t2"
         );
     }

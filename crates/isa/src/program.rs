@@ -50,7 +50,8 @@ pub struct Program {
 
 impl Program {
     /// An empty program.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -89,7 +90,8 @@ impl Program {
     }
 
     /// A full disassembly listing with instruction indices and text labels.
-    pub fn listing(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn listing(&self) -> String {
         let mut by_index: HashMap<u32, Vec<&str>> = HashMap::new();
         for (name, sym) in &self.symbols {
             if let Symbol::Text(i) = sym {
@@ -133,7 +135,7 @@ mod tests {
     fn sample() -> Program {
         let mut p = Program::new();
         p.text.push(Instruction::i(Op::Addiu, Reg::T0, Reg::Zero, 1));
-        p.text.push(Instruction::r(Op::Xor, Reg::T1, Reg::T0, Reg::T0).into_secure());
+        p.text.push(Instruction::r(Op::Xor, Reg::T1, Reg::T0, Reg::T0).with_secure(true));
         p.text.push(Instruction::halt());
         p.data.push(0xDEAD_BEEF);
         p.symbols.insert("main".into(), Symbol::Text(0));

@@ -40,7 +40,6 @@ pub struct ThreadBudget {
 
 #[derive(Debug)]
 struct BudgetInner {
-    total: usize,
     /// Signed: minimum-grant liveness can oversubscribe a drained pool.
     available: Mutex<i64>,
 }
@@ -50,13 +49,7 @@ impl ThreadBudget {
     #[must_use]
     pub fn new(total: usize) -> Self {
         let total = total.max(1);
-        ThreadBudget { inner: Arc::new(BudgetInner { total, available: Mutex::new(total as i64) }) }
-    }
-
-    /// The configured pool size.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.inner.total
+        ThreadBudget { inner: Arc::new(BudgetInner { available: Mutex::new(total as i64) }) }
     }
 
     /// Workers currently unleased. Negative while the minimum-grant rule
@@ -155,7 +148,6 @@ mod tests {
     #[test]
     fn grants_clamp_to_availability() {
         let budget = ThreadBudget::new(4);
-        assert_eq!(budget.total(), 4);
         assert_eq!(budget.available(), 4);
         let a = budget.lease(3);
         assert_eq!(a.allowed(), 3);
@@ -185,7 +177,7 @@ mod tests {
     #[test]
     fn zero_want_and_zero_total_clamp_to_one() {
         let budget = ThreadBudget::new(0);
-        assert_eq!(budget.total(), 1);
+        assert_eq!(budget.available(), 1);
         let l = budget.lease(0);
         assert_eq!(l.allowed(), 1);
     }

@@ -121,14 +121,6 @@ impl CancelToken {
         Self::default()
     }
 
-    /// A token that additionally self-cancels (with
-    /// [`CancelReason::DeadlineExceeded`]) once `deadline` has elapsed
-    /// from now.
-    #[must_use]
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Self::for_job(Some(deadline), None)
-    }
-
     /// The fully-configured token a supervisor hands a run: an optional
     /// wall-clock deadline plus an optional worker-count [`Lease`].
     ///
@@ -147,8 +139,9 @@ impl CancelToken {
     }
 
     /// The worker-count lease this token carries, if any.
+    #[cfg(test)]
     #[must_use]
-    pub fn lease(&self) -> Option<&Lease> {
+    pub(crate) fn lease(&self) -> Option<&Lease> {
         self.inner.lease.as_ref()
     }
 
@@ -1352,11 +1345,11 @@ mod tests {
 
     #[test]
     fn expired_deadline_trips_the_token() {
-        let t = CancelToken::with_deadline(Duration::from_millis(0));
+        let t = CancelToken::for_job(Some(Duration::from_millis(0)), None);
         assert_eq!(t.check(), Err(CancelReason::DeadlineExceeded));
         assert_eq!(t.reason(), Some(CancelReason::DeadlineExceeded));
         // A generous deadline does not trip.
-        let t = CancelToken::with_deadline(Duration::from_secs(3600));
+        let t = CancelToken::for_job(Some(Duration::from_secs(3600)), None);
         assert_eq!(t.check(), Ok(()));
     }
 
@@ -1426,7 +1419,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_interrupts_the_snapshotted_run() {
-        let token = CancelToken::with_deadline(Duration::from_millis(0));
+        let token = CancelToken::for_job(Some(Duration::from_millis(0)), None);
         let err = fold_sharded(
             Jobs::new(4).expect("jobs"),
             300,

@@ -49,7 +49,6 @@ mod supervisor;
 pub use retry::{RetryPolicy, MAX_BACKOFF_MS};
 pub use scheduler::Priority;
 pub use server::serve;
-pub use signal::install as install_signal_handler;
 pub use sink::JobSink;
 pub use spec::{JobSpec, SpecError};
 pub use supervisor::{

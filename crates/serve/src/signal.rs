@@ -38,7 +38,7 @@ mod ffi {
 }
 
 /// Installs the SIGTERM/SIGINT handler. Idempotent.
-pub fn install() {
+pub(crate) fn install() {
     ffi::install_handler();
 }
 

@@ -465,12 +465,6 @@ impl<R: ExperimentRunner> Supervisor<R> {
         })
     }
 
-    /// The shared worker-thread ledger the executors lease from.
-    #[must_use]
-    pub fn thread_budget(&self) -> &ThreadBudget {
-        &self.budget
-    }
-
     /// The job's top-level span — a pure function of the id, so any code
     /// path (submit, cancel, finish, a restarted process) derives the
     /// same tree.

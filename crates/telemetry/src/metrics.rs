@@ -102,12 +102,14 @@ impl Histogram {
     }
 
     /// Per-bucket counts (overflow excluded).
-    pub fn counts(&self) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn counts(&self) -> &[u64] {
         &self.counts
     }
 
     /// Samples beyond the last bucket.
-    pub fn overflow(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn overflow(&self) -> u64 {
         self.overflow
     }
 
@@ -118,7 +120,8 @@ impl Histogram {
 
     /// Number of finite recorded samples — the population behind
     /// [`Histogram::mean`], [`Histogram::min`] and [`Histogram::max`].
-    pub fn finite_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn finite_count(&self) -> u64 {
         self.finite
     }
 
