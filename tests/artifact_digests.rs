@@ -1,6 +1,9 @@
 //! The artifact-digest lock: an FNV-1a digest of every `repro` artifact,
 //! computed at reduced size (1-round device, 2 workers) and compared with
-//! the committed `tests/artifact_digests.txt`.
+//! the committed `tests/artifact_digests.txt`. One line, `fault_r16`,
+//! anchors the fault campaign on the 16-round device; its test is ignored
+//! in the debug run and run in release with
+//! `cargo test --release --test artifact_digests -- --ignored fault_r16`.
 //!
 //! Run-against-run checks (jobs 1 vs 4, resumed vs uninterrupted) cannot
 //! see a change that moves both sides the same way; this file can. A
@@ -224,6 +227,23 @@ fn fault_failstop() {
     let report = run_campaign(&fault_device(), &cfg, jobs(), &CancelToken::new(), None, &NullSink)
         .expect("campaign");
     check("fault_failstop", &(report.csv() + &report.summary()));
+}
+
+/// The 16-round anchor of the forked fault path: a 64-trial campaign on
+/// the full selective device, recovering and fail-stop. The 1-round lines
+/// above never reach the later rounds' rungs.
+#[test]
+#[ignore = "the 16-round device: a few seconds in release; CI runs it"]
+fn fault_r16() {
+    let des = MaskedDes::compile(MaskPolicy::Selective).expect("compile the 16-round device");
+    let mut out = String::new();
+    for recovery in [Some(RecoveryPolicy::default()), None] {
+        let cfg = CampaignConfig { trials: 64, recovery, ..fault_config() };
+        let report = run_campaign(&des, &cfg, jobs(), &CancelToken::new(), None, &NullSink)
+            .expect("campaign");
+        out += &(report.csv() + &report.summary());
+    }
+    check("fault_r16", &out);
 }
 
 #[test]
