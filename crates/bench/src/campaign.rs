@@ -871,6 +871,21 @@ mod tests {
         }
     }
 
+    /// Prints one mode's steps per target, forked and from reset, with
+    /// the trial count; `--nocapture` shows it.
+    fn print_step_table(mode: &str, rows: &std::collections::BTreeMap<String, [u64; 3]>) {
+        eprintln!(
+            "{mode:<10} {:<20} {:>6} {:>12} {:>12}",
+            "target", "trials", "forked", "from reset"
+        );
+        let mut total = [0u64; 3];
+        for (target, row) in rows {
+            eprintln!("{mode:<10} {target:<20} {:>6} {:>12} {:>12}", row[0], row[1], row[2]);
+            total.iter_mut().zip(row).for_each(|(t, r)| *t += r);
+        }
+        eprintln!("{mode:<10} {:<20} {:>6} {:>12} {:>12}", "total", total[0], total[1], total[2]);
+    }
+
     #[test]
     #[ignore = "the 16-round lattice both ways: about 10 s in release; CI runs it"]
     fn forked_16_round_trials_match_runs_from_reset_in_a_third_of_the_steps() {
@@ -879,7 +894,11 @@ mod tests {
             let cfg = CampaignConfig { trials: 128, recovery, ..CampaignConfig::default() };
             let runner = TrialRunner::prepare(&des, &cfg).unwrap();
             let (forked_steps, reset_steps) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+            // Trials, forked steps and from-reset steps per target, the
+            // eight `regfile:rN` targets as one.
+            let mut rows = std::collections::BTreeMap::<String, [u64; 3]>::new();
             for i in 0..cfg.trials {
+                let before = [forked_steps.get(), reset_steps.get()];
                 let forked = runner.trial(i, |hook, fork_at| {
                     runner
                         .run_forked(&mut CountSteps { inner: hook, steps: &forked_steps }, fork_at)
@@ -888,7 +907,14 @@ mod tests {
                     runner.run_from_reset(&mut CountSteps { inner: hook, steps: &reset_steps })
                 });
                 assert_eq!(forked, reset, "trial {i}, recovery {recovery:?}");
+                let target = &forked.0.target;
+                let target = if target.starts_with("regfile:") { "regfile" } else { target };
+                let row = rows.entry(target.to_string()).or_default();
+                row[0] += 1;
+                row[1] += forked_steps.get() - before[0];
+                row[2] += reset_steps.get() - before[1];
             }
+            print_step_table(if recovery.is_some() { "recovering" } else { "fail-stop" }, &rows);
             let (forked, reset) = (forked_steps.get(), reset_steps.get());
             assert!(3 * forked <= reset, "{forked} forked vs {reset} steps from reset");
         }

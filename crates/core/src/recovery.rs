@@ -28,12 +28,14 @@
 //!
 //! A fault campaign runs many faults against one block, so the same
 //! step loop also records the block's clean run as a [`CleanLadder`] —
-//! the machine at each checkpoint boundary — and
+//! the machine at each checkpoint boundary, with the registers and data
+//! words the clean run reads from there on — and
 //! [`crate::MaskedDes::encrypt_forked`] starts each trial from the last
-//! rung before its fault and stops it where it rejoins the clean run.
+//! rung before its fault and stops it where it rejoins the clean run: where
+//! it agrees with a rung on the control state and on that live state.
 
 use crate::runner::RecoveredRun;
-use emask_cpu::{Cpu, CpuBackend, CpuErrorKind};
+use emask_cpu::{Cpu, CpuBackend, CpuErrorKind, LiveSet};
 use emask_isa::Reg;
 
 /// How a run responds to detected faults. The policy is fixed: a
@@ -84,12 +86,17 @@ pub(crate) struct Rung<B> {
 /// Rung 0 is the loaded machine at cycle 0; one rung per phase marker
 /// follows in cycle order (20 on 16 rounds). Each holds the machine right
 /// after the boundary's checkpoint refresh, with the run's
-/// [`RecoveryStats`] there.
+/// [`RecoveryStats`] there, and the [`LiveSet`] of the run from there on:
+/// the registers its decodes read, the words its loads read and the 64
+/// `output` words read after `halt` — a 32-bit register mask and a 1 KiB
+/// word bitmap.
 #[derive(Debug, Clone)]
 pub struct CleanLadder {
     pub(crate) plaintext: u64,
     pub(crate) key: u64,
     pub(crate) rungs: Vec<Rung<Cpu>>,
+    /// `live[i]`: what the clean run reads from `rungs[i]` on.
+    pub(crate) live: Vec<LiveSet>,
     pub(crate) run: RecoveredRun,
 }
 

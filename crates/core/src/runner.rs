@@ -10,7 +10,8 @@ use crate::recovery::{
 use emask_cc::{compile, CompileError, CompileOptions, MaskPolicy, SliceReport};
 use emask_cpu::AccessError;
 use emask_cpu::{
-    BackendCheckpoint, Cpu, CpuBackend, CpuError, CpuErrorKind, NullHook, PipelineHook, RunResult,
+    BackendCheckpoint, Cpu, CpuBackend, CpuError, CpuErrorKind, LastReads, NullHook, PipelineHook,
+    RunResult,
 };
 use emask_des::bits::{from_bit_vec, to_bit_vec};
 use emask_des::BitArrayState;
@@ -676,12 +677,19 @@ impl MaskedDes {
         let (machine, _) = self.load_block::<Cpu>(plaintext, key)?;
         let start = Rung { machine, recovery: RecoveryStats::default() };
         let mut rungs = vec![start.clone()];
+        let mut reads = LastReads::default();
         let run =
-            self.step_loop((plaintext, key), start, &mut NullHook, false, |cpu, recovery, _| {
+            self.step_loop((plaintext, key), start, &mut reads, false, |cpu, recovery, _| {
                 rungs.push(Rung { machine: cpu.clone(), recovery: *recovery });
                 ControlFlow::Continue(())
             })?;
-        Ok(CleanLadder { plaintext, key, rungs, run })
+        // `read_validated_output` reads the 64 output words after halt.
+        let out_addr = self.data_sym("output")?;
+        for i in 0..64 {
+            reads.read_after_run(out_addr + 4 * i);
+        }
+        let live = rungs.iter().map(|r| reads.live_from(r.machine.cycles())).collect();
+        Ok(CleanLadder { plaintext, key, rungs, live, run })
     }
 
     /// Runs the block of `ladder` with `hook` installed, **forked** from
@@ -694,16 +702,24 @@ impl MaskedDes {
     ///
     /// The run starts with the rung's cycle as its executed-steps count
     /// and the rung's [`RecoveryStats`]. After each checkpoint refresh it
-    /// stops when three things hold: the hook [is
-    /// inert](PipelineHook::is_inert) from there on, the machine equals
-    /// the ladder's rung at the same cycle, and the clean run's remaining
-    /// cycles still fit the cycle budget. It then returns its own
-    /// pipeline statistics and checkpoint and page counters with the
-    /// clean remainder's added: each counter's clean total minus its
-    /// value at the rung. The machines' equality leaves the statistics
-    /// out, so a trial that skipped or squashed an instruction on the way
-    /// rejoins too. The hook's own state (counters, event logs) stops
-    /// where the run does.
+    /// stops when three things hold:
+    ///
+    /// 1. the hook [is inert](PipelineHook::is_inert) from there on;
+    /// 2. the machine agrees with the ladder's rung at the same cycle on
+    ///    the state the clean run reads from there on
+    ///    ([`Cpu::eq_on`](emask_cpu::Cpu::eq_on)): the control state in
+    ///    full, and only the registers and data words the clean remainder
+    ///    reads, its final read of the output included — so a flipped key
+    ///    word or register that is never read again does not keep the
+    ///    trial running;
+    /// 3. the clean run's remaining cycles still fit the cycle budget.
+    ///
+    /// It then returns its own pipeline statistics and checkpoint and
+    /// page counters with the clean remainder's added: each counter's
+    /// clean total minus its value at the rung. The comparison leaves the
+    /// statistics out, so a trial that skipped or squashed an instruction
+    /// on the way rejoins too. The hook's own state (counters, event
+    /// logs) stops where the run does.
     ///
     /// Under `None` a detected fault ends the run as in
     /// [`MaskedDes::encrypt_hooked`]; the checkpoints only serve to meet
@@ -743,7 +759,7 @@ impl MaskedDes {
             };
             let rung = &ladder.rungs[i];
             let fits = executed + (clean.stats.cycles - cycle) <= self.cycle_limit;
-            if !fits || rung.machine != *cpu {
+            if !fits || !rung.machine.eq_on(cpu, &ladder.live[i]) {
                 return ControlFlow::Continue(());
             }
             // Each counter: this run's count plus the clean run's past the
@@ -1437,6 +1453,31 @@ mod tests {
             }
         }
         assert!(rejoined_apart > 0, "no squash rejoined with counters of its own");
+    }
+
+    #[test]
+    fn a_rung_ignores_only_the_words_the_rest_of_the_run_never_reads() {
+        let des = two_rounds(MaskPolicy::Selective);
+        let ladder = des.clean_ladder(PLAIN, KEY).expect("ladder");
+        let (key, out) = (des.program.data_addr("key"), des.program.data_addr("output"));
+        // Whether rung `i` still agrees with its own machine after a flip
+        // of the word at `addr`.
+        let agrees_flipped = |i: usize, addr: u32| {
+            let mut machine = ladder.rungs[i].machine.clone();
+            let word = machine.memory().load(addr).expect("load");
+            machine.memory_mut().store(addr, word ^ 1).expect("store");
+            ladder.rungs[i].machine.eq_on(&machine, &ladder.live[i])
+        };
+        let last = ladder.rungs.len() - 1;
+        for i in 0..=last {
+            // The output is read after halt; key parity bits never.
+            assert!(!agrees_flipped(i, out + 4 * 63), "rung {i}");
+            assert!(agrees_flipped(i, key + 4 * 7), "rung {i}");
+        }
+        // The key permutation loads the key after rung 0; nothing does
+        // after the output permutation's rung.
+        assert!(!agrees_flipped(0, key));
+        assert!(agrees_flipped(last, key));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! registers, functional units, register file, memory) and the components
 //! the paper's architecture modifies (Figure 3).
 
-use emask_isa::{Instruction, Op, OpClass};
+use emask_isa::{Instruction, Op, OpClass, Reg};
 
 /// One 32-bit bus or pipeline-register sample.
 ///
@@ -93,8 +93,11 @@ pub struct CycleActivity {
     pub fetch_pc: Option<u32>,
     /// Instruction bus (the fetched encoding).
     pub inst_word: BusSample,
-    /// Number of register-file read ports exercised in ID.
-    pub regfile_reads: u8,
+    /// The register-file reads of ID, one bit per read port: bit `r` when
+    /// port A (`rs`) read register `r`, bit `32 + r` when port B (`rt`)
+    /// did. `count_ones()` is the number of ports exercised, two when
+    /// both name the same register. Squashed decodes keep their reads.
+    pub regfile_reads: u64,
     /// Whether WB wrote the register file.
     pub regfile_write: bool,
     /// Operand bus A feeding EX (post-forwarding; gated when unused).
@@ -150,6 +153,14 @@ impl CycleActivity {
             || self.mem.is_some_and(|m| m.secure)
             || (self.mem_wb_value.active && self.mem_wb_value.secure)
     }
+}
+
+/// The [`CycleActivity::regfile_reads`] of a decode that reads `rs` on
+/// port A and `rt` on port B.
+pub(crate) fn read_ports(rs: Option<Reg>, rt: Option<Reg>) -> u64 {
+    let port =
+        |r: Option<Reg>, shift: u32| r.map_or(0, |r| 1u64 << (u32::from(r.number()) + shift));
+    port(rs, 0) | port(rt, 32)
 }
 
 /// Which bus or pipeline latch a [`BusSample`] was captured from.

@@ -9,12 +9,17 @@
 //! per [`CpuCheckpoint::refresh`] / [`CpuCheckpoint::restore`] instead of
 //! `O(RAM)`.
 //!
-//! The intended loop (see `emask-core`'s recovery runner):
+//! Outside this crate the three operations are the
+//! [`CpuBackend`](crate::CpuBackend) methods, in the intended loop of
+//! `emask-core`'s recovery runner:
 //!
-//! 1. [`CpuCheckpoint::capture`] once before the run starts;
-//! 2. execute until a checkpoint boundary, then [`CpuCheckpoint::refresh`];
-//! 3. on a detected fault, [`CpuCheckpoint::restore`] and re-execute the
-//!    window.
+//! 1. [`CpuBackend::checkpoint`](crate::CpuBackend::checkpoint) once
+//!    before the run starts;
+//! 2. execute until a checkpoint boundary, then
+//!    [`CpuBackend::checkpoint_refresh`](crate::CpuBackend::checkpoint_refresh);
+//! 3. on a detected fault,
+//!    [`CpuBackend::checkpoint_restore`](crate::CpuBackend::checkpoint_restore)
+//!    and re-execute the window.
 //!
 //! Program text is immutable (a Harvard instruction ROM that no hook or
 //! instruction can write), so it is deliberately not part of the snapshot.
@@ -51,7 +56,7 @@ impl CpuCheckpoint {
     /// shadow memory is a full copy, and the live memory's dirty set is
     /// cleared so subsequent stores record exactly the delta against this
     /// checkpoint.
-    pub fn capture(cpu: &mut Cpu) -> Self {
+    pub(crate) fn capture(cpu: &mut Cpu) -> Self {
         cpu.mem.clear_dirty();
         Self {
             regs: cpu.regs.clone(),
@@ -73,7 +78,7 @@ impl CpuCheckpoint {
     /// page dirtied since the previous boundary into the shadow, then
     /// re-snapshots the architectural state and clears the dirty set.
     /// Cost is proportional to the pages actually written in the window.
-    pub fn refresh(&mut self, cpu: &mut Cpu) {
+    pub(crate) fn refresh(&mut self, cpu: &mut Cpu) {
         let dirty = cpu.mem.dirty_pages();
         self.last_pages_moved = dirty.len();
         for page in dirty {
@@ -97,7 +102,7 @@ impl CpuCheckpoint {
     /// restored, the dirty set is cleared, and any pending single-rail skew
     /// a hook injected this cycle is discarded (the fault it modelled is
     /// part of the rolled-back window).
-    pub fn restore(&mut self, cpu: &mut Cpu) {
+    pub(crate) fn restore(&mut self, cpu: &mut Cpu) {
         let dirty = cpu.mem.dirty_pages();
         self.last_pages_moved = dirty.len();
         for page in dirty {
@@ -119,7 +124,7 @@ impl CpuCheckpoint {
 
     /// Pages copied by the most recent refresh or restore — the measurable
     /// cost of the incremental scheme.
-    pub fn pages_moved(&self) -> usize {
+    pub(crate) fn pages_moved(&self) -> usize {
         self.last_pages_moved
     }
 }

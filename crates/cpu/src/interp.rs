@@ -15,7 +15,7 @@
 //! architectural and agree with the pipeline's post-forwarding buses,
 //! while the cycle placement is the backend's own microarchitecture.
 
-use crate::activity::{BusSample, CycleActivity, ExActivity, MemActivity};
+use crate::activity::{read_ports, BusSample, CycleActivity, ExActivity, MemActivity};
 use crate::hook::RailSkew;
 use crate::memory::DataMemory;
 use crate::pipeline::{alu_exec, alu_inputs, branch_taken, CpuError, CpuErrorKind, RunResult};
@@ -77,7 +77,7 @@ impl Interpreter {
         let (use_rs, use_rt) = inst.sources();
         let a = use_rs.map_or(0, |r| self.regs.read(r));
         let b = use_rt.map_or(0, |r| self.regs.read(r));
-        act.regfile_reads = u8::from(use_rs.is_some()) + u8::from(use_rt.is_some());
+        act.regfile_reads = read_ports(use_rs, use_rt);
         act.id_ex_a = BusSample::new(a, inst.secure);
         act.id_ex_b = BusSample::new(b, inst.secure);
 
@@ -175,7 +175,7 @@ pub struct InterpCheckpoint {
 
 impl InterpCheckpoint {
     /// Snapshots `iss` and starts dirty-page tracking from this point.
-    pub fn capture(iss: &mut Interpreter) -> Self {
+    pub(crate) fn capture(iss: &mut Interpreter) -> Self {
         iss.mem.clear_dirty();
         Self {
             regs: iss.regs.clone(),
@@ -190,7 +190,7 @@ impl InterpCheckpoint {
 
     /// Advances the checkpoint to the interpreter's current state,
     /// moving only the pages dirtied since the previous boundary.
-    pub fn refresh(&mut self, iss: &mut Interpreter) {
+    pub(crate) fn refresh(&mut self, iss: &mut Interpreter) {
         let dirty = iss.mem.dirty_pages();
         self.last_pages_moved = dirty.len();
         for page in dirty {
@@ -205,7 +205,7 @@ impl InterpCheckpoint {
     }
 
     /// Rolls `iss` back to this checkpoint.
-    pub fn restore(&mut self, iss: &mut Interpreter) {
+    pub(crate) fn restore(&mut self, iss: &mut Interpreter) {
         let dirty = iss.mem.dirty_pages();
         self.last_pages_moved = dirty.len();
         for page in dirty {
@@ -223,7 +223,7 @@ impl InterpCheckpoint {
     }
 
     /// Pages copied by the most recent refresh or restore.
-    pub fn pages_moved(&self) -> usize {
+    pub(crate) fn pages_moved(&self) -> usize {
         self.last_pages_moved
     }
 }

@@ -56,6 +56,7 @@ mod backend;
 mod checkpoint;
 mod hook;
 mod interp;
+mod live;
 mod memory;
 mod pipeline;
 mod regfile;
@@ -65,6 +66,7 @@ pub use backend::{BackendCheckpoint, CpuBackend};
 pub use checkpoint::CpuCheckpoint;
 pub use hook::{FaultLane, HookCtx, LaneView, NullHook, PipelineHook, RailMode};
 pub use interp::{InterpCheckpoint, Interpreter};
+pub use live::{LastReads, LiveSet};
 pub use memory::{AccessError, DataMemory};
 pub use pipeline::{Cpu, CpuError, CpuErrorKind, RunResult};
 pub use regfile::RegisterFile;

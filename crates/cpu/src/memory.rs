@@ -132,6 +132,16 @@ impl DataMemory {
         self.words[start..start + len].to_vec()
     }
 
+    /// Whether the words in `live` agree, bit `w % 64` of `live[w / 64]`
+    /// standing for word `w`. Memories of different sizes never agree.
+    pub(crate) fn eq_on(&self, other: &Self, live: &[u64]) -> bool {
+        self.words.len() == other.words.len()
+            && self.words.chunks(64).zip(other.words.chunks(64)).zip(live).all(|((a, b), &bits)| {
+                a == b
+                    || a.iter().zip(b).enumerate().all(|(w, (x, y))| x == y || bits & 1 << w == 0)
+            })
+    }
+
     /// Indices of every page dirtied since the last
     /// [`DataMemory::clear_dirty`], in ascending order.
     pub(crate) fn dirty_pages(&self) -> Vec<usize> {

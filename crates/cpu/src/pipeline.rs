@@ -1,8 +1,9 @@
 //! The five-stage pipeline and the [`Cpu`] façade.
 
-use crate::activity::{Bus, BusSample, CycleActivity, ExActivity, MemActivity};
+use crate::activity::{read_ports, Bus, BusSample, CycleActivity, ExActivity, MemActivity};
 use crate::backend::CpuBackend;
 use crate::hook::{NullHook, RailSkew};
+use crate::live::LiveSet;
 use crate::memory::{AccessError, DataMemory};
 use crate::regfile::RegisterFile;
 use emask_isa::{encode, Instruction, Op, OpClass, Program, Reg};
@@ -154,13 +155,9 @@ const BUBBLE: Instruction = Instruction {
 /// [`CpuBackend::run_with`] (stream records to a callback that may stop
 /// the run, with an optional [`PipelineHook`](crate::PipelineHook)).
 ///
-/// Two machines compare equal when every piece of state a clock cycle
-/// reads agrees: the program, registers, data-memory contents (not the
-/// dirty-page set, which is checkpoint bookkeeping), PC, cycle count,
-/// halt and fetch flags, the four latches and any pending rail skew —
-/// not the statistics, which the clock only adds to. Equal machines run
-/// on identically and add the same to their statistics, which is what
-/// lets a fault trial stop once it rejoins the clean run.
+/// A machine has one equality, [`Cpu::eq_on`]: agreement on the control
+/// state and on the registers and data words a run goes on to read. A
+/// fault trial stops where it rejoins the clean run in this sense.
 #[derive(Debug, Clone)]
 pub struct Cpu {
     pub(crate) text: Vec<Instruction>,
@@ -179,33 +176,6 @@ pub struct Cpu {
     /// into the activity record by [`CpuBackend::step`] and cleared.
     pub(crate) rail_skew: RailSkew,
 }
-
-impl PartialEq for Cpu {
-    fn eq(&self, other: &Self) -> bool {
-        // Exhaustive, so that a new field has to be placed in or out.
-        fn state(cpu: &Cpu) -> impl PartialEq + '_ {
-            let Cpu {
-                text,
-                regs,
-                mem,
-                pc,
-                cycle,
-                halted,
-                fetch_enabled: fetch,
-                if_id,
-                id_ex,
-                ex_mem,
-                mem_wb,
-                stats: _,
-                rail_skew,
-            } = cpu;
-            (text, regs, mem, pc, cycle, halted, fetch, if_id, id_ex, ex_mem, mem_wb, rail_skew)
-        }
-        state(self) == state(other)
-    }
-}
-
-impl Eq for Cpu {}
 
 impl Cpu {
     /// Builds a processor with the program loaded: text in instruction ROM,
@@ -241,6 +211,45 @@ impl Cpu {
             stats: RunResult::default(),
             rail_skew: RailSkew::default(),
         }
+    }
+
+    /// Whether `self` and `other` agree on the state a clock cycle reads,
+    /// where that state is live: the program, PC, cycle count, halt and
+    /// fetch flags, the four latches and any pending rail skew in full,
+    /// and the registers and data words only where `live` holds them —
+    /// not the statistics, which the clock only adds to, nor the
+    /// dirty-page set, which is checkpoint bookkeeping.
+    ///
+    /// When `live` holds everything the rest of a run reads (a clean
+    /// run's [`LastReads::live_from`](crate::LastReads::live_from) at
+    /// this cycle), two machines that agree on it run on identically: each
+    /// cycle reads only agreed values, so both make the same writes and
+    /// add the same to their statistics, and a location on which they
+    /// differ is never read again.
+    pub fn eq_on(&self, other: &Cpu, live: &LiveSet) -> bool {
+        // Exhaustive, so that a new field has to be placed in or out.
+        fn control(cpu: &Cpu) -> impl PartialEq + '_ {
+            let Cpu {
+                text: _,
+                regs: _,
+                mem: _,
+                pc,
+                cycle,
+                halted,
+                fetch_enabled,
+                if_id,
+                id_ex,
+                ex_mem,
+                mem_wb,
+                stats: _,
+                rail_skew,
+            } = cpu;
+            (pc, cycle, halted, fetch_enabled, if_id, id_ex, ex_mem, mem_wb, rail_skew)
+        }
+        control(self) == control(other)
+            && self.text == other.text
+            && self.regs.eq_on(&other.regs, live.regs)
+            && self.mem.eq_on(&other.mem, &live.words)
     }
 
     /// Current value of a register.
@@ -436,7 +445,7 @@ impl Cpu {
                 let (use_rs, use_rt) = inst.sources();
                 let a = use_rs.map_or(0, |r| self.regs.read(r));
                 let b = use_rt.map_or(0, |r| self.regs.read(r));
-                act.regfile_reads = u8::from(use_rs.is_some()) + u8::from(use_rt.is_some());
+                act.regfile_reads = read_ports(use_rs, use_rt);
                 // Note: the operand-bus samples (act.id_ex_a/b) are driven
                 // by the EX stage above, post-forwarding.
                 new_id_ex = IdEx { pc: if_id.pc, inst, a, b, valid: true };
@@ -584,6 +593,28 @@ mod tests {
         );
         assert_eq!(cpu.reg(Reg::T2), 13);
         assert_eq!(cpu.reg(Reg::T3), (-1i32) as u32);
+    }
+
+    #[test]
+    fn decode_records_each_read_port_even_when_both_name_one_register() {
+        // `b` is `beq $zero,$zero`: two ports on `$zero`; the `xor` reads
+        // `$t1` on both. Both backends record the same ports.
+        let p = assemble(".text\n xor $t0, $t1, $t1\n b end\nend: halt\n").unwrap();
+        let xor = 1 << Reg::T1.number() | 1 << (32 + Reg::T1.number());
+        let beq = 1 | 1 << 32;
+        let (_, acts) = Cpu::new(&p).run_collecting(100).unwrap();
+        let reads: Vec<u64> = acts.iter().map(|a| a.regfile_reads).filter(|&r| r != 0).collect();
+        assert_eq!(reads, [xor, beq]);
+        let mut iss = crate::Interpreter::new(&p);
+        let mut iss_reads = Vec::new();
+        iss.run_with(100, &mut NullHook, |a| {
+            iss_reads.push(a.regfile_reads);
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+        assert_eq!(iss_reads, [xor, beq, 0]);
+        assert_eq!(xor.count_ones(), 2);
+        assert_eq!(beq.count_ones(), 2);
     }
 
     #[test]

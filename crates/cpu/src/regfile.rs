@@ -33,6 +33,11 @@ impl RegisterFile {
         }
     }
 
+    /// Whether the registers in `mask` (bit `r`: register `r`) agree.
+    pub(crate) fn eq_on(&self, other: &Self, mask: u32) -> bool {
+        (0..32).all(|r| mask & (1 << r) == 0 || self.regs[r] == other.regs[r])
+    }
+
     /// A snapshot of all 32 registers, indexed by register number.
     pub fn snapshot(&self) -> [u32; 32] {
         self.regs

@@ -254,7 +254,7 @@ impl EnergyModel {
         c.writeback_latch = self.mem_wb.observe(&p, p.latch_cap_pf, act.mem_wb_value);
 
         // Register file: counts only (data-independent array).
-        c.regfile = f64::from(act.regfile_reads) * p.regfile_read_pj
+        c.regfile = f64::from(act.regfile_reads.count_ones()) * p.regfile_read_pj
             + if act.regfile_write { p.regfile_write_pj } else { 0.0 };
 
         CycleEnergy { cycle: act.cycle, components: c }

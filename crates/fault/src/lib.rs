@@ -10,8 +10,8 @@
 //!   word, fetch squash) and a [`FaultModel`] (transient bit-flip,
 //!   stuck-at defect, multi-cycle glitch).
 //! * [`FaultInjector`] — a [`PipelineHook`](emask_cpu::PipelineHook) that
-//!   executes a plan against a live [`Cpu`](emask_cpu::Cpu), logging every
-//!   strike that lands as an [`InjectionEvent`].
+//!   executes a plan against a live [`Cpu`](emask_cpu::Cpu), counting
+//!   the strikes that land.
 //! * [`DualRailChecker`] — the per-cycle integrity monitor: every active
 //!   secure-tagged bus sample must carry `complement == !value`; a
 //!   single-rail upset is reported as
@@ -72,5 +72,5 @@ mod inject;
 mod plan;
 
 pub use check::DualRailChecker;
-pub use inject::{FaultInjector, InjectionEvent};
+pub use inject::FaultInjector;
 pub use plan::{FaultModel, FaultPlan, FaultSpec, FaultTarget, FaultTrigger};

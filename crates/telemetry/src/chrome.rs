@@ -62,7 +62,7 @@ impl ChromeTrace {
     fn lane_active(act: &CycleActivity, lane: usize) -> bool {
         match lane {
             0 => act.fetch_pc.is_some(),
-            1 => act.regfile_reads > 0,
+            1 => act.regfile_reads != 0,
             2 => act.ex.is_some(),
             3 => act.mem.is_some(),
             4 => act.retired.is_some(),

@@ -222,6 +222,137 @@ fn forked_campaign_trials_equal_trials_run_from_reset() {
     }
 }
 
+/// Counts the cycles a hook is stepped through, forwarding the rest.
+struct CountSteps<H> {
+    inner: H,
+    steps: u64,
+}
+
+impl<H: emask::cpu::PipelineHook> emask::cpu::PipelineHook for CountSteps<H> {
+    fn before_cycle(&mut self, ctx: &mut emask::cpu::HookCtx<'_>) {
+        self.steps += 1;
+        self.inner.before_cycle(ctx);
+    }
+    fn after_cycle(
+        &mut self,
+        act: &emask::cpu::CycleActivity,
+    ) -> Result<(), emask::cpu::CpuErrorKind> {
+        self.inner.after_cycle(act)
+    }
+    fn is_inert(&self, cycle: u64) -> bool {
+        self.inner.is_inert(cycle)
+    }
+}
+
+/// Runs `spec` forked from `ladder` and from reset, under `policy`
+/// (`None`: fail-stop), demands the same result, and returns the forked
+/// run's steps.
+fn forked_steps_equal_from_reset(
+    des: &MaskedDes,
+    ladder: &emask::core::CleanLadder,
+    spec: emask::fault::FaultSpec,
+    policy: Option<&emask::core::RecoveryPolicy>,
+) -> u64 {
+    use emask::fault::{DualRailChecker, FaultInjector, FaultPlan, FaultTrigger};
+    let hook = || (FaultInjector::new(FaultPlan::single(spec)), DualRailChecker::new());
+    let fork_at = match spec.trigger {
+        FaultTrigger::AtCycle(c) | FaultTrigger::CycleWindow { start: c, .. } => c,
+        FaultTrigger::AtRetired(_) | FaultTrigger::OnOpClass { .. } => 0,
+    };
+    let mut counted = CountSteps { inner: hook(), steps: 0 };
+    let forked = des.encrypt_forked(ladder, fork_at, &mut counted, policy);
+    match policy {
+        Some(p) => {
+            let reset = des.encrypt_recovered(PLAINTEXT, KEY, &mut hook(), p);
+            assert_eq!(forked, reset, "{spec:?}");
+        }
+        None => {
+            let reset = des.encrypt_hooked(PLAINTEXT, KEY, &mut hook());
+            assert_eq!(forked.map(|run| run.stats), reset, "{spec:?}");
+        }
+    }
+    counted.steps
+}
+
+/// Random fault plans (target, model, trigger cycle, bit) on the 1-round
+/// device, fail-stop and recovering: a run forked from the clean run's
+/// ladder ends exactly as the same fault run from reset. A flipped key
+/// parity bit, which the key permutation never reads, stops well short of
+/// `halt`: the trial rejoins the clean run on live state.
+#[test]
+fn forked_runs_equal_runs_from_reset_for_random_fault_plans() {
+    use emask::core::RecoveryPolicy;
+    use emask::cpu::{FaultLane, RailMode};
+    use emask::fault::{FaultModel, FaultSpec, FaultTarget, FaultTrigger};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let des = MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
+        .expect("compile");
+    let clean = des.encrypt(PLAINTEXT, KEY).expect("clean run");
+    let (clean_cycles, last_marker) = (clean.stats.cycles, clean.markers.last().expect("OP").cycle);
+    // A fault can loop the program; campaigns allow twice the clean run.
+    let des = des.with_cycle_limit(2 * clean_cycles);
+    let ladder = des.clean_ladder(PLAINTEXT, KEY).expect("clean run");
+    let key = des.program().data_addr("key");
+    let data_words = des.program().data.len() as u64;
+    const RAILS: [RailMode; 3] = [RailMode::TrueOnly, RailMode::Both, RailMode::ComplementOnly];
+    let mut rng = StdRng::seed_from_u64(27);
+    let policy = RecoveryPolicy::default();
+    for policy in [None, Some(&policy)] {
+        for _ in 0..40 {
+            let cycle = rng.gen_range(0..clean_cycles);
+            let bit = rng.gen_range(0..32) as u8;
+            let target = match rng.gen_range(0..4) {
+                0 => FaultTarget::Lane(
+                    FaultLane::ALL[rng.gen_range(0..5) as usize],
+                    RAILS[rng.gen_range(0..3) as usize],
+                ),
+                1 => FaultTarget::Register(rng.gen_range(0..32) as u8),
+                2 => FaultTarget::Memory {
+                    addr: emask::isa::DATA_BASE + 4 * rng.gen_range(0..data_words) as u32,
+                },
+                _ => FaultTarget::FetchSquash,
+            };
+            let model = match rng.gen_range(0..3) {
+                0 => FaultModel::BitFlip { bit },
+                1 => FaultModel::StuckAt { bit, stuck_one: rng.gen() },
+                _ => FaultModel::Glitch { mask: 1 << bit, cycles: 1 + rng.gen_range(0..4) as u32 },
+            };
+            let trigger = if rng.gen() {
+                FaultTrigger::AtCycle(cycle)
+            } else {
+                FaultTrigger::CycleWindow { start: cycle, end: cycle + rng.gen_range(1..300) }
+            };
+            forked_steps_equal_from_reset(
+                &des,
+                &ladder,
+                FaultSpec { trigger, target, model },
+                policy,
+            );
+        }
+        // Key words 7, 15, …, 63 hold the parity bits, flipped here
+        // before the last rung (the output permutation's marker). A hook
+        // that is never inert runs the same fork to `halt`.
+        struct Busy;
+        impl emask::cpu::PipelineHook for Busy {}
+        for word in (7..64).step_by(8) {
+            let cycle = u64::from(word) * last_marker / 64;
+            let spec = FaultSpec {
+                trigger: FaultTrigger::AtCycle(cycle),
+                target: FaultTarget::Memory { addr: key + 4 * word },
+                model: FaultModel::BitFlip { bit: 0 },
+            };
+            let steps = forked_steps_equal_from_reset(&des, &ladder, spec, policy);
+            let mut busy = CountSteps { inner: Busy, steps: 0 };
+            des.encrypt_forked(&ladder, cycle, &mut busy, policy).expect("clean fork");
+            assert!(
+                steps < busy.steps,
+                "key word {word} flipped at cycle {cycle} ran all {steps} steps to halt"
+            );
+        }
+    }
+}
+
 /// A fault that re-fires on every replay spends the whole fixed rollback
 /// budget, `RecoveryPolicy::MAX_RETRIES` = 8, and zeroizes the key; a
 /// recovering campaign classifies such a trial as `zeroized`.
