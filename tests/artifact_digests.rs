@@ -1,9 +1,10 @@
 //! The artifact-digest lock: an FNV-1a digest of every `repro` artifact,
 //! computed at reduced size (1-round device, 2 workers) and compared with
-//! the committed `tests/artifact_digests.txt`. One line, `fault_r16`,
-//! anchors the fault campaign on the 16-round device; its test is ignored
-//! in the debug run and run in release with
-//! `cargo test --release --test artifact_digests -- --ignored fault_r16`.
+//! the committed `tests/artifact_digests.txt`. Two lines run long: `fault_r16`
+//! anchors the fault campaign on the 16-round device, and `dpa_r1_1100` a
+//! DPA campaign whose shards span several fold blocks. Their tests are
+//! ignored in the debug run and run in release with
+//! `cargo test --release --test artifact_digests -- --ignored`.
 //!
 //! Run-against-run checks (jobs 1 vs 4, resumed vs uninterrupted) cannot
 //! see a change that moves both sides the same way; this file can. A
@@ -244,6 +245,27 @@ fn fault_r16() {
         out += &(report.csv() + &report.summary());
     }
     check("fault_r16", &out);
+}
+
+/// The anchor of the multi-block DPA fold: 1,100 traces cut into shards
+/// of 34 and 35, so every shard folds two full blocks and ends with a
+/// partial one, and the snapshot boundaries (every 100 trials) fall
+/// inside shards. The 16-trace lines above never fill a block per shard.
+#[test]
+#[ignore = "1,100 one-round traces: a few seconds in release; CI runs it"]
+fn dpa_r1_1100() {
+    let sink = Collect::new();
+    let o = dpa_attack(MaskPolicy::None, 1, 1100, 0, jobs(), &CancelToken::new(), 100, &sink)
+        .expect("uncancelled");
+    let r = &o.result;
+    let out = format!(
+        "{}|{}|{}\n{}",
+        guesses(&r.peaks, &r.peak_cycles, r.best_guess, r.margin),
+        o.true_subkey,
+        o.recovered,
+        sink.replayable_jsonl()
+    );
+    check("dpa_r1_1100", &out);
 }
 
 #[test]
