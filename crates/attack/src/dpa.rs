@@ -9,7 +9,7 @@
 //! decorrelate and flatten; a masked implementation flattens *every*
 //! guess.
 
-use crate::online::OnlineDpa;
+use crate::online::{OnlineDpa, BLOCK};
 use emask_des::bits::permute;
 use emask_des::sbox_lookup;
 use emask_des::{E, IP};
@@ -157,11 +157,6 @@ pub(crate) fn result_from_peaks(peaks: [f64; 64], peak_cycles: [usize; 64]) -> D
     DpaResult { peaks, peak_cycles, best_guess, margin }
 }
 
-/// Traces a DPA shard acquires before folding them in one
-/// [`OnlineDpa::push_block`]: the 256 sum vectors (40 MB for a 1-round
-/// window) then stream through memory once per 16 traces, not per trace.
-const BLOCK: usize = 16;
-
 /// A shard's empty accumulator: a spent one cleared for reuse, else a
 /// clone of `proto`.
 fn recycled(spent: Option<OnlineDpa>, proto: &OnlineDpa) -> OnlineDpa {
@@ -174,10 +169,13 @@ fn recycled(spent: Option<OnlineDpa>, proto: &OnlineDpa) -> OnlineDpa {
     }
 }
 
-/// Acquires `trials` in blocks of [`BLOCK`] and folds each block into
+/// Acquires `trials` in blocks of [`BLOCK`] and pushes each block into
 /// `acc`, checking `token` before each trial and calling `on_trial(i)`
-/// once trial `i` is folded. A trip returns `Err(trials folded)`; the
-/// traces acquired for the unfinished block are dropped.
+/// once trial `i` is pushed. `acc` folds each block when the next one
+/// arrives; the last one stays pending until the shard's merge folds it
+/// into the prefix, so a shard of at most one block never allocates sum
+/// vectors. A trip returns `Err(trials pushed)`; the traces acquired for
+/// the unfinished block are dropped.
 fn fold_trials<F, T>(
     acc: &mut OnlineDpa,
     trials: Range<usize>,
@@ -226,7 +224,8 @@ where
 /// bit-identical for any `jobs` value, and memory does not grow with
 /// `cfg.samples` — at most one merged prefix and one accumulator per
 /// worker are alive at once, each O(guesses × trace_len); two at
-/// `jobs = 1`.
+/// `jobs = 1`. A shard of at most 16 traces holds only its raw traces,
+/// which its merge folds straight into the prefix.
 ///
 /// With `cadence: Some(c)`, every `c` trials (and once at the end; only
 /// at the end for `Some(0)`) the merged accumulator over trials `0..b` is

@@ -27,6 +27,7 @@ use crate::cpa::CpaResult;
 use crate::dpa::{result_from_peaks, sbox_chunk, DpaResult};
 use crate::stats::{peak, StatsError};
 use emask_des::sbox_lookup;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Pointwise streaming mean/variance over equal-length traces
@@ -192,13 +193,20 @@ impl OnlineWelch {
 /// shared total sum. One accumulator holds O(bits × guesses × trace_len)
 /// — one sum vector per (bit, guess) plus the total — whatever the number
 /// of traces folded into it, unlike a batch difference of means over a
-/// retained trace set. (A sharded campaign holds several accumulators at
-/// once; see [`crate::dpa::recover_subkey`], which folds its traces in
-/// blocks that walk each sum vector once per block instead of once per
-/// trace.)
+/// retained trace set.
 ///
-/// The sum vectors share one buffer, allocated when the first trace fixes
-/// the width. A multibit accumulator over a 1-round window is then one
+/// The last pushed block of at most 16 traces is kept as raw rows
+/// and folded only when the next block arrives, when
+/// [`merge`](OnlineDpa::merge) absorbs it into another accumulator, or
+/// when [`result`](OnlineDpa::result) or equality needs the sums. A
+/// shard of a sharded campaign ([`crate::dpa::recover_subkey`]) that sees
+/// at most one block therefore never allocates sum vectors: the merge
+/// folds its rows straight into the prefix. Folding and merging add in
+/// the same order either way, so every sum is bit for bit what pushing
+/// the traces one by one into a single accumulator would give.
+///
+/// The sum vectors share one buffer, allocated when the first block is
+/// folded. A multibit accumulator over a 1-round window is then one
 /// ~40 MB block, which goes back to the operating system when the
 /// accumulator is dropped. 256 separate ~160 KB vectors would stay on
 /// the allocator's free lists, in the arena of whichever thread had
@@ -213,28 +221,45 @@ pub struct OnlineDpa {
     report_bit: usize,
     /// The analyzed output bits: `[report_bit]` or all four.
     bits: Vec<usize>,
+    /// Traces folded into `total`, `n1` and `sum1` (the pending block
+    /// not included).
     n: u64,
-    /// Sum over *all* traces (shared by every guess's group 0).
+    /// Samples per trace; fixed by the first trace, 0 while empty.
+    width: usize,
+    /// Sum over all folded traces (shared by every guess's group 0);
+    /// empty until a block is folded.
     total: Vec<f64>,
     /// Per (bit, guess): group-1 trace count, row-major `[bit][guess]`.
     n1: Vec<u64>,
-    /// Per (bit, guess): the group-1 sum vector, `total.len()` samples a
-    /// slot, slots row-major `[bit][guess]`. A slot's samples hold a sum
-    /// only while its `n1` is non-zero; before the slot's first trace
-    /// (and after [`clear`](OnlineDpa::clear)) they are stale and never
-    /// read.
+    /// Per (bit, guess): the group-1 sum vector, `width` samples a slot,
+    /// slots row-major `[bit][guess]`. A slot's samples hold a sum only
+    /// while its `n1` is non-zero; before the slot's first trace (and
+    /// after [`clear`](OnlineDpa::clear)) they are stale and never read.
     sum1: Vec<f64>,
+    /// The plaintexts of the pending block: pushed, not yet folded.
+    pending_plaintexts: Vec<u64>,
+    /// The pending block's traces, `width` samples a row.
+    pending: Vec<f64>,
 }
 
-/// The logical state: a slot without traces reads as an empty sum,
-/// whatever its stale samples hold.
+/// The logical state: pending rows count as folded, and a slot without
+/// traces reads as an empty sum, whatever its stale samples hold.
 impl PartialEq for OnlineDpa {
     fn eq(&self, other: &Self) -> bool {
-        (self.sbox, self.report_bit, &self.bits, self.n, &self.total, &self.n1)
-            == (other.sbox, other.report_bit, &other.bits, other.n, &other.total, &other.n1)
-            && (0..self.n1.len()).all(|slot| self.slot(slot) == other.slot(slot))
+        let (a, b) = (self.settled(), other.settled());
+        (a.sbox, a.report_bit, &a.bits, a.n, &a.total, &a.n1)
+            == (b.sbox, b.report_bit, &b.bits, b.n, &b.total, &b.n1)
+            && (0..a.n1.len()).all(|slot| a.slot(slot) == b.slot(slot))
     }
 }
+
+/// The most traces an [`OnlineDpa`] keeps as raw rows: a pushed block of
+/// at most this many waits, unfolded, for the next block or a merge, and
+/// a longer one is folded at once. It is also the block a DPA shard
+/// acquires before each push, so the 256 sum vectors (40 MB for a
+/// 1-round window) stream through memory once per 16 traces, not per
+/// trace, and a shard of at most 16 traces never allocates them.
+pub(crate) const BLOCK: usize = 16;
 
 /// Traces folded per pass of the blocked kernel: one `u64` selection mask
 /// per (bit, guess) slot. Longer blocks are folded in runs of this many.
@@ -280,32 +305,39 @@ impl OnlineDpa {
             report_bit,
             bits,
             n: 0,
+            width: 0,
             total: Vec::new(),
             n1: vec![0; slots],
             sum1: Vec::new(),
+            pending_plaintexts: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
-    /// Slot `slot`'s group-1 sum vector (empty when the slot has no
-    /// traces).
+    /// Slot `slot`'s folded group-1 sum vector (empty when no folded
+    /// trace falls in the slot).
     fn slot(&self, slot: usize) -> &[f64] {
         if self.n1[slot] == 0 {
             return &[];
         }
-        let width = self.total.len();
-        &self.sum1[slot * width..][..width]
+        &self.sum1[slot * self.width..][..self.width]
     }
 
-    /// Number of traces folded in.
+    /// Number of traces pushed, folded or pending.
+    fn pushed(&self) -> u64 {
+        self.n + self.pending_plaintexts.len() as u64
+    }
+
+    /// Number of traces pushed.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
-        self.n as usize
+        self.pushed() as usize
     }
 
-    /// True when nothing was folded in yet.
+    /// True when nothing was pushed yet.
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.n == 0
+        self.pushed() == 0
     }
 
     /// Empties the accumulator but keeps its buffers, so a sharded
@@ -314,8 +346,11 @@ impl OnlineDpa {
     /// a fresh accumulator of the same configuration.
     pub fn clear(&mut self) {
         self.n = 0;
+        self.width = 0;
         self.total.clear();
         self.n1.fill(0);
+        self.pending_plaintexts.clear();
+        self.pending.clear();
     }
 
     /// Folds one `(plaintext, trace)` observation in: the one-trace case
@@ -332,12 +367,14 @@ impl OnlineDpa {
     /// Folds a block of `(plaintexts[i], traces[i])` observations in, with
     /// exactly the float result of pushing them one by one in order.
     ///
-    /// Each sum vector is walked once per block rather than once per
-    /// trace: the kernel adds all of the block's selected traces to a
-    /// tile of running sums held in registers. Every sum element still
-    /// sees the same additions in the same (push) order, and a slot's
-    /// first trace is still copied rather than added to `0.0`, so the
-    /// sign of a zero survives.
+    /// The block before this one is folded first. A block of at most
+    /// [`BLOCK`] traces is then kept as raw rows, pending, and a longer
+    /// one is folded at once. Each sum vector is walked once per block
+    /// rather than once per trace: the kernel adds all of the block's
+    /// selected traces to a tile of running sums held in registers. Every
+    /// sum element still sees the same additions in the same (push)
+    /// order, and a slot's first trace is still copied rather than added
+    /// to `0.0`, so the sign of a zero survives.
     ///
     /// # Errors
     ///
@@ -355,36 +392,74 @@ impl OnlineDpa {
     ) -> Result<(), StatsError> {
         assert_eq!(plaintexts.len(), traces.len(), "one plaintext per trace");
         let Some(first) = traces.first() else { return Ok(()) };
-        let width = if self.n == 0 { first.as_ref().len() } else { self.total.len() };
+        let width = if self.pushed() == 0 { first.as_ref().len() } else { self.width };
         if let Some(bad) = traces.iter().find(|t| t.as_ref().len() != width) {
             return Err(StatsError::WidthMismatch { expected: width, got: bad.as_ref().len() });
         }
-        if self.n == 0 {
-            self.total.resize(width, 0.0);
-            let len = self.n1.len() * width;
-            if self.sum1.len() != len {
-                // Zeroed, so the pages of slots no trace reaches are never
-                // touched.
-                self.sum1 = vec![0.0; len];
+        self.settle();
+        self.width = width;
+        if traces.len() <= BLOCK {
+            self.pending_plaintexts.extend_from_slice(plaintexts);
+            for t in traces {
+                self.pending.extend_from_slice(t.as_ref());
             }
+            return Ok(());
         }
+        self.reserve_sums();
         for (ps, ts) in plaintexts.chunks(MASK_BITS).zip(traces.chunks(MASK_BITS)) {
-            self.fold_block(ps, ts);
+            let rows: Vec<&[f64]> = ts.iter().map(AsRef::as_ref).collect();
+            self.fold_block(ps, &rows);
         }
         Ok(())
     }
 
-    /// [`push_block`](OnlineDpa::push_block) on at most [`MASK_BITS`]
-    /// validated traces.
-    fn fold_block<T: AsRef<[f64]>>(&mut self, plaintexts: &[u64], traces: &[T]) {
-        let mut rows: [&[f64]; MASK_BITS] = [&[]; MASK_BITS];
-        for (row, t) in rows.iter_mut().zip(traces) {
-            *row = t.as_ref();
+    /// Zeroes the sums before the first block is folded, allocating the
+    /// sum buffer unless it is already the right size.
+    fn reserve_sums(&mut self) {
+        if self.n > 0 {
+            return;
         }
-        let rows = &rows[..traces.len()];
-        // Bit r of masks[slot] set: trace r falls in the slot's group 1.
+        self.total.clear();
+        self.total.resize(self.width, 0.0);
+        let len = self.n1.len() * self.width;
+        if self.sum1.len() != len {
+            // Zeroed, so the pages of slots no trace reaches are never
+            // touched.
+            self.sum1 = vec![0.0; len];
+        }
+    }
+
+    /// Folds the pending block, if any, into the sums.
+    fn settle(&mut self) {
+        if self.pending_plaintexts.is_empty() {
+            return;
+        }
+        self.reserve_sums();
+        let plaintexts = std::mem::take(&mut self.pending_plaintexts);
+        let mut pending = std::mem::take(&mut self.pending);
+        self.fold_block(&plaintexts, &rows(&pending, plaintexts.len(), self.width));
+        pending.clear();
+        self.pending = pending;
+        self.pending_plaintexts = plaintexts;
+        self.pending_plaintexts.clear();
+    }
+
+    /// This accumulator with its pending block folded: itself when
+    /// nothing is pending, else a folded copy.
+    fn settled(&self) -> Cow<'_, OnlineDpa> {
+        if self.pending_plaintexts.is_empty() {
+            return Cow::Borrowed(self);
+        }
+        let mut copy = self.clone();
+        copy.settle();
+        Cow::Owned(copy)
+    }
+
+    /// The selection masks of a block: bit `r` of `masks[slot]` is set
+    /// when trace `r` (plaintext `plaintexts[r]`) falls in the slot's
+    /// group 1. Slots past `n1.len()` stay zero.
+    fn masks(&self, plaintexts: &[u64]) -> [u64; 4 * 64] {
         let mut masks = [0u64; 4 * 64];
-        let masks = &mut masks[..self.n1.len()];
         for (r, &p) in plaintexts.iter().enumerate() {
             let chunk = sbox_chunk(p, self.sbox);
             for guess in 0..64u8 {
@@ -396,8 +471,16 @@ impl OnlineDpa {
                 }
             }
         }
+        masks
+    }
+
+    /// Folds at most [`MASK_BITS`] validated traces into the sums, which
+    /// [`reserve_sums`](OnlineDpa::reserve_sums) has set up.
+    fn fold_block(&mut self, plaintexts: &[u64], rows: &[&[f64]]) {
+        let mut masks = self.masks(plaintexts);
+        let masks = &mut masks[..self.n1.len()];
         self.n += rows.len() as u64;
-        let width = self.total.len();
+        let width = self.width;
         for (slot, mask) in masks.iter_mut().enumerate() {
             // A slot's first trace is copied, not added to 0.0.
             let first = self.n1[slot] == 0;
@@ -424,6 +507,15 @@ impl OnlineDpa {
 
     /// Absorbs another accumulator of the same configuration.
     ///
+    /// This accumulator's own pending block is folded first. `other`'s
+    /// pending block is folded on the way in, a cache tile at a time: per
+    /// slot, `other`'s folded sum (or else its first selected row) and
+    /// its selected rows are added up in registers, and the result is
+    /// added into this accumulator's sum. So every sum gets exactly the
+    /// additions, in the same order, of folding `other` first and merging
+    /// after, without writing `other`'s sums — an `other` with nothing
+    /// folded never needs any.
+    ///
     /// # Errors
     ///
     /// [`StatsError::WidthMismatch`] when both accumulators are non-empty
@@ -438,43 +530,59 @@ impl OnlineDpa {
             self.sbox == other.sbox && self.bits == other.bits,
             "merging differently-configured DPA accumulators"
         );
-        if other.n == 0 {
+        if other.pushed() == 0 {
             return Ok(());
         }
-        if self.n == 0 {
+        if self.pushed() == 0 {
             *self = other.clone();
             return Ok(());
         }
-        if self.total.len() != other.total.len() {
-            return Err(StatsError::WidthMismatch {
-                expected: self.total.len(),
-                got: other.total.len(),
-            });
+        if self.width != other.width {
+            return Err(StatsError::WidthMismatch { expected: self.width, got: other.width });
         }
-        self.n += other.n;
-        for (t, &v) in self.total.iter_mut().zip(&other.total) {
-            *t += v;
-        }
-        let width = self.total.len();
-        for slot in 0..self.n1.len() {
-            let theirs = other.slot(slot);
-            let sum = &mut self.sum1[slot * width..][..width];
-            if self.n1[slot] == 0 {
-                if !theirs.is_empty() {
-                    sum.copy_from_slice(theirs);
-                }
-            } else {
-                for (s, &v) in sum.iter_mut().zip(theirs) {
-                    *s += v;
-                }
+        self.settle();
+        let width = self.width;
+        let pending = other.pending_plaintexts.len();
+        let rows = rows(&other.pending, pending, width);
+        let masks = other.masks(&other.pending_plaintexts);
+        let masks = &masks[..self.n1.len()];
+        // A pending block holds at most `BLOCK` < 64 rows.
+        let all = (1u64 << pending) - 1;
+        let tile_len = (TILE_BUDGET / pending.max(1)).next_multiple_of(LANES);
+        let mut sel: [&[f64]; MASK_BITS] = [&[]; MASK_BITS];
+        for at in (0..width).step_by(tile_len) {
+            let tile = at..width.min(at + tile_len);
+            // With nothing folded the total starts from 0.0, as a fold
+            // starts it.
+            let folded = (other.n > 0).then(|| &other.total[tile.clone()]);
+            let selected = select(&mut sel, &rows, all, &tile);
+            add_settled(&mut self.total[tile.clone()], folded, selected, false);
+            for (slot, &mask) in masks.iter().enumerate() {
+                let mut mask = mask;
+                let first = if other.n1[slot] > 0 {
+                    &other.slot(slot)[tile.clone()]
+                } else if mask != 0 {
+                    let row = &rows[mask.trailing_zeros() as usize][tile.clone()];
+                    mask &= mask - 1;
+                    row
+                } else {
+                    continue;
+                };
+                let sum = &mut self.sum1[slot * width..][tile.clone()];
+                let selected = select(&mut sel, &rows, mask, &tile);
+                add_settled(sum, Some(first), selected, self.n1[slot] == 0);
             }
-            self.n1[slot] += other.n1[slot];
+        }
+        self.n += other.pushed();
+        for ((n1, &theirs), &mask) in self.n1.iter_mut().zip(&other.n1).zip(masks) {
+            *n1 += theirs + u64::from(mask.count_ones());
         }
         Ok(())
     }
 
-    /// The per-guess difference-of-means trace for one analyzed bit slot,
-    /// mirroring the batch semantics: zeros when either group is empty.
+    /// The per-guess difference-of-means trace for one analyzed bit slot
+    /// of a settled accumulator, mirroring the batch semantics: zeros
+    /// when either group is empty.
     fn dom(&self, slot: usize) -> Vec<f64> {
         let n1 = self.n1[slot];
         let n0 = self.n - n1;
@@ -487,20 +595,62 @@ impl OnlineDpa {
     }
 
     /// Finalizes the accumulated statistics into a [`DpaResult`]
-    /// (per-guess peaks, best guess, margin).
+    /// (per-guess peaks, best guess, margin), folding a pending block
+    /// into a copy first.
     pub fn result(&self) -> DpaResult {
+        let acc = self.settled();
         let mut peaks = [0.0f64; 64];
         let mut peak_cycles = [0usize; 64];
-        for (bi, &bit) in self.bits.iter().enumerate() {
+        for (bi, &bit) in acc.bits.iter().enumerate() {
             for guess in 0..64 {
-                let (cycle, magnitude) = peak(&self.dom(bi * 64 + guess));
+                let (cycle, magnitude) = peak(&acc.dom(bi * 64 + guess));
                 peaks[guess] += magnitude;
-                if bit == self.report_bit {
+                if bit == acc.report_bit {
                     peak_cycles[guess] = cycle;
                 }
             }
         }
         result_from_peaks(peaks, peak_cycles)
+    }
+}
+
+/// The first `count` rows of `width` samples in `buf`.
+fn rows(buf: &[f64], count: usize, width: usize) -> Vec<&[f64]> {
+    (0..count).map(|r| &buf[r * width..][..width]).collect()
+}
+
+/// Adds to `out` the sum of `first` (`None`: `0.0`) and then `rows`, in
+/// order, per element — or stores that sum in `out` when `replace`, so a
+/// signed zero survives. The sum is built in registers, [`LANES`]
+/// elements at a time, with the additions a fold makes in the same
+/// order.
+fn add_settled(out: &mut [f64], first: Option<&[f64]>, rows: &[&[f64]], replace: bool) {
+    let body = out.len() - out.len() % LANES;
+    for (c, chunk) in out[..body].chunks_exact_mut(LANES).enumerate() {
+        let lanes = c * LANES..(c + 1) * LANES;
+        let mut acc = [0.0f64; LANES];
+        if let Some(first) = first {
+            acc.copy_from_slice(&first[lanes.clone()]);
+        }
+        for row in rows {
+            for (a, &v) in acc.iter_mut().zip(&row[lanes.clone()]) {
+                *a += v;
+            }
+        }
+        if replace {
+            chunk.copy_from_slice(&acc);
+        } else {
+            for (o, a) in chunk.iter_mut().zip(acc) {
+                *o += a;
+            }
+        }
+    }
+    for (j, o) in out.iter_mut().enumerate().skip(body) {
+        let mut sum = first.map_or(0.0, |first| first[j]);
+        for row in rows {
+            sum += row[j];
+        }
+        *o = if replace { sum } else { *o + sum };
     }
 }
 
@@ -937,6 +1087,7 @@ mod tests {
     /// reference every blocked fold must match bit for bit.
     fn reference_push(acc: &mut OnlineDpa, plaintext: u64, trace: &[f64]) {
         if acc.n == 0 {
+            acc.width = trace.len();
             acc.total = vec![0.0; trace.len()];
             acc.sum1 = vec![0.0; acc.n1.len() * trace.len()];
         }
@@ -1035,12 +1186,68 @@ mod tests {
             }
             let mut whole = OnlineDpa::multibit(2, 1);
             whole.push_block(&plaintexts, &rows).unwrap();
-            // `Debug` prints every float's exact value, sign of zero included.
+            // `Debug` prints every float's exact value, sign of zero
+            // included; the settled copies fold any pending rows.
             let expect = format!("{reference:?}");
-            proptest::prop_assert_eq!(format!("{one_by_one:?}"), expect.clone());
-            proptest::prop_assert_eq!(format!("{blocked:?}"), expect.clone());
-            proptest::prop_assert_eq!(format!("{whole:?}"), expect);
+            proptest::prop_assert_eq!(format!("{:?}", one_by_one.settled()), expect.clone());
+            proptest::prop_assert_eq!(format!("{:?}", blocked.settled()), expect.clone());
+            proptest::prop_assert_eq!(format!("{:?}", whole.settled()), expect);
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn merging_pending_rows_equals_folding_them_first(
+            before in 1usize..40,
+            narrow in 1usize..20,
+            wide in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // A shard pushed the way a campaign shard is, in blocks of
+            // `BLOCK`, so its last block is pending, merged into a prefix
+            // with a pending block of its own.
+            let width = if wide { TILE_BUDGET / 16 - 12 + narrow } else { narrow };
+            for shard in [1usize, 6, 16, 17, 40, 64, 65] {
+                let (plaintexts, rows) = observations(before + shard, width, seed);
+                let mut prefix = OnlineDpa::multibit(2, 1);
+                prefix.push_block(&plaintexts[..before], &rows[..before]).unwrap();
+                let mut part = OnlineDpa::multibit(2, 1);
+                let (ps, rs) = (&plaintexts[before..], &rows[before..]);
+                for (p, r) in ps.chunks(BLOCK).zip(rs.chunks(BLOCK)) {
+                    part.push_block(p, r).unwrap();
+                }
+                proptest::prop_assert!(!part.pending_plaintexts.is_empty());
+                let mut folded_first = prefix.clone();
+                folded_first.merge(&part.settled()).unwrap();
+                prefix.merge(&part).unwrap();
+                proptest::prop_assert!(prefix.pending_plaintexts.is_empty());
+                let (got, want) = (format!("{prefix:?}"), format!("{folded_first:?}"));
+                proptest::prop_assert_eq!(got, want, "shard of {} traces", shard);
+            }
+        }
+    }
+
+    #[test]
+    fn an_accumulator_of_at_most_one_block_holds_no_sums() {
+        let (plaintexts, rows) = observations(BLOCK + 1, 40, 7);
+        for traces in [1, BLOCK] {
+            let mut shard = OnlineDpa::multibit(0, 0);
+            shard.push_block(&plaintexts[..traces], &rows[..traces]).unwrap();
+            assert_eq!(shard.len(), traces);
+            assert_eq!((shard.sum1.capacity(), shard.total.capacity()), (0, 0), "{traces} traces");
+            let mut prefix = OnlineDpa::multibit(0, 0);
+            prefix.push_block(&plaintexts[traces..], &rows[traces..]).unwrap();
+            prefix.merge(&shard).unwrap();
+            assert_eq!(shard.sum1.capacity(), 0, "merging reads the rows, not sums");
+            assert_eq!(prefix.len(), BLOCK + 1);
+        }
+        // A second block folds the first.
+        let mut two = OnlineDpa::multibit(0, 0);
+        two.push_block(&plaintexts[..1], &rows[..1]).unwrap();
+        two.push_block(&plaintexts[1..2], &rows[1..2]).unwrap();
+        assert_eq!(two.sum1.len(), 256 * 40);
     }
 
     #[test]

@@ -124,6 +124,10 @@ impl ExperimentRunner for BenchRunner {
         // of one accumulator, times the accumulators a sharded fold
         // holds at once (one per worker plus the merged prefix). The
         // attacks accumulate only the round-1 window at any round count.
+        // For DPA this is an upper bound: a shard of at most 16 traces
+        // keeps them raw and its merge folds them into the prefix, so
+        // only the prefix allocates sums; a longer shard allocates its
+        // own.
         let vectors = |count: u64, window: u64| {
             let accumulators = spec.jobs.min(shard_plan(spec.trials).len()) as u64 + 1;
             count * window * std::mem::size_of::<f64>() as u64 * accumulators

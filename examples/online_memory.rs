@@ -5,7 +5,10 @@
 //!
 //! A sharded campaign holds at most one merged prefix and one accumulator
 //! per worker; at `Jobs::serial()`, as here, that is two accumulators
-//! whatever the trace count.
+//! whatever the trace count. A shard's last block of at most 16 traces
+//! stays raw until its merge folds it into the prefix, so a campaign of
+//! at most 32 × 16 = 512 traces allocates sum vectors for the prefix
+//! alone; these runs' 31–313-trace shards allocate their own too.
 //!
 //! ```text
 //! cargo run --release --example online_memory [traces] [--batch]
