@@ -214,7 +214,10 @@ impl CampaignCheckpoint {
             let checkpoints: u64 = f.next()?.parse().ok()?;
             let rollbacks: u64 = f.next()?.parse().ok()?;
             let pages_moved: u64 = f.next()?.parse().ok()?;
-            let mut trials = Vec::with_capacity(nrows);
+            // Grown row by row: the count comes from the file, so a huge
+            // one must fail on the rows that are missing, not on the
+            // allocation.
+            let mut trials = Vec::new();
             for _ in 0..nrows {
                 trials.push(parse_row(lines.next()?)?);
             }
@@ -719,6 +722,16 @@ checksum 7ee934d71ea12900
         cp.save(&path).expect("save");
         let mut text = std::fs::read_to_string(&path).expect("read");
         text = text.replacen("fingerprint 0", "fingerprint 1", 1);
+        std::fs::write(&path, text).expect("write");
+        assert!(CampaignCheckpoint::load(&path).expect("load").is_none());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_row_count_the_file_cannot_back_is_discarded() {
+        let path = tmp_path("row-count");
+        let body = format!("{MAGIC}\nfingerprint 0000000000000007\nshard 0 {} 0 0 0 0\n", u64::MAX);
+        let text = format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()));
         std::fs::write(&path, text).expect("write");
         assert!(CampaignCheckpoint::load(&path).expect("load").is_none());
         let _ = std::fs::remove_file(&path);

@@ -7,8 +7,8 @@
 //! dual-rail detection — but detection alone just kills the run. This
 //! module closes the loop from **detection to tolerance**:
 //!
-//! * the core takes an architectural checkpoint
-//!   ([`emask_cpu::CpuCheckpoint`]) at every DES phase marker;
+//! * the core takes a checkpoint ([`emask_cpu::Checkpoint`]) at every
+//!   DES phase marker;
 //! * on a detected fault (dual-rail violation, memory fault, divide by
 //!   zero, runaway PC) the run rolls back to the last checkpoint and
 //!   re-executes — a transient fault has already been spent, so the replay

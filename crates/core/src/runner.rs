@@ -10,8 +10,7 @@ use crate::recovery::{
 use emask_cc::{compile, CompileError, CompileOptions, MaskPolicy, SliceReport};
 use emask_cpu::AccessError;
 use emask_cpu::{
-    BackendCheckpoint, Cpu, CpuBackend, CpuError, CpuErrorKind, LastReads, NullHook, PipelineHook,
-    RunResult,
+    Cpu, CpuBackend, CpuError, CpuErrorKind, LastReads, NullHook, PipelineHook, RunResult,
 };
 use emask_des::bits::{from_bit_vec, to_bit_vec};
 use emask_des::BitArrayState;

@@ -35,7 +35,7 @@ pub struct BusSample {
 
 impl BusSample {
     /// An inactive (gated) sample.
-    pub fn idle() -> Self {
+    pub(crate) fn idle() -> Self {
         Self::default()
     }
 

@@ -1,22 +1,48 @@
-//! The multi-backend CPU abstraction.
+//! The multi-backend CPU abstraction: the architectural state every
+//! backend holds, and the trait the workspace drives backends through.
 //!
 //! The whole contract is documented on [`CpuBackend`].
 
 use crate::activity::CycleActivity;
-use crate::checkpoint::CpuCheckpoint;
+use crate::checkpoint::Checkpoint;
 use crate::hook::{HookCtx, NullHook, PipelineHook, RailSkew};
-use crate::interp::{InterpCheckpoint, Interpreter};
+use crate::interp::Interpreter;
 use crate::memory::DataMemory;
-use crate::pipeline::{Cpu, CpuError, CpuErrorKind, RunResult};
-use emask_isa::{Program, Reg};
+use crate::pipeline::{Cpu, CpuError, CpuErrorKind, Pipeline, RunResult};
+use crate::regfile::RegisterFile;
+use emask_isa::{Program, Reg, DATA_BASE, MEM_SIZE, STACK_TOP};
+use std::fmt::Debug;
 use std::ops::ControlFlow;
 
-/// A restorable snapshot of one backend's full execution state, with
-/// incremental (dirty-page) memory tracking. Every [`CpuBackend`]
-/// provides one.
-pub trait BackendCheckpoint {
-    /// Pages copied by the most recent refresh or restore.
-    fn pages_moved(&self) -> usize;
+/// The architectural state of a machine: registers, data memory, PC, the
+/// halt flag and the run statistics, whose `cycles` is the machine's one
+/// clock. Every [`CpuBackend`] holds one, and beside it only the program
+/// text and its own [`CpuBackend::Pipeline`] state.
+#[derive(Debug, Clone)]
+pub struct ArchState {
+    pub(crate) regs: RegisterFile,
+    pub(crate) mem: DataMemory,
+    pub(crate) pc: u32,
+    pub(crate) halted: bool,
+    pub(crate) stats: RunResult,
+}
+
+impl ArchState {
+    /// The state at reset with `program` loaded: its `.data` image at
+    /// [`DATA_BASE`] in a [`MEM_SIZE`]-byte RAM, `$sp` at [`STACK_TOP`],
+    /// `$gp` at [`DATA_BASE`], PC 0 and a clock at 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data image does not fit in the RAM.
+    pub(crate) fn load(program: &Program) -> Self {
+        let mut mem = DataMemory::new(MEM_SIZE);
+        mem.load_image(DATA_BASE, &program.data);
+        let mut regs = RegisterFile::new();
+        regs.write(Reg::Sp, STACK_TOP.min(mem.size() - 16));
+        regs.write(Reg::Gp, DATA_BASE);
+        Self { regs, mem, pc: 0, halted: false, stats: RunResult::default() }
+    }
 }
 
 /// A CPU execution engine the workspace runners can drive generically.
@@ -30,7 +56,7 @@ pub trait BackendCheckpoint {
 /// and exposes the *architectural contract* the rest of the workspace
 /// builds on: register/memory/PC state, retirement accounting, per-cycle
 /// [`CycleActivity`] emission for the energy model, [`PipelineHook`]
-/// attachment, and (where supported) checkpoint/rollback. The five-stage
+/// attachment, and checkpoint/rollback. The five-stage
 /// pipelined [`Cpu`] and the reference [`Interpreter`] are sibling
 /// implementations; future cores (bitsliced batch lanes, randomized issue)
 /// plug in as one more `impl` plus one conformance-suite registration.
@@ -45,6 +71,15 @@ pub trait BackendCheckpoint {
 /// stall/flush statistics, which latch lanes exist for fault injection,
 /// and the per-cycle energy figures derived from bus toggling. The generic
 /// conformance suite in `emask-conformance` checks exactly this split.
+///
+/// # One architectural state
+///
+/// A backend holds the architectural half as one [`ArchState`]
+/// ([`CpuBackend::arch`]) and everything else a clock cycle changes as its
+/// [`CpuBackend::Pipeline`]. The register, memory, PC, clock and
+/// statistics accessors, the [`HookCtx`](crate::HookCtx) operations on
+/// them and the [`Checkpoint`] are written once, over those two, so a
+/// backend implements only `load`, the four state accessors and `step`.
 ///
 /// # One loop
 ///
@@ -64,42 +99,77 @@ pub trait CpuBackend: Sized {
     /// Stable backend name, used in conformance reports and energy CSVs.
     const NAME: &'static str;
 
-    /// The backend's checkpoint type.
-    type Checkpoint: BackendCheckpoint;
+    /// The backend's own state beside its [`ArchState`], which a
+    /// [`Checkpoint`] saves and restores with it: the pipeline's latches,
+    /// fetch flag and rail skew, and `()` for the interpreter.
+    type Pipeline: Clone + Debug;
 
     /// Loads `program` into a fresh backend with the standard memory map
-    /// (`.data` at `DATA_BASE`, `$sp`/`$gp` initialized).
+    /// ([`ArchState`]'s reset).
     fn load(program: &Program) -> Self;
 
+    /// The architectural state.
+    fn arch(&self) -> &ArchState;
+
+    /// The architectural state, mutably.
+    fn arch_mut(&mut self) -> &mut ArchState;
+
+    /// A copy of the backend's own state.
+    fn pipeline(&self) -> Self::Pipeline;
+
+    /// Replaces the backend's own state.
+    fn set_pipeline(&mut self, pipeline: Self::Pipeline);
+
     /// Current value of a register.
-    fn reg(&self, r: Reg) -> u32;
+    fn reg(&self, r: Reg) -> u32 {
+        self.arch().regs.read(r)
+    }
 
     /// Sets a register before (or between) runs — harness argument passing.
-    fn set_reg(&mut self, r: Reg, value: u32);
+    fn set_reg(&mut self, r: Reg, value: u32) {
+        self.arch_mut().regs.write(r, value);
+    }
 
     /// A snapshot of all 32 registers.
-    fn registers(&self) -> [u32; 32];
+    fn registers(&self) -> [u32; 32] {
+        self.arch().regs.snapshot()
+    }
 
     /// Immutable view of data memory.
-    fn memory(&self) -> &DataMemory;
+    fn memory(&self) -> &DataMemory {
+        &self.arch().mem
+    }
 
     /// Mutable view of data memory (harness setup, e.g. poking inputs).
-    fn memory_mut(&mut self) -> &mut DataMemory;
+    fn memory_mut(&mut self) -> &mut DataMemory {
+        &mut self.arch_mut().mem
+    }
 
     /// The current program counter (text index).
-    fn pc(&self) -> u32;
+    fn pc(&self) -> u32 {
+        self.arch().pc
+    }
 
     /// True once `halt` has retired.
-    fn is_halted(&self) -> bool;
+    fn is_halted(&self) -> bool {
+        self.arch().halted
+    }
 
-    /// The backend clock: cycles for the pipeline, instructions executed
-    /// for the interpreter. Only comparable *within* one backend.
-    fn cycles(&self) -> u64;
+    /// The backend clock, `stats().cycles`: cycles for the pipeline,
+    /// instructions executed for the interpreter. Only comparable
+    /// *within* one backend.
+    fn cycles(&self) -> u64 {
+        self.arch().stats.cycles
+    }
 
     /// Statistics accumulated so far. `retired`, `loads` and `stores` are
     /// architectural and must agree across backends; `cycles`, `stalls`
-    /// and `flushed` are microarchitectural.
-    fn stats(&self) -> RunResult;
+    /// and `flushed` are microarchitectural. On the interpreter, one
+    /// instruction a step and no pipeline: `retired` equals `cycles`, and
+    /// `stalls` and `flushed` stay zero.
+    fn stats(&self) -> RunResult {
+        self.arch().stats
+    }
 
     /// Advances the backend one clock with a hook intervening:
     /// `before_cycle`, the clock itself, then `after_cycle`, which may veto
@@ -159,54 +229,39 @@ pub trait CpuBackend: Sized {
     }
 
     /// Snapshots the backend and starts dirty-page tracking.
-    fn checkpoint(&mut self) -> Self::Checkpoint;
+    fn checkpoint(&mut self) -> Checkpoint<Self> {
+        Checkpoint::capture(self)
+    }
 
     /// Advances `cp` to the backend's current state (dirty pages only).
-    fn checkpoint_refresh(&mut self, cp: &mut Self::Checkpoint);
+    fn checkpoint_refresh(&mut self, cp: &mut Checkpoint<Self>) {
+        cp.refresh(self);
+    }
 
     /// Rolls the backend back to `cp` (dirty pages only).
-    fn checkpoint_restore(&mut self, cp: &mut Self::Checkpoint);
-}
-
-impl BackendCheckpoint for CpuCheckpoint {
-    fn pages_moved(&self) -> usize {
-        self.pages_moved()
+    fn checkpoint_restore(&mut self, cp: &mut Checkpoint<Self>) {
+        cp.restore(self);
     }
 }
 
 impl CpuBackend for Cpu {
     const NAME: &'static str = "pipeline5";
-    type Checkpoint = CpuCheckpoint;
+    type Pipeline = Pipeline;
 
     fn load(program: &Program) -> Self {
         Cpu::new(program)
     }
-    fn reg(&self, r: Reg) -> u32 {
-        Cpu::reg(self, r)
+    fn arch(&self) -> &ArchState {
+        &self.arch
     }
-    fn set_reg(&mut self, r: Reg, value: u32) {
-        self.regs.write(r, value);
+    fn arch_mut(&mut self) -> &mut ArchState {
+        &mut self.arch
     }
-    fn registers(&self) -> [u32; 32] {
-        self.regs.snapshot()
+    fn pipeline(&self) -> Pipeline {
+        self.pipe
     }
-    fn memory(&self) -> &DataMemory {
-        &self.mem
-    }
-    fn memory_mut(&mut self) -> &mut DataMemory {
-        Cpu::memory_mut(self)
-    }
-    fn pc(&self) -> u32 {
-        self.pc
-    }
-    fn is_halted(&self) -> bool {
-        self.halted
-    }
-    fn cycles(&self) -> u64 {
-        self.cycle
-    }
-    fn stats(&self) -> RunResult {
-        self.stats
+    fn set_pipeline(&mut self, pipeline: Pipeline) {
+        self.pipe = pipeline;
     }
     fn step<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
         // A null hook gets the bare clock: no context, no copy of the
@@ -214,92 +269,48 @@ impl CpuBackend for Cpu {
         if H::IS_NULL {
             return self.clock();
         }
-        hook.before_cycle(&mut HookCtx::for_cpu(self));
-        let cycle = self.cycle;
+        hook.before_cycle(&mut HookCtx { arch: &mut self.arch, pipe: Some(&mut self.pipe) });
+        let cycle = self.cycles();
         let mut act = self.clock()?;
         // Fold the single-rail skew a lane fault recorded this cycle into
         // the complement rails of the affected samples.
-        if !self.rail_skew.is_clean() {
-            act.id_ex_a.complement ^= self.rail_skew.id_ex_a;
-            act.id_ex_b.complement ^= self.rail_skew.id_ex_b;
-            act.mem_bus.complement ^= self.rail_skew.mem_bus;
-            act.mem_wb_value.complement ^= self.rail_skew.mem_wb_value;
-            self.rail_skew = RailSkew::default();
+        let skew = &mut self.pipe.rail_skew;
+        if !skew.is_clean() {
+            act.id_ex_a.complement ^= skew.id_ex_a;
+            act.id_ex_b.complement ^= skew.id_ex_b;
+            act.mem_bus.complement ^= skew.mem_bus;
+            act.mem_wb_value.complement ^= skew.mem_wb_value;
+            *skew = RailSkew::default();
         }
         hook.after_cycle(&act).map_err(|kind| CpuError { cycle, kind })?;
         Ok(act)
-    }
-    fn checkpoint(&mut self) -> CpuCheckpoint {
-        CpuCheckpoint::capture(self)
-    }
-    fn checkpoint_refresh(&mut self, cp: &mut CpuCheckpoint) {
-        cp.refresh(self);
-    }
-    fn checkpoint_restore(&mut self, cp: &mut CpuCheckpoint) {
-        cp.restore(self);
-    }
-}
-
-impl BackendCheckpoint for InterpCheckpoint {
-    fn pages_moved(&self) -> usize {
-        self.pages_moved()
     }
 }
 
 impl CpuBackend for Interpreter {
     const NAME: &'static str = "interp";
-    type Checkpoint = InterpCheckpoint;
+    type Pipeline = ();
 
     fn load(program: &Program) -> Self {
         Interpreter::new(program)
     }
-    fn reg(&self, r: Reg) -> u32 {
-        self.regs.read(r)
+    fn arch(&self) -> &ArchState {
+        &self.arch
     }
-    fn set_reg(&mut self, r: Reg, value: u32) {
-        self.regs.write(r, value);
+    fn arch_mut(&mut self) -> &mut ArchState {
+        &mut self.arch
     }
-    fn registers(&self) -> [u32; 32] {
-        self.regs.snapshot()
-    }
-    fn memory(&self) -> &DataMemory {
-        &self.mem
-    }
-    fn memory_mut(&mut self) -> &mut DataMemory {
-        &mut self.mem
-    }
-    fn pc(&self) -> u32 {
-        self.pc
-    }
-    fn is_halted(&self) -> bool {
-        self.halted
-    }
-    fn cycles(&self) -> u64 {
-        self.executed
-    }
-    // One instruction a step and no pipeline: `retired` equals `cycles`,
-    // and `stalls` and `flushed` stay zero.
-    fn stats(&self) -> RunResult {
-        self.stats
-    }
+    fn pipeline(&self) {}
+    fn set_pipeline(&mut self, (): ()) {}
     fn step<H: PipelineHook>(&mut self, hook: &mut H) -> Result<CycleActivity, CpuError> {
         if H::IS_NULL {
             return self.clock();
         }
-        hook.before_cycle(&mut HookCtx::for_interp(self));
-        let cycle = self.executed;
+        hook.before_cycle(&mut HookCtx { arch: &mut self.arch, pipe: None });
+        let cycle = self.cycles();
         let act = self.clock()?;
         hook.after_cycle(&act).map_err(|kind| CpuError { cycle, kind })?;
         Ok(act)
-    }
-    fn checkpoint(&mut self) -> InterpCheckpoint {
-        InterpCheckpoint::capture(self)
-    }
-    fn checkpoint_refresh(&mut self, cp: &mut InterpCheckpoint) {
-        cp.refresh(self);
-    }
-    fn checkpoint_restore(&mut self, cp: &mut InterpCheckpoint) {
-        cp.restore(self);
     }
 }
 
@@ -340,33 +351,5 @@ mod tests {
     #[test]
     fn backend_names_are_distinct() {
         assert_ne!(<Cpu as CpuBackend>::NAME, <Interpreter as CpuBackend>::NAME);
-    }
-
-    #[test]
-    fn generic_checkpoint_round_trip() {
-        fn round_trip<B: CpuBackend>() {
-            let p = program();
-            let mut b = B::load(&p);
-            for _ in 0..6 {
-                b.step(&mut NullHook).expect("step");
-            }
-            let mut cp = b.checkpoint();
-            let (cycles_at_cp, regs_at_cp) = (b.cycles(), b.registers());
-            for _ in 0..6 {
-                b.step(&mut NullHook).expect("step");
-            }
-            b.checkpoint_restore(&mut cp);
-            assert_eq!(b.cycles(), cycles_at_cp);
-            assert_eq!(b.registers(), regs_at_cp);
-            while !b.is_halted() {
-                b.step(&mut NullHook).expect("step");
-            }
-            let mut fresh = B::load(&p);
-            CpuBackend::run(&mut fresh, 1_000_000).expect("run");
-            assert_eq!(b.registers(), fresh.registers());
-            assert_eq!(b.memory(), fresh.memory());
-        }
-        round_trip::<Cpu>();
-        round_trip::<Interpreter>();
     }
 }

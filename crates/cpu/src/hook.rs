@@ -21,12 +21,12 @@
 //! A hook also says when it is done with a run
 //! ([`PipelineHook::is_inert`]): from then on the machine evolves as if
 //! no hook were installed, which is what lets a fault trial stop once its
-//! machine equals the clean run's (`Cpu` compares by machine state).
+//! machine equals the clean run's ([`Cpu::eq_on`](crate::Cpu::eq_on)).
 
 use crate::activity::CycleActivity;
-use crate::interp::Interpreter;
+use crate::backend::ArchState;
 use crate::memory::AccessError;
-use crate::pipeline::{Cpu, CpuErrorKind};
+use crate::pipeline::{CpuErrorKind, Pipeline};
 use emask_isa::{OpClass, Reg};
 
 /// A faultable 32-bit datum inside a pipeline latch, named after the value
@@ -114,82 +114,52 @@ pub struct LaneView {
     pub class: OpClass,
 }
 
-/// The live core a [`HookCtx`] points into. The pipeline variant exposes
-/// the full microarchitecture (latch lanes, IF/ID squash, rail skew); the
-/// interpreter has no latches, so lane-level operations degrade to no-ops
-/// there while the architectural operations (registers, memory, PC) work
-/// identically on both.
-#[derive(Debug)]
-pub(crate) enum CoreView<'a> {
-    /// The five-stage pipeline.
-    Pipeline(&'a mut Cpu),
-    /// The reference interpreter.
-    Interp(&'a mut Interpreter),
-}
-
 /// Mutable per-cycle access to the live core, handed to
 /// [`PipelineHook::before_cycle`] at the top of every simulated cycle,
 /// before any stage logic runs. State changed here is what the stages see
 /// this cycle.
 ///
-/// The same context type serves every [`crate::CpuBackend`]: architectural
-/// accessors (registers, memory, PC, retirement count) behave identically
-/// everywhere, while the latch-lane operations are inherently
-/// microarchitectural — on a backend without pipeline latches,
-/// [`HookCtx::lane`] returns `None` and [`HookCtx::flip_lane`] /
-/// [`HookCtx::squash_if_id`] return `false`, exactly as they do when a
-/// pipeline latch holds a bubble.
+/// The same context type serves every [`crate::CpuBackend`]: the
+/// architectural accessors (registers, memory, PC, retirement count) work
+/// on the backend's [`ArchState`], the same everywhere, while the
+/// latch-lane operations need the pipeline's state — on a backend
+/// without pipeline latches, [`HookCtx::lane`] returns `None` and
+/// [`HookCtx::flip_lane`] / [`HookCtx::squash_if_id`] return `false`,
+/// exactly as they do when a pipeline latch holds a bubble.
 #[derive(Debug)]
 pub struct HookCtx<'a> {
-    pub(crate) core: CoreView<'a>,
+    pub(crate) arch: &'a mut ArchState,
+    /// The pipeline's latches and rail skew; `None` on the interpreter.
+    pub(crate) pipe: Option<&'a mut Pipeline>,
 }
 
-impl<'a> HookCtx<'a> {
-    pub(crate) fn for_cpu(cpu: &'a mut Cpu) -> Self {
-        Self { core: CoreView::Pipeline(cpu) }
-    }
-
-    pub(crate) fn for_interp(interp: &'a mut Interpreter) -> Self {
-        Self { core: CoreView::Interp(interp) }
-    }
-
+impl HookCtx<'_> {
     /// The cycle about to be simulated (instructions executed, on the
     /// interpreter).
     pub fn cycle(&self) -> u64 {
-        match &self.core {
-            CoreView::Pipeline(cpu) => cpu.cycle,
-            CoreView::Interp(i) => i.executed,
-        }
+        self.arch.stats.cycles
     }
 
     /// Instructions retired so far (before this cycle's write-back).
     pub fn retired(&self) -> u64 {
-        match &self.core {
-            CoreView::Pipeline(cpu) => cpu.stats.retired,
-            CoreView::Interp(i) => i.stats.retired,
-        }
+        self.arch.stats.retired
     }
 
     /// The current program counter.
     pub fn pc(&self) -> u32 {
-        match &self.core {
-            CoreView::Pipeline(cpu) => cpu.pc,
-            CoreView::Interp(i) => i.pc,
-        }
+        self.arch.pc
     }
 
     /// What occupies `lane`, or `None` while the latch holds a bubble (or
     /// the backend has no pipeline latches at all).
     pub fn lane(&self, lane: FaultLane) -> Option<LaneView> {
-        let CoreView::Pipeline(cpu) = &self.core else {
-            return None;
-        };
+        let pipe = self.pipe.as_deref()?;
         let (valid, value, inst) = match lane {
-            FaultLane::IdExA => (cpu.id_ex.valid, cpu.id_ex.a, cpu.id_ex.inst),
-            FaultLane::IdExB => (cpu.id_ex.valid, cpu.id_ex.b, cpu.id_ex.inst),
-            FaultLane::ExMemAlu => (cpu.ex_mem.valid, cpu.ex_mem.alu, cpu.ex_mem.inst),
-            FaultLane::ExMemStore => (cpu.ex_mem.valid, cpu.ex_mem.store_val, cpu.ex_mem.inst),
-            FaultLane::MemWbValue => (cpu.mem_wb.valid, cpu.mem_wb.value, cpu.mem_wb.inst),
+            FaultLane::IdExA => (pipe.id_ex.valid, pipe.id_ex.a, pipe.id_ex.inst),
+            FaultLane::IdExB => (pipe.id_ex.valid, pipe.id_ex.b, pipe.id_ex.inst),
+            FaultLane::ExMemAlu => (pipe.ex_mem.valid, pipe.ex_mem.alu, pipe.ex_mem.inst),
+            FaultLane::ExMemStore => (pipe.ex_mem.valid, pipe.ex_mem.store_val, pipe.ex_mem.inst),
+            FaultLane::MemWbValue => (pipe.mem_wb.valid, pipe.mem_wb.value, pipe.mem_wb.inst),
         };
         valid.then(|| LaneView { value, secure: inst.secure, class: inst.class() })
     }
@@ -204,29 +174,29 @@ impl<'a> HookCtx<'a> {
     /// pair; [`RailMode::ComplementOnly`] records the stale complement
     /// without touching the value.
     pub fn flip_lane(&mut self, lane: FaultLane, mask: u32, rail: RailMode) -> bool {
-        let CoreView::Pipeline(cpu) = &mut self.core else {
+        let Some(pipe) = self.pipe.as_deref_mut() else {
             return false;
         };
         let valid = match lane {
-            FaultLane::IdExA | FaultLane::IdExB => cpu.id_ex.valid,
-            FaultLane::ExMemAlu | FaultLane::ExMemStore => cpu.ex_mem.valid,
-            FaultLane::MemWbValue => cpu.mem_wb.valid,
+            FaultLane::IdExA | FaultLane::IdExB => pipe.id_ex.valid,
+            FaultLane::ExMemAlu | FaultLane::ExMemStore => pipe.ex_mem.valid,
+            FaultLane::MemWbValue => pipe.mem_wb.valid,
         };
         if !valid || mask == 0 {
             return false;
         }
         let value: &mut u32 = match lane {
-            FaultLane::IdExA => &mut cpu.id_ex.a,
-            FaultLane::IdExB => &mut cpu.id_ex.b,
-            FaultLane::ExMemAlu => &mut cpu.ex_mem.alu,
-            FaultLane::ExMemStore => &mut cpu.ex_mem.store_val,
-            FaultLane::MemWbValue => &mut cpu.mem_wb.value,
+            FaultLane::IdExA => &mut pipe.id_ex.a,
+            FaultLane::IdExB => &mut pipe.id_ex.b,
+            FaultLane::ExMemAlu => &mut pipe.ex_mem.alu,
+            FaultLane::ExMemStore => &mut pipe.ex_mem.store_val,
+            FaultLane::MemWbValue => &mut pipe.mem_wb.value,
         };
         if !matches!(rail, RailMode::ComplementOnly) {
             *value ^= mask;
         }
         if !matches!(rail, RailMode::Both) {
-            cpu.rail_skew.record(lane, mask);
+            pipe.rail_skew.record(lane, mask);
         }
         true
     }
@@ -235,39 +205,27 @@ impl<'a> HookCtx<'a> {
     /// *instruction-skip* fault. Returns `false` if it already held a
     /// bubble (or the backend has no fetch latch).
     pub fn squash_if_id(&mut self) -> bool {
-        let CoreView::Pipeline(cpu) = &mut self.core else {
+        let Some(pipe) = self.pipe.as_deref_mut() else {
             return false;
         };
-        if !cpu.if_id.valid {
+        if !pipe.if_id.valid {
             return false;
         }
-        cpu.if_id.valid = false;
+        pipe.if_id.valid = false;
         true
     }
 
     /// Reads architectural register `n & 31`.
     pub fn reg(&self, n: u8) -> u32 {
-        let r = Reg::from_number(n & 31);
-        match &self.core {
-            CoreView::Pipeline(cpu) => cpu.regs.read(r),
-            CoreView::Interp(i) => i.regs.read(r),
-        }
+        self.arch.regs.read(Reg::from_number(n & 31))
     }
 
     /// XORs `mask` into architectural register `n & 31` (writes to `$zero`
     /// are discarded, as in hardware).
     pub fn flip_reg(&mut self, n: u8, mask: u32) {
         let r = Reg::from_number(n & 31);
-        match &mut self.core {
-            CoreView::Pipeline(cpu) => {
-                let v = cpu.regs.read(r);
-                cpu.regs.write(r, v ^ mask);
-            }
-            CoreView::Interp(i) => {
-                let v = i.regs.read(r);
-                i.regs.write(r, v ^ mask);
-            }
-        }
+        let v = self.arch.regs.read(r);
+        self.arch.regs.write(r, v ^ mask);
     }
 
     /// Reads the data-memory word at `addr`.
@@ -276,10 +234,7 @@ impl<'a> HookCtx<'a> {
     ///
     /// Returns [`AccessError`] on misaligned or out-of-range addresses.
     pub fn mem_word(&self, addr: u32) -> Result<u32, AccessError> {
-        match &self.core {
-            CoreView::Pipeline(cpu) => cpu.mem.load(addr),
-            CoreView::Interp(i) => i.mem.load(addr),
-        }
+        self.arch.mem.load(addr)
     }
 
     /// XORs `mask` into the data-memory word at `addr`.
@@ -288,12 +243,8 @@ impl<'a> HookCtx<'a> {
     ///
     /// Returns [`AccessError`] on misaligned or out-of-range addresses.
     pub fn flip_mem(&mut self, addr: u32, mask: u32) -> Result<(), AccessError> {
-        let mem = match &mut self.core {
-            CoreView::Pipeline(cpu) => &mut cpu.mem,
-            CoreView::Interp(i) => &mut i.mem,
-        };
-        let v = mem.load(addr)?;
-        mem.store(addr, v ^ mask)
+        let v = self.arch.mem.load(addr)?;
+        self.arch.mem.store(addr, v ^ mask)
     }
 }
 
@@ -517,7 +468,7 @@ mod tests {
     fn flip_lane_refuses_bubbles_and_zero_masks() {
         let p = program();
         let mut cpu = Cpu::new(&p);
-        let mut ctx = HookCtx::for_cpu(&mut cpu);
+        let mut ctx = HookCtx { arch: &mut cpu.arch, pipe: Some(&mut cpu.pipe) };
         // Cycle 0: every latch is a bubble.
         assert!(ctx.lane(FaultLane::IdExA).is_none());
         assert!(!ctx.flip_lane(FaultLane::IdExA, 1, RailMode::Both));
@@ -529,7 +480,7 @@ mod tests {
     fn interp_ctx_degrades_lanes_but_keeps_architectural_access() {
         let p = program();
         let mut iss = crate::Interpreter::new(&p);
-        let mut ctx = HookCtx::for_interp(&mut iss);
+        let mut ctx = HookCtx { arch: &mut iss.arch, pipe: None };
         // No latches: every lane operation reports "bubble".
         for lane in FaultLane::ALL {
             assert!(ctx.lane(lane).is_none());
@@ -549,7 +500,7 @@ mod tests {
     fn reg_and_mem_flips_round_trip() {
         let p = program();
         let mut cpu = Cpu::new(&p);
-        let mut ctx = HookCtx::for_cpu(&mut cpu);
+        let mut ctx = HookCtx { arch: &mut cpu.arch, pipe: Some(&mut cpu.pipe) };
         ctx.flip_reg(8, 0b101);
         assert_eq!(ctx.reg(8), 0b101);
         // $zero stays hardwired.

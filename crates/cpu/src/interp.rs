@@ -16,43 +16,22 @@
 //! while the cycle placement is the backend's own microarchitecture.
 
 use crate::activity::{read_ports, BusSample, CycleActivity, ExActivity, MemActivity};
-use crate::hook::RailSkew;
-use crate::memory::DataMemory;
-use crate::pipeline::{alu_exec, alu_inputs, branch_taken, CpuError, CpuErrorKind, RunResult};
-use crate::regfile::RegisterFile;
-use emask_isa::{encode, Instruction, Op, OpClass, Program, Reg};
-use emask_isa::{DATA_BASE, MEM_SIZE, STACK_TOP};
+use crate::backend::ArchState;
+use crate::pipeline::{alu_exec, alu_inputs, branch_taken, CpuError, CpuErrorKind};
+use emask_isa::{encode, Instruction, Op, OpClass, Program};
 
-/// The reference interpreter.
+/// The reference interpreter: the program text and an [`ArchState`],
+/// with no microarchitecture beside them.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     pub(crate) text: Vec<Instruction>,
-    pub(crate) regs: RegisterFile,
-    pub(crate) mem: DataMemory,
-    pub(crate) pc: u32,
-    pub(crate) halted: bool,
-    pub(crate) executed: u64,
-    pub(crate) stats: RunResult,
+    pub(crate) arch: ArchState,
 }
 
 impl Interpreter {
-    /// Loads a program exactly as [`crate::Cpu::new`] does (same memory
-    /// map, same `$sp`/`$gp` initialization).
+    /// Loads a program exactly as [`crate::Cpu::new`] does.
     pub fn new(program: &Program) -> Self {
-        let mut mem = DataMemory::new(MEM_SIZE);
-        mem.load_image(DATA_BASE, &program.data);
-        let mut regs = RegisterFile::new();
-        regs.write(Reg::Sp, STACK_TOP.min(mem.size() - 16));
-        regs.write(Reg::Gp, DATA_BASE);
-        Self {
-            text: program.text.clone(),
-            regs,
-            mem,
-            pc: 0,
-            halted: false,
-            executed: 0,
-            stats: RunResult::default(),
-        }
+        Self { text: program.text.clone(), arch: ArchState::load(program) }
     }
 
     /// Executes one instruction and synthesizes its activity record: the
@@ -64,19 +43,19 @@ impl Interpreter {
     /// [`CpuBackend::step`](crate::CpuBackend::step); its errors use the
     /// pipeline's taxonomy with `cycle` meaning "instructions executed".
     pub(crate) fn clock(&mut self) -> Result<CycleActivity, CpuError> {
-        let cycle = self.executed;
+        let cycle = self.arch.stats.cycles;
         let fault = |kind| CpuError { cycle, kind };
-        let Some(&inst) = self.text.get(self.pc as usize) else {
-            return Err(fault(CpuErrorKind::PcOutOfRange { pc: self.pc }));
+        let Some(&inst) = self.text.get(self.arch.pc as usize) else {
+            return Err(fault(CpuErrorKind::PcOutOfRange { pc: self.arch.pc }));
         };
         let mut act = CycleActivity::idle(cycle);
-        act.fetch_pc = Some(self.pc);
+        act.fetch_pc = Some(self.arch.pc);
         act.inst_word = BusSample::new(encode(&inst), inst.secure);
 
         // Operand read with per-port gating, as in the pipeline's ID/EX.
         let (use_rs, use_rt) = inst.sources();
-        let a = use_rs.map_or(0, |r| self.regs.read(r));
-        let b = use_rt.map_or(0, |r| self.regs.read(r));
+        let a = use_rs.map_or(0, |r| self.arch.regs.read(r));
+        let b = use_rt.map_or(0, |r| self.arch.regs.read(r));
         act.regfile_reads = read_ports(use_rs, use_rt);
         act.id_ex_a = BusSample::new(a, inst.secure);
         act.id_ex_b = BusSample::new(b, inst.secure);
@@ -87,10 +66,10 @@ impl Interpreter {
         let alu =
             alu_exec(inst.op, alu_a, alu_b).ok_or_else(|| fault(CpuErrorKind::DivideByZero))?;
 
-        let mut next_pc = self.pc + 1;
+        let mut next_pc = self.arch.pc + 1;
         match inst.class() {
             OpClass::Branch if branch_taken(inst.op, a, b) => {
-                next_pc = (i64::from(self.pc) + 1 + i64::from(imm)) as u32;
+                next_pc = (i64::from(self.arch.pc) + 1 + i64::from(imm)) as u32;
             }
             OpClass::Jump => {
                 next_pc = match inst.op {
@@ -102,11 +81,11 @@ impl Interpreter {
             _ => {}
         }
         let result = match inst.op {
-            Op::Jal | Op::Jalr => self.pc + 1,
+            Op::Jal | Op::Jalr => self.arch.pc + 1,
             _ => alu,
         };
         act.ex = Some(ExActivity {
-            pc: self.pc,
+            pc: self.arch.pc,
             op: inst.op,
             class: inst.class(),
             a: alu_a,
@@ -119,19 +98,19 @@ impl Interpreter {
         // Memory access + write-back value, as the MEM stage computes it.
         let value = match inst.class() {
             OpClass::Load => {
-                let v = self.mem.load(alu).map_err(|e| fault(CpuErrorKind::Memory(e)))?;
+                let v = self.arch.mem.load(alu).map_err(|e| fault(CpuErrorKind::Memory(e)))?;
                 act.mem =
                     Some(MemActivity { is_store: false, addr: alu, data: v, secure: inst.secure });
                 act.mem_bus = BusSample::new(v, inst.secure);
-                self.stats.loads += 1;
+                self.arch.stats.loads += 1;
                 v
             }
             OpClass::Store => {
-                self.mem.store(alu, b).map_err(|e| fault(CpuErrorKind::Memory(e)))?;
+                self.arch.mem.store(alu, b).map_err(|e| fault(CpuErrorKind::Memory(e)))?;
                 act.mem =
                     Some(MemActivity { is_store: true, addr: alu, data: b, secure: inst.secure });
                 act.mem_bus = BusSample::new(b, inst.secure);
-                self.stats.stores += 1;
+                self.arch.stats.stores += 1;
                 alu
             }
             _ => result,
@@ -140,91 +119,20 @@ impl Interpreter {
 
         // Write-back / retirement.
         if let Some(d) = inst.dest() {
-            self.regs.write(d, value);
+            self.arch.regs.write(d, value);
             act.regfile_write = true;
         }
         act.retired = Some(inst);
-        self.stats.retired += 1;
+        self.arch.stats.retired += 1;
         if inst.secure {
-            self.stats.retired_secure += 1;
+            self.arch.stats.retired_secure += 1;
         }
         if inst.class() == OpClass::Halt {
-            self.halted = true;
+            self.arch.halted = true;
         }
-        self.pc = next_pc;
-        self.executed += 1;
-        self.stats.cycles = self.executed;
+        self.arch.pc = next_pc;
+        self.arch.stats.cycles += 1;
         Ok(act)
-    }
-}
-
-/// A restorable snapshot of the interpreter, with the same incremental
-/// dirty-page memory scheme as [`crate::CpuCheckpoint`]: a full shadow
-/// copy kept in sync at capture/refresh boundaries, with only the pages
-/// dirtied since the last boundary moved on refresh/restore.
-#[derive(Debug, Clone)]
-pub struct InterpCheckpoint {
-    regs: RegisterFile,
-    pc: u32,
-    halted: bool,
-    executed: u64,
-    stats: RunResult,
-    shadow: DataMemory,
-    last_pages_moved: usize,
-}
-
-impl InterpCheckpoint {
-    /// Snapshots `iss` and starts dirty-page tracking from this point.
-    pub(crate) fn capture(iss: &mut Interpreter) -> Self {
-        iss.mem.clear_dirty();
-        Self {
-            regs: iss.regs.clone(),
-            pc: iss.pc,
-            halted: iss.halted,
-            executed: iss.executed,
-            stats: iss.stats,
-            shadow: iss.mem.clone(),
-            last_pages_moved: 0,
-        }
-    }
-
-    /// Advances the checkpoint to the interpreter's current state,
-    /// moving only the pages dirtied since the previous boundary.
-    pub(crate) fn refresh(&mut self, iss: &mut Interpreter) {
-        let dirty = iss.mem.dirty_pages();
-        self.last_pages_moved = dirty.len();
-        for page in dirty {
-            self.shadow.copy_page_from(&iss.mem, page);
-        }
-        iss.mem.clear_dirty();
-        self.regs = iss.regs.clone();
-        self.pc = iss.pc;
-        self.halted = iss.halted;
-        self.executed = iss.executed;
-        self.stats = iss.stats;
-    }
-
-    /// Rolls `iss` back to this checkpoint.
-    pub(crate) fn restore(&mut self, iss: &mut Interpreter) {
-        let dirty = iss.mem.dirty_pages();
-        self.last_pages_moved = dirty.len();
-        for page in dirty {
-            iss.mem.copy_page_from(&self.shadow, page);
-        }
-        iss.mem.clear_dirty();
-        iss.regs = self.regs.clone();
-        iss.pc = self.pc;
-        iss.halted = self.halted;
-        iss.executed = self.executed;
-        iss.stats = self.stats;
-        // Symmetry with CpuCheckpoint::restore; the interpreter records no
-        // rail skew (flip_lane is a no-op there), so this is always clean.
-        let _ = RailSkew::default();
-    }
-
-    /// Pages copied by the most recent refresh or restore.
-    pub(crate) fn pages_moved(&self) -> usize {
-        self.last_pages_moved
     }
 }
 
@@ -235,7 +143,7 @@ mod tests {
     use crate::hook::{NullHook, PipelineHook};
     use crate::pipeline::Cpu;
     use crate::CpuBackend;
-    use emask_isa::assemble;
+    use emask_isa::{assemble, Reg, DATA_BASE};
     use std::ops::ControlFlow;
 
     fn both(src: &str) -> (Cpu, Interpreter) {
@@ -370,49 +278,5 @@ mod tests {
         assert_eq!(count.0, b.cycles());
         assert_eq!(a.registers(), b.registers());
         assert_eq!(a.cycles(), b.cycles());
-    }
-
-    #[test]
-    fn checkpoint_restore_rewinds_and_replays_identically() {
-        let p = assemble(
-            ".data\nbuf: .space 16\n.text\n la $t0, buf\n li $t1, 0\nloop: sw $t1, 0($t0)\n addiu $t1, $t1, 1\n li $t2, 6\n bne $t1, $t2, loop\n halt\n",
-        )
-        .unwrap();
-        let mut reference = Interpreter::new(&p);
-        reference.run(10_000).unwrap();
-        let mut iss = Interpreter::new(&p);
-        for _ in 0..5 {
-            iss.step(&mut NullHook).unwrap();
-        }
-        let mut cp = InterpCheckpoint::capture(&mut iss);
-        for _ in 0..7 {
-            iss.step(&mut NullHook).unwrap();
-        }
-        cp.restore(&mut iss);
-        assert_eq!(iss.cycles(), 5);
-        while !iss.is_halted() {
-            iss.step(&mut NullHook).unwrap();
-        }
-        assert_eq!(iss.registers(), reference.registers());
-        assert_eq!(iss.memory(), reference.memory());
-        assert_eq!(iss.stats(), reference.stats());
-    }
-
-    #[test]
-    fn checkpoint_refresh_moves_only_dirty_pages() {
-        let p = assemble(
-            ".data\nbuf: .space 16\n.text\n la $t0, buf\n li $t1, 77\n sw $t1, 0($t0)\n halt\n",
-        )
-        .unwrap();
-        let mut iss = Interpreter::new(&p);
-        let mut cp = InterpCheckpoint::capture(&mut iss);
-        iss.run(1000).unwrap();
-        cp.refresh(&mut iss);
-        assert!(cp.pages_moved() >= 1);
-        assert!(cp.pages_moved() <= 2, "nowhere near the whole RAM");
-        // The baseline moved: restoring now is a no-op.
-        let end = iss.registers();
-        cp.restore(&mut iss);
-        assert_eq!(iss.registers(), end);
     }
 }

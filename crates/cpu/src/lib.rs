@@ -30,6 +30,11 @@
 //! [`ControlFlow::Break`](std::ops::ControlFlow::Break). [`Cpu::run`] and
 //! [`Cpu::run_collecting`] are thin conveniences over that loop.
 //!
+//! Both backends hold their architectural state as one [`ArchState`]:
+//! the pipelined [`Cpu`] keeps its [`Pipeline`] (latches, fetch flag, rail
+//! skew) beside it, the reference [`Interpreter`] nothing, and one
+//! [`Checkpoint`] type saves and restores either.
+//!
 //! ## Example
 //!
 //! ```
@@ -62,11 +67,10 @@ mod pipeline;
 mod regfile;
 
 pub use activity::{Bus, BusSample, CycleActivity, ExActivity, MemActivity};
-pub use backend::{BackendCheckpoint, CpuBackend};
-pub use checkpoint::CpuCheckpoint;
+pub use backend::{ArchState, CpuBackend};
+pub use checkpoint::Checkpoint;
 pub use hook::{FaultLane, HookCtx, LaneView, NullHook, PipelineHook, RailMode};
-pub use interp::{InterpCheckpoint, Interpreter};
+pub use interp::Interpreter;
 pub use live::{LastReads, LiveSet};
 pub use memory::{AccessError, DataMemory};
-pub use pipeline::{Cpu, CpuError, CpuErrorKind, RunResult};
-pub use regfile::RegisterFile;
+pub use pipeline::{Cpu, CpuError, CpuErrorKind, Pipeline, RunResult};

@@ -158,11 +158,19 @@ mod tests {
             !base.eq_on(&other, &live)
         };
         assert!(!differs(&|_| {}));
-        assert!(!differs(&|c| c.regs.write(Reg::T5, 1)), "a register never read");
-        assert!(!differs(&|c| c.mem.store(p.data_addr("c"), 1).unwrap()), "a word never read");
-        assert!(differs(&|c| c.regs.write(Reg::T1, 1)), "a register read later");
-        assert!(differs(&|c| c.mem.store(p.data_addr("b"), 1).unwrap()), "a word loaded later");
-        assert!(differs(&|c| c.pc = 1), "control state in full");
-        assert!(!differs(&|c| c.stats.retired = 9), "not the statistics");
+        assert!(!differs(&|c| c.set_reg(Reg::T5, 1)), "a register never read");
+        assert!(
+            !differs(&|c| c.memory_mut().store(p.data_addr("c"), 1).unwrap()),
+            "a word never read"
+        );
+        assert!(differs(&|c| c.set_reg(Reg::T1, 1)), "a register read later");
+        assert!(
+            differs(&|c| c.memory_mut().store(p.data_addr("b"), 1).unwrap()),
+            "a word loaded later"
+        );
+        assert!(differs(&|c| c.arch.pc = 1), "control state in full");
+        assert!(differs(&|c| c.arch.halted = true), "the halt flag");
+        assert!(differs(&|c| c.arch.stats.cycles += 1), "the clock");
+        assert!(!differs(&|c| c.arch.stats.retired = 9), "not the statistics");
     }
 }

@@ -67,7 +67,7 @@ impl DataMemory {
     /// # Panics
     ///
     /// Panics if `size` is not a multiple of 4.
-    pub fn new(size: u32) -> Self {
+    pub(crate) fn new(size: u32) -> Self {
         assert_eq!(size % 4, 0, "memory size must be word-aligned");
         let words = vec![0; (size / 4) as usize];
         let pages = words.len().div_ceil(PAGE_WORDS);
@@ -75,7 +75,7 @@ impl DataMemory {
     }
 
     /// Memory size in bytes.
-    pub fn size(&self) -> u32 {
+    pub(crate) fn size(&self) -> u32 {
         (self.words.len() * 4) as u32
     }
 

@@ -1,13 +1,11 @@
 //! The five-stage pipeline and the [`Cpu`] façade.
 
 use crate::activity::{read_ports, Bus, BusSample, CycleActivity, ExActivity, MemActivity};
-use crate::backend::CpuBackend;
+use crate::backend::{ArchState, CpuBackend};
 use crate::hook::{NullHook, RailSkew};
 use crate::live::LiveSet;
 use crate::memory::{AccessError, DataMemory};
-use crate::regfile::RegisterFile;
 use emask_isa::{encode, Instruction, Op, OpClass, Program, Reg};
-use emask_isa::{DATA_BASE, MEM_SIZE, STACK_TOP};
 use std::fmt;
 use std::ops::ControlFlow;
 
@@ -161,64 +159,49 @@ const BUBBLE: Instruction = Instruction {
 #[derive(Debug, Clone)]
 pub struct Cpu {
     pub(crate) text: Vec<Instruction>,
-    pub(crate) regs: RegisterFile,
-    pub(crate) mem: DataMemory,
-    pub(crate) pc: u32,
-    pub(crate) cycle: u64,
-    pub(crate) halted: bool,
+    pub(crate) arch: ArchState,
+    pub(crate) pipe: Pipeline,
+}
+
+/// The pipeline's own state beside its [`ArchState`]: the fetch flag, the
+/// four latches and any pending rail skew. A checkpoint saves and restores
+/// it whole; the skew is clean between cycles, so a restore clears it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pipeline {
     pub(crate) fetch_enabled: bool,
     pub(crate) if_id: IfId,
     pub(crate) id_ex: IdEx,
     pub(crate) ex_mem: ExMem,
     pub(crate) mem_wb: MemWb,
-    pub(crate) stats: RunResult,
     /// Complement-rail disagreement injected this cycle by a hook; folded
     /// into the activity record by [`CpuBackend::step`] and cleared.
     pub(crate) rail_skew: RailSkew,
 }
 
 impl Cpu {
-    /// Builds a processor with the program loaded: text in instruction ROM,
-    /// `.data` image at [`DATA_BASE`], `$sp` at [`STACK_TOP`], `$gp` at
-    /// [`DATA_BASE`], and a default [`MEM_SIZE`]-byte RAM.
+    /// Builds a processor with the program loaded: text in instruction ROM
+    /// and the architectural state of [`ArchState`]'s reset.
     pub fn new(program: &Program) -> Self {
-        Self::with_memory(program, DataMemory::new(MEM_SIZE))
-    }
-
-    /// Like [`Cpu::new`] with a caller-provided memory (e.g. a larger RAM).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data image does not fit in `mem`.
-    pub(crate) fn with_memory(program: &Program, mut mem: DataMemory) -> Self {
-        mem.load_image(DATA_BASE, &program.data);
-        let mut regs = RegisterFile::new();
-        regs.write(Reg::Sp, STACK_TOP.min(mem.size() - 16));
-        regs.write(Reg::Gp, DATA_BASE);
-        let dead = IfId { pc: 0, inst: BUBBLE, valid: false };
         Self {
             text: program.text.clone(),
-            regs,
-            mem,
-            pc: 0,
-            cycle: 0,
-            halted: false,
-            fetch_enabled: true,
-            if_id: dead,
-            id_ex: IdEx { pc: 0, inst: BUBBLE, a: 0, b: 0, valid: false },
-            ex_mem: ExMem { inst: BUBBLE, alu: 0, store_val: 0, valid: false },
-            mem_wb: MemWb { inst: BUBBLE, value: 0, valid: false },
-            stats: RunResult::default(),
-            rail_skew: RailSkew::default(),
+            arch: ArchState::load(program),
+            pipe: Pipeline {
+                fetch_enabled: true,
+                if_id: IfId { pc: 0, inst: BUBBLE, valid: false },
+                id_ex: IdEx { pc: 0, inst: BUBBLE, a: 0, b: 0, valid: false },
+                ex_mem: ExMem { inst: BUBBLE, alu: 0, store_val: 0, valid: false },
+                mem_wb: MemWb { inst: BUBBLE, value: 0, valid: false },
+                rail_skew: RailSkew::default(),
+            },
         }
     }
 
     /// Whether `self` and `other` agree on the state a clock cycle reads,
-    /// where that state is live: the program, PC, cycle count, halt and
-    /// fetch flags, the four latches and any pending rail skew in full,
-    /// and the registers and data words only where `live` holds them —
-    /// not the statistics, which the clock only adds to, nor the
-    /// dirty-page set, which is checkpoint bookkeeping.
+    /// where that state is live: the program, the [`Pipeline`] state, PC,
+    /// cycle count and halt flag in full, and the registers and data words
+    /// only where `live` holds them — not the rest of the statistics,
+    /// which the clock only adds to, nor the dirty-page set, which is
+    /// checkpoint bookkeeping.
     ///
     /// When `live` holds everything the rest of a run reads (a clean
     /// run's [`LastReads::live_from`](crate::LastReads::live_from) at
@@ -228,38 +211,25 @@ impl Cpu {
     /// differ is never read again.
     pub fn eq_on(&self, other: &Cpu, live: &LiveSet) -> bool {
         // Exhaustive, so that a new field has to be placed in or out.
-        fn control(cpu: &Cpu) -> impl PartialEq + '_ {
-            let Cpu {
-                text: _,
-                regs: _,
-                mem: _,
-                pc,
-                cycle,
-                halted,
-                fetch_enabled,
-                if_id,
-                id_ex,
-                ex_mem,
-                mem_wb,
-                stats: _,
-                rail_skew,
-            } = cpu;
-            (pc, cycle, halted, fetch_enabled, if_id, id_ex, ex_mem, mem_wb, rail_skew)
-        }
-        control(self) == control(other)
-            && self.text == other.text
-            && self.regs.eq_on(&other.regs, live.regs)
-            && self.mem.eq_on(&other.mem, &live.words)
+        let Cpu { text, arch: ArchState { regs, mem, pc, halted, stats }, pipe } = self;
+        let o = &other.arch;
+        *pipe == other.pipe
+            && *pc == o.pc
+            && stats.cycles == o.stats.cycles
+            && *halted == o.halted
+            && *text == other.text
+            && regs.eq_on(&o.regs, live.regs)
+            && mem.eq_on(&o.mem, &live.words)
     }
 
     /// Current value of a register.
     pub fn reg(&self, r: Reg) -> u32 {
-        self.regs.read(r)
+        self.arch.regs.read(r)
     }
 
     /// Mutable view of data memory (for harness setup, e.g. poking inputs).
     pub fn memory_mut(&mut self) -> &mut DataMemory {
-        &mut self.mem
+        &mut self.arch.mem
     }
 
     /// Runs to completion, discarding activity records.
@@ -292,31 +262,28 @@ impl Cpu {
     /// Advances the pipeline one clock cycle with no hook — the body of
     /// [`CpuBackend::step`].
     pub(crate) fn clock(&mut self) -> Result<CycleActivity, CpuError> {
-        let cycle = self.cycle;
+        let cycle = self.arch.stats.cycles;
         let mut act = CycleActivity::idle(cycle);
         let fault = |kind| CpuError { cycle, kind };
 
         // Snapshot the latches as they stood at the start of the cycle.
-        let if_id = self.if_id;
-        let id_ex = self.id_ex;
-        let ex_mem = self.ex_mem;
-        let mem_wb = self.mem_wb;
+        let Pipeline { if_id, id_ex, ex_mem, mem_wb, .. } = self.pipe;
 
         // ---- WB (first half: write register file) ----
         if mem_wb.valid {
             if let Some(dest) = mem_wb.inst.dest() {
-                self.regs.write(dest, mem_wb.value);
+                self.arch.regs.write(dest, mem_wb.value);
                 act.regfile_write = true;
             }
             act.retired = Some(mem_wb.inst);
-            self.stats.retired += 1;
+            self.arch.stats.retired += 1;
             if mem_wb.inst.secure {
-                self.stats.retired_secure += 1;
+                self.arch.stats.retired_secure += 1;
             }
             match mem_wb.inst.class() {
-                OpClass::Load => self.stats.loads += 1,
-                OpClass::Store => self.stats.stores += 1,
-                OpClass::Halt => self.halted = true,
+                OpClass::Load => self.arch.stats.loads += 1,
+                OpClass::Store => self.arch.stats.stores += 1,
+                OpClass::Halt => self.arch.halted = true,
                 _ => {}
             }
         }
@@ -327,8 +294,11 @@ impl Cpu {
             let inst = ex_mem.inst;
             let value = match inst.class() {
                 OpClass::Load => {
-                    let v =
-                        self.mem.load(ex_mem.alu).map_err(|e| fault(CpuErrorKind::Memory(e)))?;
+                    let v = self
+                        .arch
+                        .mem
+                        .load(ex_mem.alu)
+                        .map_err(|e| fault(CpuErrorKind::Memory(e)))?;
                     act.mem = Some(MemActivity {
                         is_store: false,
                         addr: ex_mem.alu,
@@ -339,7 +309,8 @@ impl Cpu {
                     v
                 }
                 OpClass::Store => {
-                    self.mem
+                    self.arch
+                        .mem
                         .store(ex_mem.alu, ex_mem.store_val)
                         .map_err(|e| fault(CpuErrorKind::Memory(e)))?;
                     act.mem = Some(MemActivity {
@@ -443,8 +414,8 @@ impl Cpu {
                 // (possibly a secret left by an earlier instruction) onto
                 // the operand latches.
                 let (use_rs, use_rt) = inst.sources();
-                let a = use_rs.map_or(0, |r| self.regs.read(r));
-                let b = use_rt.map_or(0, |r| self.regs.read(r));
+                let a = use_rs.map_or(0, |r| self.arch.regs.read(r));
+                let b = use_rt.map_or(0, |r| self.arch.regs.read(r));
                 act.regfile_reads = read_ports(use_rs, use_rt);
                 // Note: the operand-bus samples (act.id_ex_a/b) are driven
                 // by the EX stage above, post-forwarding.
@@ -456,18 +427,18 @@ impl Cpu {
         let mut new_if_id = IfId { pc: 0, inst: BUBBLE, valid: false };
         if stall {
             act.stalled = true;
-            self.stats.stalls += 1;
+            self.arch.stats.stalls += 1;
             new_if_id = if_id; // hold
-        } else if self.fetch_enabled {
-            if let Some(&inst) = self.text.get(self.pc as usize) {
-                act.fetch_pc = Some(self.pc);
+        } else if self.pipe.fetch_enabled {
+            if let Some(&inst) = self.text.get(self.arch.pc as usize) {
+                act.fetch_pc = Some(self.arch.pc);
                 act.inst_word = BusSample::new(encode(&inst), inst.secure);
-                new_if_id = IfId { pc: self.pc, inst, valid: true };
+                new_if_id = IfId { pc: self.arch.pc, inst, valid: true };
                 if inst.op == Op::Halt {
                     // Nothing meaningful follows a halt; stop fetching.
-                    self.fetch_enabled = false;
+                    self.pipe.fetch_enabled = false;
                 }
-                self.pc += 1;
+                self.arch.pc += 1;
             }
             // A PC past the end of text is tolerated here: it may be a
             // wrong-path fetch that an in-flight branch is about to squash.
@@ -478,33 +449,32 @@ impl Cpu {
         if let Some(target) = redirect {
             let squashed = u8::from(new_if_id.valid) + u8::from(new_id_ex.valid);
             act.flushed = squashed;
-            self.stats.flushed += u64::from(squashed);
+            self.arch.stats.flushed += u64::from(squashed);
             new_if_id = IfId { pc: 0, inst: BUBBLE, valid: false };
             new_id_ex = IdEx { pc: 0, inst: BUBBLE, a: 0, b: 0, valid: false };
             act.stalled = false;
-            self.pc = target;
-            self.fetch_enabled = true;
+            self.arch.pc = target;
+            self.pipe.fetch_enabled = true;
         }
 
         // True runaway: nothing left in flight, fetch still wanted, but the
         // PC points past the end of text and no halt has retired.
-        if !self.halted
-            && self.fetch_enabled
-            && self.pc as usize >= self.text.len()
+        if !self.arch.halted
+            && self.pipe.fetch_enabled
+            && self.arch.pc as usize >= self.text.len()
             && !new_if_id.valid
             && !new_id_ex.valid
             && !new_ex_mem.valid
             && !new_mem_wb.valid
         {
-            return Err(fault(CpuErrorKind::PcOutOfRange { pc: self.pc }));
+            return Err(fault(CpuErrorKind::PcOutOfRange { pc: self.arch.pc }));
         }
 
-        self.if_id = new_if_id;
-        self.id_ex = new_id_ex;
-        self.ex_mem = new_ex_mem;
-        self.mem_wb = new_mem_wb;
-        self.cycle += 1;
-        self.stats.cycles = self.cycle;
+        self.pipe.if_id = new_if_id;
+        self.pipe.id_ex = new_id_ex;
+        self.pipe.ex_mem = new_ex_mem;
+        self.pipe.mem_wb = new_mem_wb;
+        self.arch.stats.cycles += 1;
         Ok(act)
     }
 }
@@ -577,7 +547,7 @@ pub(crate) fn branch_taken(op: Op, a: u32, b: u32) -> bool {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use emask_isa::assemble;
+    use emask_isa::{assemble, DATA_BASE, STACK_TOP};
 
     fn run_asm(src: &str) -> Cpu {
         let p = assemble(src).expect("asm");

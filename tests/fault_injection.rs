@@ -404,3 +404,40 @@ fn persistent_fault_spends_the_fixed_rollback_budget_and_zeroizes() {
     assert!(trial.detail.starts_with("key zeroized after 8 rollbacks"), "{}", trial.detail);
     assert_eq!(report.count(FaultOutcome::Zeroized), 1, "{}", report.summary());
 }
+
+/// Rollback rests on the checkpoint's page bookkeeping, on both backends
+/// mid-DES: a refresh brings every page written since the boundary before
+/// into the shadow, a restore rewinds every page and the statistics to
+/// the last refresh, and each boundary starts an empty dirty set.
+#[test]
+fn checkpoints_rewind_every_page_to_the_last_refresh_and_move_only_fresh_ones() {
+    use emask::cpu::{Cpu, CpuBackend, Interpreter, NullHook};
+    fn check<B: CpuBackend>(des: &MaskedDes) {
+        let steps = |m: &mut B| {
+            for _ in 0..3000 {
+                m.step(&mut NullHook).expect("step");
+            }
+        };
+        let state = |m: &B| (m.registers(), m.memory().clone(), m.stats());
+        let mut m = B::load(des.program());
+        let mut cp = m.checkpoint();
+        m.checkpoint_refresh(&mut cp);
+        assert_eq!(cp.pages_moved(), 0, "{}: loading the image is no store", B::NAME);
+        steps(&mut m);
+        m.checkpoint_refresh(&mut cp);
+        assert!(cp.pages_moved() > 0, "{}: the run stored", B::NAME);
+        let at_refresh = state(&m);
+        steps(&mut m);
+        // A store to every page: the restore must rewind them all.
+        for addr in (0..emask::isa::MEM_SIZE).step_by(256) {
+            m.memory_mut().store(addr, 0xA5A5_A5A5).expect("in range");
+        }
+        m.checkpoint_restore(&mut cp);
+        assert!(state(&m) == at_refresh, "{}: the restore missed state", B::NAME);
+        m.checkpoint_refresh(&mut cp);
+        assert_eq!(cp.pages_moved(), 0, "{}: a restore starts a new boundary", B::NAME);
+    }
+    let des = des();
+    check::<Cpu>(&des);
+    check::<Interpreter>(&des);
+}
