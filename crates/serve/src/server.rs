@@ -130,8 +130,8 @@ pub fn serve<R: ExperimentRunner + 'static>(cfg: &ServerConfig, runner: R) -> Re
         .collect();
     eprintln!("emask-serve: listening on {} ({} executors)", cfg.socket.display(), cfg.executors);
     // The gauge heartbeat rides the 25 ms accept poll: every 40th idle
-    // poll (~1 s) pushes one operational `service_metrics` event to the
-    // live watchers. Operational events are never persisted, so the
+    // poll (~1 s) pushes one operational `service_metrics` and one
+    // `scheduler_heartbeat` event to the live watchers. Operational events are never persisted, so the
     // cadence — wall-clock and load dependent — cannot perturb the
     // replayable history.
     let mut idle_polls = 0u32;
@@ -148,8 +148,7 @@ pub fn serve<R: ExperimentRunner + 'static>(cfg: &ServerConfig, runner: R) -> Re
                 std::thread::sleep(Duration::from_millis(25));
                 idle_polls += 1;
                 if idle_polls.is_multiple_of(40) {
-                    sup.emit_service_metrics();
-                    sup.emit_scheduler_heartbeat();
+                    sup.emit_heartbeat();
                 }
             }
             Err(e) => eprintln!("emask-serve: accept failed: {e}"),

@@ -126,7 +126,8 @@ pub enum RunStatus {
 #[derive(Debug)]
 pub struct JobCtx<'a> {
     /// Cooperative cancellation: checked by the experiment at trial
-    /// boundaries; tripped on client cancel, deadline, or shutdown.
+    /// boundaries; tripped on client cancel, deadline, shutdown, or
+    /// preemption. One token per claim of the job, shared by its retries.
     pub token: &'a CancelToken,
     /// Per-job event sink (replayable history + live fanout).
     pub sink: &'a JobSink,
@@ -297,6 +298,15 @@ impl ServerConfig {
     }
 }
 
+/// What a job holds from its claim until it leaves `Running`: the one
+/// token that cancel, preemption, shutdown and the deadline trip (it
+/// carries the whole-run deadline and the lease), and the lease on the
+/// shared thread budget.
+struct Claim {
+    token: CancelToken,
+    lease: Lease,
+}
+
 struct JobRecord {
     spec: JobSpec,
     state: JobState,
@@ -304,18 +314,46 @@ struct JobRecord {
     /// a Batch job to Normal for the rest of its life.
     class: Priority,
     attempt: u32,
+    /// A client asked for a cancel. Unlike a token's reason, which ends
+    /// one claim, this is permanent: a cancel that lands after a
+    /// preemption tripped the token ends the job at its next claim.
     cancel_requested: bool,
-    token: Option<CancelToken>,
-    /// The running job's claim on the shared thread budget; present
-    /// exactly while an attempt runs.
-    lease: Option<Lease>,
+    /// Present exactly while the job is `Running`.
+    claim: Option<Claim>,
     sink: Arc<JobSink>,
-    /// When the job last entered the queue (set at submit, park, rescan);
-    /// feeds the queue-wait latency histogram at dequeue.
+    /// When the job last entered the queue (set at submit, requeue,
+    /// rescan); feeds the queue-wait latency histogram at the claim.
     queued_at: Instant,
     /// How many times the job has been enqueued — the index of its
     /// current `queue_wait` span.
     waits: u64,
+}
+
+impl JobRecord {
+    /// A job as submit or rescan registers it: never attempted, in its
+    /// first queue wait.
+    fn new(spec: JobSpec, class: Priority, state: JobState, sink: Arc<JobSink>) -> Self {
+        JobRecord {
+            spec,
+            state,
+            class,
+            attempt: 0,
+            cancel_requested: false,
+            claim: None,
+            sink,
+            queued_at: Instant::now(),
+            waits: 1,
+        }
+    }
+
+    /// Moves the job out of `Running` into `state`: its token drops and
+    /// its lease returns to the budget.
+    fn end_claim(&mut self, state: JobState) {
+        self.state = state;
+        if let Some(claim) = self.claim.take() {
+            claim.lease.release();
+        }
+    }
 }
 
 /// A job aging just promoted from Batch to Normal, with its event sink.
@@ -324,11 +362,23 @@ type Promotion = (u64, Arc<JobSink>);
 struct Inner {
     jobs: BTreeMap<u64, JobRecord>,
     queues: ClassQueues,
-    /// Executors currently inside `run_job` — the preemption trigger's
-    /// "are we saturated" gauge.
+    /// Executors holding a claimed job — the preemption trigger's "are
+    /// we saturated" gauge.
     running: usize,
     next_id: u64,
+    latency: LatencyHistograms,
 }
+
+/// Every job state, declaration order: the order of [`ServiceStats::states`]
+/// and of [`Event::ServiceMetrics`]'s fields.
+const STATES: [JobState; 6] = [
+    JobState::Queued,
+    JobState::Running,
+    JobState::Completed,
+    JobState::Failed,
+    JobState::Cancelled,
+    JobState::DeadlineExceeded,
+];
 
 /// Latency histograms for the service as a whole, in milliseconds.
 ///
@@ -430,7 +480,6 @@ pub struct Supervisor<R> {
     inner: Mutex<Inner>,
     work: Condvar,
     shutdown: AtomicBool,
-    stats: Mutex<LatencyHistograms>,
     budget: ThreadBudget,
 }
 
@@ -457,10 +506,10 @@ impl<R: ExperimentRunner> Supervisor<R> {
                 queues: ClassQueues::new(),
                 running: 0,
                 next_id: 1,
+                latency: LatencyHistograms::new(),
             }),
             work: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            stats: Mutex::new(LatencyHistograms::new()),
             budget,
         })
     }
@@ -529,21 +578,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
             // original submit are already in the file, and the eventual
             // dequeue closes across the restart — the replayed stream
             // shows one queue wait spanning the outage.
-            inner.jobs.insert(
-                id,
-                JobRecord {
-                    spec,
-                    state,
-                    class,
-                    attempt: 0,
-                    cancel_requested: false,
-                    token: None,
-                    lease: None,
-                    sink,
-                    queued_at: Instant::now(),
-                    waits: 1,
-                },
-            );
+            inner.jobs.insert(id, JobRecord::new(spec, class, state, sink));
             inner.next_id = inner.next_id.max(id + 1);
         }
         drop(inner);
@@ -599,21 +634,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
         job.open_on(&*sink);
         job.child("queue_wait", 1).open_on(&*sink);
         inner.next_id = id + 1;
-        inner.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                state: JobState::Queued,
-                class,
-                attempt: 0,
-                cancel_requested: false,
-                token: None,
-                lease: None,
-                sink,
-                queued_at: Instant::now(),
-                waits: 1,
-            },
-        );
+        inner.jobs.insert(id, JobRecord::new(spec, class, JobState::Queued, sink));
         inner.queues.push_back(class, id);
         if class == Priority::High && inner.running >= self.cfg.executors.max(1) {
             // Every executor is busy: a High job must not sit behind
@@ -622,18 +643,12 @@ impl<R: ExperimentRunner> Supervisor<R> {
             // this job up.
             let victim = inner
                 .jobs
-                .iter()
-                .filter(|(_, r)| {
-                    r.state == JobState::Running
-                        && r.class == Priority::Batch
-                        && r.token.as_ref().is_some_and(|t| !t.is_cancelled())
-                })
-                .map(|(&vid, _)| vid)
+                .values()
+                .filter(|r| r.class == Priority::Batch)
+                .filter_map(|r| r.claim.as_ref().filter(|c| !c.token.is_cancelled()))
                 .next_back();
-            if let Some(vid) = victim {
-                if let Some(token) = inner.jobs.get(&vid).and_then(|r| r.token.as_ref()) {
-                    token.cancel(CancelReason::Preempted);
-                }
+            if let Some(claim) = victim {
+                claim.token.cancel(CancelReason::Preempted);
             }
         }
         drop(inner);
@@ -642,7 +657,8 @@ impl<R: ExperimentRunner> Supervisor<R> {
     }
 
     /// Cancels a job: a running job's token trips (it stops at the next
-    /// trial boundary); a queued job is cancelled in place.
+    /// trial boundary, or at once from a retry backoff); a queued job is
+    /// cancelled in place.
     ///
     /// # Errors
     ///
@@ -654,23 +670,23 @@ impl<R: ExperimentRunner> Supervisor<R> {
             return Err(format!("job {id} is already {}", rec.state));
         }
         rec.cancel_requested = true;
-        if let Some(token) = &rec.token {
-            token.cancel(CancelReason::Cancelled);
+        if let Some(claim) = &rec.claim {
+            claim.token.cancel(CancelReason::Cancelled);
+            drop(inner);
+            self.work.notify_all();
             return Ok(());
         }
-        if rec.state == JobState::Queued {
-            // Not running: finalize right here.
-            rec.state = JobState::Cancelled;
-            let sink = Arc::clone(&rec.sink);
-            let waits = rec.waits;
-            inner.queues.remove(id);
-            drop(inner);
-            let job = Self::job_span(id);
-            job.child("queue_wait", waits).close_on(&*sink, waits);
-            sink.emit(Event::JobCancelled { job: id });
-            job.close_on(&*sink, 0);
-            self.finish_files(id, JobState::Cancelled, &sink);
-        }
+        // Not running: finalize right here.
+        rec.state = JobState::Cancelled;
+        let sink = Arc::clone(&rec.sink);
+        let waits = rec.waits;
+        inner.queues.remove(id);
+        drop(inner);
+        let job = Self::job_span(id);
+        job.child("queue_wait", waits).close_on(&*sink, waits);
+        sink.emit(Event::JobCancelled { job: id });
+        job.close_on(&*sink, 0);
+        self.finish_files(id, JobState::Cancelled, &sink);
         Ok(())
     }
 
@@ -718,20 +734,9 @@ impl<R: ExperimentRunner> Supervisor<R> {
         self.inner.lock().expect("supervisor poisoned").jobs.get(&id).map(|r| r.state)
     }
 
-    /// Counts jobs per state, every state present, declaration order.
-    fn state_counts(inner: &Inner) -> Vec<(&'static str, u64)> {
-        const STATES: [JobState; 6] = [
-            JobState::Queued,
-            JobState::Running,
-            JobState::Completed,
-            JobState::Failed,
-            JobState::Cancelled,
-            JobState::DeadlineExceeded,
-        ];
-        STATES
-            .iter()
-            .map(|&s| (s.name(), inner.jobs.values().filter(|r| r.state == s).count() as u64))
-            .collect()
+    /// Counts jobs per state, in [`STATES`] order.
+    fn state_counts(inner: &Inner) -> [u64; 6] {
+        STATES.map(|s| inner.jobs.values().filter(|r| r.state == s).count() as u64)
     }
 
     /// A point-in-time service snapshot: queue gauge, per-state counts,
@@ -743,7 +748,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
         let queue_depth = inner.queues.total() as u64;
         let queue_by_class: Vec<(&'static str, u64)> =
             Priority::ALL.iter().map(|&c| (c.name(), inner.queues.depth(c) as u64)).collect();
-        let states = Self::state_counts(&inner);
+        let states = STATES.iter().map(|s| s.name()).zip(Self::state_counts(&inner)).collect();
         let mut dropped_events = 0u64;
         let mut by_kind: BTreeMap<String, u64> = BTreeMap::new();
         for rec in inner.jobs.values() {
@@ -752,8 +757,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
                 *by_kind.entry(kind).or_insert(0) += n;
             }
         }
-        drop(inner);
-        let h = self.stats.lock().expect("stats poisoned");
+        let h = &inner.latency;
         let latencies = vec![
             LatencyStats::summarize("queue_wait_ms", &h.queue_wait_ms),
             LatencyStats::summarize("run_ms", &h.run_ms),
@@ -762,7 +766,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
             LatencyStats::summarize("queue_wait_normal_ms", &h.queue_wait_class_ms[1]),
             LatencyStats::summarize("queue_wait_batch_ms", &h.queue_wait_class_ms[2]),
         ];
-        drop(h);
+        drop(inner);
         ServiceStats {
             queue_depth,
             queue_by_class,
@@ -773,51 +777,37 @@ impl<R: ExperimentRunner> Supervisor<R> {
         }
     }
 
-    /// Emits one [`Event::ServiceMetrics`] gauge snapshot to every
-    /// non-terminal job's sink. The event is operational — never
-    /// persisted, forwarded best-effort to live `watch` subscribers and
-    /// drop-counted under backpressure — so the periodic heartbeat leaves
-    /// the replayable history byte-for-byte untouched.
-    pub(crate) fn emit_service_metrics(&self) {
+    /// Emits the gauge heartbeat to every non-terminal job's sink: one
+    /// [`Event::ServiceMetrics`] (jobs per state) and one
+    /// [`Event::SchedulerHeartbeat`] (per-class queue depths, running
+    /// jobs, executor count, unleased workers), both read under one lock.
+    /// The events are operational — never persisted, forwarded
+    /// best-effort to live `watch` subscribers and drop-counted under
+    /// backpressure — so the periodic heartbeat leaves the replayable
+    /// history byte-for-byte untouched.
+    pub(crate) fn emit_heartbeat(&self) {
         let inner = self.inner.lock().expect("supervisor poisoned");
-        let states = Self::state_counts(&inner);
-        let gauge = |name: &str| states.iter().find(|(n, _)| *n == name).map_or(0, |(_, c)| *c);
-        let event = Event::ServiceMetrics {
-            queued: gauge("queued"),
-            running: gauge("running"),
-            completed: gauge("completed"),
-            failed: gauge("failed"),
-            cancelled: gauge("cancelled"),
-            deadline_exceeded: gauge("deadline_exceeded"),
-        };
-        let live: Vec<Arc<JobSink>> = inner
-            .jobs
-            .values()
-            .filter(|r| !r.state.terminal())
-            .map(|r| Arc::clone(&r.sink))
-            .collect();
-        drop(inner);
-        for sink in live {
-            sink.emit(event.clone());
-        }
-    }
-
-    /// Emits one [`Event::SchedulerHeartbeat`] gauge snapshot (per-class
-    /// queue depths, running jobs, executor count, unleased workers) to
-    /// every non-terminal job's sink. Operational, like
-    /// [`emit_service_metrics`](Supervisor::emit_service_metrics): never
-    /// persisted, so the replayable history is untouched.
-    pub(crate) fn emit_scheduler_heartbeat(&self) {
-        let inner = self.inner.lock().expect("supervisor poisoned");
+        let [queued, running, completed, failed, cancelled, deadline_exceeded] =
+            Self::state_counts(&inner);
         let depth = |c: Priority| inner.queues.depth(c) as u64;
-        let event = Event::SchedulerHeartbeat {
-            high: depth(Priority::High),
-            normal: depth(Priority::Normal),
-            batch: depth(Priority::Batch),
-            running: inner.running as u64,
-            executors: self.cfg.executors as u64,
-            pool_available: u64::try_from(self.budget.available()).unwrap_or(0),
-        };
+        let events = [
+            Event::ServiceMetrics {
+                queued,
+                running,
+                completed,
+                failed,
+                cancelled,
+                deadline_exceeded,
+            },
+            Event::SchedulerHeartbeat {
+                high: depth(Priority::High),
+                normal: depth(Priority::Normal),
+                batch: depth(Priority::Batch),
+                running: inner.running as u64,
+                executors: self.cfg.executors as u64,
+                pool_available: u64::try_from(self.budget.available()).unwrap_or(0),
+            },
+        ];
         let live: Vec<Arc<JobSink>> = inner
             .jobs
             .values()
@@ -826,7 +816,9 @@ impl<R: ExperimentRunner> Supervisor<R> {
             .collect();
         drop(inner);
         for sink in live {
-            sink.emit(event.clone());
+            for event in &events {
+                sink.emit(event.clone());
+            }
         }
     }
 
@@ -840,11 +832,9 @@ impl<R: ExperimentRunner> Supervisor<R> {
         self.shutdown.store(true, Ordering::SeqCst);
         let inner = self.inner.lock().expect("supervisor poisoned");
         for sweep in [Priority::Batch, Priority::Normal] {
-            for rec in inner.jobs.values() {
-                if rec.class == sweep {
-                    if let Some(token) = &rec.token {
-                        token.cancel(CancelReason::Shutdown);
-                    }
+            for rec in inner.jobs.values().filter(|r| r.class == sweep) {
+                if let Some(claim) = &rec.claim {
+                    claim.token.cancel(CancelReason::Shutdown);
                 }
             }
         }
@@ -890,18 +880,45 @@ impl<R: ExperimentRunner> Supervisor<R> {
     }
 
     /// Pops the next runnable job and claims it for the calling executor,
-    /// returning its id and the job aging promoted on the way, if any. The
-    /// job turns `Running` inside the caller's critical section, so a
-    /// `cancel` between this pop and `run_job` finds it running (and
-    /// leaves the finish to `run_job`) instead of finalizing a job that is
-    /// about to start.
+    /// returning its id and the job aging promoted on the way, if any. In
+    /// the caller's critical section the job turns `Running`, records its
+    /// queue wait, leases its workers and gets the token it holds until
+    /// it leaves `Running`. So a cancel, preemption or shutdown that lands
+    /// between this pop and `run_job` trips that token instead of missing
+    /// the job.
     fn claim_next(&self, inner: &mut Inner) -> Option<(u64, Option<Promotion>)> {
         while let Some((id, promoted)) = inner.queues.pop(self.cfg.aging_threshold) {
             // Jobs cancelled while queued are already terminal.
-            let Some(rec) = inner.jobs.get_mut(&id).filter(|r| !r.state.terminal()) else {
+            let Some(rec) = inner.jobs.get(&id).filter(|r| !r.state.terminal()) else {
                 continue;
             };
+            let (class, want) = (rec.class, rec.spec.jobs.max(1));
+            let deadline = rec.spec.deadline_ms.map(Duration::from_millis);
+            let wait_ms = rec.queued_at.elapsed().as_secs_f64() * 1e3;
+            // A High job that finds the pool drained first shrinks running
+            // Batch jobs down to one worker each (they yield at their next
+            // shard boundary); whatever is still short after that, the
+            // minimum-grant rule covers.
+            if class == Priority::High {
+                let batch = inner.jobs.values().filter(|r| r.class == Priority::Batch);
+                for claim in batch.filter_map(|r| r.claim.as_ref()) {
+                    if self.budget.available() >= want as i64 {
+                        break;
+                    }
+                    claim.lease.shrink(1);
+                }
+            }
+            let lease = self.budget.lease(want);
+            // The deadline is a whole-run wall-clock budget counted from
+            // this claim; retries spend the same budget. The token carries
+            // the lease so the campaign's workers observe shrinks at shard
+            // boundaries.
+            let token = CancelToken::for_job(deadline, Some(lease.clone()));
+            let rec = inner.jobs.get_mut(&id).expect("claimed job is registered");
             rec.state = JobState::Running;
+            rec.claim = Some(Claim { token, lease });
+            inner.latency.queue_wait_ms.record(wait_ms);
+            inner.latency.queue_wait_class_ms[class.index()].record(wait_ms);
             // Aging promoted a starved Batch job: it is Normal from here on.
             let promoted = promoted.and_then(|pid| {
                 let rec = inner.jobs.get_mut(&pid)?;
@@ -924,11 +941,7 @@ impl<R: ExperimentRunner> Supervisor<R> {
     fn finish(&self, id: u64, state: JobState, event: Event) {
         let mut inner = self.inner.lock().expect("supervisor poisoned");
         let Some(rec) = inner.jobs.get_mut(&id) else { return };
-        rec.state = state;
-        rec.token = None;
-        if let Some(lease) = rec.lease.take() {
-            lease.release();
-        }
+        rec.end_claim(state);
         let sink = Arc::clone(&rec.sink);
         let attempts = u64::from(rec.attempt);
         drop(inner);
@@ -939,142 +952,114 @@ impl<R: ExperimentRunner> Supervisor<R> {
         self.finish_files(id, state, &sink);
     }
 
-    /// Parks a job for the next server start (shutdown path): state back
-    /// to queued, no done marker, history keeps its events.
-    fn park(&self, id: u64) {
-        let mut inner = self.inner.lock().expect("supervisor poisoned");
-        let mut class = Priority::Normal;
-        if let Some(rec) = inner.jobs.get_mut(&id) {
-            rec.state = JobState::Queued;
-            rec.token = None;
-            if let Some(lease) = rec.lease.take() {
-                lease.release();
+    /// Ends a claim for `reason`: a cancel or a passed deadline is
+    /// terminal, while shutdown and preemption requeue the job.
+    fn stop(&self, id: u64, reason: CancelReason) {
+        match reason {
+            CancelReason::Cancelled => {
+                self.finish(id, JobState::Cancelled, Event::JobCancelled { job: id });
             }
-            rec.waits += 1;
-            rec.queued_at = Instant::now();
-            class = rec.class;
-            // A parked job waits again: open the next queue-wait span.
-            Self::job_span(id).child("queue_wait", rec.waits).open_on(&*rec.sink);
-            // End live watch streams; watchers reconnect after restart.
-            rec.sink.disconnect_subscribers();
+            CancelReason::DeadlineExceeded => {
+                self.finish(id, JobState::DeadlineExceeded, Event::JobDeadlineExceeded { job: id });
+            }
+            CancelReason::Shutdown | CancelReason::Preempted => self.requeue(id, reason),
         }
-        inner.queues.push_front(class, id);
     }
 
-    /// Requeues a preempted job (state back to queued at the *front* of
-    /// its class, lease returned to the budget) and records the
-    /// preemption in its replayable history. Unlike [`park`], watchers
-    /// stay connected: the job resumes in this same process.
-    fn requeue_after_preempt(&self, id: u64) {
+    /// Returns a claimed job to the *front* of its class queue with its
+    /// next queue-wait span open; its history keeps its events and gets
+    /// no done marker. A shutdown requeue parks the job for the next
+    /// server start and ends its live watch streams (watchers reconnect
+    /// after the restart). A preemption records [`Event::JobPreempted`]
+    /// and keeps the watchers: the job resumes in this process.
+    fn requeue(&self, id: u64, reason: CancelReason) {
         let mut inner = self.inner.lock().expect("supervisor poisoned");
         let Some(rec) = inner.jobs.get_mut(&id) else { return };
-        rec.state = JobState::Queued;
-        rec.token = None;
-        if let Some(lease) = rec.lease.take() {
-            lease.release();
-        }
+        rec.end_claim(JobState::Queued);
         rec.waits += 1;
         rec.queued_at = Instant::now();
-        let sink = Arc::clone(&rec.sink);
-        let waits = rec.waits;
+        // The history is written before the job is queued again, so no
+        // executor or cancel can write to it first.
+        if reason == CancelReason::Preempted {
+            rec.sink.emit(Event::JobPreempted { job: id });
+        }
+        Self::job_span(id).child("queue_wait", rec.waits).open_on(&*rec.sink);
+        if reason == CancelReason::Shutdown {
+            rec.sink.disconnect_subscribers();
+        }
         let class = rec.class;
         inner.queues.push_front(class, id);
         drop(inner);
-        sink.emit(Event::JobPreempted { job: id });
-        Self::job_span(id).child("queue_wait", waits).open_on(&*sink);
         self.work.notify_all();
+    }
+
+    /// Waits out a retry backoff of `ms` on the `work` condvar until its
+    /// wake time, shutdown, or a trip of the job's token. Returns why the
+    /// job must stop instead of retrying: shutdown, a cancel request or a
+    /// preemption. A deadline that passes here is left to the next
+    /// attempt's check.
+    fn back_off(&self, id: u64, token: &CancelToken, ms: u64) -> Option<CancelReason> {
+        let wake = Instant::now() + Duration::from_millis(ms);
+        let mut inner = self.inner.lock().expect("supervisor poisoned");
+        inner.latency.backoff_ms.record(ms as f64);
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Some(CancelReason::Shutdown);
+            }
+            if inner.jobs.get(&id).is_some_and(|r| r.cancel_requested) {
+                return Some(CancelReason::Cancelled);
+            }
+            if token.reason() == Some(CancelReason::Preempted) {
+                return Some(CancelReason::Preempted);
+            }
+            let now = Instant::now();
+            if now >= wake {
+                return None;
+            }
+            inner = self.work.wait_timeout(inner, wake - now).expect("supervisor poisoned").0;
+        }
     }
 
     fn run_job(&self, id: u64) {
         let job = Self::job_span(id);
-        let (spec, sink, class, wait_ms, waits) = {
+        let (spec, sink, waits, token, lease) = {
             let inner = self.inner.lock().expect("supervisor poisoned");
             let Some(rec) = inner.jobs.get(&id) else { return };
-            let wait_ms = rec.queued_at.elapsed().as_secs_f64() * 1e3;
-            (rec.spec.clone(), Arc::clone(&rec.sink), rec.class, wait_ms, rec.waits)
+            let Some(claim) = &rec.claim else { return };
+            let (token, lease) = (claim.token.clone(), claim.lease.clone());
+            (rec.spec.clone(), Arc::clone(&rec.sink), rec.waits, token, lease)
         };
-        {
-            let mut h = self.stats.lock().expect("stats poisoned");
-            h.queue_wait_ms.record(wait_ms);
-            h.queue_wait_class_ms[class.index()].record(wait_ms);
-        }
         // Close the pending queue-wait span. Its open may sit on the
         // other side of a server restart — the replayed stream then shows
         // one queue wait arcing over the outage, which is the truth.
         job.child("queue_wait", waits).close_on(&*sink, waits);
-        // Lease workers from the shared budget. A High job that finds the
-        // pool drained first shrinks running Batch jobs down to one worker
-        // each (they yield at their next shard boundary); whatever is
-        // still short after that, the minimum-grant rule covers.
-        let want = spec.jobs.max(1);
-        if class == Priority::High && self.budget.available() < want as i64 {
-            let inner = self.inner.lock().expect("supervisor poisoned");
-            for rec in inner.jobs.values() {
-                if self.budget.available() >= want as i64 {
-                    break;
-                }
-                if rec.state == JobState::Running && rec.class == Priority::Batch {
-                    if let Some(lease) = &rec.lease {
-                        lease.shrink(1);
-                    }
-                }
-            }
-        }
-        let lease = self.budget.lease(want);
-        {
-            let mut inner = self.inner.lock().expect("supervisor poisoned");
-            let Some(rec) = inner.jobs.get_mut(&id) else { return };
-            rec.lease = Some(lease.clone());
-        }
         let policy = RetryPolicy {
             max_retries: spec.max_retries,
             base_ms: spec.backoff_ms,
             ..RetryPolicy::default()
         };
-        let started = Instant::now();
         let ckpt = self.path(id, "ckpt");
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            {
-                let mut inner = self.inner.lock().expect("supervisor poisoned");
-                if let Some(rec) = inner.jobs.get_mut(&id) {
-                    rec.attempt = attempt;
-                }
-            }
-            // The deadline is a whole-job wall-clock budget: each attempt
-            // gets whatever remains of it. The token carries the lease so
-            // the campaign's workers observe shrinks at shard boundaries.
-            let deadline = match spec.deadline_ms {
-                Some(ms) => {
-                    let total = Duration::from_millis(ms);
-                    let elapsed = started.elapsed();
-                    if elapsed >= total {
-                        self.finish(
-                            id,
-                            JobState::DeadlineExceeded,
-                            Event::JobDeadlineExceeded { job: id },
-                        );
-                        return;
-                    }
-                    Some(total - elapsed)
-                }
-                None => None,
-            };
-            let token = CancelToken::for_job(deadline, Some(lease.clone()));
-            {
+            // A passed deadline, a cancel request or shutdown ends the
+            // claim before the attempt starts. A pending preemption does
+            // not: the attempt starts and stops at its first trial
+            // boundary, so a preempted history always shows the start it
+            // was preempted from.
+            let stop = {
                 let mut inner = self.inner.lock().expect("supervisor poisoned");
                 let Some(rec) = inner.jobs.get_mut(&id) else { return };
-                if rec.cancel_requested {
-                    drop(inner);
-                    self.finish(id, JobState::Cancelled, Event::JobCancelled { job: id });
-                    return;
+                rec.attempt = attempt;
+                match token.reason() {
+                    Some(CancelReason::DeadlineExceeded) => Some(CancelReason::DeadlineExceeded),
+                    _ if rec.cancel_requested => Some(CancelReason::Cancelled),
+                    _ if self.shutdown.load(Ordering::SeqCst) => Some(CancelReason::Shutdown),
+                    _ => None,
                 }
-                rec.token = Some(token.clone());
-            }
-            if self.shutdown.load(Ordering::SeqCst) {
-                // Lost the race with begin_shutdown after it swept tokens.
-                self.park(id);
+            };
+            if let Some(reason) = stop {
+                self.stop(id, reason);
                 return;
             }
             sink.emit(Event::JobStarted { job: id, attempt: u64::from(attempt) });
@@ -1091,17 +1076,8 @@ impl<R: ExperimentRunner> Supervisor<R> {
             };
             let run_started = Instant::now();
             let status = catch_unwind(AssertUnwindSafe(|| self.runner.run(&spec, &ctx)));
-            self.stats
-                .lock()
-                .expect("stats poisoned")
-                .run_ms
-                .record(run_started.elapsed().as_secs_f64() * 1e3);
-            {
-                let mut inner = self.inner.lock().expect("supervisor poisoned");
-                if let Some(rec) = inner.jobs.get_mut(&id) {
-                    rec.token = None;
-                }
-            }
+            let run_ms = run_started.elapsed().as_secs_f64() * 1e3;
+            self.inner.lock().expect("supervisor poisoned").latency.run_ms.record(run_ms);
             let (reason, transient) = match status {
                 Ok(RunStatus::Done { csv }) => {
                     if let Err(e) = std::fs::write(self.csv_path(id), csv) {
@@ -1119,28 +1095,8 @@ impl<R: ExperimentRunner> Supervisor<R> {
                 }
                 Ok(RunStatus::Interrupted(i)) => {
                     attempt_span.close_on(&*sink, i.completed_trials as u64);
-                    match i.reason {
-                        CancelReason::Cancelled => {
-                            self.finish(id, JobState::Cancelled, Event::JobCancelled { job: id });
-                            return;
-                        }
-                        CancelReason::DeadlineExceeded => {
-                            self.finish(
-                                id,
-                                JobState::DeadlineExceeded,
-                                Event::JobDeadlineExceeded { job: id },
-                            );
-                            return;
-                        }
-                        CancelReason::Shutdown => {
-                            self.park(id);
-                            return;
-                        }
-                        CancelReason::Preempted => {
-                            self.requeue_after_preempt(id);
-                            return;
-                        }
-                    }
+                    self.stop(id, i.reason);
+                    return;
                 }
                 Ok(RunStatus::Failed { reason, transient }) => {
                     attempt_span.close_on(&*sink, 0);
@@ -1171,36 +1127,17 @@ impl<R: ExperimentRunner> Supervisor<R> {
                 attempt: u64::from(attempt + 1),
                 backoff_ms: backoff,
             });
-            // The backoff span's extent is the *planned* sleep — a pure
+            // The backoff span's extent is the *planned* wait — a pure
             // function of the retry policy, so the stream stays
-            // deterministic; the measured sleep goes to the histogram.
+            // deterministic; the histogram records the same planned ms.
             let backoff_span = job.child("backoff", u64::from(attempt));
             backoff_span.open_on(&*sink);
-            self.stats.lock().expect("stats poisoned").backoff_ms.record(backoff as f64);
-            // Sleep in slices so shutdown and cancel stay responsive.
-            let wake = Instant::now() + Duration::from_millis(backoff);
-            loop {
-                if self.shutdown.load(Ordering::SeqCst) {
-                    backoff_span.close_on(&*sink, backoff);
-                    self.park(id);
-                    return;
-                }
-                let cancelled = {
-                    let inner = self.inner.lock().expect("supervisor poisoned");
-                    inner.jobs.get(&id).is_some_and(|r| r.cancel_requested)
-                };
-                if cancelled {
-                    backoff_span.close_on(&*sink, backoff);
-                    self.finish(id, JobState::Cancelled, Event::JobCancelled { job: id });
-                    return;
-                }
-                let now = Instant::now();
-                if now >= wake {
-                    break;
-                }
-                std::thread::sleep((wake - now).min(Duration::from_millis(10)));
-            }
+            let stop = self.back_off(id, &token, backoff);
             backoff_span.close_on(&*sink, backoff);
+            if let Some(reason) = stop {
+                self.stop(id, reason);
+                return;
+            }
         }
     }
 }
@@ -1240,6 +1177,140 @@ mod tests {
         let events = std::fs::read_to_string(sup.path(id, "events.jsonl")).unwrap();
         assert_eq!(events.matches("\"event\":\"job_cancelled\"").count(), 1, "{events}");
         assert_eq!(events.matches("\"event\":\"job_started\"").count(), 0, "{events}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Stops at once when its token is tripped; otherwise fails
+    /// transiently when the spec allows retries, and finishes when not.
+    struct TokenRunner;
+
+    impl ExperimentRunner for TokenRunner {
+        fn admit(&self, _spec: &JobSpec) -> Result<u64, String> {
+            Ok(0)
+        }
+
+        fn run(&self, spec: &JobSpec, ctx: &JobCtx<'_>) -> RunStatus {
+            if let Err(reason) = ctx.token.check() {
+                return RunStatus::Interrupted(Interrupted { reason, completed_trials: 0 });
+            }
+            if spec.max_retries > 0 {
+                return RunStatus::Failed { reason: "injected".into(), transient: true };
+            }
+            RunStatus::Done { csv: String::new() }
+        }
+    }
+
+    /// A one-executor supervisor over a fresh state directory.
+    fn one_executor(name: &str) -> (PathBuf, Supervisor<TokenRunner>) {
+        let dir = std::env::temp_dir().join(format!("emask-serve-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = ServerConfig { executors: 1, thread_budget: 1, ..ServerConfig::new(dir.clone()) };
+        (dir, Supervisor::new(cfg, TokenRunner).unwrap())
+    }
+
+    fn job(priority: &str, max_retries: u32, backoff_ms: u64) -> JobSpec {
+        JobSpec {
+            experiment: "token".into(),
+            priority: priority.into(),
+            max_retries,
+            backoff_ms,
+            ..JobSpec::default()
+        }
+    }
+
+    fn history<R: ExperimentRunner>(sup: &Supervisor<R>, id: u64) -> String {
+        std::fs::read_to_string(sup.path(id, "events.jsonl")).unwrap()
+    }
+
+    fn claim<R: ExperimentRunner>(sup: &Supervisor<R>) -> Option<u64> {
+        sup.claim_next(&mut sup.inner.lock().unwrap()).map(|(id, _)| id)
+    }
+
+    /// Runs the claimed job `id` on a thread until its live stream shows
+    /// the first retry, then hands over to `during` while the job waits
+    /// out its backoff. Returns how long the job took to stop after
+    /// `during`.
+    fn interrupt_backoff(
+        sup: &Arc<Supervisor<TokenRunner>>,
+        id: u64,
+        during: impl FnOnce(),
+    ) -> Duration {
+        let (_, live) = sup.subscribe(id).unwrap();
+        let exec = std::thread::spawn({
+            let sup = Arc::clone(sup);
+            move || sup.run_job(id)
+        });
+        let next = || live.recv_timeout(Duration::from_secs(30)).expect("job reaches a retry");
+        while !next().contains("\"event\":\"job_retried\"") {}
+        let asked = Instant::now();
+        during();
+        exec.join().unwrap();
+        asked.elapsed()
+    }
+
+    #[test]
+    fn high_submission_preempts_a_batch_job_between_claim_and_start() {
+        let (dir, sup) = one_executor("claim-preempt");
+        let batch = sup.submit(job("batch", 0, 0)).unwrap();
+        assert_eq!(claim(&sup), Some(batch));
+        // The High job lands after the claim but before the start: the
+        // batch job's token already exists and takes the preemption.
+        let high = sup.submit(job("high", 0, 0)).unwrap();
+        sup.run_job(batch);
+        assert_eq!(sup.job_state(batch), Some(JobState::Queued));
+        assert_eq!(sup.budget.available(), 1, "a requeued job holds no workers");
+        let events = history(&sup, batch);
+        assert_eq!(events.matches("\"event\":\"job_preempted\"").count(), 1, "{events}");
+        assert_eq!(events.matches("\"event\":\"job_started\"").count(), 1, "{events}");
+        assert!(!events.contains("job_completed"), "{events}");
+        assert_eq!(claim(&sup), Some(high), "the freed executor takes the high job next");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn high_submission_never_preempts_a_normal_job() {
+        let (dir, sup) = one_executor("no-victim");
+        let normal = sup.submit(job("normal", 0, 0)).unwrap();
+        assert_eq!(claim(&sup), Some(normal));
+        sup.submit(job("high", 0, 0)).unwrap();
+        sup.run_job(normal);
+        assert_eq!(sup.job_state(normal), Some(JobState::Completed));
+        assert!(!history(&sup, normal).contains("job_preempted"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn high_submission_preempts_a_batch_job_in_its_retry_backoff() {
+        let (dir, sup) = one_executor("backoff-preempt");
+        let sup = Arc::new(sup);
+        let batch = sup.submit(job("batch", 1, 10_000)).unwrap();
+        assert_eq!(claim(&sup), Some(batch));
+        let mut high = None;
+        let took = interrupt_backoff(&sup, batch, || high = sup.submit(job("high", 0, 0)).ok());
+        assert!(took < Duration::from_secs(5), "preemption waited out the backoff ({took:?})");
+        assert_eq!(sup.job_state(batch), Some(JobState::Queued));
+        let events = history(&sup, batch);
+        let retried = events.find("\"event\":\"job_retried\"").unwrap();
+        let preempted = events.find("\"event\":\"job_preempted\"").unwrap();
+        assert!(retried < preempted, "{events}");
+        assert_eq!(events.matches("\"event\":\"job_started\"").count(), 1, "{events}");
+        assert_eq!(claim(&sup), high);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cancel_ends_a_retry_backoff_at_once() {
+        let (dir, sup) = one_executor("backoff-cancel");
+        let sup = Arc::new(sup);
+        let id = sup.submit(job("normal", 1, 10_000)).unwrap();
+        assert_eq!(claim(&sup), Some(id));
+        let took = interrupt_backoff(&sup, id, || sup.cancel(id).unwrap());
+        assert!(took < Duration::from_secs(5), "cancel waited out the backoff ({took:?})");
+        assert_eq!(sup.job_state(id), Some(JobState::Cancelled));
+        let events = history(&sup, id);
+        assert_eq!(events.matches("\"event\":\"job_cancelled\"").count(), 1, "{events}");
+        // The job span closes with the one attempt the job consumed.
+        assert!(events.contains(&Supervisor::<TokenRunner>::job_span(id).closed(1).to_json()));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

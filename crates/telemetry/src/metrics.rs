@@ -286,17 +286,9 @@ impl MetricsSnapshot {
 /// [`MetricsRegistry::snapshot`] then yields a typed [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRegistry {
-    cycles: u64,
-    retired: u64,
-    retired_secure: u64,
-    stall_cycles: u64,
-    flushed: u64,
-    secure_cycles: u64,
-    mix: [MixEntry; 8],
-    energy: ComponentEnergy,
-    phases: Vec<PhaseMetrics>,
-    cycle_energy: Histogram,
-    run: Option<RunResult>,
+    /// Everything counted so far; [`snapshot`](MetricsRegistry::snapshot)
+    /// clones it out.
+    counted: MetricsSnapshot,
 }
 
 impl Default for MetricsRegistry {
@@ -313,72 +305,63 @@ impl MetricsRegistry {
     /// bins, bracketing the calibrated model's per-cycle range.
     pub fn new() -> Self {
         MetricsRegistry {
-            cycles: 0,
-            retired: 0,
-            retired_secure: 0,
-            stall_cycles: 0,
-            flushed: 0,
-            secure_cycles: 0,
-            mix: [MixEntry::default(); 8],
-            energy: ComponentEnergy::default(),
-            phases: Vec::new(),
-            cycle_energy: Histogram::new(25.0, 20),
-            run: None,
+            counted: MetricsSnapshot {
+                cycles: 0,
+                retired: 0,
+                retired_secure: 0,
+                stall_cycles: 0,
+                flushed: 0,
+                secure_cycles: 0,
+                mix: [MixEntry::default(); 8],
+                energy: ComponentEnergy::default(),
+                phases: Vec::new(),
+                cycle_energy: Histogram::new(25.0, 20),
+                run: None,
+            },
         }
     }
 
     /// Copies out everything counted so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            cycles: self.cycles,
-            retired: self.retired,
-            retired_secure: self.retired_secure,
-            stall_cycles: self.stall_cycles,
-            flushed: self.flushed,
-            secure_cycles: self.secure_cycles,
-            mix: self.mix,
-            energy: self.energy,
-            phases: self.phases.clone(),
-            cycle_energy: self.cycle_energy.clone(),
-            run: self.run,
-        }
+        self.counted.clone()
     }
 
     fn current_phase(&mut self, cycle: u64) -> &mut PhaseMetrics {
-        if self.phases.is_empty() {
-            self.phases.push(PhaseMetrics {
+        if self.counted.phases.is_empty() {
+            self.counted.phases.push(PhaseMetrics {
                 name: Self::STARTUP_PHASE.to_string(),
                 start_cycle: cycle,
                 cycles: 0,
                 energy: ComponentEnergy::default(),
             });
         }
-        self.phases.last_mut().expect("non-empty")
+        self.counted.phases.last_mut().expect("non-empty")
     }
 }
 
 impl RunObserver for MetricsRegistry {
     fn on_cycle(&mut self, act: &CycleActivity, energy: &CycleEnergy) {
-        self.cycles += 1;
+        let c = &mut self.counted;
+        c.cycles += 1;
         if act.stalled {
-            self.stall_cycles += 1;
+            c.stall_cycles += 1;
         }
-        self.flushed += u64::from(act.flushed);
+        c.flushed += u64::from(act.flushed);
         if act.any_secure() {
-            self.secure_cycles += 1;
+            c.secure_cycles += 1;
         }
         if let Some(inst) = &act.retired {
-            self.retired += 1;
-            let entry = &mut self.mix[op_class_index(inst.op.class())];
+            c.retired += 1;
+            let entry = &mut c.mix[op_class_index(inst.op.class())];
             if inst.secure {
-                self.retired_secure += 1;
+                c.retired_secure += 1;
                 entry.secure += 1;
             } else {
                 entry.normal += 1;
             }
         }
-        self.energy += energy.components;
-        self.cycle_energy.record(energy.total_pj());
+        c.energy += energy.components;
+        c.cycle_energy.record(energy.total_pj());
         let phase = self.current_phase(act.cycle);
         phase.cycles += 1;
         phase.energy += energy.components;
@@ -387,7 +370,7 @@ impl RunObserver for MetricsRegistry {
     fn on_phase(&mut self, event: &PhaseEvent) {
         // Fires before on_cycle for the marker cycle, so that cycle's
         // energy lands in the new bucket (start-inclusive windows).
-        self.phases.push(PhaseMetrics {
+        self.counted.phases.push(PhaseMetrics {
             name: event.name.clone(),
             start_cycle: event.cycle,
             cycles: 0,
@@ -396,7 +379,7 @@ impl RunObserver for MetricsRegistry {
     }
 
     fn on_finish(&mut self, stats: &RunResult) {
-        self.run = Some(*stats);
+        self.counted.run = Some(*stats);
     }
 }
 
