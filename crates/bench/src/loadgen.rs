@@ -312,4 +312,17 @@ mod tests {
         assert_eq!(classes.len(), 3, "all three priority classes appear: {classes:?}");
         assert!(experiments.len() >= 3, "a real experiment mix: {experiments:?}");
     }
+
+    #[test]
+    fn the_serve_mix_workload_specs_are_pinned() {
+        // The benchmark's serve_mix workload replays these specs; a change
+        // to the spec generator would change what it measures.
+        let specs: String = (0..256).map(|k| workload_spec(11, k).to_json() + "\n").collect();
+        assert_eq!(specs.len(), 49_476, "workload spec JSON length drifted");
+        assert_eq!(
+            emask_telemetry::fnv1a(specs.as_bytes()),
+            0xD1FC_B35E_5C5C_69FF,
+            "workload specs drifted"
+        );
+    }
 }

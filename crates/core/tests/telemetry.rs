@@ -119,3 +119,20 @@ fn metrics_csv_and_summary_render_the_run() {
     assert!(report.contains("instruction mix"));
     assert!(report.contains("round 1"));
 }
+
+#[test]
+fn metrics_csv_and_summary_are_golden() {
+    let mut metrics = MetricsRegistry::new();
+    observed_run(&mut metrics);
+    let snapshot = metrics.snapshot();
+
+    // Golden fingerprints of the byte-exact exporter output for the fixed
+    // key/plaintext 1-round run, the files `repro fig6 --rounds 1
+    // --metrics-out m.csv --summary` writes and prints.
+    let csv = metrics_csv(&snapshot);
+    assert_eq!(csv.len(), 1_219, "metrics CSV length drifted");
+    assert_eq!(fnv1a(csv.as_bytes()), 0x4737_67C3_DEBE_F86B, "metrics CSV bytes drifted");
+    let report = summary(&snapshot);
+    assert_eq!(report.len(), 1_105, "summary length drifted");
+    assert_eq!(fnv1a(report.as_bytes()), 0x4405_20C5_507F_149A, "summary bytes drifted");
+}
