@@ -807,10 +807,14 @@ fn telemetry_run(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
     );
     let des =
         MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: opts.rounds })?;
-    let mut obs = (ChromeTrace::new(), MetricsRegistry::new());
-    let run: EncryptionRun = des.encrypt_observed(PLAINTEXT, KEY, &mut obs)?;
-    let (chrome, metrics) = obs;
-    let snapshot = metrics.snapshot();
+    let mut chrome = ChromeTrace::new();
+    let mut metrics = MetricsRegistry::new();
+    let run: EncryptionRun = des.encrypt_observed(PLAINTEXT, KEY, |act, energy, phase| {
+        let name = phase.map(|p| p.to_string());
+        chrome.record(act, name.as_deref());
+        metrics.record(act, energy, name.as_deref());
+    })?;
+    metrics.run = run.stats;
     println!(
         "{} cycles, {:.2} µJ, ciphertext {:016X}",
         run.stats.cycles,
@@ -822,11 +826,11 @@ fn telemetry_run(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         println!("wrote Chrome trace-event JSON to {path} (open in chrome://tracing)");
     }
     if let Some(path) = &opts.metrics_out {
-        fs::write(path, metrics_csv(&snapshot))?;
+        fs::write(path, metrics_csv(&metrics))?;
         println!("wrote per-phase metrics CSV to {path}");
     }
     if opts.summary {
-        print!("{}", summary_with_host(&snapshot, &host_context(Some(opts.jobs.get()))));
+        print!("{}", summary_with_host(&metrics, &host_context(Some(opts.jobs.get()))));
     }
     Ok(())
 }

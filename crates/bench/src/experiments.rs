@@ -5,11 +5,11 @@ use emask_attack::{
     recover_subkey_multibit_par, CpaConfig, CpaResult, DpaConfig, DpaResult, OnlineWelch,
     SpaReport,
 };
-use emask_core::{DesProgramSpec, EnergyParams, EnergyTrace, MaskPolicy, MaskedDes, Phase};
-use emask_core::{RunObserver, SecureStyle};
-use emask_cpu::CycleActivity;
+use emask_core::{
+    DesProgramSpec, EnergyParams, EnergyTrace, MaskPolicy, MaskedDes, Phase, SecureStyle,
+};
 use emask_des::KeySchedule;
-use emask_energy::{CycleEnergy, FunctionalUnit, LeakageProfile, LeakageProfiler, UnitState};
+use emask_energy::{FunctionalUnit, LeakageProfile, LeakageProfiler, UnitState};
 use emask_isa::OpClass;
 use emask_par::{fold_sharded, CancelToken, Interrupted, Jobs};
 use emask_telemetry::{Event, EventSink};
@@ -422,35 +422,29 @@ impl fmt::Display for ClassEnergy {
     }
 }
 
-/// Sums each cycle's energy under the class of the instruction in EX.
-#[derive(Default)]
-struct ClassTally(BTreeMap<&'static str, (f64, u64)>);
-
-impl RunObserver for ClassTally {
-    fn on_cycle(&mut self, act: &CycleActivity, energy: &CycleEnergy) {
-        let name = match act.ex.map(|x| x.class) {
-            Some(OpClass::AluReg) => "alu-reg",
-            Some(OpClass::AluImm) => "alu-imm",
-            Some(OpClass::ShiftImm) => "shift",
-            Some(OpClass::Load) => "load",
-            Some(OpClass::Store) => "store",
-            Some(OpClass::Branch) => "branch",
-            Some(OpClass::Jump) => "jump",
-            Some(OpClass::Halt) => "halt",
-            None => "(idle)",
-        };
-        let slot = self.0.entry(name).or_default();
-        slot.0 += energy.total_pj();
-        slot.1 += 1;
-    }
-}
-
 /// Attributes each cycle's total energy to the EX-stage instruction class.
 pub fn energy_by_class(policy: MaskPolicy, rounds: usize) -> ClassEnergy {
-    let mut tally = ClassTally::default();
-    compile(policy, rounds).encrypt_observed(PLAINTEXT, KEY, &mut tally).expect("encrypt");
+    let mut tally: BTreeMap<&'static str, (f64, u64)> = BTreeMap::new();
+    compile(policy, rounds)
+        .encrypt_observed(PLAINTEXT, KEY, |act, energy, _| {
+            let name = match act.ex.map(|x| x.class) {
+                Some(OpClass::AluReg) => "alu-reg",
+                Some(OpClass::AluImm) => "alu-imm",
+                Some(OpClass::ShiftImm) => "shift",
+                Some(OpClass::Load) => "load",
+                Some(OpClass::Store) => "store",
+                Some(OpClass::Branch) => "branch",
+                Some(OpClass::Jump) => "jump",
+                Some(OpClass::Halt) => "halt",
+                None => "(idle)",
+            };
+            let slot = tally.entry(name).or_default();
+            slot.0 += energy.total_pj();
+            slot.1 += 1;
+        })
+        .expect("encrypt");
     let mut rows: Vec<(String, f64, u64)> =
-        tally.0.into_iter().map(|(k, (pj, c))| (k.to_string(), pj, c)).collect();
+        tally.into_iter().map(|(k, (pj, c))| (k.to_string(), pj, c)).collect();
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     ClassEnergy { rows }
 }
@@ -739,7 +733,7 @@ impl fmt::Display for LeakageComparison {
 
 /// Runs the attribution study: `traces` observed encryptions per policy
 /// with plaintexts from the shared `(seed, index)` stream, profiled by a
-/// [`LeakageProfiler`] riding the `RunObserver` hooks. The two programs
+/// [`LeakageProfiler`] fed from each run's per-cycle closure. The two programs
 /// are instruction-identical apart from secure bits, so their per-PC
 /// rows compare directly — the CSV concatenates both rankings under one
 /// header.
@@ -750,8 +744,11 @@ pub fn leakage_attribution(rounds: usize, traces: usize, seed: u64) -> LeakageCo
         let des = compile(policy, rounds);
         let mut prof = LeakageProfiler::new();
         for i in 0..traces {
-            des.encrypt_observed(plaintext_for(seed, i as u64), KEY, &mut prof)
-                .expect("observed run");
+            des.encrypt_observed(plaintext_for(seed, i as u64), KEY, |act, energy, phase| {
+                prof.record(act, energy, phase.map(|p| p.to_string()).as_deref());
+            })
+            .expect("observed run");
+            prof.end_trace();
         }
         let profile = prof.profile();
         csv.push_str(&profile.csv_rows(name, &des.program().text));

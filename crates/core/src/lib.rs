@@ -46,7 +46,7 @@ mod xtea;
 pub use desgen::{des_source, DesProgramSpec};
 pub use emask_cc::MaskPolicy;
 pub use emask_energy::{EnergyParams, EnergyTrace, SecureStyle};
-pub use emask_telemetry::{ChromeTrace, MetricsRegistry, MetricsSnapshot, PhaseEvent, RunObserver};
+pub use emask_telemetry::{ChromeTrace, MetricsRegistry};
 pub use recovery::{CleanLadder, RecoveryPolicy, RecoveryStats};
 pub use runner::{EncryptionRun, MaskedDes, Phase, PhaseMarker, RecoveredRun, RunError};
 pub use xtea::{xtea_decrypt, xtea_encrypt, MaskedXtea, XteaRun};

@@ -10,13 +10,13 @@ use crate::recovery::{
 use emask_cc::{compile, CompileError, CompileOptions, MaskPolicy, SliceReport};
 use emask_cpu::AccessError;
 use emask_cpu::{
-    Cpu, CpuBackend, CpuError, CpuErrorKind, LastReads, NullHook, PipelineHook, RunResult,
+    Cpu, CpuBackend, CpuError, CpuErrorKind, CycleActivity, LastReads, NullHook, PipelineHook,
+    RunResult,
 };
 use emask_des::bits::{from_bit_vec, to_bit_vec};
 use emask_des::BitArrayState;
-use emask_energy::{EnergyModel, EnergyParams, EnergyTrace};
+use emask_energy::{CycleEnergy, EnergyModel, EnergyParams, EnergyTrace};
 use emask_isa::Program;
-use emask_telemetry::{PhaseEvent, RunObserver};
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 
@@ -282,29 +282,27 @@ impl MaskedDes {
     /// model.
     pub fn encrypt(&self, plaintext: u64, key: u64) -> Result<EncryptionRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        self.run_block_full_on::<Cpu, _>(plaintext, key, &mut ())
+        self.run_block_full_on::<Cpu>(plaintext, key, |_, _, _| {})
     }
 
-    /// [`MaskedDes::encrypt`] with a telemetry observer attached: `obs`
-    /// receives every cycle's activity + energy, every phase-marker
-    /// crossing (before that cycle's `on_cycle`, so phase accumulators use
-    /// the same start-inclusive windows as [`EncryptionRun::phase_window`]),
-    /// and the final pipeline statistics.
-    ///
-    /// The call is monomorphized per observer type; passing `&mut ()`
-    /// compiles to exactly the unobserved [`MaskedDes::encrypt`].
+    /// [`MaskedDes::encrypt`] with a per-cycle observer: `observe` gets
+    /// every cycle's activity and energy, and `Some(phase)` on the cycle
+    /// of the marker store that starts `phase`. That cycle belongs to the
+    /// new phase, so an observer that switches buckets on `Some` uses the
+    /// same start-inclusive windows as [`EncryptionRun::phase_window`].
+    /// The pipeline statistics come back in the run's `stats`.
     ///
     /// # Errors
     ///
     /// As for [`MaskedDes::encrypt`].
-    pub fn encrypt_observed<O: RunObserver>(
+    pub fn encrypt_observed(
         &self,
         plaintext: u64,
         key: u64,
-        obs: &mut O,
+        observe: impl FnMut(&CycleActivity, &CycleEnergy, Option<Phase>),
     ) -> Result<EncryptionRun, RunError> {
         assert!(!self.decryptor, "this instance was compiled as a decryptor; use decrypt()");
-        self.run_block_full_on::<Cpu, _>(plaintext, key, obs)
+        self.run_block_full_on::<Cpu>(plaintext, key, observe)
     }
 
     /// Encrypts one block with a [`PipelineHook`] installed on the
@@ -354,7 +352,7 @@ impl MaskedDes {
     /// Panics if this instance is an encryptor.
     pub fn decrypt(&self, ciphertext: u64, key: u64) -> Result<EncryptionRun, RunError> {
         assert!(self.decryptor, "this instance was compiled as an encryptor; use encrypt()");
-        self.run_block_full_on::<Cpu, _>(ciphertext, key, &mut ())
+        self.run_block_full_on::<Cpu>(ciphertext, key, |_, _, _| {})
     }
 
     /// Encrypts one block and returns only the energy samples of the cycle
@@ -477,11 +475,11 @@ impl MaskedDes {
         Ok((cpu, self.data_sym("marker")?))
     }
 
-    fn run_block_full_on<B: CpuBackend, O: RunObserver>(
+    fn run_block_full_on<B: CpuBackend>(
         &self,
         input: u64,
         key: u64,
-        obs: &mut O,
+        mut observe: impl FnMut(&CycleActivity, &CycleEnergy, Option<Phase>),
     ) -> Result<EncryptionRun, RunError> {
         let (mut cpu, marker_addr) = self.load_block::<B>(input, key)?;
         let mut model = EnergyModel::with_params(self.params);
@@ -489,26 +487,19 @@ impl MaskedDes {
         let mut markers = Vec::new();
         let stats = cpu.run_with(self.cycle_limit, &mut NullHook, |act| {
             let energy = model.observe(act);
-            // Markers first: the marker cycle belongs to the *new* phase
-            // (start-inclusive windows), so phase-switching observers must
-            // see on_phase before this cycle's on_cycle.
-            if let Some(mem) = act.mem {
-                if mem.is_store && mem.addr == marker_addr {
-                    if let Some(phase) = phase_of_marker(mem.data) {
-                        obs.on_phase(&PhaseEvent {
-                            name: phase.to_string(),
-                            cycle: act.cycle,
-                            index: markers.len(),
-                        });
-                        markers.push(PhaseMarker { phase, cycle: act.cycle });
-                    }
-                }
+            // The marker cycle belongs to the *new* phase (start-inclusive
+            // windows).
+            let phase = act
+                .mem
+                .filter(|m| m.is_store && m.addr == marker_addr)
+                .and_then(|m| phase_of_marker(m.data));
+            if let Some(phase) = phase {
+                markers.push(PhaseMarker { phase, cycle: act.cycle });
             }
-            obs.on_cycle(act, &energy);
+            observe(act, &energy, phase);
             trace.push(energy);
             ControlFlow::Continue(())
         })?;
-        obs.on_finish(&stats);
         let ciphertext = self.read_validated_output(&cpu, input, key)?;
         Ok(EncryptionRun { ciphertext, trace, stats, markers })
     }
@@ -922,7 +913,7 @@ mod tests {
         let des = two_rounds(MaskPolicy::Selective);
         let pipe = des.encrypt(PLAIN, KEY).expect("pipeline run");
         let interp = des
-            .run_block_full_on::<emask_cpu::Interpreter, _>(PLAIN, KEY, &mut ())
+            .run_block_full_on::<emask_cpu::Interpreter>(PLAIN, KEY, |_, _, _| {})
             .expect("interp run");
         assert_eq!(interp.ciphertext, pipe.ciphertext);
         assert_eq!(interp.stats.retired, pipe.stats.retired);
@@ -940,7 +931,7 @@ mod tests {
         // recovered run still retires exactly what a clean one does.
         let des = two_rounds(MaskPolicy::Selective);
         let clean = des
-            .run_block_full_on::<emask_cpu::Interpreter, _>(PLAIN, KEY, &mut ())
+            .run_block_full_on::<emask_cpu::Interpreter>(PLAIN, KEY, |_, _, _| {})
             .expect("clean run");
         let mut hook = TransientFault { at_cycle: clean.stats.cycles / 2, fired: false };
         let rec = des

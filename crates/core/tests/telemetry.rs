@@ -1,27 +1,39 @@
-//! Integration tests for the telemetry layer: the observer-fed metrics
+//! Integration tests for the telemetry layer: the per-cycle metrics
 //! must agree with the trace algebra the rest of the evaluation uses, and
 //! the exporters must produce byte-stable artifacts.
 
 use emask_core::{
-    ChromeTrace, DesProgramSpec, EncryptionRun, MaskPolicy, MaskedDes, MetricsRegistry,
+    ChromeTrace, DesProgramSpec, EncryptionRun, MaskPolicy, MaskedDes, MetricsRegistry, Phase,
 };
+use emask_cpu::{CycleActivity, RunResult};
+use emask_energy::CycleEnergy;
 use emask_telemetry::{fnv1a, metrics_csv, summary};
 
 const KEY: u64 = 0x1334_5779_9BBC_DFF1;
 const PLAINTEXT: u64 = 0x0123_4567_89AB_CDEF;
 
-/// One selectively-masked 1-round encryption, observed by `obs`.
-fn observed_run<O: emask_core::RunObserver>(obs: &mut O) -> EncryptionRun {
-    let des = MaskedDes::compile_spec(MaskPolicy::Selective, &DesProgramSpec { rounds: 1 })
-        .expect("compile");
-    des.encrypt_observed(PLAINTEXT, KEY, obs).expect("run")
+/// One 1-round encryption under `policy`, each cycle handed to `observe`.
+fn observed_run(
+    policy: MaskPolicy,
+    observe: impl FnMut(&CycleActivity, &CycleEnergy, Option<Phase>),
+) -> EncryptionRun {
+    let des = MaskedDes::compile_spec(policy, &DesProgramSpec { rounds: 1 }).expect("compile");
+    des.encrypt_observed(PLAINTEXT, KEY, observe).expect("run")
+}
+
+/// The selectively-masked 1-round run's metrics, with its statistics set.
+fn metered_run() -> (MetricsRegistry, EncryptionRun) {
+    let mut metrics = MetricsRegistry::new();
+    let run = observed_run(MaskPolicy::Selective, |act, energy, phase| {
+        metrics.record(act, energy, phase.map(|p| p.to_string()).as_deref());
+    });
+    metrics.run = run.stats;
+    (metrics, run)
 }
 
 #[test]
 fn metrics_phase_totals_match_phase_trace_sums() {
-    let mut metrics = MetricsRegistry::new();
-    let run = observed_run(&mut metrics);
-    let snapshot = metrics.snapshot();
+    let (snapshot, run) = metered_run();
 
     // Every marker-derived phase of the run must appear in the snapshot
     // with exactly the energy the trace algebra assigns to its window.
@@ -43,27 +55,48 @@ fn metrics_phase_totals_match_phase_trace_sums() {
     // The phases partition the run: startup + marked phases == whole trace.
     let phase_sum: f64 = snapshot.phases.iter().map(|p| p.energy.total()).sum();
     assert!((phase_sum - run.trace.total_pj()).abs() < 1e-6);
-    assert!((snapshot.total_pj() - run.trace.total_pj()).abs() < 1e-6);
-    assert_eq!(snapshot.cycles, run.stats.cycles);
-    assert_eq!(snapshot.retired, run.stats.retired);
+    assert!((snapshot.energy.total() - run.trace.total_pj()).abs() < 1e-6);
+    let cycles: u64 = snapshot.phases.iter().map(|p| p.cycles).sum();
+    assert_eq!(cycles, run.stats.cycles);
+    assert_eq!(snapshot.cycle_energy.count(), run.stats.cycles);
+    let mix: u64 = snapshot.mix.iter().map(|m| m.total()).sum();
+    assert_eq!(mix, run.stats.retired);
     assert_eq!(snapshot.phases[0].name, "startup");
 }
 
 #[test]
-fn composed_observers_each_see_the_full_run() {
-    let mut obs = (MetricsRegistry::new(), MetricsRegistry::new());
-    let run = observed_run(&mut obs);
-    let (a, b) = (obs.0.snapshot(), obs.1.snapshot());
-    assert_eq!(a.cycles, run.stats.cycles);
-    assert_eq!(a.cycles, b.cycles);
-    assert!((a.total_pj() - b.total_pj()).abs() < 1e-12);
-    assert_eq!(a.phases.len(), b.phases.len());
+fn the_activity_stream_recounts_the_run_result() {
+    // The metrics keep the pipeline's own counters instead of recounting
+    // them from the activity stream; this pins that the two agree.
+    for policy in [
+        MaskPolicy::None,
+        MaskPolicy::Selective,
+        MaskPolicy::AllLoadsStores,
+        MaskPolicy::AllInstructions,
+    ] {
+        let mut counted = RunResult::default();
+        let run = observed_run(policy, |act, _, _| {
+            counted.cycles += 1;
+            counted.stalls += u64::from(act.stalled);
+            counted.flushed += u64::from(act.flushed);
+            if let Some(inst) = &act.retired {
+                counted.retired += 1;
+                counted.retired_secure += u64::from(inst.secure);
+            }
+        });
+        counted.loads = run.stats.loads;
+        counted.stores = run.stats.stores;
+        assert_eq!(counted, run.stats, "{policy}");
+        assert!(run.stats.retired_secure > 0 || policy == MaskPolicy::None, "{policy}");
+    }
 }
 
 #[test]
 fn chrome_trace_export_is_golden() {
     let mut chrome = ChromeTrace::new();
-    let run = observed_run(&mut chrome);
+    let run = observed_run(MaskPolicy::Selective, |act, _, phase| {
+        chrome.record(act, phase.map(|p| p.to_string()).as_deref());
+    });
     let json = chrome.render();
 
     // Structural checks: valid-looking trace-event JSON with one instant
@@ -92,9 +125,7 @@ fn chrome_trace_export_is_golden() {
 
 #[test]
 fn metrics_csv_and_summary_render_the_run() {
-    let mut metrics = MetricsRegistry::new();
-    let run = observed_run(&mut metrics);
-    let snapshot = metrics.snapshot();
+    let (snapshot, run) = metered_run();
 
     let csv = metrics_csv(&snapshot);
     let mut lines = csv.lines();
@@ -122,9 +153,7 @@ fn metrics_csv_and_summary_render_the_run() {
 
 #[test]
 fn metrics_csv_and_summary_are_golden() {
-    let mut metrics = MetricsRegistry::new();
-    observed_run(&mut metrics);
-    let snapshot = metrics.snapshot();
+    let (snapshot, _) = metered_run();
 
     // Golden fingerprints of the byte-exact exporter output for the fixed
     // key/plaintext 1-round run, the files `repro fig6 --rounds 1

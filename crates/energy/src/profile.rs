@@ -66,13 +66,12 @@ struct PcStats {
 
 /// Attributes per-trace data-dependent energy to program counters.
 ///
-/// Feed it one run at a time: [`record`](Self::record) every cycle (with
-/// [`set_phase`](Self::set_phase) on phase-marker crossings), then
+/// Feed it one run at a time: [`record`](Self::record) every cycle, with
+/// the phase name on phase-marker crossings, then
 /// [`end_trace`](Self::end_trace) when the run completes. After any
 /// number of traces, [`profile`](Self::profile) returns the per-PC
-/// ranking. In the telemetry layer the same three calls are wired to the
-/// `RunObserver` callbacks, so `MaskedDes::encrypt_observed` drives the
-/// profiler directly.
+/// ranking. `MaskedDes::encrypt_observed` drives it from its per-cycle
+/// closure, and the caller ends the trace once the call returns.
 #[derive(Debug, Clone, Default)]
 pub struct LeakageProfiler {
     phase: String,
@@ -87,16 +86,14 @@ impl LeakageProfiler {
         Self { phase: "startup".into(), ..Self::default() }
     }
 
-    /// The current phase label; subsequent attributions are tagged with it.
-    pub fn set_phase(&mut self, name: &str) {
-        if self.phase != name {
-            self.phase = name.to_string();
-        }
-    }
-
     /// Attribute one cycle: if EX executed an instruction, its PC is
-    /// charged the cycle's data-dependent energy.
-    pub fn record(&mut self, act: &CycleActivity, energy: &CycleEnergy) {
+    /// charged the cycle's data-dependent energy. `phase` names the phase
+    /// a marker starts on this cycle; this and later attributions are
+    /// tagged with it.
+    pub fn record(&mut self, act: &CycleActivity, energy: &CycleEnergy, phase: Option<&str>) {
+        if let Some(name) = phase {
+            name.clone_into(&mut self.phase);
+        }
         if let Some(ex) = &act.ex {
             let cell = self.current.entry(ex.pc).or_insert_with(|| TraceCell {
                 energy_pj: 0.0,
@@ -246,12 +243,11 @@ mod tests {
     fn constant_energy_has_zero_variance_and_varying_energy_ranks_first() {
         let mut prof = LeakageProfiler::new();
         for (t, leak) in [0.0f64, 10.0, 0.0, 10.0].iter().enumerate() {
-            prof.set_phase("round 1");
             // PC 0 is constant across traces; PC 1 swings with the data.
             let (a, e) = ex_cycle(2 * t as u64, 0, 5.0);
-            prof.record(&a, &e);
+            prof.record(&a, &e, Some("round 1"));
             let (a, e) = ex_cycle(2 * t as u64 + 1, 1, *leak);
-            prof.record(&a, &e);
+            prof.record(&a, &e, None);
             prof.end_trace();
         }
         let p = prof.profile();
@@ -270,10 +266,10 @@ mod tests {
         let mut prof = LeakageProfiler::new();
         // Trace 0: only PC 3. Trace 1: only PC 7 (first seen late).
         let (a, e) = ex_cycle(0, 3, 4.0);
-        prof.record(&a, &e);
+        prof.record(&a, &e, None);
         prof.end_trace();
         let (a, e) = ex_cycle(0, 7, 6.0);
-        prof.record(&a, &e);
+        prof.record(&a, &e, None);
         prof.end_trace();
         let p = prof.profile();
         for row in &p.rows {
@@ -291,7 +287,7 @@ mod tests {
             cycle: 0,
             components: ComponentEnergy { clock: 9.0, ..Default::default() },
         };
-        prof.record(&CycleActivity::idle(0), &energy);
+        prof.record(&CycleActivity::idle(0), &energy, None);
         prof.end_trace();
         assert!(prof.profile().rows.is_empty());
     }
@@ -301,9 +297,9 @@ mod tests {
         let mut prof = LeakageProfiler::new();
         for leak in [0.0f64, 8.0] {
             let (a, e) = ex_cycle(0, 0, leak);
-            prof.record(&a, &e);
+            prof.record(&a, &e, None);
             let (a, e) = ex_cycle(1, 99, 1.0);
-            prof.record(&a, &e);
+            prof.record(&a, &e, None);
             prof.end_trace();
         }
         let p = prof.profile();

@@ -10,9 +10,7 @@
 //! The JSON is hand-assembled (the build environment vendors no serde);
 //! event names are escaped with [`escape_json`].
 
-use crate::observer::{PhaseEvent, RunObserver};
-use emask_cpu::{CycleActivity, RunResult};
-use emask_energy::CycleEnergy;
+use emask_cpu::CycleActivity;
 use std::fmt::Write as _;
 
 /// The pipeline-stage lanes, in trace row order.
@@ -45,8 +43,9 @@ struct OpenSpan {
 
 /// Accumulates a run into Chrome trace-event JSON.
 ///
-/// Implements [`RunObserver`]: feed it cycles and phase events, then call
-/// [`ChromeTrace::render`] for the finished document.
+/// Feed it every cycle with [`ChromeTrace::record`] (from the closure of
+/// `MaskedDes::encrypt_observed`), then call [`ChromeTrace::render`] for
+/// the finished document.
 #[derive(Debug, Clone, Default)]
 pub struct ChromeTrace {
     events: Vec<String>,
@@ -82,8 +81,17 @@ impl ChromeTrace {
         }
     }
 
-    /// Extends or closes each stage lane for one cycle of activity.
-    pub(crate) fn record_cycle(&mut self, act: &CycleActivity) {
+    /// Records one cycle: a phase-marker instant event first when `phase`
+    /// names the phase a marker starts this cycle, then extends or closes
+    /// each stage lane.
+    pub fn record(&mut self, act: &CycleActivity, phase: Option<&str>) {
+        if let Some(name) = phase {
+            self.events.push(format!(
+                r#"{{"name":"{}","ph":"i","ts":{},"pid":1,"tid":0,"s":"p"}}"#,
+                escape_json(name),
+                act.cycle,
+            ));
+        }
         for lane in 0..=STALL_LANE {
             if Self::lane_active(act, lane) {
                 match &mut self.open[lane] {
@@ -99,14 +107,6 @@ impl ChromeTrace {
                 self.close(lane);
             }
         }
-    }
-
-    /// Adds a phase-marker instant event at `cycle`.
-    pub(crate) fn mark_phase(&mut self, name: &str, cycle: u64) {
-        self.events.push(format!(
-            r#"{{"name":"{}","ph":"i","ts":{cycle},"pid":1,"tid":0,"s":"p"}}"#,
-            escape_json(name),
-        ));
     }
 
     /// Closes any open spans and renders the full JSON document.
@@ -148,18 +148,6 @@ pub fn chrome_trace_json(lanes: &[String], events: &[String]) -> String {
     out
 }
 
-impl RunObserver for ChromeTrace {
-    fn on_cycle(&mut self, act: &CycleActivity, _energy: &CycleEnergy) {
-        self.record_cycle(act);
-    }
-
-    fn on_phase(&mut self, event: &PhaseEvent) {
-        self.mark_phase(&event.name, event.cycle);
-    }
-
-    fn on_finish(&mut self, _stats: &RunResult) {}
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -175,10 +163,10 @@ mod tests {
     fn contiguous_activity_merges_into_one_span() {
         let mut t = ChromeTrace::new();
         for c in 0..5 {
-            t.record_cycle(&active_cycle(c));
+            t.record(&active_cycle(c), None);
         }
-        t.record_cycle(&CycleActivity::idle(5));
-        t.record_cycle(&active_cycle(7));
+        t.record(&CycleActivity::idle(5), None);
+        t.record(&active_cycle(7), None);
         let json = t.render();
         // One 5-cycle span plus one 1-cycle span on the fetch lane.
         assert!(json.contains(r#""ts":0,"dur":5,"pid":1,"tid":1"#), "{json}");
@@ -188,7 +176,7 @@ mod tests {
     #[test]
     fn phases_become_instant_events() {
         let mut t = ChromeTrace::new();
-        t.mark_phase("round 1", 42);
+        t.record(&CycleActivity::idle(42), Some("round 1"));
         assert_eq!(t.events.len(), 1);
         let json = t.render();
         assert!(json.contains(r#""name":"round 1","ph":"i","ts":42"#), "{json}");
@@ -197,8 +185,7 @@ mod tests {
     #[test]
     fn output_is_balanced_json() {
         let mut t = ChromeTrace::new();
-        t.record_cycle(&active_cycle(0));
-        t.mark_phase("p", 0);
+        t.record(&active_cycle(0), Some("p"));
         let json = t.render();
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();

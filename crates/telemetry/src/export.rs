@@ -1,12 +1,12 @@
 //! CSV and human-readable run exports.
 //!
 //! * [`metrics_csv`] — per-phase × per-component energy totals from a
-//!   [`MetricsSnapshot`] (the `--metrics-out` format);
+//!   [`MetricsRegistry`] (the `--metrics-out` format);
 //! * [`summary`] — the human-readable run report behind `--summary`;
 //! * [`summary_with_host`] — the same report with the host's
 //!   [`HostContext`] appended.
 
-use crate::metrics::{op_class_name, MetricsSnapshot, OP_CLASSES};
+use crate::metrics::{op_class_name, MetricsRegistry, OP_CLASSES};
 use emask_energy::ComponentEnergy;
 use std::fmt::Write as _;
 
@@ -46,11 +46,11 @@ fn component_values(e: &ComponentEnergy) -> [f64; 9] {
 /// `EncryptionRun::phase_trace` for that phase, by the shared
 /// start-inclusive attribution convention. The five distribution columns
 /// describe the run-wide per-cycle energy histogram
-/// ([`MetricsSnapshot::cycle_energy`], quantiles per
+/// ([`MetricsRegistry::cycle_energy`], quantiles per
 /// [`Histogram::quantile`](crate::Histogram::quantile)); the histogram is
 /// not phase-attributed, so phase rows leave them empty and only the
 /// `total` row carries values.
-pub fn metrics_csv(snap: &MetricsSnapshot) -> String {
+pub fn metrics_csv(snap: &MetricsRegistry) -> String {
     let mut out = String::from("phase,start_cycle,cycles");
     for c in COMPONENT_COLUMNS {
         out.push(',');
@@ -64,7 +64,7 @@ pub fn metrics_csv(snap: &MetricsSnapshot) -> String {
         }
         let _ = writeln!(out, ",{},,,,,", p.energy.total());
     }
-    let _ = write!(out, "total,0,{}", snap.cycles);
+    let _ = write!(out, "total,0,{}", snap.run.cycles);
     for v in component_values(&snap.energy) {
         let _ = write!(out, ",{v}");
     }
@@ -83,30 +83,34 @@ pub fn metrics_csv(snap: &MetricsSnapshot) -> String {
 }
 
 /// Renders the human-readable run report (`--summary`).
-pub fn summary(snap: &MetricsSnapshot) -> String {
+pub fn summary(snap: &MetricsRegistry) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "run summary");
     let _ = writeln!(out, "===========");
     let _ = writeln!(
         out,
         "cycles {:>12}   retired {:>12}   ipc {:.3}",
-        snap.cycles,
-        snap.retired,
-        snap.ipc()
+        snap.run.cycles,
+        snap.run.retired,
+        snap.run.ipc()
     );
     let _ = writeln!(
         out,
         "stalls {:>12}   flushed {:>12}   secure cycles {} ({:.1}%)",
-        snap.stall_cycles,
-        snap.flushed,
+        snap.run.stalls,
+        snap.run.flushed,
         snap.secure_cycles,
-        if snap.cycles == 0 { 0.0 } else { 100.0 * snap.secure_cycles as f64 / snap.cycles as f64 }
+        if snap.run.cycles == 0 {
+            0.0
+        } else {
+            100.0 * snap.secure_cycles as f64 / snap.run.cycles as f64
+        }
     );
     let _ = writeln!(
         out,
         "energy {:>12.1} pJ ({:.3} µJ), mean {:.1} pJ/cycle, peak {:.1} pJ",
-        snap.total_pj(),
-        snap.total_pj() / 1e6,
+        snap.energy.total(),
+        snap.energy.total() / 1e6,
         snap.cycle_energy.mean(),
         snap.cycle_energy.max()
     );
@@ -123,7 +127,11 @@ pub fn summary(snap: &MetricsSnapshot) -> String {
             op_class_name(class),
             m.normal,
             m.secure,
-            if snap.retired == 0 { 0.0 } else { 100.0 * m.total() as f64 / snap.retired as f64 }
+            if snap.run.retired == 0 {
+                0.0
+            } else {
+                100.0 * m.total() as f64 / snap.run.retired as f64
+            }
         );
     }
     let _ = writeln!(out);
@@ -145,7 +153,7 @@ pub fn summary(snap: &MetricsSnapshot) -> String {
 /// [`summary`] with the execution host's context appended — the
 /// self-describing form campaign reports use, so a number measured in a
 /// constrained container says so.
-pub fn summary_with_host(snap: &MetricsSnapshot, host: &HostContext) -> String {
+pub fn summary_with_host(snap: &MetricsRegistry, host: &HostContext) -> String {
     let mut out = summary(snap);
     out.push('\n');
     out.push_str(&host.render());
@@ -199,22 +207,19 @@ pub fn host_context(jobs: Option<usize>) -> HostContext {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
-    use crate::observer::{PhaseEvent, RunObserver};
     use emask_cpu::{CycleActivity, RunResult};
     use emask_energy::CycleEnergy;
 
-    fn tiny_snapshot() -> MetricsSnapshot {
+    fn tiny_snapshot() -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         let energy = CycleEnergy {
             cycle: 0,
             components: ComponentEnergy { clock: 2.0, regfile: 1.0, ..Default::default() },
         };
-        reg.on_cycle(&CycleActivity::idle(0), &energy);
-        reg.on_phase(&PhaseEvent { name: "round 1".into(), cycle: 1, index: 0 });
-        reg.on_cycle(&CycleActivity::idle(1), &energy);
-        reg.on_finish(&RunResult::default());
-        reg.snapshot()
+        reg.record(&CycleActivity::idle(0), &energy, None);
+        reg.record(&CycleActivity::idle(1), &energy, Some("round 1"));
+        reg.run = RunResult { cycles: 2, ..RunResult::default() };
+        reg
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! # emask-telemetry — observers, metrics, and structured trace export
+//! # emask-telemetry — metrics, trace export and the campaign event stream
 //!
-//! The observability layer for the simulated smart card: pluggable run
-//! observers, a metrics registry, and exporters for external tooling.
+//! The observability layer for the simulated smart card: a metrics
+//! registry and exporters for external tooling, fed one cycle at a time
+//! from the closure of `MaskedDes::encrypt_observed`, plus the live
+//! campaign event stream.
 //!
-//! * [`RunObserver`] — the run-level contract: per-cycle activity +
-//!   energy, phase-marker crossings, and final statistics. The unit type
-//!   `()` is the free no-op observer; `(A, B)` composes two observers.
-//!   (Tools that need the raw activity stream without the energy model
-//!   read it from the per-cycle callback of
-//!   [`CpuBackend::run_with`](emask_cpu::CpuBackend::run_with).)
-//! * [`MetricsRegistry`] — counters (instruction mix by class, secure vs
-//!   normal retirement, stalls, flushes), a per-cycle energy histogram,
-//!   and per-phase × per-component energy attribution; snapshot into the
-//!   typed [`MetricsSnapshot`].
+//! * [`MetricsRegistry`] — the instruction mix by class (secure vs
+//!   normal), secure cycles, a per-cycle energy histogram and per-phase ×
+//!   per-component energy attribution, beside the run's own
+//!   [`RunResult`](emask_cpu::RunResult) (cycles, retirement, stalls,
+//!   flushes), which the caller sets from the finished run.
 //! * [`ChromeTrace`] — Chrome trace-event JSON (one lane per pipeline
 //!   stage, phase markers as instant events) for `chrome://tracing` /
 //!   Perfetto; [`chrome_trace_json`] renders the document wrapper for
@@ -28,18 +25,21 @@
 //!   emitted as replayable open/close events, rebuildable offline into a
 //!   nested Chrome trace.
 //!
+//! Both per-cycle recorders take the cycle's activity and, on the cycle
+//! of a phase-marker store, the name of the phase that marker starts;
+//! that cycle belongs to the new phase (start-inclusive windows).
+//!
 //! ## Example
 //!
 //! ```
-//! use emask_telemetry::{MetricsRegistry, RunObserver, PhaseEvent};
+//! use emask_telemetry::MetricsRegistry;
 //! use emask_cpu::CycleActivity;
 //! use emask_energy::{ComponentEnergy, CycleEnergy};
 //!
 //! let mut metrics = MetricsRegistry::new();
 //! let energy = CycleEnergy { cycle: 0, components: ComponentEnergy::default() };
-//! metrics.on_phase(&PhaseEvent { name: "round 1".into(), cycle: 0, index: 0 });
-//! metrics.on_cycle(&CycleActivity::idle(0), &energy);
-//! assert_eq!(metrics.snapshot().phase("round 1").unwrap().cycles, 1);
+//! metrics.record(&CycleActivity::idle(0), &energy, Some("round 1"));
+//! assert_eq!(metrics.phase("round 1").unwrap().cycles, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,16 +51,12 @@ mod chrome;
 mod events;
 mod export;
 mod metrics;
-mod observer;
 mod span;
 
 pub use chrome::{chrome_trace_json, escape_json, ChromeTrace};
 pub use events::{Event, EventSink, NullSink};
 pub use export::{host_context, metrics_csv, summary, summary_with_host, HostContext};
-pub use metrics::{
-    Histogram, MetricsRegistry, MetricsSnapshot, MixEntry, PhaseMetrics, OP_CLASSES,
-};
-pub use observer::{PhaseEvent, RunObserver};
+pub use metrics::{Histogram, MetricsRegistry, MixEntry, PhaseMetrics, OP_CLASSES};
 pub use span::{Span, SpanId};
 
 /// 64-bit FNV-1a: the dependency-free hash behind checkpoint fingerprints

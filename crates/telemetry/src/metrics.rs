@@ -1,7 +1,7 @@
-//! The metrics registry: counters, histograms, and phase-attributed
-//! energy accounting over one simulated run.
+//! The metrics registry: the instruction mix, a per-cycle energy
+//! histogram and phase-attributed energy accounting over one simulated
+//! run, beside the run's own statistics.
 
-use crate::observer::{PhaseEvent, RunObserver};
 use emask_cpu::{CycleActivity, RunResult};
 use emask_energy::{ComponentEnergy, CycleEnergy};
 use emask_isa::OpClass;
@@ -201,7 +201,7 @@ impl Histogram {
 /// Energy and cycle counts attributed to one phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseMetrics {
-    /// The phase name from the marker event (e.g. `"round 3"`), or
+    /// The phase name from the marker (e.g. `"round 3"`), or
     /// [`MetricsRegistry::STARTUP_PHASE`] for cycles before the first
     /// marker.
     pub name: String,
@@ -229,19 +229,19 @@ impl MixEntry {
     }
 }
 
-/// A point-in-time copy of everything the registry counted.
+/// The metrics of one run: the instruction mix, a per-cycle energy
+/// histogram and phase-attributed component energy, counted from the
+/// cycles fed to [`MetricsRegistry::record`], beside the pipeline's own
+/// [`RunResult`] (cycles, retirement, stalls, flushes).
+///
+/// Feed it from the closure of `MaskedDes::encrypt_observed`, then set
+/// [`run`](MetricsRegistry::run) to the returned run's `stats`:
+/// [`metrics_csv`](crate::metrics_csv) and [`summary`](crate::summary)
+/// read both.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Cycles observed.
-    pub cycles: u64,
-    /// Instructions retired.
-    pub retired: u64,
-    /// Retired instructions with the secure bit.
-    pub retired_secure: u64,
-    /// Load-use interlock stall cycles.
-    pub stall_cycles: u64,
-    /// Wrong-path instructions squashed.
-    pub flushed: u64,
+pub struct MetricsRegistry {
+    /// The pipeline's aggregate result; zero until the caller sets it.
+    pub run: RunResult,
     /// Cycles in which at least one stage carried a secure value.
     pub secure_cycles: u64,
     /// Retired-instruction mix, indexed like [`OP_CLASSES`].
@@ -253,42 +253,6 @@ pub struct MetricsSnapshot {
     pub phases: Vec<PhaseMetrics>,
     /// Distribution of per-cycle total energy (picojoules).
     pub cycle_energy: Histogram,
-    /// The pipeline's own aggregate result, once the run finished.
-    pub run: Option<RunResult>,
-}
-
-impl MetricsSnapshot {
-    /// Instructions per cycle.
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.retired as f64 / self.cycles as f64
-        }
-    }
-
-    /// Total energy in picojoules.
-    pub fn total_pj(&self) -> f64 {
-        self.energy.total()
-    }
-
-    /// The metrics of a named phase, if it was crossed.
-    pub fn phase(&self, name: &str) -> Option<&PhaseMetrics> {
-        self.phases.iter().find(|p| p.name == name)
-    }
-}
-
-/// Accumulates counters, the instruction mix, a per-cycle energy
-/// histogram, and phase-attributed component energy from a run.
-///
-/// Implements [`RunObserver`], so it plugs directly into
-/// `MaskedDes::encrypt_observed` (or any driver generic over the trait);
-/// [`MetricsRegistry::snapshot`] then yields a typed [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsRegistry {
-    /// Everything counted so far; [`snapshot`](MetricsRegistry::snapshot)
-    /// clones it out.
-    counted: MetricsSnapshot,
 }
 
 impl Default for MetricsRegistry {
@@ -305,81 +269,56 @@ impl MetricsRegistry {
     /// bins, bracketing the calibrated model's per-cycle range.
     pub fn new() -> Self {
         MetricsRegistry {
-            counted: MetricsSnapshot {
-                cycles: 0,
-                retired: 0,
-                retired_secure: 0,
-                stall_cycles: 0,
-                flushed: 0,
-                secure_cycles: 0,
-                mix: [MixEntry::default(); 8],
-                energy: ComponentEnergy::default(),
-                phases: Vec::new(),
-                cycle_energy: Histogram::new(25.0, 20),
-                run: None,
-            },
+            run: RunResult::default(),
+            secure_cycles: 0,
+            mix: [MixEntry::default(); 8],
+            energy: ComponentEnergy::default(),
+            phases: Vec::new(),
+            cycle_energy: Histogram::new(25.0, 20),
         }
     }
 
-    /// Copies out everything counted so far.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.counted.clone()
-    }
-
-    fn current_phase(&mut self, cycle: u64) -> &mut PhaseMetrics {
-        if self.counted.phases.is_empty() {
-            self.counted.phases.push(PhaseMetrics {
-                name: Self::STARTUP_PHASE.to_string(),
-                start_cycle: cycle,
+    /// Counts one cycle. `phase` names the phase a marker starts on this
+    /// cycle; the marker cycle is charged to that new phase, the same
+    /// start-inclusive windows as `EncryptionRun::phase_window`.
+    pub fn record(&mut self, act: &CycleActivity, energy: &CycleEnergy, phase: Option<&str>) {
+        if let Some(name) = phase {
+            self.phases.push(PhaseMetrics {
+                name: name.to_string(),
+                start_cycle: act.cycle,
                 cycles: 0,
                 energy: ComponentEnergy::default(),
             });
         }
-        self.counted.phases.last_mut().expect("non-empty")
-    }
-}
-
-impl RunObserver for MetricsRegistry {
-    fn on_cycle(&mut self, act: &CycleActivity, energy: &CycleEnergy) {
-        let c = &mut self.counted;
-        c.cycles += 1;
-        if act.stalled {
-            c.stall_cycles += 1;
-        }
-        c.flushed += u64::from(act.flushed);
         if act.any_secure() {
-            c.secure_cycles += 1;
+            self.secure_cycles += 1;
         }
         if let Some(inst) = &act.retired {
-            c.retired += 1;
-            let entry = &mut c.mix[op_class_index(inst.op.class())];
+            let entry = &mut self.mix[op_class_index(inst.op.class())];
             if inst.secure {
-                c.retired_secure += 1;
                 entry.secure += 1;
             } else {
                 entry.normal += 1;
             }
         }
-        c.energy += energy.components;
-        c.cycle_energy.record(energy.total_pj());
-        let phase = self.current_phase(act.cycle);
-        phase.cycles += 1;
-        phase.energy += energy.components;
+        self.energy += energy.components;
+        self.cycle_energy.record(energy.total_pj());
+        if self.phases.is_empty() {
+            self.phases.push(PhaseMetrics {
+                name: Self::STARTUP_PHASE.to_string(),
+                start_cycle: act.cycle,
+                cycles: 0,
+                energy: ComponentEnergy::default(),
+            });
+        }
+        let current = self.phases.last_mut().expect("non-empty");
+        current.cycles += 1;
+        current.energy += energy.components;
     }
 
-    fn on_phase(&mut self, event: &PhaseEvent) {
-        // Fires before on_cycle for the marker cycle, so that cycle's
-        // energy lands in the new bucket (start-inclusive windows).
-        self.counted.phases.push(PhaseMetrics {
-            name: event.name.clone(),
-            start_cycle: event.cycle,
-            cycles: 0,
-            energy: ComponentEnergy::default(),
-        });
-    }
-
-    fn on_finish(&mut self, stats: &RunResult) {
-        self.counted.run = Some(*stats);
+    /// The metrics of a named phase, if it was crossed.
+    pub fn phase(&self, name: &str) -> Option<&PhaseMetrics> {
+        self.phases.iter().find(|p| p.name == name)
     }
 }
 
@@ -513,23 +452,19 @@ mod tests {
             components: ComponentEnergy { clock: 1.0, ..Default::default() },
         };
         // Cycles 0–1 before any marker, marker at cycle 2, cycles 2–3 after.
-        for c in 0..2 {
-            reg.on_cycle(&CycleActivity::idle(c), &one_pj(c));
+        for c in 0..4 {
+            let phase = (c == 2).then_some("round 1");
+            reg.record(&CycleActivity::idle(c), &one_pj(c), phase);
         }
-        reg.on_phase(&PhaseEvent { name: "round 1".into(), cycle: 2, index: 0 });
-        for c in 2..4 {
-            reg.on_cycle(&CycleActivity::idle(c), &one_pj(c));
-        }
-        let snap = reg.snapshot();
-        assert_eq!(snap.cycles, 4);
-        assert_eq!(snap.phases.len(), 2);
-        assert_eq!(snap.phases[0].name, MetricsRegistry::STARTUP_PHASE);
-        assert_eq!(snap.phases[0].cycles, 2);
-        let round = snap.phase("round 1").expect("phase recorded");
+        assert_eq!(reg.phases.len(), 2);
+        assert_eq!(reg.phases[0].name, MetricsRegistry::STARTUP_PHASE);
+        assert_eq!(reg.phases[0].cycles, 2);
+        let round = reg.phase("round 1").expect("phase recorded");
         assert_eq!(round.start_cycle, 2);
         assert_eq!(round.cycles, 2);
         assert!((round.energy.total() - 2.0).abs() < 1e-12);
-        assert!((snap.total_pj() - 4.0).abs() < 1e-12);
+        assert!((reg.energy.total() - 4.0).abs() < 1e-12);
+        assert_eq!(reg.cycle_energy.count(), 4);
     }
 
     #[test]

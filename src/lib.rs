@@ -62,6 +62,6 @@ pub use emask_telemetry as telemetry;
 
 pub use emask_core::{
     ChromeTrace, EncryptionRun, EnergyParams, EnergyTrace, MaskPolicy, MaskedDes, MaskedXtea,
-    MetricsRegistry, MetricsSnapshot, Phase, RunObserver, SecureStyle,
+    MetricsRegistry, Phase, SecureStyle,
 };
 pub use emask_des::{Des, KeySchedule};
