@@ -14,8 +14,6 @@ use emask_des::bits::permute;
 use emask_des::sbox_lookup;
 use emask_des::{E, IP};
 use emask_par::{fold_sharded, trial_seed, CancelToken, Interrupted, Jobs};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
 use std::ops::Range;
 
@@ -119,15 +117,16 @@ pub(crate) fn sbox_chunk(plaintext: u64, sbox: usize) -> u8 {
     ((expanded >> (42 - 6 * sbox)) & 0x3F) as u8
 }
 
-/// The plaintext of trial `index` in a seed-per-trial campaign: drawn from
-/// an RNG seeded with [`trial_seed`]`(seed, index)`, so it is a pure
-/// function of the pair — any worker can produce trial `index`'s input
-/// without consuming a shared RNG stream. This is the one trial-identity
-/// rule of every campaign: trial `i` sees the same plaintext at any
-/// `--jobs` count and in any shard.
+/// The plaintext of trial `index` in a seed-per-trial campaign: a pure
+/// function of the pair built from [`trial_seed`] alone, so any worker can
+/// produce trial `index`'s input without consuming a shared RNG stream.
+/// This is the one trial-identity rule of every campaign: trial `i` sees
+/// the same plaintext at any `--jobs` count and in any shard. It equals
+/// the first draw of a SplitMix64 generator seeded with
+/// `trial_seed(seed, index)`, the formula every recorded campaign used.
 #[must_use]
 pub fn plaintext_for(seed: u64, index: u64) -> u64 {
-    StdRng::seed_from_u64(trial_seed(seed, index)).gen()
+    trial_seed(trial_seed(seed, index).wrapping_add(0x9E37_79B9_7F4A_7C15), 0)
 }
 
 /// The verdict over 64 per-guess peaks: the winning guess (the last of
@@ -338,6 +337,23 @@ mod tests {
     use std::sync::Mutex;
 
     const KEY: u64 = 0x1334_5779_9BBC_DFF1;
+
+    #[test]
+    fn plaintext_for_is_the_first_draw_of_the_trial_seeded_generator() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let seeds = [0, 1, 2, 7, 42, 0xDEAD_BEEF, 0x9E37_79B9_7F4A_7C15, u64::MAX];
+        let indices = (0..8_192).chain(u64::MAX - 63..=u64::MAX);
+        let mut pairs = 0;
+        for index in indices {
+            for seed in seeds {
+                let drawn: u64 = StdRng::seed_from_u64(trial_seed(seed, index)).gen();
+                assert_eq!(plaintext_for(seed, index), drawn, "seed {seed:#x}, index {index}");
+                pairs += 1;
+            }
+        }
+        assert!(pairs >= 50_000, "{pairs}");
+    }
 
     /// A leakage-model oracle: one sample whose energy is proportional to
     /// the Hamming weight of the true S-box output, plus deterministic

@@ -18,7 +18,7 @@
 //! nonzero exit.
 
 use crate::service::BenchRunner;
-use emask_par::CancelToken;
+use emask_par::{trial_seed, CancelToken};
 use emask_serve::json::{parse, Json};
 use emask_serve::{client, ExperimentRunner, JobCtx, JobSink, JobSpec, RunStatus};
 use std::collections::BTreeMap;
@@ -88,13 +88,10 @@ impl std::fmt::Display for LoadgenReport {
     }
 }
 
-/// SplitMix64: the workload's deterministic generator.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The workload's deterministic generator: one SplitMix64 step, the
+/// [`trial_seed`] finalizer applied after the golden-ratio increment.
+fn mix(x: u64) -> u64 {
+    trial_seed(x.wrapping_add(0x9E37_79B9_7F4A_7C15), 0)
 }
 
 /// The spec of workload job `index` — a pure function of `(seed, index)`,
