@@ -797,7 +797,7 @@ fn validate_out_paths(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs one selectively-masked encryption with the telemetry observers
+/// Runs one selectively-masked encryption with the telemetry recorders
 /// attached and writes/prints whatever `--trace-out`, `--metrics-out`,
 /// and `--summary` asked for.
 fn telemetry_run(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
